@@ -11,13 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bk
+from .bk import MINUS_ONE
 from .errors import BelowOmega1, NotALimit, NotSubtree, OutOfRange
 from .level1 import (FactorMap1, Level1Tree, Level1Tower, check_factor_map,
                      desc_rank, descriptions)
 from .ordinals import (ONE, U1, ZERO, Cofinality, IndexMap, UOrd, apply_shift,
                        apply_shift_sup, cf_l)
-
-MINUS_ONE = -1
 
 
 def factor_to_shift(fm: FactorMap1) -> IndexMap:

@@ -8,14 +8,18 @@ the entry kinds used throughout the kernel:
   * naturals (and the distinguished -1, which sits below every natural),
   * nodes, i.e. tuples of naturals, compared by Brouwer-Kleene recursively,
   * -1 against a node: -1 is below every node,
-  * ordinal objects exposing ``compare``.
+  * ordinals (naturals, ``CtblOrd`` or ``UOrd``), compared as ``UOrd``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence, TypeVar
 
+from .ordinals import as_uord
+
 A = TypeVar("A")
+
+MINUS_ONE = -1  # the distinguished entry below every natural and every node
 
 LESS = -1
 EQUAL = 0
@@ -41,19 +45,16 @@ def entry_compare(a, b) -> int:
     if isinstance(a, tuple) and isinstance(b, tuple):
         return bk_compare(a, b, entry_compare)
     if isinstance(a, tuple):
-        if b == -1:
+        if b == MINUS_ONE:
             return GREATER
         raise TypeError(f"incomparable entries {a!r} and {b!r}")
     if isinstance(b, tuple):
-        if a == -1:
+        if a == MINUS_ONE:
             return LESS
         raise TypeError(f"incomparable entries {a!r} and {b!r}")
     if isinstance(a, int) and isinstance(b, int):
         return (a > b) - (a < b)
-    ca = getattr(a, "compare", None)
-    if ca is not None and isinstance(b, type(a)):
-        return a.compare(b)
-    raise TypeError(f"incomparable entries {a!r} and {b!r}")
+    return as_uord(a).compare(as_uord(b))
 
 
 def bk(s: Sequence, t: Sequence) -> int:
@@ -70,11 +71,3 @@ def bk_key(seq: Sequence):
 
 def bk_sorted(seqs):
     return sorted(seqs, key=bk_key)
-
-
-def bk_min(seqs):
-    return bk_sorted(seqs)[0]
-
-
-def bk_max(seqs):
-    return bk_sorted(seqs)[-1]

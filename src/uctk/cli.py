@@ -11,10 +11,9 @@ import argparse
 import shlex
 import sys
 
-from . import analysis, grammar, lemmas, level1, level2, level3, ordinals
+from . import analysis, bk, grammar, lemmas, level1, level2, level3, ordinals
+from .bk import MINUS_ONE
 from .errors import ArityError, KernelError, ParseError
-
-MINUS_ONE = -1
 
 
 def _quote(value: str) -> str:
@@ -71,6 +70,15 @@ def _tuple2_from_args(le2, ordinals_text):
     return {k: grammar.parse_uord(t) for k, t in zip(dom, ordinals_text)}
 
 
+def _bound(flags, default: int) -> int:
+    """--bound when given (at least 1), else the command's default."""
+    if flags.bound is None:
+        return default
+    if flags.bound < 1:
+        raise ArityError(f"--bound must be at least 1, got {flags.bound}")
+    return flags.bound
+
+
 def _dom_label(key) -> str:
     d, q = key
     return f"{d}:{grammar.format_node(q) if d == 1 else grammar.format_domseq(q)}"
@@ -122,7 +130,6 @@ def cmd_compare(args, flags):
         c = level3.rep3_compare(tree, *elts)
     else:
         _need(args, 2, "compare SEQ SEQ")
-        from . import bk
         c = bk.bk(grammar.parse_rep_seq(args[0]), grammar.parse_rep_seq(args[1]))
     return _ok("compare", result=_ORDERINGS[c])
 
@@ -145,15 +152,12 @@ def _rep2_elt(le2, text):
         raise ParseError(f"rep2 element is (d, [entries]): {text}")
     d, rest = text[1:-1].split(",", 1)
     d = int(d.strip())
-    seq = grammar.parse_rep_seq(rest.strip())
     if d == 1:
         elt = _rep1_elt(rest.strip())
         if elt.node not in le2.t1.nodes:
             raise KernelError(elt)
         return level2.Rep2Element(1, elt)
-    payload = tuple(e.tail if hasattr(e, "tail") and e.is_countable() else e
-                    for e in seq)
-    return level2.rep2_from_payload(le2, payload)
+    return level2.rep2_from_payload(le2, grammar.parse_rep_seq(rest.strip()))
 
 
 def cmd_order_type(args, flags):
@@ -217,7 +221,7 @@ def cmd_s1(args, flags):
     for a in alphas:
         if not a.is_countable():
             raise KernelError("S1 ordinals are countable", a)
-    ok = level1.s1_member(trees, [a.tail for a in alphas])
+    ok = level1.s1_member(trees, alphas)
     return _verdict("s1", ok)
 
 
@@ -286,7 +290,6 @@ def cmd_eval_desc(args, flags):
 def cmd_recover(args, flags):
     if len(args) < 2:
         raise ArityError("recover <level-1 tree> <domain shape> <ordinals...>")
-    from . import bk
     t1 = grammar.parse_l1(args[0])
     shape = sorted(_parse_shape(args[1]), key=level2._dom_sort_key)
     ordered = [(1, p) for p in bk.bk_sorted(t1.nodes)] + [(2, q) for q in shape]
@@ -355,7 +358,7 @@ def cmd_s3_structural(args, flags):
 def cmd_enumerate(args, flags):
     _need(args, 1, "enumerate <l1|le2> [--bound N] [--regular]")
     kind = args[0]
-    bound = flags.bound or 3
+    bound = _bound(flags, 3)
     if kind == "l1":
         trees = level1.enumerate_level1_up_to(bound, regular_only=flags.regular)
         return _ok("enumerate", kind=kind, count=len(trees),
@@ -368,7 +371,7 @@ def cmd_enumerate(args, flags):
 
 
 def cmd_check_lemmas(args, flags):
-    results = lemmas.check_lemmas(bound=flags.bound or 4, seed=flags.seed or 0)
+    results = lemmas.check_lemmas(bound=_bound(flags, 4), seed=flags.seed or 0)
     all_ok = all(r.passed for r in results)
     return Report("check-lemmas", "ok" if all_ok else "rejected",
                   suites=len(results),

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import re
 
+from .bk import MINUS_ONE
 from .errors import ParseError
 from .level1 import Level1Tree, validate_level1
 from .ordinals import CtblOrd, IndexMap, UOrd
-
-MINUS_ONE = -1
 
 _TOKEN = re.compile(r"->|[(){}\[\];,@]|\^|\*|\+|-?\d+|u\d+|w|[A-Za-z_]+")
 
@@ -189,7 +188,6 @@ def parse_le2(text: str):
 
 
 def _pl2(toks):
-    from .level2 import validate_level2  # noqa: F401  (shared validation path)
     from .level3 import validate_partial_le2
     toks.expect("(")
     base = _le2(toks)
@@ -405,14 +403,6 @@ def format_l3(t3) -> str:
     for r, pt in t3.entries:
         parts.append(f"{format_domseq(r)} -> {format_pl2(pt)}")
     return "; ".join(parts)
-
-
-def format_l2_tower(towers) -> str:
-    return "[" + " ".join(f"[{format_l2(t)}]" for t in towers) + "]"
-
-
-def format_l3_tower(towers) -> str:
-    return "[" + " ".join(f"[{format_l3(t)}]" for t in towers) + "]"
 
 
 def format_index_map(m: IndexMap) -> str:

@@ -660,21 +660,6 @@ def enumerate_partial_le2(base: LevelLe2Tree):
     return out
 
 
-ALL_SUITES = {
-    "order-type": suite_order_type,
-    "factor-order": suite_factor_order,
-    "shift": suite_shift,
-    "analysis": suite_analysis,
-    "lemma-ucf-sup": suite_lemma_level2_ucf,
-    "lemma-ucf-completion": suite_lemma_level2_ucf_another,
-    "uniqueness": suite_uniqueness,
-    "desc-eval": suite_desc_eval,
-    "respect-hierarchy": suite_respect_hierarchy,
-    "tree-property": suite_tree_property,
-    "ucf-cf3": suite_ucf_cf3,
-}
-
-
 def check_lemmas(bound: int = 4, seed: int = 0):
     """Run every invariant suite at a size bound; returns SuiteResults."""
     results = [

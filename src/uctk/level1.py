@@ -16,7 +16,7 @@ from . import bk
 from .errors import (CardinalityMismatch, ClosureViolation, ContainsEmpty,
                      InvalidTower, LengthMismatch, NotADescription, NotInRep,
                      NotRegular, NotSubtree)
-from .ordinals import ONE, OMEGA, ZERO, CtblOrd, UOrd
+from .ordinals import ONE, OMEGA, ZERO, CtblOrd, UOrd, as_uord
 
 Node = tuple  # tuple of naturals
 
@@ -93,10 +93,6 @@ def addable_nodes(tree: Level1Tree):
             j += 1
         out.append(parent + (j,))
     return sorted(out)
-
-
-def insert_node(tree: Level1Tree, node: Node) -> Level1Tree:
-    return validate_level1(set(tree.nodes) | {node})
 
 
 def enumerate_level1(size: int, regular_only: bool = False):
@@ -278,17 +274,12 @@ def new_node(prev: Level1Tree, cur: Level1Tree) -> Node:
 
 def respects_level1(tree: Level1Tree, alpha) -> bool:
     """Every value a countable limit, and node order mirrored by value order."""
-    order = bk.bk_sorted(tree.nodes)
     vals = []
-    for p in order:
+    for p in bk.bk_sorted(tree.nodes):
         if p not in alpha:
             return False
-        v = alpha[p]
-        if isinstance(v, UOrd):
-            if not v.is_countable():
-                return False
-            v = v.tail
-        if not v.is_limit():
+        v = as_uord(alpha[p])
+        if not (v.is_countable() and v.is_limit()):
             return False
         vals.append(v)
     return all(a < b for a, b in zip(vals, vals[1:]))

@@ -10,10 +10,11 @@ distinguished element sitting below every node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import bk
 from .analysis import analyze, tree_embed, tree_embed_sup
+from .bk import MINUS_ONE
 from .errors import (BadDescription, BadFirstEntry, CardinalityMismatch,
                      DegreeZeroHasNoCompletion, DomainNotTree, InvalidElement,
                      InvalidTower, KernelError, LengthMismatch, MissingEntry,
@@ -21,9 +22,8 @@ from .errors import (BadDescription, BadFirstEntry, CardinalityMismatch,
                      NotRespecting, RootNotCanonical, TowerViolation)
 from .level1 import (EMPTY_TREE, Level1Tree, Node, addable_nodes, is_level1,
                      is_regular, respects_level1, validate_level1)
-from .ordinals import OMEGA, U1, CtblOrd, UOrd
+from .ordinals import OMEGA, U1, CtblOrd, UOrd, as_uord
 
-MINUS_ONE = -1
 ROOT_NODE: Node = (0,)
 DomSeq = tuple  # tuple of nodes (each a tuple of naturals)
 
@@ -76,12 +76,8 @@ def respects_partial_le1(pt: PartialLevel1Tree, alpha) -> bool:
     if pt.node == MINUS_ONE:
         if MINUS_ONE not in alpha:
             return False
-        v = alpha[MINUS_ONE]
-        if isinstance(v, UOrd):
-            v = v.tail if v.is_countable() else None
-        if isinstance(v, CtblOrd):
-            v = v.natural_value() if v.is_natural() else None
-        if not isinstance(v, int) or v < 0:
+        v = as_uord(alpha[MINUS_ONE])
+        if not (v.is_countable() and v.tail.is_natural()):
             return False
         return respects_level1(pt.base, alpha)
     return respects_level1(pt.completion(), alpha)
@@ -146,26 +142,76 @@ def expand_potential(potential) -> PartialTowerLe1:
     return PartialTowerLe1(tuple(stages), None)
 
 
-# -- level-2 trees -------------------------------------------------------------
+# -- trees of level-1 trees ------------------------------------------------------
 
-@dataclass(frozen=True)
-class Level2Tree:
-    """Map from a tree of level-1 trees to partial level <=1 trees, forming a
-    partial tower of discontinuous type along every branch."""
+def _dom_sort_key(q):
+    return (len(q), bk.bk_key(q))
 
-    entries: tuple  # ((domseq, (Level1Tree, node-or--1)), ...) sorted
+
+def _children_of(dom, q) -> Level1Tree:
+    """The level-1 tree of indices a with q++(a) in dom."""
+    return Level1Tree(frozenset(k[-1] for k in dom
+                                if len(k) == len(q) + 1 and k[:len(q)] == q))
+
+
+def check_tree_of_trees(dom):
+    """Check that dom, a set of domain sequences with the root () among them,
+    is a tree of level-1 trees and return it in canonical order.
+
+    Raises DomainNotTree naming the first element whose predecessor is
+    missing, else the first whose children do not form a level-1 tree."""
+    order = sorted(dom, key=_dom_sort_key)
+    for q in order:
+        if q and q[:-1] not in dom:
+            raise DomainNotTree(q)
+    for q in order:
+        if not is_level1(_children_of(dom, q).nodes):
+            raise DomainNotTree(q)
+    return order
+
+
+@dataclass(frozen=True, repr=False)
+class TreeOfTrees:
+    """A tree of level-1 trees with a label on every element: level-2 trees
+    label theirs with partial level <=1 trees, level-3 trees with partial
+    level <=2 trees.  Equality and hashing go by ``entries``, the canonically
+    sorted ((key, label), ...) tuple; lookups go through a dict."""
+
+    entries: tuple
+    _labels: dict = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_labels", dict(self.entries))
 
     def dom(self):
-        return [q for q, _ in self.entries]
+        return [k for k, _ in self.entries]
 
-    def __contains__(self, q) -> bool:
-        return any(q == k for k, _ in self.entries)
+    def __contains__(self, key) -> bool:
+        return key in self._labels
 
-    def label(self, q):
-        for k, v in self.entries:
-            if k == q:
-                return v
-        raise MissingEntry(q)
+    def label(self, key):
+        try:
+            return self._labels[key]
+        except KeyError:
+            raise MissingEntry(key) from None
+
+    def cardinality(self) -> int:
+        return len(self.entries)
+
+    def children(self, key) -> Level1Tree:
+        """The level-1 tree of child indices below key."""
+        return _children_of(self._labels, key)
+
+    def is_subtree_of(self, other) -> bool:
+        return all(k in other and other.label(k) == v for k, v in self.entries)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}<{self}>"
+
+
+class Level2Tree(TreeOfTrees):
+    """Map from a tree of level-1 trees to partial level <=1 trees, forming a
+    partial tower of discontinuous type along every branch."""
 
     def tree(self, q) -> Level1Tree:
         return self.label(q)[0]
@@ -173,30 +219,12 @@ class Level2Tree:
     def node(self, q):
         return self.label(q)[1]
 
-    def cardinality(self) -> int:
-        return len(self.entries)
-
-    def children(self, q):
-        """The level-1 tree Q{q} of child indices."""
-        return Level1Tree(frozenset(k[-1] for k, _ in self.entries
-                                    if len(k) == len(q) + 1 and k[:len(q)] == q))
-
     def partial(self, q) -> PartialLevel1Tree:
         return PartialLevel1Tree(*self.label(q))
-
-    def is_subtree_of(self, other) -> bool:
-        return all(q in other and other.label(q) == v for q, v in self.entries)
 
     def __str__(self) -> str:
         from .grammar import format_l2
         return format_l2(self)
-
-    def __repr__(self) -> str:
-        return f"Level2Tree<{self}>"
-
-
-def _dom_sort_key(q):
-    return (len(q), bk.bk_key(q))
 
 
 def validate_level2(entries) -> Level2Tree:
@@ -206,25 +234,17 @@ def validate_level2(entries) -> Level2Tree:
         raise RootNotCanonical("missing root")
     if items[()] != (EMPTY_TREE, ROOT_NODE):
         raise RootNotCanonical(items[()])
-    dom = set(items)
-    for q in sorted(dom, key=_dom_sort_key):
-        if q and q[:-1] not in dom:
-            raise DomainNotTree(q)
-    tree = Level2Tree(tuple(sorted(items.items(), key=lambda kv: _dom_sort_key(kv[0]))))
-    for q in sorted(dom, key=_dom_sort_key):
-        kids = frozenset(k[-1] for k in dom if len(k) == len(q) + 1 and k[:len(q)] == q)
-        if not is_level1(kids):
-            raise DomainNotTree(q)
-    for q in sorted(dom, key=_dom_sort_key):
+    order = check_tree_of_trees(items)
+    tree = Level2Tree(tuple((q, items[q]) for q in order))
+    for q in order[1:]:
         t, p = items[q]
         try:
             validate_partial_le1(t, p)
         except KernelError:
             raise TowerViolation(q)
-        if q:
-            parent = tree.partial(q[:-1])
-            if parent.degree() == 0 or parent.completion() != t:
-                raise TowerViolation(q)
+        parent = tree.partial(q[:-1])
+        if parent.degree() == 0 or parent.completion() != t:
+            raise TowerViolation(q)
     return tree
 
 
@@ -467,8 +487,7 @@ class RespectVerdict:
 def _entry(t, key):
     if key not in t:
         raise MissingEntry(key)
-    v = t[key]
-    return v if isinstance(v, UOrd) else UOrd.from_ctbl(v)
+    return as_uord(t[key])
 
 
 def respects_le2(le2: LevelLe2Tree, t) -> RespectVerdict:
@@ -577,9 +596,7 @@ def enumerate_dom_shapes(max_nodes: int):
         nxt = set()
         for shape in frontier:
             for q in shape:
-                kids = Level1Tree(frozenset(k[-1] for k in shape
-                                            if len(k) == len(q) + 1 and k[:len(q)] == q))
-                for a in addable_nodes(kids):
+                for a in addable_nodes(_children_of(shape, q)):
                     nxt.add(shape | {q + (a,)})
         frontier = sorted(nxt, key=lambda s: sorted(map(_dom_sort_key, s)))
         shapes.extend(frontier)
@@ -601,9 +618,8 @@ def _label_choices(tree: Level1Tree, is_leaf: bool):
 
 def enumerate_level2_with_dom(shape):
     """All level-2 trees over a fixed domain shape, canonically ordered."""
-    dom = sorted(shape, key=_dom_sort_key)
-    leaves = {q for q in dom if not any(len(k) == len(q) + 1 and k[:len(q)] == q
-                                        for k in dom)}
+    dom = check_tree_of_trees(shape)
+    leaves = {q for q in dom if not _children_of(shape, q).nodes}
 
     def build(i, assigned):
         if i == len(dom):
@@ -643,9 +659,6 @@ def recover_tree(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
     """Search all level <=2 trees over the domain for the one the tuple
     respects.  A second match would falsify the uniqueness lemma."""
     shape = frozenset(tuple(tuple(n) for n in q) for q in dom_shape)
-    for q in sorted(shape, key=_dom_sort_key):
-        if q and q[:-1] not in shape:
-            raise DomainNotTree(q)
     found = []
     for t2 in enumerate_level2_with_dom(shape):
         cand = LevelLe2Tree(t1, t2)

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 from . import bk
 from .errors import (CaseViolation, CardinalityMismatch, DegreeZero,
                      DomainNotTree, EmptyKeyPresent, InvalidElement,
-                     InvalidTower, KernelError, NotRegular, TowerViolation)
+                     InvalidTower, NotRegular, TowerViolation)
 from .level1 import (EMPTY_TREE, Level1Tree, addable_nodes, is_level1,
                      validate_level1)
 from .level2 import (CONSTANT_DESC, MINUS_ONE, LevelLe2Tree, QDescription,
-                     _dom_sort_key, q_potential, q_set_plus, respects_le2,
-                     validate_level2)
+                     TreeOfTrees, check_tree_of_trees, q_potential, q_set_plus,
+                     respects_le2, validate_level2)
+from .ordinals import U1, as_uord
 
 RSeq = tuple  # tuple of nodes indexing dom(R)
 
@@ -68,10 +69,9 @@ def validate_partial_le2(base: LevelLe2Tree, d: int, q, p) -> PartialLevelLe2Tre
         t2 = base.t2
         if q in t2 or not q:
             raise CaseViolation("sequence not a fresh extension", q)
-        if q[:-1] not in t2:
-            raise CaseViolation("predecessor missing", q)
-        siblings = set(t2.children(q[:-1]).nodes) | {q[-1]}
-        if not is_level1(siblings):
+        try:
+            check_tree_of_trees(set(t2.dom()) | {q})
+        except DomainNotTree:
             raise CaseViolation("domain extension is not a tree of trees", q)
         parent = t2.partial(q[:-1])
         if parent.degree() == 0:
@@ -93,11 +93,8 @@ def respects_partial_le2(pt: PartialLevelLe2Tree, t) -> bool:
     if key not in t:
         return False
     if pt.d == 0:
-        v = t[key]
-        from .ordinals import UOrd
-        if isinstance(v, int):
-            return v >= 0
-        return isinstance(v, UOrd) and v.is_countable() and v.tail.is_natural()
+        v = as_uord(t[key])
+        return v.is_countable() and v.tail.is_natural()
     for comp in completion_le2(pt):
         if respects_le2(comp, t):
             return True
@@ -156,21 +153,10 @@ def completion_le2(pt: PartialLevelLe2Tree):
 
 # -- level-3 trees ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Level3Tree:
-    entries: tuple  # ((rseq, PartialLevelLe2Tree), ...) sorted
-
-    def dom(self):
-        return [r for r, _ in self.entries]
-
-    def __contains__(self, r) -> bool:
-        return any(r == k for k, _ in self.entries)
-
-    def label(self, r) -> PartialLevelLe2Tree:
-        for k, v in self.entries:
-            if k == r:
-                return v
-        raise KernelError(r)
+class Level3Tree(TreeOfTrees):
+    """Map from a tree of level-1 trees (without the root) to partial level
+    <=2 trees, forming a partial tower of discontinuous type along every
+    branch."""
 
     def tree(self, r) -> LevelLe2Tree:
         return self.label(r).base
@@ -178,16 +164,6 @@ class Level3Tree:
     def node(self, r):
         lab = self.label(r)
         return (lab.d, lab.q)
-
-    def cardinality(self) -> int:
-        return len(self.entries)
-
-    def children(self, r) -> Level1Tree:
-        return Level1Tree(frozenset(k[-1] for k, _ in self.entries
-                                    if len(k) == len(r) + 1 and k[:len(r)] == r))
-
-    def is_subtree_of(self, other) -> bool:
-        return all(r in other and other.label(r) == v for r, v in self.entries)
 
     def __str__(self) -> str:
         from .grammar import format_l3
@@ -207,15 +183,8 @@ def validate_level3(entries) -> Level3Tree:
         if r == ():
             raise EmptyKeyPresent()
         items[r] = pt
-    dom = set(items)
-    for r in sorted(dom, key=_dom_sort_key):
-        if len(r) > 1 and r[:-1] not in dom:
-            raise DomainNotTree(r)
-    for r in sorted(dom | {()}, key=_dom_sort_key):
-        kids = frozenset(k[-1] for k in dom if len(k) == len(r) + 1 and k[:len(r)] == r)
-        if not is_level1(kids):
-            raise DomainNotTree(r)
-    for r in sorted(dom, key=_dom_sort_key):
+    order = check_tree_of_trees(set(items) | {()})[1:]
+    for r in order:
         pt = items[r]
         if len(r) == 1:
             if pt.base.cardinality() != 1:
@@ -226,21 +195,7 @@ def validate_level3(entries) -> Level3Tree:
                 raise TowerViolation(r)
             if not any(pt.base == c for c in completion_le2(parent)):
                 raise TowerViolation(r)
-    return Level3Tree(tuple(sorted(items.items(), key=lambda kv: _dom_sort_key(kv[0]))))
-
-
-def r_potential(tree: Level3Tree, r, completion: LevelLe2Tree = None):
-    """R[r], or R[r, Q] against a chosen completion."""
-    triples = tuple((tree.label(r[:l + 1]).d, tree.label(r[:l + 1]).q,
-                     tree.label(r[:l + 1]).p) for l in range(len(r)))
-    return ((completion if completion is not None else tree.label(r).base), triples)
-
-
-def dom_star_3(tree: Level3Tree):
-    out = list(tree.dom())
-    for r in tree.dom():
-        out.append(r + (MINUS_ONE,))
-    return sorted(out, key=_dom_sort_key)
+    return Level3Tree(tuple((r, items[r]) for r in order))
 
 
 # -- ordinal representation -------------------------------------------------------
@@ -294,7 +249,6 @@ def rep3_from_payload(tree: Level3Tree, payload) -> Rep3Element:
     base = r[:-1] if r and r[-1] == MINUS_ONE else r
     if base not in tree:
         raise InvalidElement(payload)
-    from .ordinals import U1
     values = {(2, ()): U1}  # the root entry is forced and not interleaved
     for i in range(1, len(base)):
         values[tree.node(base[:i])] = payload[2 * i - 1]

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 
-from .errors import CriterionFails, LevelOutOfRange, NotALimit
+from .errors import (CriterionFails, InvalidElement, LevelOutOfRange, NotALimit,
+                     OutOfRange)
 
 
 @total_ordering
@@ -210,6 +211,17 @@ class UOrd:
 U1 = UOrd.u(1)
 
 
+def as_uord(v) -> UOrd:
+    """The one normal form of a tuple value: a natural, a CtblOrd or a UOrd."""
+    if isinstance(v, UOrd):
+        return v
+    if isinstance(v, CtblOrd):
+        return UOrd.from_ctbl(v)
+    if isinstance(v, int) and v >= 0:
+        return UOrd.from_nat(v)
+    raise InvalidElement(v, "not an ordinal")
+
+
 # -- L-cofinality -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -267,11 +279,11 @@ class IndexMap:
 
     def __post_init__(self):
         if len(self.image) != self.n:
-            raise ValueError("image length mismatch")
+            raise OutOfRange("image length mismatch", self.image)
         prev = 0
         for v in self.image:
             if not (prev < v <= self.n2):
-                raise ValueError(f"not strictly increasing into range: {self.image}")
+                raise OutOfRange("not strictly increasing into range", self)
             prev = v
 
     def __call__(self, i: int) -> int:
@@ -286,7 +298,7 @@ class IndexMap:
     def compose(self, inner: "IndexMap") -> "IndexMap":
         """self after inner."""
         if inner.n2 > self.n:
-            raise ValueError("composition range mismatch")
+            raise OutOfRange("composition range mismatch", self, inner)
         return IndexMap(inner.n, self.n2, tuple(self(inner(i)) for i in range(1, inner.n + 1)))
 
     def __str__(self) -> str:

@@ -7,6 +7,7 @@ from pathlib import Path
 from uctk.cli import main
 
 BATCH = Path(__file__).parent / "data" / "spec_examples.batch"
+EXPECTED = BATCH.with_suffix(".expected")
 
 
 def run(*argv):
@@ -67,6 +68,32 @@ def test_pretty_output():
     assert code == 0 and "[cfl] ok" in out and "result: u3" in out
 
 
+def test_enumerate_bound_below_one_is_an_arity_error():
+    code, out = run("enumerate", "l1", "--bound", "0")
+    assert code == 2 and out.count("\n") == 1 and "code=ARITY_ERROR" in out
+
+
+def test_check_lemmas_bound_below_one_is_an_arity_error():
+    code, out = run("check-lemmas", "--bound", "0")
+    assert code == 2 and out.count("\n") == 1 and "code=ARITY_ERROR" in out
+
+
+def test_shift_with_bad_index_map_is_a_report():
+    code, out = run("shift", "{1->3, 2->2}", "u1")
+    assert code == 1 and out.count("\n") == 1 and "code=OUT_OF_RANGE" in out
+
+
+def test_batch_goes_on_after_a_bad_index_map(tmp_path):
+    batch = tmp_path / "bad_index_map.batch"
+    batch.write_text('cfl u3\nshift "{1->3, 2->2}" u1\ncfl "u2 + u1*2"\n')
+    code, out = run("batch", str(batch))
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 3
+    assert lines[0].endswith("result=u3")
+    assert "code=OUT_OF_RANGE" in lines[1]
+    assert lines[2].endswith("result=u1")
+
+
 def test_check_lemmas_small():
     code, out = run("check-lemmas", "--bound", "2")
     assert code == 0 and "pass" in out
@@ -89,3 +116,12 @@ def test_batch_expected_lines():
     assert 'status=ok command=shift-sup input="{1->2} u1" result=u1' in lines
     assert any(line.startswith("status=ok command=recover") and
                "(0 0)" in line for line in lines)
+
+
+def test_batch_matches_golden_transcript():
+    # every report of the worked examples is pinned byte-for-byte; the
+    # transcript changes only with an intended change of output
+    cmd = [sys.executable, "-m", "uctk.cli", "batch", str(BATCH)]
+    proc = subprocess.run(cmd, capture_output=True)
+    assert proc.returncode == 1  # the batch includes rejection examples
+    assert proc.stdout == EXPECTED.read_bytes()

@@ -1,12 +1,14 @@
 import pytest
 
 from uctk.errors import (BadDescription, DegreeZeroHasNoCompletion,
-                         InvalidElement, MissingEntry, NoTreeFound,
-                         NotCompletionAt, NotRespecting, TowerViolation)
+                         DomainNotTree, InvalidElement, MissingEntry,
+                         NoTreeFound, NotCompletionAt, NotRespecting,
+                         TowerViolation)
 from uctk.grammar import parse_l1, parse_l2, parse_uord
 from uctk.level1 import EMPTY_TREE
 from uctk.level2 import (CARD1_L2, MINUS_ONE, LevelLe2Tree, QDescription,
-                         Rep2Element, enumerate_le2_trees, evaluate_description,
+                         Rep2Element, check_tree_of_trees,
+                         enumerate_le2_trees, evaluate_description,
                          expand_potential, generate_respecting_tuple,
                          is_regular_description, make_rep2, q_descriptions,
                          q_potential, recover_tree, rep2_compare,
@@ -14,7 +16,7 @@ from uctk.level2 import (CARD1_L2, MINUS_ONE, LevelLe2Tree, QDescription,
                          typical_trees, validate_level2,
                          validate_partial_le1, validate_partial_tower_le1,
                          weakly_respects_le2)
-from uctk.ordinals import OMEGA, U1
+from uctk.ordinals import OMEGA, U1, CtblOrd, UOrd
 
 
 def u(text):
@@ -168,6 +170,16 @@ class TestRep2:
         with pytest.raises(InvalidElement):
             rep2_from_payload(Q21, (ct("w"), (1,)))
 
+    def test_mixed_value_types_compare(self):
+        # Q21 is ({} ; () -> ({}, (0)); ((0)) -> ({(0)}, (0 0))); one point
+        # holds a CtblOrd, the other a UOrd, and both are ordinals
+        a = make_rep2(Q21, KEY, {(0,): OMEGA})
+        b = make_rep2(Q21, KEY, {(0,): UOrd.from_ctbl(OMEGA * CtblOrd.natural(2))})
+        assert rep2_compare(Q21, a, b) == -1
+        assert rep2_compare(Q21, b, a) == 1
+        same = make_rep2(Q21, KEY, {(0,): UOrd.from_ctbl(OMEGA)})
+        assert rep2_compare(Q21, a, same) == 0
+
 
 class TestRespect:
     def test_spec_examples(self):
@@ -314,6 +326,20 @@ class TestDeepBranch:
         assert s2_member(towers, alphas, "respects")
         assert s2_member(towers, alphas, "weak")
         assert not s2_member(towers, [U1, u("u1*2"), u("u3")], "weak")
+
+
+class TestTreeOfTrees:
+    def test_check_returns_canonical_order(self):
+        dom = {((0,), (0,)), ((1,),), (), KEY}
+        assert check_tree_of_trees(dom) == [(), KEY, ((1,),), ((0,), (0,))]
+
+    def test_check_names_first_violation(self):
+        with pytest.raises(DomainNotTree) as e:
+            check_tree_of_trees({(), ((0,), (0,))})
+        assert e.value.detail == (((0,), (0,)),)
+        with pytest.raises(DomainNotTree) as e:
+            check_tree_of_trees({(), ((1,),)})
+        assert e.value.detail == ((),)
 
 
 class TestGenerator:

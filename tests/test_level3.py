@@ -2,10 +2,10 @@ import pytest
 
 from uctk.errors import (CaseViolation, DegreeZero, DomainNotTree,
                          EmptyKeyPresent, InvalidElement, InvalidTower,
-                         NotRegular, TowerViolation)
+                         MissingEntry, NotRegular, TowerViolation)
 from uctk.grammar import format_pl2, parse_l1, parse_pl2, parse_uord
 from uctk.level1 import EMPTY_TREE
-from uctk.level2 import (MINUS_ONE, LevelLe2Tree, QDescription,
+from uctk.level2 import (MINUS_ONE, LevelLe2Tree, QDescription, TreeOfTrees,
                          typical_trees, validate_level2)
 from uctk.level2 import q_set_minus
 from uctk.level3 import (cf3, completion_le2, is_regular_level3, make_rep3,
@@ -149,6 +149,17 @@ class TestValidateLevel3:
     def test_domain_tree(self):
         with pytest.raises(DomainNotTree):
             validate_level3({((1,),): r1_entry()})
+
+    def test_shares_the_tree_of_trees_base(self):
+        t = small_l3()
+        assert isinstance(t, TreeOfTrees) and isinstance(Q21.t2, TreeOfTrees)
+        assert t.dom() == [KEY, ((0,), (0,))]
+        assert KEY in t and ((1,),) not in t
+        assert t.children(KEY).nodes == {(0,)}
+        with pytest.raises(MissingEntry):
+            t.label(((1,),))
+        assert t == small_l3() and hash(t) == hash(small_l3())
+        assert t != Q21.t2
 
     def test_q_set_minus_has_minus_one_fence(self):
         t = Q21.t2

@@ -1,12 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uctk.errors import CriterionFails, LevelOutOfRange, NotALimit
+from uctk.errors import (CriterionFails, InvalidElement, LevelOutOfRange,
+                         NotALimit, OutOfRange)
 from uctk.grammar import format_ctbl, format_uord, parse_ctbl, parse_uord
 from uctk.lemmas import cf_oracle, rand_uord
 from uctk.ordinals import (OMEGA, ONE, U1, ZERO, Cofinality, CtblOrd,
                            IndexMap, UOrd, apply_shift, apply_shift_sup,
-                           cf_l, decompose_shift, shift_sup_by_decomposition)
+                           as_uord, cf_l, decompose_shift,
+                           shift_sup_by_decomposition)
 
 
 def ctbl(text):
@@ -233,3 +235,20 @@ def test_uord_roundtrip(b):
 @settings(max_examples=80)
 def test_ctbl_roundtrip(c):
     assert parse_ctbl(format_ctbl(c)) == c
+
+
+def test_index_map_errors_are_coded():
+    with pytest.raises(OutOfRange):
+        IndexMap(2, 3, (3, 2))
+    with pytest.raises(OutOfRange):
+        IndexMap(2, 3, (1,))
+    with pytest.raises(OutOfRange):
+        IndexMap.identity(1).compose(IndexMap.identity(2))
+
+
+def test_as_uord_normalises_tuple_values():
+    assert as_uord(3) == UOrd.from_nat(3)
+    assert as_uord(OMEGA) == UOrd.from_ctbl(OMEGA)
+    assert as_uord(U1) is U1
+    with pytest.raises(InvalidElement):
+        as_uord(-1)
