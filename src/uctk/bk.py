@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence, TypeVar
 
+from .errors import IncomparableEntries
 from .ordinals import as_uord
 
 A = TypeVar("A")
@@ -47,11 +48,11 @@ def entry_compare(a, b) -> int:
     if isinstance(a, tuple):
         if b == MINUS_ONE:
             return GREATER
-        raise TypeError(f"incomparable entries {a!r} and {b!r}")
+        raise IncomparableEntries(a, b)
     if isinstance(b, tuple):
         if a == MINUS_ONE:
             return LESS
-        raise TypeError(f"incomparable entries {a!r} and {b!r}")
+        raise IncomparableEntries(a, b)
     if isinstance(a, int) and isinstance(b, int):
         return (a > b) - (a < b)
     return as_uord(a).compare(as_uord(b))

@@ -13,7 +13,7 @@ import sys
 
 from . import analysis, bk, grammar, lemmas, level1, level2, level3, ordinals
 from .bk import MINUS_ONE
-from .errors import ArityError, KernelError, ParseError
+from .errors import ArityError, InvalidElement, KernelError, ParseError
 
 
 def _quote(value: str) -> str:
@@ -140,8 +140,12 @@ def _rep1_elt(text):
         return level1.Rep1Element(seq[0])
     if len(seq) == 2 and isinstance(seq[0], tuple):
         idx = seq[1]
-        if hasattr(idx, "tail"):
+        if isinstance(idx, ordinals.UOrd):
+            if not (idx.is_countable() and idx.tail.is_natural()):
+                raise InvalidElement(text, "index is not a natural")
             idx = idx.tail.natural_value()
+        elif idx != MINUS_ONE:
+            raise InvalidElement(text, "index is not a natural")
         return level1.Rep1Element(seq[0], idx)
     raise ParseError(f"not a representation point: {text}")
 
@@ -150,12 +154,13 @@ def _rep2_elt(le2, text):
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ParseError(f"rep2 element is (d, [entries]): {text}")
-    d, rest = text[1:-1].split(",", 1)
-    d = int(d.strip())
-    if d == 1:
+    d, _, rest = text[1:-1].partition(",")
+    if d.strip() not in ("1", "2"):
+        raise ParseError(f"rep2 element side is 1 or 2: {text}")
+    if d.strip() == "1":
         elt = _rep1_elt(rest.strip())
         if elt.node not in le2.t1.nodes:
-            raise KernelError(elt)
+            raise InvalidElement(elt, "level-1 node outside the tree")
         return level2.Rep2Element(1, elt)
     return level2.rep2_from_payload(le2, grammar.parse_rep_seq(rest.strip()))
 
@@ -220,7 +225,7 @@ def cmd_s1(args, flags):
     alphas = [grammar.parse_uord(t) for t in args[1:]]
     for a in alphas:
         if not a.is_countable():
-            raise KernelError("S1 ordinals are countable", a)
+            raise InvalidElement("S1 ordinals are countable", a)
     ok = level1.s1_member(trees, alphas)
     return _verdict("s1", ok)
 

@@ -133,6 +133,11 @@ class InvalidElement(KernelError):
     code = "INVALID_ELEMENT"
 
 
+class IncomparableEntries(InvalidElement, TypeError):
+    """A node against an entry that is neither a node nor -1.  It stays a
+    TypeError for callers that catch the uncoded form."""
+
+
 class MissingEntry(KernelError):
     code = "MISSING_ENTRY"
 

@@ -8,7 +8,9 @@ computation that goes through the defining construction instead:
   * j^sigma_sup by the continuity-plus-decomposition recursion;
   * the ordinal analysis by evaluating the represented function on tuples
     drawn from a pool of ordinals closed under the arithmetic in play, then
-    decoding the result back into indiscernible normal form.
+    decoding the result back into indiscernible normal form;
+  * recovery of the representing level <=2 tree by exhaustive search over
+    labellings rather than reading the labels off the tuple.
 
 The suites are deterministic given (bound, seed) and report the first
 counterexample verbatim.
@@ -22,16 +24,17 @@ from dataclasses import dataclass, field
 from . import bk
 from .analysis import (analyze, chain_node, factor_to_shift,
                        recover_from_analysis, tree_embed, tree_embed_sup)
-from .errors import NotAFactoring
+from .errors import MultipleTreesFound, NoTreeFound, NotAFactoring
 from .level1 import (EMPTY_TREE, FactorMap1, Level1Tree, addable_nodes,
                      check_factor_map, descriptions, enumerate_level1_up_to,
                      factor_exists, factorings, rep_order_type, s1_member,
                      strict_factor_exists, validate_level1)
-from .level2 import (MINUS_ONE, LevelLe2Tree, enumerate_le2_trees,
-                     evaluate_description, extended_descriptions,
-                     generate_respecting_tuple, is_regular_description,
-                     q_descriptions, recover_tree, respects_le2, s2_member,
-                     typical_trees, weakly_respects_le2)
+from .level2 import (MINUS_ONE, LevelLe2Tree, as_domseq, enumerate_le2_trees,
+                     enumerate_level2_with_dom, evaluate_description,
+                     extended_descriptions, generate_respecting_tuple,
+                     is_regular_description, q_descriptions, recover_tree,
+                     respects_le2, s2_member, typical_trees,
+                     weakly_respects_le2)
 from .level3 import PartialLevelLe2Tree, cf3, ucf, validate_partial_le2
 from .ordinals import (ONE, OMEGA, U1, ZERO, Cofinality, CtblOrd, IndexMap,
                        UOrd, apply_shift, apply_shift_sup, cf_l,
@@ -457,7 +460,25 @@ def make_restriction(fm: FactorMap1, sub: Level1Tree) -> FactorMap1:
     return FactorMap1(sub, fm.target, mapping)
 
 
+def recover_tree_by_search(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
+    """Search all level <=2 trees over the domain for the one the tuple
+    respects.  A second match would falsify the uniqueness lemma."""
+    shape = frozenset(as_domseq(q) for q in dom_shape)
+    found = []
+    for t2 in enumerate_level2_with_dom(shape):
+        cand = LevelLe2Tree(t1, t2)
+        if respects_le2(cand, t):
+            found.append(cand)
+    if not found:
+        raise NoTreeFound()
+    if len(found) > 1:
+        raise MultipleTreesFound(found)
+    return found[0]
+
+
 def suite_uniqueness(max_dom: int = 4) -> SuiteResult:
+    """The search oracle finds exactly the generating tree, and the direct
+    recovery reads the same tree off the tuple."""
     res = SuiteResult("uniqueness of the representing level <=2 tree")
     realizable = 0
     for tree in enumerate_le2_trees(max_dom):
@@ -467,8 +488,11 @@ def suite_uniqueness(max_dom: int = 4) -> SuiteResult:
         realizable += 1
         verdict = respects_le2(tree, t)
         res.check(bool(verdict), f"{tree}: generated tuple rejected: {verdict}")
-        got = recover_tree(tree.t1, [q for q in tree.t2.dom()], t)
-        res.check(got == tree, f"{tree}: recovered {got}")
+        shape = tree.t2.dom()
+        got = recover_tree(tree.t1, shape, t)
+        found = recover_tree_by_search(tree.t1, shape, t)
+        res.check(got == tree and found == tree,
+                  f"{tree}: recovered {got}, search found {found}")
     res.check(realizable >= (10 if max_dom >= 4 else 1),
               f"only {realizable} realizable trees")
     return res

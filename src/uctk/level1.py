@@ -179,14 +179,18 @@ class FactorMap1:
     source: Level1Tree
     target: Level1Tree
     mapping: tuple  # ((p, sigma(p)), ...) over source nodes, bk-sorted
+    _images: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_images", dict(self.mapping))
 
     def __call__(self, d: Node) -> Node:
         if d == EMPTY_DESC:
             return EMPTY_DESC
-        for p, w in self.mapping:
-            if p == d:
-                return w
-        raise NotADescription(d, self.source)
+        try:
+            return self._images[d]
+        except KeyError:
+            raise NotADescription(d, self.source) from None
 
     def image(self):
         return [w for _, w in self.mapping]

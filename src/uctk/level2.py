@@ -18,8 +18,8 @@ from .bk import MINUS_ONE
 from .errors import (BadDescription, BadFirstEntry, CardinalityMismatch,
                      DegreeZeroHasNoCompletion, DomainNotTree, InvalidElement,
                      InvalidTower, KernelError, LengthMismatch, MissingEntry,
-                     MultipleTreesFound, NoTreeFound, NotCompletionAt,
-                     NotRespecting, RootNotCanonical, TowerViolation)
+                     NoTreeFound, NotCompletionAt, NotRespecting,
+                     RootNotCanonical, TowerViolation)
 from .level1 import (EMPTY_TREE, Level1Tree, Node, addable_nodes, is_level1,
                      is_regular, respects_level1, validate_level1)
 from .ordinals import OMEGA, U1, CtblOrd, UOrd, as_uord
@@ -144,6 +144,15 @@ def expand_potential(potential) -> PartialTowerLe1:
 
 # -- trees of level-1 trees ------------------------------------------------------
 
+def as_domseq(q) -> DomSeq:
+    """q as a domain sequence, a tuple of nodes.  An entry that is not a
+    node, such as the -1 that ends a continuous description, raises
+    DomainNotTree."""
+    if any(not isinstance(n, (tuple, list)) for n in q):
+        raise DomainNotTree(q)
+    return tuple(tuple(n) for n in q)
+
+
 def _dom_sort_key(q):
     return (len(q), bk.bk_key(q))
 
@@ -228,7 +237,7 @@ class Level2Tree(TreeOfTrees):
 
 
 def validate_level2(entries) -> Level2Tree:
-    items = {tuple(tuple(n) for n in q): (t, (p if p == MINUS_ONE else tuple(p)))
+    items = {as_domseq(q): (t, (p if p == MINUS_ONE else tuple(p)))
              for q, (t, p) in dict(entries).items()}
     if () not in items:
         raise RootNotCanonical("missing root")
@@ -656,19 +665,38 @@ def enumerate_le2_trees(max_dom: int):
 
 
 def recover_tree(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
-    """Search all level <=2 trees over the domain for the one the tuple
-    respects.  A second match would falsify the uniqueness lemma."""
-    shape = frozenset(tuple(tuple(n) for n in q) for q in dom_shape)
-    found = []
-    for t2 in enumerate_level2_with_dom(shape):
-        cand = LevelLe2Tree(t1, t2)
-        if respects_le2(cand, t):
-            found.append(cand)
-    if not found:
+    """Read the representing level <=2 tree off the tuple.
+
+    Clause (2) of ``respects_le2`` fixes the labels top-down: the root's is
+    (empty tree, (0)), the tree at q is the completion of its parent's
+    label, and the pending node at q is the last entry of the potential
+    tower of t at q analysed over that tree.  Where the tuple fixes no
+    valid label (a missing or invalid value, a failed analysis, a pending
+    node the domain does not allow), any valid label stands in: the
+    candidate fails at q whatever label q holds.  One ``respects_le2`` call
+    on the candidate decides, so the outcome, a tree or an error, is the
+    one a search over every labelling gives.  Uniqueness is checked against
+    that search, the independent oracle in ``lemmas``.
+    """
+    order = check_tree_of_trees(frozenset(as_domseq(q) for q in dom_shape))
+    inner = {q[:-1] for q in order if q}
+    labels = {}
+    for q in order:
+        if not q:
+            labels[q] = (EMPTY_TREE, ROOT_NODE)
+            continue
+        ptree, pnode = labels[q[:-1]]
+        tree = validate_level1(set(ptree.nodes) | {pnode})
+        choices = _label_choices(tree, q not in inner)
+        try:
+            label = (tree, analyze(_entry(t, (2, q)), tree).potential_tower.pvec[-1])
+        except KernelError:
+            label = None
+        labels[q] = label if label in choices else choices[0]
+    cand = LevelLe2Tree(t1, validate_level2(labels))
+    if not respects_le2(cand, t):
         raise NoTreeFound()
-    if len(found) > 1:
-        raise MultipleTreesFound(found)
-    return found[0]
+    return cand
 
 
 # -- respecting tuple generation ----------------------------------------------------

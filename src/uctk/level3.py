@@ -17,8 +17,8 @@ from .errors import (CaseViolation, CardinalityMismatch, DegreeZero,
 from .level1 import (EMPTY_TREE, Level1Tree, addable_nodes, is_level1,
                      validate_level1)
 from .level2 import (CONSTANT_DESC, MINUS_ONE, LevelLe2Tree, QDescription,
-                     TreeOfTrees, check_tree_of_trees, q_potential, q_set_plus,
-                     respects_le2, validate_level2)
+                     TreeOfTrees, as_domseq, check_tree_of_trees, q_potential,
+                     q_set_plus, respects_le2, validate_level2)
 from .ordinals import U1, as_uord
 
 RSeq = tuple  # tuple of nodes indexing dom(R)
@@ -65,7 +65,7 @@ def validate_partial_le2(base: LevelLe2Tree, d: int, q, p) -> PartialLevelLe2Tre
             raise CaseViolation("degree 1 carries no tree component")
         return PartialLevelLe2Tree(base, 1, q, EMPTY_TREE)
     if d == 2:
-        q = tuple(tuple(n) for n in q)
+        q = as_domseq(q)
         t2 = base.t2
         if q in t2 or not q:
             raise CaseViolation("sequence not a fresh extension", q)
@@ -179,7 +179,7 @@ def validate_level3(entries) -> Level3Tree:
     branch a partial level <=2 tower of discontinuous type."""
     items = {}
     for r, pt in dict(entries).items():
-        r = tuple(tuple(n) for n in r)
+        r = as_domseq(r)
         if r == ():
             raise EmptyKeyPresent()
         items[r] = pt

@@ -4,6 +4,8 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from uctk.cli import main
 
 BATCH = Path(__file__).parent / "data" / "spec_examples.batch"
@@ -91,6 +93,34 @@ def test_batch_goes_on_after_a_bad_index_map(tmp_path):
     assert code == 1 and len(lines) == 3
     assert lines[0].endswith("result=u3")
     assert "code=OUT_OF_RANGE" in lines[1]
+    assert lines[2].endswith("result=u1")
+
+
+@pytest.mark.parametrize("argv, exit_code, code", [
+    (("validate", "l2", "() -> ({}, (0)); ((0) -1) -> ({(0)}, (0 0))"),
+     1, "DOMAIN_NOT_TREE"),
+    (("recover", "{}", "{() ((0) -1)}", "u1", "u1"), 1, "DOMAIN_NOT_TREE"),
+    (("s1", "[{(0)}]", "u1"), 1, "INVALID_ELEMENT"),
+    (("compare", "[(0)]", "[5]"), 1, "INVALID_ELEMENT"),
+    (("compare", "--rep1", "{(0)}", "[(0), w]", "[(0)]"), 1, "INVALID_ELEMENT"),
+    (("compare", "--rep2", "({(0)} ; () -> ({}, (0)))", "(1, [(0 0)])", "(2, [])"),
+     1, "INVALID_ELEMENT"),
+    (("compare", "--rep2", "({(0)} ; () -> ({}, (0)))", "(x, [(0 0)])", "(2, [])"),
+     2, "PARSE_ERROR"),
+])
+def test_malformed_input_is_one_coded_report(argv, exit_code, code):
+    got, out = run(*argv)
+    assert got == exit_code and out.count("\n") == 1 and f"code={code}" in out
+
+
+def test_batch_goes_on_after_a_continuous_domain_sequence(tmp_path):
+    batch = tmp_path / "continuous_domseq.batch"
+    batch.write_text('cfl u3\nrecover {} "{() ((0) -1)}" u1 u1\ncfl "u2 + u1*2"\n')
+    code, out = run("batch", str(batch))
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 3
+    assert lines[0].endswith("result=u3")
+    assert "code=DOMAIN_NOT_TREE" in lines[1]
     assert lines[2].endswith("result=u1")
 
 

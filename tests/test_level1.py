@@ -109,6 +109,17 @@ class TestFactorings:
                 from uctk.level1 import make_factor_map
                 make_factor_map(p, w, composition)  # validates
 
+    def test_map_lookup(self):
+        p = parse_l1("{(0) (0 0)}")
+        w = parse_l1("{(0) (0 0) (0 1)}")
+        for m in factorings(p, w):
+            assert [m(x) for x, _ in m.mapping] == m.image()
+            assert m(()) == ()
+            with pytest.raises(NotADescription):
+                m((1,))
+        first, second = factorings(p, w), factorings(p, w)
+        assert first == second and list(map(hash, first)) == list(map(hash, second))
+
     def test_exists_examples(self):
         small, big = parse_l1("{(0)}"), parse_l1("{(0) (0 0)}")
         assert factor_exists(small, big) and strict_factor_exists(small, big)

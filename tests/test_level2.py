@@ -1,10 +1,11 @@
 import pytest
 
 from uctk.errors import (BadDescription, DegreeZeroHasNoCompletion,
-                         DomainNotTree, InvalidElement, MissingEntry,
-                         NoTreeFound, NotCompletionAt, NotRespecting,
-                         TowerViolation)
+                         DomainNotTree, InvalidElement, KernelError,
+                         MissingEntry, NoTreeFound, NotCompletionAt,
+                         NotRespecting, RootNotCanonical, TowerViolation)
 from uctk.grammar import parse_l1, parse_l2, parse_uord
+from uctk.lemmas import recover_tree_by_search
 from uctk.level1 import EMPTY_TREE
 from uctk.level2 import (CARD1_L2, MINUS_ONE, LevelLe2Tree, QDescription,
                          Rep2Element, check_tree_of_trees,
@@ -265,6 +266,60 @@ class TestRecover:
             if t is None:
                 continue
             assert recover_tree(tree.t1, tree.t2.dom(), t) == tree
+
+
+def _outcome(recover, t1, shape, t):
+    """The tree, or the class and code of the error."""
+    try:
+        return recover(t1, shape, t)
+    except KernelError as e:
+        return type(e), e.code
+
+
+class TestRecoverRoutesAgree:
+    """The direct route against the exhaustive search it replaced."""
+
+    def _agree(self, t1, shape, t):
+        direct = _outcome(recover_tree, t1, shape, t)
+        assert direct == _outcome(recover_tree_by_search, t1, shape, t), \
+            (str(t1), shape, {k: str(v) for k, v in t.items()})
+        return direct
+
+    def test_realizable_trees_and_perturbed_tuples(self):
+        trees = perturbations = 0
+        for tree in enumerate_le2_trees(4):
+            t = generate_respecting_tuple(tree)
+            if t is None:
+                continue
+            shape = tree.t2.dom()
+            assert self._agree(tree.t1, shape, t) == tree
+            trees += 1
+            for k in t:
+                dropped = {j: v for j, v in t.items() if j != k}
+                perturbed = [dropped]
+                if k[0] == 2:
+                    perturbed += [{**t, k: t[k] + UOrd.from_nat(1)},
+                                  {**t, k: u("u1*w")}]
+                for bad in perturbed:
+                    self._agree(tree.t1, shape, bad)
+                    perturbations += 1
+        assert trees >= 10 and perturbations > trees
+
+    def test_edge_shapes(self):
+        root = {(2, ()): U1}
+        assert self._agree(EMPTY_TREE, [], root) == \
+            (RootNotCanonical, "ROOT_NOT_CANONICAL")
+        assert self._agree(EMPTY_TREE, [KEY], q21_tuple()) == \
+            (DomainNotTree, "DOMAIN_NOT_TREE")
+        assert self._agree(EMPTY_TREE, [()], {}) == \
+            (MissingEntry, "MISSING_ENTRY")
+        assert self._agree(EMPTY_TREE, [()], root) == Q0
+        assert self._agree(EMPTY_TREE, [(), ((1,),)],
+                           {**root, (2, ((1,),)): u("u1*2")}) == \
+            (DomainNotTree, "DOMAIN_NOT_TREE")
+        assert self._agree(EMPTY_TREE, [(), ((0,), MINUS_ONE)],
+                           {**root, (2, ((0,), MINUS_ONE)): u("u1*2")}) == \
+            (DomainNotTree, "DOMAIN_NOT_TREE")
 
 
 class TestS2:
