@@ -63,11 +63,21 @@ def bk(s: Sequence, t: Sequence) -> int:
     return bk_compare(s, t, entry_compare)
 
 
-def bk_key(seq: Sequence):
-    """Sort key realizing the Brouwer-Kleene order via pairwise comparison."""
-    import functools
+def bk_key(seq: Sequence) -> tuple:
+    """Native sort key for the Brouwer-Kleene order on nodes and domain
+    sequences: entries map to ``(0, e)`` for a natural or -1 and to
+    ``(1, bk_key(e))`` for a node, and a closing ``(2,)`` puts a proper
+    lengthening below the sequence it extends.  ``bk`` stays the definition;
+    ordinal entries have no key and go through ``bk``/``bk_compare``."""
+    return (*map(_entry_key, seq), (2,))
 
-    return functools.cmp_to_key(bk)(seq)
+
+def _entry_key(e) -> tuple:
+    if isinstance(e, tuple):
+        return (1, bk_key(e))
+    if isinstance(e, int):
+        return (0, e)
+    raise IncomparableEntries(e)
 
 
 def bk_sorted(seqs):

@@ -8,6 +8,7 @@ ok, 1 domain rejection, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import shlex
 import sys
 
@@ -378,10 +379,14 @@ def cmd_enumerate(args, flags):
 def cmd_check_lemmas(args, flags):
     results = lemmas.check_lemmas(bound=_bound(flags, 4), seed=flags.seed or 0)
     all_ok = all(r.passed for r in results)
+    fields = {}
+    for i, r in enumerate(results):
+        fields[f"suite{i}"] = r.line()
+        if flags.timings:
+            fields[f"suite{i}_seconds"] = f"{r.seconds:.3f}"
     return Report("check-lemmas", "ok" if all_ok else "rejected",
                   suites=len(results),
-                  cases=sum(r.cases for r in results),
-                  **{f"suite{i}": r.line() for i, r in enumerate(results)})
+                  cases=sum(r.cases for r in results), **fields)
 
 
 HANDLERS = {
@@ -412,7 +417,10 @@ HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: building it costs more
+    than most commands, and in-process callers run ``main`` many times."""
     p = argparse.ArgumentParser(prog="uctk", add_help=True,
                                 description=__doc__)
     p.add_argument("command", choices=sorted(HANDLERS) + ["batch"])
@@ -424,6 +432,7 @@ def _build_parser():
     p.add_argument("--variant", default=None)
     p.add_argument("--regular", action="store_true")
     p.add_argument("--extended", action="store_true")
+    p.add_argument("--timings", action="store_true")
     p.add_argument("--at", default=None)
     p.add_argument("--rep1", default=None)
     p.add_argument("--rep2", default=None)

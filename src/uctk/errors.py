@@ -134,8 +134,9 @@ class InvalidElement(KernelError):
 
 
 class IncomparableEntries(InvalidElement, TypeError):
-    """A node against an entry that is neither a node nor -1.  It stays a
-    TypeError for callers that catch the uncoded form."""
+    """A node against an entry that is neither a node nor -1, or an entry
+    that has no Brouwer-Kleene sort key.  It stays a TypeError for callers
+    that catch the uncoded form."""
 
 
 class MissingEntry(KernelError):

@@ -26,6 +26,10 @@ from .ordinals import CtblOrd, IndexMap, UOrd
 
 _TOKEN = re.compile(r"->|[(){}\[\];,@]|\^|\*|\+|-?\d+|u\d+|w|[A-Za-z_]+")
 
+# Countable ordinals are the one recursive part of the grammar: parentheses
+# and exponents nest at most this deep, counted together.
+MAX_NESTING = 200
+
 
 class _Tokens:
     def __init__(self, text: str):
@@ -42,6 +46,7 @@ class _Tokens:
         if text[pos:].strip():
             raise ParseError(f"unexpected {text[pos:].strip()!r}", *_loc(text, pos))
         self.i = 0
+        self.depth = 0  # open parentheses and exponents in an ordinal
 
     def peek(self):
         return self.items[self.i][0] if self.i < len(self.items) else None
@@ -58,6 +63,14 @@ class _Tokens:
         if got != want:
             raise ParseError(f"expected {want!r}, got {got!r}", *self.loc_back())
         return got
+
+    def nest(self):
+        """Open one ordinal nesting level; the caller closes it with
+        ``depth -= 1`` (a parse error abandons the whole parse)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"ordinal nested deeper than {MAX_NESTING}",
+                             *self.loc_back())
 
     def loc_back(self):
         pos = self.items[self.i - 1][1] if 0 < self.i <= len(self.items) else len(self.text)
@@ -82,6 +95,14 @@ def _parse_with(text, fn):
 
 
 # -- nodes, trees, sequences ---------------------------------------------------
+
+def _integer(toks, what: str) -> int:
+    """The next token as an integer; any other token is a parse error."""
+    tok = toks.next()
+    if not re.fullmatch(r"-?\d+", tok):
+        raise ParseError(f"{what} is a number, got {tok!r}", *toks.loc_back())
+    return int(tok)
+
 
 def _node(toks) -> tuple:
     toks.expect("(")
@@ -193,7 +214,7 @@ def _pl2(toks):
     base = _le2(toks)
     toks.expect("@")
     toks.expect("(")
-    d = int(toks.next())
+    d = _integer(toks, "the degree")
     toks.expect(",")
     if d == 0:
         if toks.next() != "-1":
@@ -262,9 +283,9 @@ def _index_map(toks) -> IndexMap:
     toks.expect("{")
     pairs = []
     while toks.peek() != "}":
-        i = int(toks.next())
+        i = _integer(toks, "an index")
         toks.expect("->")
-        v = int(toks.next())
+        v = _integer(toks, "an index")
         pairs.append((i, v))
         if toks.peek() == ",":
             toks.next()
@@ -289,15 +310,19 @@ def _ctbl_atom(toks) -> CtblOrd:
     tok = toks.peek()
     if tok == "(":
         toks.next()
+        toks.nest()
         out = _ctbl_expr(toks)
         toks.expect(")")
+        toks.depth -= 1
         return out
     if tok == "w":
         toks.next()
         exp = CtblOrd.natural(1)
         if toks.peek() == "^":
             toks.next()
+            toks.nest()
             exp = _ctbl_atom(toks)
+            toks.depth -= 1
         return CtblOrd.omega_power(exp)
     tok = toks.next()
     if tok and re.fullmatch(r"\d+", tok):

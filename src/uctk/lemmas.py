@@ -19,7 +19,9 @@ counterexample verbatim.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import bk
 from .analysis import (analyze, chain_node, factor_to_shift,
@@ -46,11 +48,15 @@ class SuiteResult:
     name: str
     cases: int = 0
     failures: list = field(default_factory=list)
+    seconds: float = 0.0  # wall time of the suite, set by check_lemmas
 
-    def check(self, ok: bool, detail: str):
+    def check(self, ok: bool, detail):
+        """Count one case.  ``detail`` is the counterexample text, or a
+        zero-argument callable returning it, called only when the case
+        fails so that passing cases format nothing."""
         self.cases += 1
         if not ok and len(self.failures) < 5:
-            self.failures.append(detail)
+            self.failures.append(detail() if callable(detail) else detail)
 
     @property
     def passed(self) -> bool:
@@ -161,16 +167,14 @@ class EvalOracle:
         claimed = tuple(claimed)
         if set(claimed) - set(self.tree.nodes):
             return False
-        assigns = self.assignments(self.tree.nodes)
-        for x in assigns:
-            for y in assigns:
-                px = tuple(x[w] for w in claimed)
-                py = tuple(y[w] for w in claimed)
-                fx, fy = self.evaluate(x), self.evaluate(y)
+        points = [(tuple(x[w] for w in claimed), self.evaluate(x))
+                  for x in self.assignments(self.tree.nodes)]
+        for px, fx in points:
+            for py, fy in points:
                 if px == py:
                     if fx.compare(fy) != 0:
                         return False
-                elif bk.bk_compare(px, py, lambda a, b: a.compare(b)) < 0 \
+                elif bk.bk_compare(px, py, CtblOrd.compare) < 0 \
                         and fx.compare(fy) >= 0:
                     return False
         return True
@@ -305,7 +309,7 @@ def suite_order_type(max_nodes: int = 6) -> SuiteResult:
         got = rep_order_type(tree)
         orc = order_type_oracle(tree)
         res.check(got == closed == orc,
-                  f"P={tree}: closed {closed}, got {got}, oracle {orc}")
+                  lambda: f"P={tree}: closed {closed}, got {got}, oracle {orc}")
     return res
 
 
@@ -317,9 +321,9 @@ def suite_factor_order(max_nodes: int = 4) -> SuiteResult:
             ot_le = order_type_oracle(p).compare(order_type_oracle(w)) <= 0
             ot_lt = order_type_oracle(p).compare(order_type_oracle(w)) < 0
             res.check(factor_exists(p, w) == ot_le,
-                      f"factor_exists({p},{w}) != ({ot_le})")
+                      lambda: f"factor_exists({p},{w}) != ({ot_le})")
             res.check(strict_factor_exists(p, w) == ot_lt,
-                      f"strict_factor_exists({p},{w}) != ({ot_lt})")
+                      lambda: f"strict_factor_exists({p},{w}) != ({ot_lt})")
     return res
 
 
@@ -334,10 +338,10 @@ def suite_shift(pairs: int = 10000, seed: int = 0, max_level: int = 6) -> SuiteR
         closed = apply_shift_sup(sigma, b)
         orc = shift_sup_by_decomposition(sigma, b)
         res.check(closed.compare(orc) == 0,
-                  f"sigma={sigma}, b={b}: closed {closed} != oracle {orc}")
+                  lambda: f"sigma={sigma}, b={b}: closed {closed} != oracle {orc}")
         cont = shift_is_continuous(sigma, b)
         res.check((closed.compare(apply_shift(sigma, b)) == 0) == cont,
-                  f"sigma={sigma}, b={b}: continuity criterion mismatch")
+                  lambda: f"sigma={sigma}, b={b}: continuity criterion mismatch")
     return res
 
 
@@ -355,21 +359,22 @@ def suite_analysis(count: int = 1000, seed: int = 0) -> SuiteResult:
         an = analyze(b, tree)
         oracle = EvalOracle(b, tree)
         res.check(oracle.signature_holds(an.signature),
-                  f"b={b}, W={tree}: signature {an.signature} rejected")
+                  lambda: f"b={b}, W={tree}: signature {an.signature} rejected")
         res.check(an.essentially_continuous == oracle.essentially_continuous(),
-                  f"b={b}, W={tree}: continuity mismatch")
+                  lambda: f"b={b}, W={tree}: continuity mismatch")
         ucf_prod = an.uniform_cofinality
         ucf_orc = cf_oracle(b)
         res.check(ucf_prod == ucf_orc == cf_l(b),
-                  f"b={b}: ucf {ucf_prod} vs cofinality oracle {ucf_orc}")
+                  lambda: f"b={b}: ucf {ucf_prod} vs cofinality oracle {ucf_orc}")
         res.check(an.potential_tower.is_continuous() == an.essentially_continuous,
-                  f"b={b}: potential tower type vs continuity")
+                  lambda: f"b={b}: potential tower type vs continuity")
         orc_approx = oracle.approximation_sequence()
         res.check(an.approximation_sequence == orc_approx,
-                  f"b={b}: approximations {tuple(map(str, an.approximation_sequence))}"
+                  lambda: f"b={b}: approximations "
+                  f"{tuple(map(str, an.approximation_sequence))}"
                   f" vs oracle {tuple(map(str, orc_approx))}")
         res.check(recover_from_analysis(an).compare(b) == 0,
-                  f"b={b}: factoring does not recover b")
+                  lambda: f"b={b}: factoring does not recover b")
     return res
 
 
@@ -407,7 +412,7 @@ def suite_lemma_level2_ucf(max_partial_nodes: int = 4, max_w: int = 5,
             lhs = apply_shift(s1, tree_embed_sup(base, completion, beta))
             rhs = apply_shift_sup(s2, tree_embed(base, completion, beta))
             res.check(lhs.compare(rhs) == 0,
-                      f"P-={base}, p={p}, W={w}, sigma={fm}, beta={beta}: "
+                      lambda: f"P-={base}, p={p}, W={w}, sigma={fm}, beta={beta}: "
                       f"{lhs} != {rhs}")
     return res
 
@@ -431,7 +436,7 @@ def suite_lemma_level2_ucf_another(max_partial_nodes: int = 4, max_w: int = 5,
                     lhs = apply_shift(s, beta)
                     rhs = apply_shift_sup(s, beta)
                     res.check(lhs.compare(rhs) == 0,
-                              f"P={base}, W={w}, beta={beta}: {lhs} != {rhs}")
+                              lambda: f"P={base}, W={w}, beta={beta}: {lhs} != {rhs}")
     # case 2: degree-1 pending; sigma'(p) is the predecessor of sigma(p-)
     for base, p in enumerate_partial_le1(max_partial_nodes):
         if len(p) < 2:
@@ -450,7 +455,7 @@ def suite_lemma_level2_ucf_another(max_partial_nodes: int = 4, max_w: int = 5,
                     lhs = apply_shift(s, beta)
                     rhs = apply_shift_sup(s2, tree_embed(base, completion, beta))
                     res.check(lhs.compare(rhs) == 0,
-                              f"P={base}, p={p}, W={w}, sigma'={fm2}, "
+                              lambda: f"P={base}, p={p}, W={w}, sigma'={fm2}, "
                               f"beta={beta}: {lhs} != {rhs}")
     return res
 
@@ -487,14 +492,14 @@ def suite_uniqueness(max_dom: int = 4) -> SuiteResult:
             continue
         realizable += 1
         verdict = respects_le2(tree, t)
-        res.check(bool(verdict), f"{tree}: generated tuple rejected: {verdict}")
+        res.check(bool(verdict), lambda: f"{tree}: generated tuple rejected: {verdict}")
         shape = tree.t2.dom()
         got = recover_tree(tree.t1, shape, t)
         found = recover_tree_by_search(tree.t1, shape, t)
         res.check(got == tree and found == tree,
-                  f"{tree}: recovered {got}, search found {found}")
+                  lambda: f"{tree}: recovered {got}, search found {found}")
     res.check(realizable >= (10 if max_dom >= 4 else 1),
-              f"only {realizable} realizable trees")
+              lambda: f"only {realizable} realizable trees")
     return res
 
 
@@ -528,7 +533,7 @@ def suite_desc_eval(max_dom: int = 4) -> SuiteResult:
                 orc = shift_sup_by_decomposition(inclusion_shift(sub, desc.tree),
                                                  t[(2, base)])
                 res.check(val.compare(orc) == 0,
-                          f"{tree} at {desc}: {val} != oracle {orc}")
+                          lambda: f"{tree} at {desc}: {val} != oracle {orc}")
         ordered = sorted(range(len(items)), key=lambda i: _desc_sort_key(items[i]))
         for a, b2 in zip(ordered, ordered[1:]):
             v1, v2 = values[a], values[b2]
@@ -536,16 +541,18 @@ def suite_desc_eval(max_dom: int = 4) -> SuiteResult:
                       and items[a][1].q == () and items[b2][1].q == (MINUS_ONE,))
             if tie_ok:
                 res.check(v1.compare(v2) == 0,
-                          f"{tree}: constant/-1 pair not tied: {v1} vs {v2}")
+                          lambda: f"{tree}: constant/-1 pair not tied: {v1} vs {v2}")
             else:
                 res.check(v1.compare(v2) < 0,
-                          f"{tree}: {items[a]} -> {v1} not below {items[b2]} -> {v2}")
+                          lambda: f"{tree}: {items[a]} -> {v1} not below "
+                          f"{items[b2]} -> {v2}")
         for d, desc in extended_descriptions(tree):
             if d == 2 and desc.extended:
                 plain = t[(2, desc.q)]
                 val = evaluate_description(tree, t, (d, desc), check=False)
                 res.check(plain.compare(val) < 0,
-                          f"{tree}: extended value not above stored at {desc.q}")
+                          lambda: f"{tree}: extended value not above stored "
+                          f"at {desc.q}")
     return res
 
 
@@ -557,7 +564,7 @@ def suite_respect_hierarchy(max_dom: int = 4) -> SuiteResult:
             continue
         if respects_le2(tree, t):
             res.check(bool(weakly_respects_le2(tree, t)),
-                      f"{tree}: respects but not weakly")
+                      lambda: f"{tree}: respects but not weakly")
     q0, q1, q20, q21 = typical_trees()
     two = UOrd.u(1, CtblOrd.natural(2))
     lim = UOrd.u(1, OMEGA)
@@ -610,7 +617,8 @@ def suite_tree_property(max_dom: int = 4, seed: int = 0) -> SuiteResult:
         if s1_member(trees, [a.tail for a in alphas]):
             for cut in range(len(trees)):
                 res.check(s1_member(trees[:cut], [a.tail for a in alphas[:cut]]),
-                          f"S1 prefix {cut} of {list(map(str, trees))} rejected")
+                          lambda: f"S1 prefix {cut} of {list(map(str, trees))} "
+                          "rejected")
     # S2: towers carved out of realizable level <=2 trees with empty level-1 part
     for tree in enumerate_le2_trees(max_dom):
         if len(tree.t1):
@@ -629,7 +637,7 @@ def suite_tree_property(max_dom: int = 4, seed: int = 0) -> SuiteResult:
             if s2_member(towers, alphas, variant):
                 for cut in range(len(towers)):
                     res.check(s2_member(towers[:cut], alphas[:cut], variant),
-                              f"S2 prefix {cut} rejected ({variant})")
+                              lambda: f"S2 prefix {cut} rejected ({variant})")
     return res
 
 
@@ -644,18 +652,20 @@ def suite_ucf_cf3(max_base_dom: int = 3) -> SuiteResult:
             ucf_cases[case] += 1
             cf_cases[cf3(pt)] += 1
             if value == (0, MINUS_ONE):
-                res.check(pt.d == 0, f"{pt}: (0,-1) on positive degree")
+                res.check(pt.d == 0, lambda: f"{pt}: (0,-1) on positive degree")
                 continue
             d, desc = value
             if d == 1:
-                res.check(desc in base.t1.nodes, f"{pt}: ucf node outside tree")
+                res.check(desc in base.t1.nodes, lambda: f"{pt}: ucf node outside tree")
                 continue
             found = [item for item in extended_descriptions(base)
                      if item[0] == 2 and item[1] == desc]
             res.check(len(found) == 1 and is_regular_description(base, found[0]),
-                      f"{pt}: ucf {desc} is not a regular extended description")
-    res.check(all(ucf_cases.values()), f"ucf cases not all exercised: {ucf_cases}")
-    res.check(all(cf_cases.values()), f"cf3 cases not all exercised: {cf_cases}")
+                      lambda: f"{pt}: ucf {desc} is not a regular extended description")
+    res.check(all(ucf_cases.values()),
+              lambda: f"ucf cases not all exercised: {ucf_cases}")
+    res.check(all(cf_cases.values()),
+              lambda: f"cf3 cases not all exercised: {cf_cases}")
     return res
 
 
@@ -685,21 +695,28 @@ def enumerate_partial_le2(base: LevelLe2Tree):
 
 
 def check_lemmas(bound: int = 4, seed: int = 0):
-    """Run every invariant suite at a size bound; returns SuiteResults."""
-    results = [
-        suite_order_type(max_nodes=max(bound, 3)),
-        suite_factor_order(max_nodes=min(bound, 4)),
-        suite_shift(pairs=200 * bound, seed=seed),
-        suite_analysis(count=50 * bound, seed=seed),
-        suite_lemma_level2_ucf(max_partial_nodes=min(bound, 4),
-                               max_w=min(bound + 1, 5), betas=10, seed=seed),
-        suite_lemma_level2_ucf_another(max_partial_nodes=min(bound, 4),
-                                       max_w=min(bound + 1, 5), betas=10, seed=seed),
-        suite_uniqueness(max_dom=min(bound, 4)),
-        suite_desc_eval(max_dom=min(bound, 4)),
-        suite_respect_hierarchy(max_dom=min(bound, 4)),
-        suite_tree_property(max_dom=min(bound, 4), seed=seed),
+    """Run every invariant suite at a size bound; returns SuiteResults, each
+    with its wall time in ``seconds``."""
+    suites = [
+        partial(suite_order_type, max_nodes=max(bound, 3)),
+        partial(suite_factor_order, max_nodes=min(bound, 4)),
+        partial(suite_shift, pairs=200 * bound, seed=seed),
+        partial(suite_analysis, count=50 * bound, seed=seed),
+        partial(suite_lemma_level2_ucf, max_partial_nodes=min(bound, 4),
+                max_w=min(bound + 1, 5), betas=10, seed=seed),
+        partial(suite_lemma_level2_ucf_another, max_partial_nodes=min(bound, 4),
+                max_w=min(bound + 1, 5), betas=10, seed=seed),
+        partial(suite_uniqueness, max_dom=min(bound, 4)),
+        partial(suite_desc_eval, max_dom=min(bound, 4)),
+        partial(suite_respect_hierarchy, max_dom=min(bound, 4)),
+        partial(suite_tree_property, max_dom=min(bound, 4), seed=seed),
         # the 5 ucf cases need bases of at least 2 domain nodes to all occur
-        suite_ucf_cf3(max_base_dom=min(max(bound, 2), 3)),
+        partial(suite_ucf_cf3, max_base_dom=min(max(bound, 2), 3)),
     ]
+    results = []
+    for suite in suites:
+        start = time.perf_counter()
+        res = suite()
+        res.seconds = time.perf_counter() - start
+        results.append(res)
     return results

@@ -9,6 +9,7 @@ Brouwer-Kleene; descriptions are the nodes plus the constant description
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -155,16 +156,25 @@ def rep_order_type(tree: Level1Tree) -> CtblOrd:
 
 # -- descriptions, seeds, factoring ------------------------------------------
 
+@functools.lru_cache(maxsize=1024)
+def _description_order(nodes: frozenset):
+    """The sorted descriptions of a node set and the rank of each.  Cached by
+    node set, not per tree, so equal trees share one entry."""
+    descs = (*bk.bk_sorted(nodes), EMPTY_DESC)
+    return descs, {d: i for i, d in enumerate(descs)}
+
+
 def descriptions(tree: Level1Tree):
     """desc(P) = P plus the constant description, in increasing order."""
-    return bk.bk_sorted(tree.nodes) + [EMPTY_DESC]
+    return list(_description_order(tree.nodes)[0])
 
 
 def desc_rank(tree: Level1Tree, d: Node) -> int:
+    key = tuple(d)
     try:
-        return descriptions(tree).index(tuple(d))
-    except ValueError:
-        raise NotADescription(d, tree)
+        return _description_order(tree.nodes)[1][key]
+    except (KeyError, TypeError):  # TypeError: an unhashable entry
+        raise NotADescription(d, tree) from None
 
 
 def seed(tree: Level1Tree, d: Node) -> UOrd:

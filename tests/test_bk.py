@@ -1,9 +1,13 @@
 import functools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from uctk.bk import bk, bk_compare, bk_sorted, entry_compare
+from uctk.bk import MINUS_ONE, bk, bk_compare, bk_key, bk_sorted, entry_compare
+from uctk.errors import IncomparableEntries
+from uctk.level1 import enumerate_level1_up_to
+from uctk.ordinals import U1
 
 nodes = st.lists(st.integers(0, 4), max_size=5).map(tuple)
 
@@ -64,3 +68,25 @@ def test_sorting_helper():
 def test_incomparable_entries_raise():
     with pytest.raises(TypeError):
         entry_compare((0,), "x")
+
+
+def test_key_agrees_with_compare():
+    # bk_key is the fast path; bk (through bk_compare) stays the definition
+    pool = [()] + sorted({n for t in enumerate_level1_up_to(6) for n in t.nodes})
+    rng = random.Random(0)
+
+    def domseq():
+        q = tuple(rng.choice(pool[1:]) for _ in range(rng.randrange(4)))
+        return q + (MINUS_ONE,) if rng.random() < 0.5 else q
+
+    for _ in range(20000):
+        for s, t in ((rng.choice(pool), rng.choice(pool)), (domseq(), domseq())):
+            a, b = bk_key(s), bk_key(t)
+            assert (a > b) - (a < b) == bk(s, t), (s, t)
+
+
+def test_key_rejects_entries_without_a_key():
+    with pytest.raises(IncomparableEntries):
+        bk_key((U1,))
+    with pytest.raises(IncomparableEntries):
+        bk_key(((0,), "x"))

@@ -1,4 +1,5 @@
 import io
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from uctk.cli import main
+from uctk.grammar import MAX_NESTING
 
 BATCH = Path(__file__).parent / "data" / "spec_examples.batch"
 EXPECTED = BATCH.with_suffix(".expected")
@@ -122,6 +124,53 @@ def test_batch_goes_on_after_a_continuous_domain_sequence(tmp_path):
     assert lines[0].endswith("result=u3")
     assert "code=DOMAIN_NOT_TREE" in lines[1]
     assert lines[2].endswith("result=u1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("shift", "{1->x}", "u1"),
+    ("validate", "pl2", "(({} ; () -> ({}, (0))) @ (x, -1, {}))"),
+])
+def test_non_numeric_token_is_a_parse_error(argv):
+    code, out = run(*argv)
+    assert code == 2 and out.count("\n") == 1 and "code=PARSE_ERROR" in out
+
+
+DEEP_CFL = "w^(" * 600 + "1" + ")" * 600
+
+
+def test_deep_nesting_is_a_parse_error():
+    code, out = run("cfl", DEEP_CFL)
+    assert code == 2 and out.count("\n") == 1 and "code=PARSE_ERROR" in out
+    assert f"nested deeper than {MAX_NESTING}" in out
+
+
+def test_nesting_up_to_the_cap_parses():
+    code, out = run("cfl", "(" * MAX_NESTING + "w" + ")" * MAX_NESTING)
+    assert code == 0 and out.count("\n") == 1
+    code, out = run("cfl", "(" * (MAX_NESTING + 1) + "w" + ")" * (MAX_NESTING + 1))
+    assert code == 2 and "code=PARSE_ERROR" in out
+
+
+def test_batch_goes_on_after_unparsable_lines(tmp_path):
+    batch = tmp_path / "unparsable.batch"
+    batch.write_text('cfl u3\nshift "{1->x}" u1\n'
+                     'validate pl2 "(({} ; () -> ({}, (0))) @ (x, -1, {}))"\n'
+                     f'cfl "{DEEP_CFL}"\ncfl "u2 + u1*2"\n')
+    code, out = run("batch", str(batch))
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 5
+    assert lines[0].endswith("result=u3")
+    assert all("code=PARSE_ERROR" in line for line in lines[1:4])
+    assert lines[4].endswith("result=u1")
+
+
+def test_check_lemmas_timings_are_opt_in():
+    _, plain = run("check-lemmas", "--bound", "1")
+    code, timed = run("check-lemmas", "--bound", "1", "--timings")
+    seconds = re.compile(r" suite(\d+)_seconds=\d+\.\d{3}(?=\s)")
+    assert code == 0
+    assert [int(i) for i in seconds.findall(timed)] == list(range(11))
+    assert seconds.sub("", timed) == plain
 
 
 def test_check_lemmas_small():

@@ -1,11 +1,14 @@
+import functools
+
 import pytest
 
+from uctk.bk import bk
 from uctk.errors import (CardinalityMismatch, ClosureViolation, ContainsEmpty,
                          LengthMismatch, NotADescription, NotInRep, NotRegular)
 from uctk.grammar import parse_l1, parse_uord
 from uctk.lemmas import order_type_oracle
-from uctk.level1 import (EMPTY_TREE, Rep1Element, addable_nodes, descriptions,
-                         enumerate_level1, enumerate_level1_up_to,
+from uctk.level1 import (EMPTY_TREE, Rep1Element, addable_nodes, desc_rank,
+                         descriptions, enumerate_level1, enumerate_level1_up_to,
                          factor_exists, factorings, is_regular, rep_compare,
                          rep_order_type, respects_level1, s1_member, seed,
                          strict_factor_exists, validate_level1, validate_tower)
@@ -87,6 +90,28 @@ class TestDescriptions:
     def test_seed_rejects_foreign_node(self):
         with pytest.raises(NotADescription):
             seed(parse_l1("{(0)}"), (1,))
+
+    def test_descriptions_are_fresh_equal_lists(self):
+        t = parse_l1("{(0) (0 0) (1)}")
+        first, second = descriptions(t), descriptions(t)
+        assert first == second and first is not second
+        first.append((9,))
+        assert descriptions(t) == second
+
+    def test_desc_rank_matches_the_sorted_descriptions(self):
+        # the cached order and ranks against a fresh comparator sort
+        for t in enumerate_level1_up_to(5):
+            descs = descriptions(t)
+            assert descs == sorted(t.nodes, key=functools.cmp_to_key(bk)) + [()]
+            for d in descs:
+                assert desc_rank(t, d) == descs.index(d)
+                assert desc_rank(t, list(d)) == descs.index(d)
+
+    def test_desc_rank_rejects_foreign_nodes(self):
+        t = parse_l1("{(0)}")
+        for d in ((1,), (0, 0), [[0]]):
+            with pytest.raises(NotADescription):
+                desc_rank(t, d)
 
 
 class TestFactorings:
