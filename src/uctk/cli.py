@@ -417,12 +417,19 @@ HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ArityError on a usage error instead of exiting, so that a
+    batch line can report it; ``main`` exits as argparse does for argv."""
+
+    def error(self, message):
+        raise ArityError(message)
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built once per process: building it costs more
     than most commands, and in-process callers run ``main`` many times."""
-    p = argparse.ArgumentParser(prog="uctk", add_help=True,
-                                description=__doc__)
+    p = _Parser(prog="uctk", add_help=True, description=__doc__)
     p.add_argument("command", choices=sorted(HANDLERS) + ["batch"])
     p.add_argument("args", nargs="*")
     p.add_argument("--pretty", action="store_true")
@@ -437,6 +444,10 @@ def _build_parser():
     p.add_argument("--rep1", default=None)
     p.add_argument("--rep2", default=None)
     p.add_argument("--rep3", default=None)
+    # parse_intermixed_args formats the usage on every call while usage is
+    # None (it keeps the text for its error messages), which costs more than
+    # most commands; format it once here, the same text argparse would print.
+    p.usage = p.format_usage()[len("usage: "):]
     return p
 
 
@@ -463,9 +474,22 @@ def _emit(report: Report, flags) -> None:
         print(report.line())
 
 
+def _parse_line(parser, line):
+    """The namespace of one batch line; ParseError or ArityError if the
+    line does not split into words or argparse rejects them."""
+    try:
+        words = shlex.split(line)
+    except ValueError as e:  # an unclosed quote or escape, at the line's end
+        raise ParseError(str(e), 1, len(line) + 1) from None
+    return parser.parse_intermixed_args(words)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    ns = parser.parse_intermixed_args(argv)
+    try:
+        ns = parser.parse_intermixed_args(argv)
+    except ArityError as e:
+        argparse.ArgumentParser.error(parser, *e.detail)
     if ns.command == "batch":
         if len(ns.args) != 1:
             print(Report("batch", "error", code="ARITY_ERROR",
@@ -477,9 +501,13 @@ def main(argv=None) -> int:
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                words = shlex.split(line)
-                sub = parser.parse_intermixed_args(words)
-                report = run_command(sub.command, sub.args, sub)
+                try:
+                    sub = _parse_line(parser, line)
+                except KernelError as e:
+                    report = Report("batch", "error", input=line, code=e.code,
+                                    detail=str(e))
+                else:
+                    report = run_command(sub.command, sub.args, sub)
                 _emit(report, ns)
                 worst = max(worst, report.exit_code)
         return worst

@@ -676,9 +676,13 @@ def recover_tree(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
     candidate fails at q whatever label q holds.  One ``respects_le2`` call
     on the candidate decides, so the outcome, a tree or an error, is the
     one a search over every labelling gives.  Uniqueness is checked against
-    that search, the independent oracle in ``lemmas``.
+    that search, the independent oracle in ``lemmas``.  Every label is one
+    of ``_label_choices`` of its parent's completion, so the candidate is a
+    level-2 tree by construction and is not validated again.
     """
     order = check_tree_of_trees(frozenset(as_domseq(q) for q in dom_shape))
+    if not order:
+        raise RootNotCanonical("missing root")
     inner = {q[:-1] for q in order if q}
     labels = {}
     for q in order:
@@ -693,7 +697,7 @@ def recover_tree(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
         except KernelError:
             label = None
         labels[q] = label if label in choices else choices[0]
-    cand = LevelLe2Tree(t1, validate_level2(labels))
+    cand = LevelLe2Tree(t1, Level2Tree(tuple((q, labels[q]) for q in order)))
     if not respects_le2(cand, t):
         raise NoTreeFound()
     return cand

@@ -1,13 +1,17 @@
+import argparse
 import io
 import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from uctk.cli import main
+from uctk.cli import HANDLERS, _build_parser, main
 from uctk.grammar import MAX_NESTING
 
 BATCH = Path(__file__).parent / "data" / "spec_examples.batch"
@@ -204,3 +208,128 @@ def test_batch_matches_golden_transcript():
     proc = subprocess.run(cmd, capture_output=True)
     assert proc.returncode == 1  # the batch includes rejection examples
     assert proc.stdout == EXPECTED.read_bytes()
+
+
+def test_usage_is_formatted_once_per_parser(monkeypatch, capsys):
+    run("cfl", "u3")
+    calls = []
+    format_usage = argparse.ArgumentParser.format_usage
+
+    def counted(self):
+        calls.append(self)
+        return format_usage(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "format_usage", counted)
+    for argv in [("cfl", "u3"), ("seed", "{(0) (0 0)}", "()"),
+                 ("order-type", "{(0)}", "--format", "text"),
+                 ("validate", "l1", "{(1)}")]:
+        run(*argv)
+    assert calls == []
+    monkeypatch.undo()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(["cfl", "u3", "--bogus"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(_build_parser().format_usage())
+    assert captured.err.endswith("uctk: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("argv", [("nosuch", "u3"), ("cfl", "u3", "--seed", "x"), ()])
+def test_argv_usage_error_exits_as_argparse_does(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2 and captured.out == ""
+    assert captured.err.startswith(_build_parser().format_usage())
+    assert "uctk: error: " in captured.err
+
+
+def test_batch_goes_on_after_lines_that_do_not_parse(tmp_path, capsys):
+    batch = tmp_path / "argv_errors.batch"
+    batch.write_text('cfl u3\nnosuch u3\ncfl u3 --bogus\ncfl "u3\n'
+                     'cfl u3 --seed x\n--pretty\ncfl "u2 + u1*2"\n')
+    code, out = run("batch", str(batch))
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 7
+    assert lines[0].endswith("result=u3")
+    codes = [re.search(r" code=(\w+)", line).group(1) for line in lines[1:6]]
+    assert codes == ["ARITY_ERROR", "ARITY_ERROR", "PARSE_ERROR",
+                     "ARITY_ERROR", "ARITY_ERROR"]
+    assert all(line.startswith("status=error command=batch input=")
+               for line in lines[1:6])
+    assert lines[3].endswith('No closing quotation, line 1, col 8"')
+    assert lines[6].endswith("result=u1")
+    assert capsys.readouterr().err == ""
+
+
+# -- fuzzing: token strings over the grammar's alphabet -------------------------
+
+TOKENS = ["(", ")", "{", "}", "[", "]", ";", ",", "@", "->", "^", "*", "+",
+          "-1", "0", "1", "2", "3", "u1", "u2", "u3", "w",
+          "l1", "l2", "le2", "l3", "pl2"]
+TOKEN = re.compile(r"->|-?\d+|u\d+|[A-Za-z_]+|\S")
+NEGATIVE_INTEGER = re.compile(r"-\d+")
+
+
+def _worked_examples():
+    """The arguments of each command's lines in the worked-examples batch."""
+    out = {}
+    for line in BATCH.read_text().splitlines():
+        if line and not line.startswith("#"):
+            command, *words = shlex.split(line)
+            out.setdefault(command, []).append(words)
+    return out
+
+
+EXAMPLES = _worked_examples()
+
+
+def _argparse_takes(word):
+    # argparse owns what begins with "-": an option, or a usage error on argv
+    return word.startswith("-") and not NEGATIVE_INTEGER.fullmatch(word)
+
+
+fuzz_text = st.builds(
+    lambda toks, sep: sep.join(toks),
+    st.lists(st.sampled_from(TOKENS), max_size=12),
+    st.sampled_from(["", " "]),
+).filter(lambda s: not _argparse_takes(s))
+fuzz_flags = st.lists(st.one_of(
+    st.sampled_from(["--extended", "--regular"]).map(lambda f: [f]),
+    st.tuples(st.sampled_from(["--rep1", "--rep2", "--rep3", "--at", "--variant"]),
+              fuzz_text).map(list),
+), max_size=2)
+
+
+@st.composite
+def mutated(draw, words):
+    """A worked example's words with tokens of its arguments replaced,
+    inserted or deleted; options and their values stay as they are."""
+    words = list(words)
+    editable = [i for i, w in enumerate(words)
+                if not w.startswith("--") and not (i and words[i - 1].startswith("--"))]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.sampled_from(editable))
+        toks = TOKEN.findall(words[i])
+        j = draw(st.integers(0, len(toks)))
+        toks[j:j + draw(st.integers(0, 1))] = draw(
+            st.lists(st.sampled_from(TOKENS), max_size=2))
+        words[i] = " ".join(toks)
+        assume(not _argparse_takes(words[i]))
+    return words
+
+
+@pytest.mark.parametrize("command", sorted(set(HANDLERS) - {"check-lemmas"}))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fuzzed_arguments_give_one_report(command, data):
+    argv = [command, *data.draw(st.one_of(
+        st.builds(lambda args, flags: args + [w for flag in flags for w in flag],
+                  st.lists(fuzz_text, max_size=4), fuzz_flags),
+        st.sampled_from(EXAMPLES[command]).flatmap(mutated),
+    ))]
+    code, out = run(*argv)
+    assert code in (0, 1, 2), argv
+    assert out.count("\n") == 1 and out.endswith("\n"), argv

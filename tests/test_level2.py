@@ -322,6 +322,21 @@ class TestRecoverRoutesAgree:
             (DomainNotTree, "DOMAIN_NOT_TREE")
 
 
+def test_recovered_tree_is_the_validated_tree():
+    # recover_tree builds its level-2 tree from its labels without
+    # validate_level2; the labels must pass it and give the same tree
+    trees = 0
+    for tree in enumerate_le2_trees(5):
+        t = generate_respecting_tuple(tree)
+        if t is None:
+            continue
+        built = recover_tree(tree.t1, tree.t2.dom(), t).t2
+        assert built.entries == validate_level2(dict(built.entries)).entries
+        assert built == tree.t2
+        trees += 1
+    assert trees >= 700
+
+
 class TestS2:
     def test_spec_examples(self):
         assert s2_member([CARD1_L2], [U1], "respects")
