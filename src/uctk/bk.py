@@ -13,12 +13,10 @@ the entry kinds used throughout the kernel:
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+from collections.abc import Callable, Sequence
 
 from .errors import IncomparableEntries
 from .ordinals import as_uord
-
-A = TypeVar("A")
 
 MINUS_ONE = -1  # the distinguished entry below every natural and every node
 
@@ -27,8 +25,7 @@ EQUAL = 0
 GREATER = 1
 
 
-def bk_compare(s: Sequence[A], t: Sequence[A],
-               entry_cmp: Callable[[A, A], int]) -> int:
+def bk_compare(s: Sequence, t: Sequence, entry_cmp: Callable) -> int:
     """Compare two finite sequences in the Brouwer-Kleene order."""
     for a, b in zip(s, t):
         c = entry_cmp(a, b)

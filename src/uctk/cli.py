@@ -12,7 +12,7 @@ import functools
 import shlex
 import sys
 
-from . import analysis, bk, grammar, lemmas, level1, level2, level3, ordinals
+from . import analysis, bk, grammar, level1, level2, level3, ordinals
 from .bk import MINUS_ONE
 from .errors import ArityError, InvalidElement, KernelError, ParseError
 
@@ -71,12 +71,21 @@ def _tuple2_from_args(le2, ordinals_text):
     return {k: grammar.parse_uord(t) for k, t in zip(dom, ordinals_text)}
 
 
-def _bound(flags, default: int) -> int:
-    """--bound when given (at least 1), else the command's default."""
+# The largest --bound each command takes: the largest that ran in under
+# 10 s on a 2-core host (4.5 s, 2.8 s and 8.4 s); the next bound up took
+# 18 s, 55 s (at 620 MB) and 17 s, and each step multiplies the work.
+MAX_BOUND = {"enumerate l1": 11, "enumerate le2": 6, "check-lemmas": 10}
+
+
+def _bound(flags, default: int, name: str) -> int:
+    """--bound when given (1 to MAX_BOUND[name]), else the command's default."""
     if flags.bound is None:
         return default
     if flags.bound < 1:
         raise ArityError(f"--bound must be at least 1, got {flags.bound}")
+    if flags.bound > MAX_BOUND[name]:
+        raise ArityError(f"--bound for {name} is at most {MAX_BOUND[name]}, "
+                         f"got {flags.bound}")
     return flags.bound
 
 
@@ -364,20 +373,22 @@ def cmd_s3_structural(args, flags):
 def cmd_enumerate(args, flags):
     _need(args, 1, "enumerate <l1|le2> [--bound N] [--regular]")
     kind = args[0]
-    bound = _bound(flags, 3)
+    if kind not in ("l1", "le2"):
+        raise ArityError(f"unknown kind {kind!r}")
+    bound = _bound(flags, 3, f"enumerate {kind}")
     if kind == "l1":
         trees = level1.enumerate_level1_up_to(bound, regular_only=flags.regular)
-        return _ok("enumerate", kind=kind, count=len(trees),
-                   result="; ".join(str(t) for t in trees))
-    if kind == "le2":
+    else:
         trees = level2.enumerate_le2_trees(bound)
-        return _ok("enumerate", kind=kind, count=len(trees),
-                   result="; ".join(str(t) for t in trees))
-    raise ArityError(f"unknown kind {kind!r}")
+    return _ok("enumerate", kind=kind, count=len(trees),
+               result="; ".join(str(t) for t in trees))
 
 
 def cmd_check_lemmas(args, flags):
-    results = lemmas.check_lemmas(bound=_bound(flags, 4), seed=flags.seed or 0)
+    from . import lemmas  # only this command runs the suites; others start faster
+
+    results = lemmas.check_lemmas(bound=_bound(flags, 4, "check-lemmas"),
+                                  seed=flags.seed or 0)
     all_ok = all(r.passed for r in results)
     fields = {}
     for i, r in enumerate(results):
@@ -426,10 +437,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser():
+def _build_parser(batch_line: bool = False):
     """The argument parser, built once per process: building it costs more
-    than most commands, and in-process callers run ``main`` many times."""
-    p = _Parser(prog="uctk", add_help=True, description=__doc__)
+    than most commands, and in-process callers run ``main`` many times.
+    A batch line's parser has no -h/--help, whose action would print the
+    help and exit mid-batch; there -h is an unrecognized argument."""
+    p = _Parser(prog="uctk", add_help=not batch_line, description=__doc__)
     p.add_argument("command", choices=sorted(HANDLERS) + ["batch"])
     p.add_argument("args", nargs="*")
     p.add_argument("--pretty", action="store_true")
@@ -474,9 +487,18 @@ def _emit(report: Report, flags) -> None:
         print(report.line())
 
 
+def _printable(text: str) -> str:
+    """text with the bytes that were not UTF-8 written as \\x escapes."""
+    return text.encode(errors="surrogateescape").decode(errors="backslashreplace")
+
+
 def _parse_line(parser, line):
     """The namespace of one batch line; ParseError or ArityError if the
-    line does not split into words or argparse rejects them."""
+    line is not UTF-8, does not split into words or argparse rejects them."""
+    try:
+        line.encode()
+    except UnicodeEncodeError as e:  # bytes read as surrogates: not UTF-8
+        raise ParseError("not UTF-8", 1, e.start + 1) from None
     try:
         words = shlex.split(line)
     except ValueError as e:  # an unclosed quote or escape, at the line's end
@@ -495,16 +517,23 @@ def main(argv=None) -> int:
             print(Report("batch", "error", code="ARITY_ERROR",
                          detail="batch <file>").line())
             return 2
+        try:
+            fh = open(ns.args[0], encoding="utf-8", errors="surrogateescape")
+        except OSError as e:
+            print(Report("batch", "error", input=_printable(ns.args[0]), code="ARITY_ERROR",
+                         detail=f"cannot read batch file: {e.strerror}").line())
+            return 2
+        line_parser = _build_parser(batch_line=True)
         worst = 0
-        with open(ns.args[0]) as fh:
+        with fh:
             for raw in fh:
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    sub = _parse_line(parser, line)
+                    sub = _parse_line(line_parser, line)
                 except KernelError as e:
-                    report = Report("batch", "error", input=line, code=e.code,
+                    report = Report("batch", "error", input=_printable(line), code=e.code,
                                     detail=str(e))
                 else:
                     report = run_command(sub.command, sub.args, sub)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from functools import partial
 
 from . import bk
@@ -41,14 +40,24 @@ from .level3 import PartialLevelLe2Tree, cf3, ucf, validate_partial_le2
 from .ordinals import (ONE, OMEGA, U1, ZERO, Cofinality, CtblOrd, IndexMap,
                        UOrd, apply_shift, apply_shift_sup, cf_l,
                        shift_is_continuous, shift_sup_by_decomposition)
+from .value import Value
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    cases: int = 0
-    failures: list = field(default_factory=list)
-    seconds: float = 0.0  # wall time of the suite, set by check_lemmas
+class SuiteResult(Value):
+    """A suite's case count and first failures; unlike the kernel's values
+    it is mutable, and so unhashable."""
+
+    __slots__ = ("name", "cases", "failures", "seconds")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, cases: int = 0, failures: list = None,
+                 seconds: float = 0.0):
+        self.name = name
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.seconds = seconds  # wall time of the suite, set by check_lemmas
 
     def check(self, ok: bool, detail):
         """Count one case.  ``detail`` is the counterexample text, or a

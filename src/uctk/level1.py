@@ -11,22 +11,24 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 from . import bk
 from .errors import (CardinalityMismatch, ClosureViolation, ContainsEmpty,
                      InvalidTower, LengthMismatch, NotADescription, NotInRep,
                      NotRegular, NotSubtree)
 from .ordinals import ONE, OMEGA, ZERO, CtblOrd, UOrd, as_uord
+from .value import Value, set_field
 
 Node = tuple  # tuple of naturals
 
 EMPTY_DESC: Node = ()  # the constant description
 
 
-@dataclass(frozen=True)
-class Level1Tree:
-    nodes: frozenset
+class Level1Tree(Value):
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes: frozenset):
+        set_field(self, "nodes", nodes)
 
     def __contains__(self, node: Node) -> bool:
         return node in self.nodes
@@ -120,12 +122,14 @@ def enumerate_level1_up_to(max_size: int, regular_only: bool = False):
 
 # -- ordinal representation --------------------------------------------------
 
-@dataclass(frozen=True)
-class Rep1Element:
+class Rep1Element(Value):
     """(p) or (p, n) for p in P; (p) is the sup of its omega-block."""
 
-    node: Node
-    index: int = None  # None for the block sup (p)
+    __slots__ = ("node", "index")
+
+    def __init__(self, node: Node, index: int = None):
+        set_field(self, "node", node)
+        set_field(self, "index", index)  # None for the block sup (p)
 
     def as_seq(self):
         return (self.node,) if self.index is None else (self.node, self.index)
@@ -182,17 +186,16 @@ def seed(tree: Level1Tree, d: Node) -> UOrd:
     return UOrd.u(desc_rank(tree, d) + 1)
 
 
-@dataclass(frozen=True)
-class FactorMap1:
+class FactorMap1(Value):
     """Order preserving map of descriptions fixing the constant."""
 
-    source: Level1Tree
-    target: Level1Tree
-    mapping: tuple  # ((p, sigma(p)), ...) over source nodes, bk-sorted
-    _images: dict = field(init=False, compare=False, repr=False)
+    __slots__ = ("source", "target", "mapping", "_images")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_images", dict(self.mapping))
+    def __init__(self, source: Level1Tree, target: Level1Tree, mapping: tuple):
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "mapping", mapping)  # ((p, sigma(p)), ...) over source nodes, bk-sorted
+        set_field(self, "_images", dict(mapping))
 
     def __call__(self, d: Node) -> Node:
         if d == EMPTY_DESC:
@@ -257,12 +260,14 @@ def strict_factor_exists(source: Level1Tree, target: Level1Tree) -> bool:
 
 # -- towers and S1 ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Level1Tower:
+class Level1Tower(Value):
     """(P_i)_{i<=n} with card(P_i) = i and inclusions."""
 
-    trees: tuple
-    regular_flags: tuple = field(default=())
+    __slots__ = ("trees", "regular_flags")
+
+    def __init__(self, trees: tuple, regular_flags: tuple = ()):
+        set_field(self, "trees", trees)
+        set_field(self, "regular_flags", regular_flags)
 
     def __len__(self):
         return len(self.trees)

@@ -10,8 +10,6 @@ distinguished element sitting below every node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import bk
 from .analysis import analyze, tree_embed, tree_embed_sup
 from .bk import MINUS_ONE
@@ -23,6 +21,7 @@ from .errors import (BadDescription, BadFirstEntry, CardinalityMismatch,
 from .level1 import (EMPTY_TREE, Level1Tree, Node, addable_nodes, is_level1,
                      is_regular, respects_level1, validate_level1)
 from .ordinals import OMEGA, U1, CtblOrd, UOrd, as_uord
+from .value import Value, set_field
 
 ROOT_NODE: Node = (0,)
 DomSeq = tuple  # tuple of nodes (each a tuple of naturals)
@@ -30,12 +29,14 @@ DomSeq = tuple  # tuple of nodes (each a tuple of naturals)
 
 # -- partial level <= 1 trees and towers --------------------------------------
 
-@dataclass(frozen=True)
-class PartialLevel1Tree:
+class PartialLevel1Tree(Value):
     """A regular tree with one pending node; -1 is the level-0 pending."""
 
-    base: Level1Tree
-    node: object  # Node or -1
+    __slots__ = ("base", "node")
+
+    def __init__(self, base: Level1Tree, node):
+        set_field(self, "base", base)
+        set_field(self, "node", node)  # Node or -1
 
     def degree(self) -> int:
         return 0 if self.node == MINUS_ONE else 1
@@ -83,10 +84,12 @@ def respects_partial_le1(pt: PartialLevel1Tree, alpha) -> bool:
     return respects_level1(pt.completion(), alpha)
 
 
-@dataclass(frozen=True)
-class PartialTowerLe1:
-    entries: tuple            # PartialLevel1Tree stages
-    final_tree: object = None  # completion stage of a continuous-type tower
+class PartialTowerLe1(Value):
+    __slots__ = ("entries", "final_tree")
+
+    def __init__(self, entries: tuple, final_tree=None):
+        set_field(self, "entries", entries)  # PartialLevel1Tree stages
+        set_field(self, "final_tree", final_tree)  # completion stage of a continuous-type tower
 
     def is_continuous(self) -> bool:
         return self.final_tree is not None
@@ -179,18 +182,17 @@ def check_tree_of_trees(dom):
     return order
 
 
-@dataclass(frozen=True, repr=False)
-class TreeOfTrees:
+class TreeOfTrees(Value):
     """A tree of level-1 trees with a label on every element: level-2 trees
     label theirs with partial level <=1 trees, level-3 trees with partial
     level <=2 trees.  Equality and hashing go by ``entries``, the canonically
     sorted ((key, label), ...) tuple; lookups go through a dict."""
 
-    entries: tuple
-    _labels: dict = field(init=False, compare=False)
+    __slots__ = ("entries", "_labels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_labels", dict(self.entries))
+    def __init__(self, entries: tuple):
+        set_field(self, "entries", entries)
+        set_field(self, "_labels", dict(entries))
 
     def dom(self):
         return [k for k, _ in self.entries]
@@ -221,6 +223,8 @@ class TreeOfTrees:
 class Level2Tree(TreeOfTrees):
     """Map from a tree of level-1 trees to partial level <=1 trees, forming a
     partial tower of discontinuous type along every branch."""
+
+    __slots__ = ()
 
     def tree(self, q) -> Level1Tree:
         return self.label(q)[0]
@@ -257,10 +261,12 @@ def validate_level2(entries) -> Level2Tree:
     return tree
 
 
-@dataclass(frozen=True)
-class LevelLe2Tree:
-    t1: Level1Tree
-    t2: Level2Tree
+class LevelLe2Tree(Value):
+    __slots__ = ("t1", "t2")
+
+    def __init__(self, t1: Level1Tree, t2: Level2Tree):
+        set_field(self, "t1", t1)
+        set_field(self, "t2", t2)
 
     def cardinality(self) -> int:
         return len(self.t1) + self.t2.cardinality()
@@ -299,15 +305,17 @@ def typical_trees():
 
 # -- descriptions ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QDescription:
+class QDescription(Value):
     """(q, P, pvec); continuous iff q ends in -1, extended iff the tree is
     the completion rather than the tree at q."""
 
-    q: DomSeq
-    tree: Level1Tree
-    pvec: tuple
-    extended: bool = False
+    __slots__ = ("q", "tree", "pvec", "extended")
+
+    def __init__(self, q: DomSeq, tree: Level1Tree, pvec: tuple, extended: bool = False):
+        set_field(self, "q", q)
+        set_field(self, "tree", tree)
+        set_field(self, "pvec", pvec)
+        set_field(self, "extended", extended)
 
     def is_continuous(self) -> bool:
         return bool(self.q) and self.q[-1] == MINUS_ONE
@@ -393,12 +401,14 @@ def is_regular_description(le2: LevelLe2Tree, item) -> bool:
 
 # -- ordinal representation -----------------------------------------------------
 
-@dataclass(frozen=True)
-class Rep2Element:
+class Rep2Element(Value):
     """(1, rep point of the level-1 part) or (2, alpha interleaved with q)."""
 
-    side: int
-    payload: tuple  # side 1: Rep1Element sequence; side 2: interleaving
+    __slots__ = ("side", "payload")
+
+    def __init__(self, side: int, payload: tuple):
+        set_field(self, "side", side)
+        set_field(self, "payload", payload)  # side 1: Rep1Element sequence; side 2: interleaving
 
     @staticmethod
     def top():
@@ -483,11 +493,13 @@ def rep2_compare(le2: LevelLe2Tree, x: Rep2Element, y: Rep2Element) -> int:
 
 # -- respect ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RespectVerdict:
-    ok: bool
-    clause: str = ""
-    detail: str = ""
+class RespectVerdict(Value):
+    __slots__ = ("ok", "clause", "detail")
+
+    def __init__(self, ok: bool, clause: str = "", detail: str = ""):
+        set_field(self, "ok", ok)
+        set_field(self, "clause", clause)
+        set_field(self, "detail", detail)
 
     def __bool__(self) -> bool:
         return self.ok

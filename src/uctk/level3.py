@@ -8,8 +8,6 @@ S_3 operations validate tower structure only and say so explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import bk
 from .errors import (CaseViolation, CardinalityMismatch, DegreeZero,
                      DomainNotTree, EmptyKeyPresent, InvalidElement,
@@ -20,21 +18,24 @@ from .level2 import (CONSTANT_DESC, MINUS_ONE, LevelLe2Tree, QDescription,
                      TreeOfTrees, as_domseq, check_tree_of_trees, q_potential,
                      q_set_plus, respects_le2, validate_level2)
 from .ordinals import U1, as_uord
+from .value import Value, set_field
 
 RSeq = tuple  # tuple of nodes indexing dom(R)
 
 
 # -- partial level <= 2 trees ---------------------------------------------------
 
-@dataclass(frozen=True)
-class PartialLevelLe2Tree:
+class PartialLevelLe2Tree(Value):
     """(Q, (d, q, P)): a level <=2 tree with one pending extension of
     degree 0, 1 or 2."""
 
-    base: LevelLe2Tree
-    d: int
-    q: object          # -1, a node, or a domain sequence
-    p: Level1Tree
+    __slots__ = ("base", "d", "q", "p")
+
+    def __init__(self, base: LevelLe2Tree, d: int, q, p: Level1Tree):
+        set_field(self, "base", base)
+        set_field(self, "d", d)
+        set_field(self, "q", q)  # -1, a node, or a domain sequence
+        set_field(self, "p", p)
 
     def degree(self) -> int:
         return self.d
@@ -158,6 +159,8 @@ class Level3Tree(TreeOfTrees):
     <=2 trees, forming a partial tower of discontinuous type along every
     branch."""
 
+    __slots__ = ()
+
     def tree(self, r) -> LevelLe2Tree:
         return self.label(r).base
 
@@ -200,11 +203,13 @@ def validate_level3(entries) -> Level3Tree:
 
 # -- ordinal representation -------------------------------------------------------
 
-@dataclass(frozen=True)
-class Rep3Element:
+class Rep3Element(Value):
     """Interleaving (r(0), beta_{q_1}, r(1), ..., beta_{q_{k-1}}, r(k-1))."""
 
-    payload: tuple
+    __slots__ = ("payload",)
+
+    def __init__(self, payload: tuple):
+        set_field(self, "payload", payload)
 
     def __str__(self) -> str:
         from .grammar import format_rep3
@@ -269,11 +274,13 @@ def rep3_compare(tree: Level3Tree, x: Rep3Element, y: Rep3Element) -> int:
 
 # -- S3, structural part ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class S3Verdict:
-    ok: bool
-    detail: str
-    ordinal_clause: str = "not-evaluated"
+class S3Verdict(Value):
+    __slots__ = ("ok", "detail", "ordinal_clause")
+
+    def __init__(self, ok: bool, detail: str, ordinal_clause: str = "not-evaluated"):
+        set_field(self, "ok", ok)
+        set_field(self, "detail", detail)
+        set_field(self, "ordinal_clause", ordinal_clause)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -13,23 +13,25 @@ which is all the shift and analysis machinery needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
 
 from .errors import (CriterionFails, InvalidElement, LevelOutOfRange, NotALimit,
                      OutOfRange)
+from .value import Value, set_field
 
 
 @total_ordering
-@dataclass(frozen=True)
-class CtblOrd:
+class CtblOrd(Value):
     """Countable ordinal in Cantor normal form.
 
     ``terms`` lists (exponent, coefficient) pairs with strictly decreasing
     exponents and coefficients >= 1; zero is the empty list.
     """
 
-    terms: tuple = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple = ()):
+        set_field(self, "terms", terms)
 
     # -- construction ------------------------------------------------------
 
@@ -132,12 +134,14 @@ OMEGA = CtblOrd.omega_power(ONE)
 
 
 @total_ordering
-@dataclass(frozen=True)
-class UOrd:
+class UOrd(Value):
     """Ordinal below u_omega: u-terms with countable coefficients plus tail."""
 
-    uterms: tuple = ()          # ((level, CtblOrd coeff), ...), levels decreasing
-    tail: CtblOrd = ZERO
+    __slots__ = ("uterms", "tail")
+
+    def __init__(self, uterms: tuple = (), tail: CtblOrd = ZERO):
+        set_field(self, "uterms", uterms)  # ((level, CtblOrd coeff), ...), levels decreasing
+        set_field(self, "tail", tail)
 
     @staticmethod
     def u(level: int, coeff: CtblOrd = ONE) -> "UOrd":
@@ -224,12 +228,14 @@ def as_uord(v) -> UOrd:
 
 # -- L-cofinality -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cofinality:
+class Cofinality(Value):
     """zero | successor | omega | u(k)."""
 
-    kind: str
-    level: int = 0
+    __slots__ = ("kind", "level")
+
+    def __init__(self, kind: str, level: int = 0):
+        set_field(self, "kind", kind)
+        set_field(self, "level", level)
 
     @staticmethod
     def zero():
@@ -269,20 +275,20 @@ def cf_l(b: UOrd) -> Cofinality:
 
 # -- index maps and shifts ---------------------------------------------------
 
-@dataclass(frozen=True)
-class IndexMap:
+class IndexMap(Value):
     """Order preserving map {1..n} -> {1..n2}, with the convention sigma(0)=0."""
 
-    n: int
-    n2: int
-    image: tuple  # image[i-1] = sigma(i)
+    __slots__ = ("n", "n2", "image")
 
-    def __post_init__(self):
-        if len(self.image) != self.n:
-            raise OutOfRange("image length mismatch", self.image)
+    def __init__(self, n: int, n2: int, image: tuple):
+        set_field(self, "n", n)
+        set_field(self, "n2", n2)
+        set_field(self, "image", image)  # image[i-1] = sigma(i)
+        if len(image) != n:
+            raise OutOfRange("image length mismatch", image)
         prev = 0
-        for v in self.image:
-            if not (prev < v <= self.n2):
+        for v in image:
+            if not (prev < v <= n2):
                 raise OutOfRange("not strictly increasing into range", self)
             prev = v
 

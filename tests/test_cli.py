@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uctk.cli import HANDLERS, _build_parser, main
+from uctk.cli import HANDLERS, MAX_BOUND, _build_parser, main
 from uctk.grammar import MAX_NESTING
 
 BATCH = Path(__file__).parent / "data" / "spec_examples.batch"
@@ -84,6 +84,40 @@ def test_enumerate_bound_below_one_is_an_arity_error():
 def test_check_lemmas_bound_below_one_is_an_arity_error():
     code, out = run("check-lemmas", "--bound", "0")
     assert code == 2 and out.count("\n") == 1 and "code=ARITY_ERROR" in out
+
+
+@pytest.mark.parametrize("name", sorted(MAX_BOUND))
+def test_bound_above_the_maximum_is_an_arity_error(name):
+    code, out = run(*name.split(), "--bound", str(MAX_BOUND[name] + 1))
+    assert code == 2 and out.count("\n") == 1 and "code=ARITY_ERROR" in out
+    assert f"--bound for {name} is at most {MAX_BOUND[name]}" in out
+
+
+def test_bound_up_to_the_maximum_runs(monkeypatch):
+    monkeypatch.setitem(MAX_BOUND, "enumerate l1", 2)
+    monkeypatch.setitem(MAX_BOUND, "check-lemmas", 1)
+    assert run("enumerate", "l1", "--bound", "2")[0] == 0
+    assert run("enumerate", "l1", "--bound", "3")[0] == 2
+    assert run("check-lemmas", "--bound", "1")[0] == 0
+    assert run("check-lemmas", "--bound", "2")[0] == 2
+
+
+def test_cli_import_loads_neither_dataclasses_nor_the_suites():
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import uctk.cli\n"
+        "uctk.cli.main(['cfl', 'u3'])\n"
+        "loaded = set(sys.modules) - before\n"
+        "assert 'dataclasses' not in loaded and 'uctk.lemmas' not in loaded, sorted(loaded)\n"
+        "uctk.cli.main(['check-lemmas', '--bound', '1'])\n"
+        "assert 'uctk.lemmas' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "status=ok command=cfl input=u3 result=u3"
+    assert lines[1].startswith("status=ok command=check-lemmas suites=11 ")
 
 
 def test_shift_with_bad_index_map_is_a_report():
@@ -264,6 +298,49 @@ def test_batch_goes_on_after_lines_that_do_not_parse(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("argv", [("-h",), ("--help",), ("cfl", "u3", "-h")])
+def test_help_on_argv_prints_the_help(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == _build_parser().format_help()
+
+
+def test_help_on_a_batch_line_is_one_report(tmp_path, capsys):
+    batch = tmp_path / "help.batch"
+    batch.write_text("cfl u3\ncfl u3 -h\n--help\ncfl u2\n")
+    code, out = run("batch", str(batch))
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 4
+    assert lines[1] == ('status=error command=batch input="cfl u3 -h" code=ARITY_ERROR '
+                        'detail="ARITY_ERROR: unrecognized arguments: -h"')
+    assert lines[2].startswith("status=error command=batch input=--help code=ARITY_ERROR ")
+    assert lines[3].endswith("result=u2")
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name, reason", [("missing.batch", "No such file or directory"),
+                                          (".", "Is a directory")])
+def test_unreadable_batch_file_is_one_report(tmp_path, name, reason):
+    path = tmp_path / name
+    code, out = run("batch", str(path))
+    assert code == 2 and out == (f"status=error command=batch input={path} code=ARITY_ERROR "
+                                 f'detail="cannot read batch file: {reason}"\n')
+
+
+def test_batch_line_that_is_not_utf8_is_a_parse_error(tmp_path):
+    batch = tmp_path / "bytes.batch"
+    batch.write_bytes(b"cfl u3\n\xff\xfe\ncfl \xc3 u3\n# \xff\ncfl u2\n")
+    code, out = run("batch", str(batch))
+    assert code == 2 and out.splitlines() == [
+        "status=ok command=cfl input=u3 result=u3",
+        r'status=error command=batch input=\xff\xfe code=PARSE_ERROR '
+        r'detail="PARSE_ERROR: not UTF-8, line 1, col 1"',
+        r'status=error command=batch input="cfl \xc3 u3" code=PARSE_ERROR '
+        r'detail="PARSE_ERROR: not UTF-8, line 1, col 5"',
+        "status=ok command=cfl input=u2 result=u2"]
+
+
 # -- fuzzing: token strings over the grammar's alphabet -------------------------
 
 TOKENS = ["(", ")", "{", "}", "[", "]", ";", ",", "@", "->", "^", "*", "+",
@@ -333,3 +410,43 @@ def test_fuzzed_arguments_give_one_report(command, data):
     code, out = run(*argv)
     assert code in (0, 1, 2), argv
     assert out.count("\n") == 1 and out.endswith("\n"), argv
+
+
+# -- fuzzing: whole batch files ------------------------------------------------
+
+EXAMPLE_LINES = [line for line in BATCH.read_text().splitlines()
+                 if line and not line.startswith(("#", "check-lemmas"))]
+NOT_UTF8 = [b"\xff", b"\xfe\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"]
+
+
+@st.composite
+def batch_lines(draw):
+    """A worked example, as it is, with -h, --help or bytes that are not
+    UTF-8 mixed in, or commented out; or -h alone, or a blank line."""
+    line = draw(st.sampled_from(EXAMPLE_LINES)).encode()
+    help_flag = draw(st.sampled_from([b"-h", b"--help", b"--he"]))
+    i = draw(st.integers(0, len(line)))
+    return draw(st.sampled_from([
+        line, line + b" " + help_flag, help_flag,
+        line[:i] + draw(st.sampled_from(NOT_UTF8)) + line[i:],
+        draw(st.sampled_from([b"#", b"  # ", b"#\xff"])) + line,
+        draw(st.sampled_from([b"", b" ", b"\t  "])),
+    ]))
+
+
+def _exit_status(report):
+    if report.startswith("status=ok "):
+        return 0
+    return 2 if re.search(r" code=(PARSE_ERROR|ARITY_ERROR) ", report) else 1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(lines=st.lists(batch_lines(), min_size=1, max_size=10))
+def test_fuzzed_batch_files_give_one_report_per_line(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.batch"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    code, out = run("batch", str(path))
+    texts = [raw.decode(errors="surrogateescape").strip() for raw in lines]
+    reports = out.splitlines()
+    assert len(reports) == len([t for t in texts if t and not t.startswith("#")])
+    assert code in (0, 1, 2) and code == max(map(_exit_status, reports), default=0)

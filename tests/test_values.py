@@ -1,0 +1,156 @@
+"""The kernel's value types on seeded values and on the worked examples:
+each pickles to an equal value with an equal hash, refuses assignment, and
+prints as recorded in tests/data/value_forms.json (the str and repr the
+types had as dataclasses)."""
+
+import json
+import pickle
+import random
+from pathlib import Path
+
+import pytest
+
+from uctk import analysis, grammar, lemmas, level1, level2, level3, ordinals
+
+RECORDED = Path(__file__).parent / "data" / "value_forms.json"
+
+LE2 = "({} ; () -> ({}, (0)); ((0)) -> ({(0)}, (0 0)))"
+LE2_CONTINUOUS = "({} ; () -> ({}, (0)); ((0)) -> ({(0)}, -1))"
+PL2 = "(({} ; () -> ({}, (0)); ((0)) -> ({(0)}, (0 0))) @ (2, ((0) (0)), {(0) (0 0)}))"
+L3 = "((0)) -> (({} ; () -> ({}, (0))) @ (0, -1, {}))"
+
+
+def worked_example_values():
+    """Values that the worked examples of spec_examples.batch build."""
+    u = grammar.parse_uord
+    tree = grammar.parse_l1("{(0) (0 0)}")
+    le2, le2_cont = grammar.parse_le2(LE2), grammar.parse_le2(LE2_CONTINUOUS)
+    t = {(2, ()): u("u1"), (2, ((0,),)): u("u1*2")}
+    an = analysis.analyze(u("u1*2"), grammar.parse_l1("{(0)}"))
+    pl2 = grammar.parse_pl2(PL2)
+    l3 = grammar.parse_l3(L3)
+    return [
+        tree, level1.EMPTY_TREE, ordinals.ZERO, u("u3*2 + u1*(w^2+3) + 5"),
+        grammar.parse_ctbl("w^(w+1)*2 + 3"), grammar.parse_index_map("{1->1, 2->3}"),
+        ordinals.cf_l(u("u2 + u1*2")), ordinals.cf_l(u("u1*w")), ordinals.cf_l(u("5")),
+        level1.Rep1Element((0, 0)), level1.Rep1Element((0,), 3),
+        *level1.factorings(grammar.parse_l1("{(0)}"), tree),
+        level1.validate_tower(grammar.parse_tower("[{} {(0)} {(0) (1)}]")),
+        an, analysis.analyze(u("u2"), tree), analysis.analyze(u("u1*w"), grammar.parse_l1("{(0)}")),
+        an.potential_tower, level2.expand_potential(an.potential_tower),
+        le2, le2.t2, le2_cont, le2.t2.partial(((0,),)),
+        *(desc for d, desc in level2.extended_descriptions(le2_cont) if d == 2),
+        level2.Rep2Element(1, level1.Rep1Element((0,), 3)), level2.Rep2Element.top(),
+        level2.rep2_from_payload(le2, (u("w"), (0,))),
+        level2.respects_le2(le2, t), level2.respects_le2(le2_cont, t),
+        level2.weakly_respects_le2(le2, {**t, (2, ((0,),)): u("u2")}),
+        pl2, *level3.completion_le2(pl2), level3.ucf(pl2)[1],
+        l3, level3.rep3_from_payload(l3, grammar.parse_rep_seq("[(0), 3, -1]")),
+        level3.s3_structural_member(grammar.parse_l3_tower(f"[[{L3}]]")),
+        level3.s3_structural_member([], "minus"),
+        lemmas.SuiteResult("suite", 2, ["P={(0)}: 1 != 2"], 0.25),
+    ]
+
+
+def seeded_values(seed):
+    """Ordinals, index maps, analyses, level <=2 trees with their
+    descriptions and verdicts, and partial level <=2 trees, drawn from a
+    seeded generator."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(6):
+        n2 = rng.randrange(1, 7)
+        out += [lemmas.rand_ctbl(rng, 2), lemmas.rand_uord(rng),
+                lemmas.rand_index_map(rng, rng.randrange(n2 + 1), n2)]
+    trees = level1.enumerate_level1_up_to(4)[1:]
+    for _ in range(4):
+        w = rng.choice(trees)
+        b = lemmas.rand_qualifying_beta(rng, len(w), rng.randrange(1, len(w) + 1))
+        an = analysis.analyze(b, w)
+        out += [w, an, level2.expand_potential(an.potential_tower)]
+    for le2 in rng.sample(level2.enumerate_le2_trees(3), 4):
+        t = level2.generate_respecting_tuple(le2)
+        out += [le2, le2.t2, *(desc for d, desc in level2.q_descriptions(le2) if d == 2)]
+        if t is not None:
+            out.append(level2.respects_le2(le2, t))
+        pl2 = rng.choice(lemmas.enumerate_partial_le2(le2))
+        out.append(pl2)
+        if pl2.d == 2:  # a QDescription; lower degrees give -1 or a node
+            out.append(level3.ucf(pl2)[1])
+    return out
+
+
+def sample_values():
+    return worked_example_values() + seeded_values(0) + seeded_values(1)
+
+
+VALUES = sample_values()
+
+
+def test_every_value_type_is_sampled():
+    names = {type(v).__name__ for v in VALUES}
+    assert names >= {
+        "CtblOrd", "UOrd", "Cofinality", "IndexMap", "Level1Tree", "Rep1Element",
+        "FactorMap1", "Level1Tower", "PotentialTower1", "OrdAnalysis",
+        "PartialLevel1Tree", "PartialTowerLe1", "Level2Tree", "LevelLe2Tree",
+        "QDescription", "Rep2Element", "RespectVerdict", "PartialLevelLe2Tree",
+        "Level3Tree", "Rep3Element", "S3Verdict", "SuiteResult"}
+
+
+def test_str_and_repr_are_as_recorded():
+    recorded = json.loads(RECORDED.read_text())
+    got = [[type(v).__name__, str(v), repr(v)] for v in VALUES]
+    assert len(got) == len(recorded)
+    for g, r in zip(got, recorded):
+        assert g == r
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_pickle_round_trips(value):
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value) and copy == value
+    assert (str(copy), repr(copy)) == (str(value), repr(value))
+    if isinstance(value, lemmas.SuiteResult):  # mutable, so unhashable
+        return
+    assert hash(copy) == hash(value)
+    if isinstance(value, level1.FactorMap1):  # the lookup dict is rebuilt
+        assert all(copy(p) == w for p, w in value.mapping)
+    if isinstance(value, level2.TreeOfTrees):
+        assert all(copy.label(k) == label for k, label in value.entries)
+
+
+def _fields(value):
+    return [name for c in type(value).__mro__ for name in c.__dict__.get("__slots__", ())
+            if not name.startswith("_")]
+
+
+@pytest.mark.parametrize("value", [v for v in VALUES if not isinstance(v, lemmas.SuiteResult)],
+                         ids=lambda v: type(v).__name__)
+def test_fields_cannot_be_assigned(value):
+    before = repr(value)
+    for name in _fields(value) + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == before
+
+
+def test_equality_and_hash_leave_out_the_lookup_dicts():
+    fm = level1.factorings(grammar.parse_l1("{(0)}"), grammar.parse_l1("{(0) (0 0)}"))[0]
+    same = level1.FactorMap1(fm.source, fm.target, fm.mapping)
+    assert same == fm and hash(same) == hash(fm) == hash((fm.source, fm.target, fm.mapping))
+    t2 = grammar.parse_le2(LE2).t2
+    assert hash(t2) == hash((t2.entries,))
+    assert level2.Level2Tree(t2.entries) == t2
+    assert level3.Level3Tree(t2.entries) != t2  # same entries, another class
+
+
+def test_suite_result_stays_mutable():
+    res = lemmas.SuiteResult("suite")
+    res.seconds = 1.5
+    res.check(False, "x")
+    assert (res.cases, res.failures, res.seconds) == (1, ["x"], 1.5)
+    assert res == lemmas.SuiteResult("suite", 1, ["x"], 1.5)
+    with pytest.raises(TypeError):
+        hash(res)
