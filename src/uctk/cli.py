@@ -2,13 +2,14 @@
 
 One structured report per line by default (key=value pairs, deterministic
 field order); --pretty switches to a human-readable block.  Exit status: 0
-ok, 1 domain rejection, 2 usage or parse error.
+ok, 1 domain rejection, 2 usage or parse error, 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import shlex
 import sys
 
@@ -17,8 +18,16 @@ from .bk import MINUS_ONE
 from .errors import ArityError, InvalidElement, KernelError, ParseError
 
 
+def _escape(ch: str) -> str:
+    if ch in '\\"':
+        return "\\" + ch
+    return ch if ch.isprintable() else repr(ch)[1:-1]  # \t, \x1b, \u2028, ...
+
+
 def _quote(value: str) -> str:
     value = str(value)
+    if not value.isprintable():  # a control character would break the line
+        return '"' + "".join(map(_escape, value)) + '"'
     return f'"{value}"' if (" " in value or value == "") else value
 
 
@@ -32,7 +41,10 @@ class Report:
     def exit_code(self) -> int:
         if self.status == "ok":
             return 0
-        return 2 if self.fields.get("code") in ("PARSE_ERROR", "ARITY_ERROR") else 1
+        code = self.fields.get("code")
+        if code == "INTERNAL_ERROR":
+            return 3
+        return 2 if code in ("PARSE_ERROR", "ARITY_ERROR") else 1
 
     def line(self) -> str:
         parts = [f"status={self.status}", f"command={self.command}"]
@@ -464,15 +476,29 @@ def _build_parser(batch_line: bool = False):
     return p
 
 
+def _internal_error(command: str, e: Exception) -> Report:
+    """The report of an exception that no handler should raise: its type,
+    message and the line that raised it."""
+    tb = e.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
+    return Report(command, "error", code="INTERNAL_ERROR",
+                  detail=f"{type(e).__name__}: {e} (at {where})")
+
+
 def run_command(command: str, args, flags) -> Report:
     handler = HANDLERS.get(command)
     if handler is None:
-        return Report(command, "error", code="ARITY_ERROR",
-                      detail=f"unknown command {command!r}")
-    try:
-        report = handler(args, flags)
-    except KernelError as e:
-        report = Report(command, "error", code=e.code, detail=str(e))
+        report = Report(command, "error", code="ARITY_ERROR",
+                        detail=f"unknown command {command!r}")
+    else:
+        try:
+            report = handler(args, flags)
+        except KernelError as e:
+            report = Report(command, "error", code=e.code, detail=str(e))
+        except Exception as e:  # a defect; still one report, and a batch goes on
+            report = _internal_error(command, e)
     if args:
         report.fields = {"input": " ".join(args), **report.fields}
     return report
@@ -514,14 +540,13 @@ def main(argv=None) -> int:
         argparse.ArgumentParser.error(parser, *e.detail)
     if ns.command == "batch":
         if len(ns.args) != 1:
-            print(Report("batch", "error", code="ARITY_ERROR",
-                         detail="batch <file>").line())
+            _emit(Report("batch", "error", code="ARITY_ERROR", detail="batch <file>"), ns)
             return 2
         try:
             fh = open(ns.args[0], encoding="utf-8", errors="surrogateescape")
         except OSError as e:
-            print(Report("batch", "error", input=_printable(ns.args[0]), code="ARITY_ERROR",
-                         detail=f"cannot read batch file: {e.strerror}").line())
+            _emit(Report("batch", "error", input=_printable(ns.args[0]), code="ARITY_ERROR",
+                         detail=f"cannot read batch file: {e.strerror}"), ns)
             return 2
         line_parser = _build_parser(batch_line=True)
         worst = 0

@@ -23,8 +23,8 @@ import time
 from functools import partial
 
 from . import bk
-from .analysis import (analyze, chain_node, factor_to_shift,
-                       recover_from_analysis, tree_embed, tree_embed_sup)
+from .analysis import (analyze, chain_node, factor_to_shift, inclusion_shift,
+                       recover_from_analysis)
 from .errors import MultipleTreesFound, NoTreeFound, NotAFactoring
 from .level1 import (EMPTY_TREE, FactorMap1, Level1Tree, addable_nodes,
                      check_factor_map, descriptions, enumerate_level1_up_to,
@@ -234,24 +234,48 @@ class EvalOracle:
 
 # -- seeded generators -------------------------------------------------------------
 
+# The generators build each normal form directly, with the draws of summing
+# its terms by ordinal addition (tests/test_seeded_draws.py holds them to
+# recorded draws).  rng.choice(seq) makes the one _randbelow(len(seq)) call
+# that rng.randrange(len(seq)) makes.
+_NATURALS = tuple(CtblOrd.natural(n) for n in range(6))
+_SMALL_EXPONENTS = _NATURALS[1:4]
+_ZERO_TO_THREE = (0, 1, 2, 3)
+_ONE_TO_THREE = (1, 2, 3)
+
+
+def _add_term(terms: list, exp: CtblOrd, coeff: int) -> None:
+    """terms := terms + w^exp*coeff: the terms below exp are absorbed and a
+    term at exp takes on the coefficient."""
+    if terms:
+        key = exp.key
+        while terms and terms[-1][0].key < key:
+            terms.pop()
+        if terms and terms[-1][0].key == key:
+            coeff += terms.pop()[1]
+    terms.append((exp, coeff))
+
+
 def rand_ctbl(rng: random.Random, depth: int = 1) -> CtblOrd:
-    kind = rng.randrange(4)
+    kind = rng.choice(_ZERO_TO_THREE)
     if kind == 0 or depth <= 0:
-        return CtblOrd.natural(rng.randrange(6))
-    out = ZERO
-    for _ in range(rng.randrange(1, 3)):
+        return rng.choice(_NATURALS)
+    terms = []
+    for _ in range(rng.choice((1, 2))):
         exp = rand_ctbl(rng, depth - 1) if rng.random() < 0.4 else \
-            CtblOrd.natural(rng.randrange(1, 4))
-        out = out + CtblOrd.omega_power(exp, rng.randrange(1, 4))
+            rng.choice(_SMALL_EXPONENTS)
+        _add_term(terms, exp, rng.choice(_ONE_TO_THREE))
     if rng.random() < 0.5:
-        out = out + CtblOrd.natural(rng.randrange(4))
-    return out
+        n = rng.choice(_ZERO_TO_THREE)
+        if n:
+            _add_term(terms, ZERO, n)
+    return CtblOrd(tuple(terms))
 
 
 def rand_uord(rng: random.Random, max_level: int = 6,
               allow_tail: bool = True) -> UOrd:
     levels = sorted(rng.sample(range(1, max_level + 1),
-                               rng.randrange(0, max_level + 1)), reverse=True)
+                               rng.choice(range(max_level + 1))), reverse=True)
     uterms = []
     for k in levels:
         coeff = rand_ctbl(rng)
@@ -274,16 +298,18 @@ def rand_index_map(rng: random.Random, n: int, n2: int) -> IndexMap:
 
 
 def rand_qualifying_beta(rng: random.Random, max_level: int, k: int) -> UOrd:
-    """A limit below u_{max_level+1} with L-cofinality u_k."""
-    above = [lv for lv in range(k + 1, max_level + 1)]
-    pick = sorted(rng.sample(above, rng.randrange(0, len(above) + 1)),
+    """A limit below u_{max_level+1} with L-cofinality u_k: its last
+    coefficient is a random countable ordinal plus 1, 2 or 3."""
+    above = range(k + 1, max_level + 1)
+    pick = sorted(rng.sample(above, rng.choice(range(len(above) + 1))),
                   reverse=True)
     uterms = []
     for lv in pick:
         coeff = rand_ctbl(rng)
         uterms.append((lv, coeff if not coeff.is_zero() else ONE))
-    last = rand_ctbl(rng) + CtblOrd.natural(rng.randrange(1, 4))
-    uterms.append((k, last))
+    last = list(rand_ctbl(rng).terms)
+    _add_term(last, ZERO, rng.choice(_ONE_TO_THREE))
+    uterms.append((k, CtblOrd(tuple(last))))
     return UOrd(tuple(uterms), ZERO)
 
 
@@ -388,10 +414,14 @@ def suite_analysis(count: int = 1000, seed: int = 0) -> SuiteResult:
 
 
 def _lemma_a_configs(max_partial_nodes: int, max_w: int):
+    """The sup swap's configurations: (P-, p, P, k, j, W, sigma, sigma'),
+    with u_k the L-cofinality of the betas and j = j^{P-,P}."""
     for base, p in enumerate_partial_le1(max_partial_nodes):
         if len(p) < 2:
             continue  # the qualifying cofinality would exceed the bound
         completion = validate_level1(set(base.nodes) | {p})
+        k = descriptions(base).index(p[:-1]) + 1
+        j = inclusion_shift(base, completion)
         for w in enumerate_level1_up_to(max_w):
             for fm in factorings(completion, w):
                 pred = _pred_in_tree(w, fm(p))
@@ -404,7 +434,7 @@ def _lemma_a_configs(max_partial_nodes: int, max_w: int):
                     check_factor_map(fm2)
                 except NotAFactoring:
                     continue
-                yield base, p, completion, w, fm, fm2
+                yield base, p, completion, k, j, w, fm, fm2
 
 
 def suite_lemma_level2_ucf(max_partial_nodes: int = 4, max_w: int = 5,
@@ -412,18 +442,33 @@ def suite_lemma_level2_ucf(max_partial_nodes: int = 4, max_w: int = 5,
     """sigma^W o j^{P-,P}_sup = (sigma')^W_sup o j^{P-,P} on qualifying betas."""
     res = SuiteResult("level-2 uniform cofinality lemma (sup swap)")
     rng = random.Random(seed)
-    for base, p, completion, w, fm, fm2 in _lemma_a_configs(max_partial_nodes, max_w):
-        k = descriptions(base).index(p[:-1]) + 1
+    for base, p, completion, k, j, w, fm, fm2 in _lemma_a_configs(max_partial_nodes, max_w):
         s1 = factor_to_shift(fm)
         s2 = factor_to_shift(fm2)
         for _ in range(betas):
             beta = rand_qualifying_beta(rng, len(base), k)
-            lhs = apply_shift(s1, tree_embed_sup(base, completion, beta))
-            rhs = apply_shift_sup(s2, tree_embed(base, completion, beta))
-            res.check(lhs.compare(rhs) == 0,
+            lhs = apply_shift(s1, apply_shift_sup(j, beta))
+            rhs = apply_shift_sup(s2, apply_shift(j, beta))
+            res.check(lhs == rhs,
                       lambda: f"P-={base}, p={p}, W={w}, sigma={fm}, beta={beta}: "
                       f"{lhs} != {rhs}")
     return res
+
+
+def _completion_configs(max_partial_nodes: int, max_w: int):
+    """The completion route's degree-1 configurations: (P, p, P+, k, j, W,
+    sigma'), with u_k the L-cofinality of the betas, j = j^{P,P+} and
+    sigma'(p) the predecessor of sigma'(p-)."""
+    for base, p in enumerate_partial_le1(max_partial_nodes):
+        if len(p) < 2:
+            continue
+        completion = validate_level1(set(base.nodes) | {p})
+        k = descriptions(base).index(p[:-1]) + 1
+        j = inclusion_shift(base, completion)
+        for w in enumerate_level1_up_to(max_w):
+            for fm2 in factorings(completion, w):
+                if _pred_in_tree(w, fm2(p[:-1])) == fm2(p):
+                    yield base, p, completion, k, j, w, fm2
 
 
 def suite_lemma_level2_ucf_another(max_partial_nodes: int = 4, max_w: int = 5,
@@ -444,28 +489,19 @@ def suite_lemma_level2_ucf_another(max_partial_nodes: int = 4, max_w: int = 5,
                         continue
                     lhs = apply_shift(s, beta)
                     rhs = apply_shift_sup(s, beta)
-                    res.check(lhs.compare(rhs) == 0,
+                    res.check(lhs == rhs,
                               lambda: f"P={base}, W={w}, beta={beta}: {lhs} != {rhs}")
     # case 2: degree-1 pending; sigma'(p) is the predecessor of sigma(p-)
-    for base, p in enumerate_partial_le1(max_partial_nodes):
-        if len(p) < 2:
-            continue
-        completion = validate_level1(set(base.nodes) | {p})
-        k = descriptions(base).index(p[:-1]) + 1
-        for w in enumerate_level1_up_to(max_w):
-            for fm2 in factorings(completion, w):
-                if _pred_in_tree(w, fm2(p[:-1])) != fm2(p):
-                    continue
-                restricted = make_restriction(fm2, base)
-                s = factor_to_shift(restricted)
-                s2 = factor_to_shift(fm2)
-                for _ in range(betas):
-                    beta = rand_qualifying_beta(rng, len(base), k)
-                    lhs = apply_shift(s, beta)
-                    rhs = apply_shift_sup(s2, tree_embed(base, completion, beta))
-                    res.check(lhs.compare(rhs) == 0,
-                              lambda: f"P={base}, p={p}, W={w}, sigma'={fm2}, "
-                              f"beta={beta}: {lhs} != {rhs}")
+    for base, p, completion, k, j, w, fm2 in _completion_configs(max_partial_nodes, max_w):
+        s = factor_to_shift(make_restriction(fm2, base))
+        s2 = factor_to_shift(fm2)
+        for _ in range(betas):
+            beta = rand_qualifying_beta(rng, len(base), k)
+            lhs = apply_shift(s, beta)
+            rhs = apply_shift_sup(s2, apply_shift(j, beta))
+            res.check(lhs == rhs,
+                      lambda: f"P={base}, p={p}, W={w}, sigma'={fm2}, "
+                      f"beta={beta}: {lhs} != {rhs}")
     return res
 
 
@@ -538,7 +574,6 @@ def suite_desc_eval(max_dom: int = 4) -> SuiteResult:
             if d == 2 and desc.is_continuous():
                 base = desc.q[:-1]
                 sub = tree.t2.tree(base)
-                from .analysis import inclusion_shift
                 orc = shift_sup_by_decomposition(inclusion_shift(sub, desc.tree),
                                                  t[(2, base)])
                 res.check(val.compare(orc) == 0,

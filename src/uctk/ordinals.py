@@ -13,25 +13,52 @@ which is all the shift and analysis machinery needs.
 
 from __future__ import annotations
 
-from functools import total_ordering
-
 from .errors import (CriterionFails, InvalidElement, LevelOutOfRange, NotALimit,
                      OutOfRange)
 from .value import Value, set_field
 
 
-@total_ordering
-class CtblOrd(Value):
+class _Ordered:
+    """Order by ``key``: nested tuples of ints that sort as the ordinals
+    do, built on first use and kept in the ``_key`` slot (None until then).
+    Each class defines its own ``compare``, where bench/layertrace.py counts
+    the calls."""
+
+    __slots__ = ()
+
+    @property
+    def key(self) -> tuple:
+        key = self._key
+        if key is None:
+            key = self._make_key()
+            set_field(self, "_key", key)
+        return key
+
+    def __lt__(self, other):
+        return self.key < other.key
+
+    def __le__(self, other):
+        return self.key <= other.key
+
+    def __gt__(self, other):
+        return self.key > other.key
+
+    def __ge__(self, other):
+        return self.key >= other.key
+
+
+class CtblOrd(_Ordered, Value):
     """Countable ordinal in Cantor normal form.
 
     ``terms`` lists (exponent, coefficient) pairs with strictly decreasing
     exponents and coefficients >= 1; zero is the empty list.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_key")
 
     def __init__(self, terms: tuple = ()):
         set_field(self, "terms", terms)
+        set_field(self, "_key", None)
 
     # -- construction ------------------------------------------------------
 
@@ -81,18 +108,14 @@ class CtblOrd(Value):
 
     # -- order and arithmetic ----------------------------------------------
 
-    def compare(self, other: "CtblOrd") -> int:
-        for (e1, c1), (e2, c2) in zip(self.terms, other.terms):
-            c = e1.compare(e2)
-            if c != 0:
-                return c
-            if c1 != c2:
-                return -1 if c1 < c2 else 1
-        n1, n2 = len(self.terms), len(other.terms)
-        return (n1 > n2) - (n1 < n2)
+    def _make_key(self) -> tuple:
+        # terms compare by exponent, then coefficient; a longer sum of
+        # equal leading terms is larger
+        return tuple([(e.key, c) for e, c in self.terms])
 
-    def __lt__(self, other: "CtblOrd") -> bool:
-        return self.compare(other) < 0
+    def compare(self, other: "CtblOrd") -> int:
+        a, b = self.key, other.key
+        return (a > b) - (a < b)
 
     def __add__(self, other: "CtblOrd") -> "CtblOrd":
         if other.is_zero():
@@ -100,9 +123,10 @@ class CtblOrd(Value):
         if self.is_zero():
             return other
         lead = other.terms[0][0]
-        kept = [t for t in self.terms if t[0].compare(lead) > 0]
+        lead_key = lead.key
+        kept = [t for t in self.terms if t[0].key > lead_key]
         merged = list(other.terms)
-        if len(kept) < len(self.terms) and self.terms[len(kept)][0].compare(lead) == 0:
+        if len(kept) < len(self.terms) and self.terms[len(kept)][0].key == lead_key:
             merged[0] = (lead, self.terms[len(kept)][1] + other.terms[0][1])
         return CtblOrd(tuple(kept) + tuple(merged))
 
@@ -133,15 +157,15 @@ ONE = CtblOrd.natural(1)
 OMEGA = CtblOrd.omega_power(ONE)
 
 
-@total_ordering
-class UOrd(Value):
+class UOrd(_Ordered, Value):
     """Ordinal below u_omega: u-terms with countable coefficients plus tail."""
 
-    __slots__ = ("uterms", "tail")
+    __slots__ = ("uterms", "tail", "_key")
 
     def __init__(self, uterms: tuple = (), tail: CtblOrd = ZERO):
         set_field(self, "uterms", uterms)  # ((level, CtblOrd coeff), ...), levels decreasing
         set_field(self, "tail", tail)
+        set_field(self, "_key", None)
 
     @staticmethod
     def u(level: int, coeff: CtblOrd = ONE) -> "UOrd":
@@ -176,20 +200,13 @@ class UOrd(Value):
     def max_level(self) -> int:
         return self.uterms[0][0] if self.uterms else 0
 
-    def compare(self, other: "UOrd") -> int:
-        for (k1, c1), (k2, c2) in zip(self.uterms, other.uterms):
-            if k1 != k2:
-                return 1 if k1 > k2 else -1
-            c = c1.compare(c2)
-            if c != 0:
-                return c
-        n1, n2 = len(self.uterms), len(other.uterms)
-        if n1 != n2:
-            return 1 if n1 > n2 else -1
-        return self.tail.compare(other.tail)
+    def _make_key(self) -> tuple:
+        # u-terms compare by level, then coefficient, before the tail
+        return tuple([(k, c.key) for k, c in self.uterms]), self.tail.key
 
-    def __lt__(self, other: "UOrd") -> bool:
-        return self.compare(other) < 0
+    def compare(self, other: "UOrd") -> int:
+        a, b = self.key, other.key
+        return (a > b) - (a < b)
 
     def __add__(self, other: "UOrd") -> "UOrd":
         if other.is_zero():
@@ -316,15 +333,15 @@ def apply_shift(sigma: IndexMap, b: UOrd) -> UOrd:
     """j^sigma: substitute u_k by u_{sigma(k)}; countable parts are fixed."""
     if b.max_level() > sigma.n:
         raise LevelOutOfRange(b, sigma)
-    return UOrd(tuple((sigma(k), c) for k, c in b.uterms), b.tail)
+    image = sigma.image  # sigma(k) for the levels k >= 1
+    return UOrd(tuple([(image[k - 1], c) for k, c in b.uterms]), b.tail)
 
 
 def _strip_one_u(b: UOrd):
     """Write a limit b of L-cofinality u_k as delta + u_k; return (delta, k)."""
     level, coeff = b.uterms[-1]
-    rest = coeff  # coefficient is a successor here
-    lowered = CtblOrd(rest.terms[:-1] + (((ZERO, rest.finite_part() - 1),)
-                                         if rest.finite_part() > 1 else ()))
+    n = coeff.finite_part()  # coefficient is a successor here
+    lowered = CtblOrd(coeff.terms[:-1] + (((ZERO, n - 1),) if n > 1 else ()))
     if lowered.is_zero():
         delta = UOrd(b.uterms[:-1], ZERO)
     else:
@@ -349,8 +366,10 @@ def apply_shift_sup(sigma: IndexMap, b: UOrd) -> UOrd:
         raise LevelOutOfRange(b, sigma)
     if shift_is_continuous(sigma, b):
         return apply_shift(sigma, b)
+    # b = delta + u_k: the levels of j^sigma(delta) are at least
+    # sigma(k) > sigma(k-1)+1, so u_{sigma(k-1)+1} is added as a last term
     delta, k = _strip_one_u(b)
-    return apply_shift(sigma, delta) + UOrd.u(sigma(k - 1) + 1)
+    return UOrd(apply_shift(sigma, delta).uterms + ((sigma(k - 1) + 1, ONE),), ZERO)
 
 
 def decompose_shift(sigma: IndexMap, k: int):

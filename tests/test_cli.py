@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uctk.cli import HANDLERS, MAX_BOUND, _build_parser, main
+from uctk import cli
+from uctk.cli import HANDLERS, MAX_BOUND, _build_parser, _quote, main
 from uctk.grammar import MAX_NESTING
 
 BATCH = Path(__file__).parent / "data" / "spec_examples.batch"
@@ -339,6 +340,69 @@ def test_batch_line_that_is_not_utf8_is_a_parse_error(tmp_path):
         r'status=error command=batch input="cfl \xc3 u3" code=PARSE_ERROR '
         r'detail="PARSE_ERROR: not UTF-8, line 1, col 5"',
         "status=ok command=cfl input=u2 result=u2"]
+
+
+def test_control_characters_in_a_batch_line_are_escaped(tmp_path):
+    batch = tmp_path / "control.batch"
+    batch.write_bytes(b'cfl u3\x00\ncfl "u3\x1b[2J"\ncfl "u3\tu2"\ncfl u2\n')
+    code, out = run("batch", str(batch))
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 4 and all(line.isprintable() for line in lines)
+    assert lines[0].startswith(r'status=error command=cfl input="u3\x00" code=PARSE_ERROR ')
+    assert lines[1].startswith(r'status=error command=cfl input="u3\x1b[2J" code=PARSE_ERROR ')
+    assert lines[2].startswith(r'status=error command=cfl input="u3\tu2" code=PARSE_ERROR ')
+    assert lines[3] == "status=ok command=cfl input=u2 result=u2"
+
+
+def test_quote_escapes_only_values_with_control_characters():
+    assert _quote("u3") == "u3" and _quote("u1 + 2") == '"u1 + 2"' and _quote("") == '""'
+    assert _quote('a\\b"c') == 'a\\b"c'  # printable values are left as they are
+    assert _quote('a\\"\x07\n\u2028') == r'"a\\\"\x07\n\u2028"'
+
+
+def test_batch_command_on_a_batch_line_names_its_input(tmp_path):
+    batch = tmp_path / "nested.batch"
+    batch.write_text("batch x\ncfl u2\n")
+    code, out = run("batch", str(batch))
+    assert code == 2 and out.splitlines() == [
+        "status=error command=batch input=x code=ARITY_ERROR "
+        "detail=\"unknown command 'batch'\"",
+        "status=ok command=cfl input=u2 result=u2"]
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (["--pretty"], ["[batch] error", "  input: {path}", "  code: ARITY_ERROR",
+                    "  detail: cannot read batch file: No such file or directory"]),
+    (["--format", "text"], ["error"]),
+], ids=["pretty", "text"])
+def test_batch_file_reports_honour_the_output_flags(tmp_path, flags, expected):
+    path = tmp_path / "missing.batch"
+    code, out = run("batch", str(path), *flags)
+    assert code == 2 and out.splitlines() == [line.format(path=path) for line in expected]
+    code, out = run("batch", *flags)
+    assert code == 2 and out.splitlines() == (
+        ["[batch] error", "  code: ARITY_ERROR", "  detail: batch <file>"]
+        if flags == ["--pretty"] else ["error"])
+
+
+def test_an_exception_in_a_handler_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    def broken(args, flags):
+        raise ValueError("not a kernel error")
+
+    monkeypatch.setitem(cli.HANDLERS, "cfl", broken)
+    code, out = run("cfl", "u3")
+    assert code == 3 and out.count("\n") == 1
+    assert re.fullmatch(r'status=error command=cfl input=u3 code=INTERNAL_ERROR '
+                        r'detail="ValueError: not a kernel error \(at test_cli\.py:\d+\)"\n',
+                        out)
+    batch = tmp_path / "internal.batch"
+    batch.write_text("cfl u3\norder-type {(0)}\ncfl u2\n# the worst status wins\nseed {(0)}\n")
+    code, out = run("batch", str(batch))
+    lines = out.splitlines()
+    assert code == 3 and len(lines) == 4
+    assert [re.search(r" code=(\w+)", line).group(1) if " code=" in line else "ok"
+            for line in lines] == ["INTERNAL_ERROR", "ok", "INTERNAL_ERROR", "ARITY_ERROR"]
+    assert capsys.readouterr().err == ""
 
 
 # -- fuzzing: token strings over the grammar's alphabet -------------------------

@@ -1,4 +1,9 @@
+import random
+
+from uctk import lemmas
+from uctk.analysis import tree_embed, tree_embed_sup
 from uctk.lemmas import SuiteResult
+from uctk.ordinals import apply_shift, apply_shift_sup
 
 
 class Detail:
@@ -38,3 +43,20 @@ def test_only_five_failures_are_formatted():
     assert res.cases == 7
     assert res.failures == [f"case {i}" for i in range(5)]
     assert [d.calls for d in details] == [1, 1, 1, 1, 1, 0, 0]
+
+
+def test_shift_per_configuration_is_the_tree_embedding():
+    # both ucf suites at their acceptance bounds compute j^{P,P'} once per
+    # configuration; on betas of each, it agrees with tree_embed(_sup),
+    # which builds the inclusion shift afresh for every beta
+    configs = [c[:5] for c in lemmas._lemma_a_configs(4, 5)]
+    assert len(configs) * 100 == 91500
+    configs += [c[:5] for c in lemmas._completion_configs(4, 5)]
+    assert len(configs) == 915 + 1912
+    rng = random.Random(0)
+    for base, p, completion, k, j in configs:
+        for _ in range(3):
+            beta = lemmas.rand_qualifying_beta(rng, len(base), k)
+            assert apply_shift(j, beta) == tree_embed(base, completion, beta), (base, p, beta)
+            assert apply_shift_sup(j, beta) == tree_embed_sup(base, completion, beta), \
+                (base, p, beta)

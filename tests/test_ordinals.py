@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uctk.errors import (CriterionFails, InvalidElement, LevelOutOfRange,
                          NotALimit, OutOfRange)
 from uctk.grammar import format_ctbl, format_uord, parse_ctbl, parse_uord
-from uctk.lemmas import cf_oracle, rand_uord
+from uctk.lemmas import cf_oracle, rand_ctbl, rand_uord
 from uctk.ordinals import (OMEGA, ONE, U1, ZERO, Cofinality, CtblOrd,
                            IndexMap, UOrd, apply_shift, apply_shift_sup,
                            as_uord, cf_l, decompose_shift,
@@ -105,6 +107,59 @@ def test_ctbl_mul_left_distributive(a, b, c):
 def test_ctbl_total_order(a, b):
     assert (a.compare(b) == 0) == (a == b)
     assert a.compare(b) == -b.compare(a)
+
+
+def recursive_ctbl_compare(a, b):
+    """Cantor normal forms compared term by term: the reference for the key."""
+    for (e1, c1), (e2, c2) in zip(a.terms, b.terms):
+        c = recursive_ctbl_compare(e1, e2)
+        if c != 0:
+            return c
+        if c1 != c2:
+            return -1 if c1 < c2 else 1
+    n1, n2 = len(a.terms), len(b.terms)
+    return (n1 > n2) - (n1 < n2)
+
+
+def recursive_uord_compare(a, b):
+    for (k1, c1), (k2, c2) in zip(a.uterms, b.uterms):
+        if k1 != k2:
+            return 1 if k1 > k2 else -1
+        c = recursive_ctbl_compare(c1, c2)
+        if c != 0:
+            return c
+    n1, n2 = len(a.uterms), len(b.uterms)
+    if n1 != n2:
+        return 1 if n1 > n2 else -1
+    return recursive_ctbl_compare(a.tail, b.tail)
+
+
+def _seeded_pool(draw, reparse, size=400):
+    """Seeded values, each twice: as drawn and as a new object parsed from
+    its text, with no key built yet."""
+    values = [draw() for _ in range(size)]
+    return values + [reparse(str(v)) for v in values]
+
+
+@pytest.mark.parametrize("kind", ["ctbl", "uord"])
+def test_key_agrees_with_the_recursive_comparison(kind):
+    # the cached key is the order; the recursive comparison stays the reference
+    rng = random.Random(0)
+    if kind == "ctbl":
+        pool = _seeded_pool(lambda: rand_ctbl(rng, rng.randrange(4)), parse_ctbl)
+        reference = recursive_ctbl_compare
+    else:
+        pool = _seeded_pool(lambda: rand_uord(rng, rng.randrange(1, 7)), parse_uord)
+        reference = recursive_uord_compare
+    equal = 0
+    for _ in range(50000):
+        a, b = rng.choice(pool), rng.choice(pool)
+        c = reference(a, b)
+        assert a.compare(b) == c, (a, b)
+        assert ((a < b), (a <= b), (a > b), (a >= b), (a == b)) == \
+            (c < 0, c <= 0, c > 0, c >= 0, c == 0), (a, b)
+        equal += c == 0
+    assert equal > 500  # equal pairs, mostly of distinct objects, are covered
 
 
 # -- u-ordinal arithmetic ----------------------------------------------------------
