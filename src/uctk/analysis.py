@@ -83,7 +83,7 @@ class PotentialTower1(Value):
 
     def __str__(self) -> str:
         from .grammar import format_node
-        body = " ".join("-1" if p == MINUS_ONE else format_node(p) for p in self.pvec)
+        body = " ".join(format_node(p) for p in self.pvec)
         return f"({self.tree}, ({body}))"
 
 

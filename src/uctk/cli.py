@@ -18,17 +18,25 @@ from .bk import MINUS_ONE
 from .errors import ArityError, InvalidElement, KernelError, ParseError
 
 
-def _escape(ch: str) -> str:
-    if ch in '\\"':
-        return "\\" + ch
-    return ch if ch.isprintable() else repr(ch)[1:-1]  # \t, \x1b, \u2028, ...
-
-
-def _quote(value: str) -> str:
+def _visible(value) -> str:
+    """value with each non-printable character written as its repr escape
+    (\\t, \\x1b, \\u2028, ...); a printable value is returned as it is."""
     value = str(value)
-    if not value.isprintable():  # a control character would break the line
-        return '"' + "".join(map(_escape, value)) + '"'
-    return f'"{value}"' if (" " in value or value == "") else value
+    if value.isprintable():
+        return value
+    return "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in value)
+
+
+def _quote(value) -> str:
+    """value as one field of the structured line: bare when it is nonempty,
+    printable and holds no space, '"' or '\\'; else in double quotes, with
+    '\\' and '"' backslash-escaped and non-printable characters as in
+    ``_visible``, so that shlex.split gives each printable value back."""
+    value = str(value)
+    if value and value.isprintable() and " " not in value and '"' not in value \
+            and "\\" not in value:
+        return value
+    return '"' + _visible(value.replace("\\", "\\\\").replace('"', '\\"')) + '"'
 
 
 class Report:
@@ -55,7 +63,7 @@ class Report:
     def pretty(self) -> str:
         lines = [f"[{self.command}] {self.status}"]
         for k, v in self.fields.items():
-            lines.append(f"  {k}: {v}")
+            lines.append(f"  {k}: {_visible(v)}")
         return "\n".join(lines)
 
 
@@ -508,7 +516,7 @@ def _emit(report: Report, flags) -> None:
     if flags.pretty:
         print(report.pretty())
     elif flags.format == "text":
-        print(report.fields.get("result", report.status))
+        print(_visible(report.fields.get("result", report.status)))
     else:
         print(report.line())
 

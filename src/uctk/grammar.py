@@ -146,29 +146,25 @@ def parse_tower(text: str):
     return _parse_with(text, _tower)
 
 
+def _node_or_minus(toks):
+    if toks.peek() == "-1":
+        toks.next()
+        return MINUS_ONE
+    return _node(toks)
+
+
 def _domseq(toks) -> tuple:
     """A parenthesized sequence of nodes, optionally ending in -1."""
     toks.expect("(")
     out = []
     while toks.peek() != ")":
-        if toks.peek() == "-1":
-            toks.next()
-            out.append(MINUS_ONE)
-        else:
-            out.append(_node(toks))
+        out.append(_node_or_minus(toks))
     toks.expect(")")
     return tuple(out)
 
 
 def parse_domseq(text: str) -> tuple:
     return _parse_with(text, _domseq)
-
-
-def _node_or_minus(toks):
-    if toks.peek() == "-1":
-        toks.next()
-        return MINUS_ONE
-    return _node(toks)
 
 
 # -- level-2 / level <=2 trees ---------------------------------------------------
@@ -251,30 +247,24 @@ def parse_l3(text: str):
     return _parse_with(text, lambda t: _l3_entries(t, {None}))
 
 
-def parse_l2_tower(text: str):
-    def inner(toks):
+def _towers(toks, entries):
+    """A bracketed list of bracketed trees, each read by ``entries``."""
+    toks.expect("[")
+    out = []
+    while toks.peek() != "]":
         toks.expect("[")
-        out = []
-        while toks.peek() != "]":
-            toks.expect("[")
-            out.append(_l2_entries(toks, {"]"}))
-            toks.expect("]")
+        out.append(entries(toks, {"]"}))
         toks.expect("]")
-        return out
-    return _parse_with(text, inner)
+    toks.expect("]")
+    return out
+
+
+def parse_l2_tower(text: str):
+    return _parse_with(text, lambda t: _towers(t, _l2_entries))
 
 
 def parse_l3_tower(text: str):
-    def inner(toks):
-        toks.expect("[")
-        out = []
-        while toks.peek() != "]":
-            toks.expect("[")
-            out.append(_l3_entries(toks, {"]"}))
-            toks.expect("]")
-        toks.expect("]")
-        return out
-    return _parse_with(text, inner)
+    return _parse_with(text, lambda t: _towers(t, _l3_entries))
 
 
 # -- index maps --------------------------------------------------------------------
@@ -297,11 +287,8 @@ def _index_map(toks) -> IndexMap:
     return IndexMap(len(pairs), n2, image)
 
 
-def parse_index_map(text: str, n2: int = None) -> IndexMap:
-    m = _parse_with(text, _index_map)
-    if n2 is not None and n2 >= m.n2:
-        m = IndexMap(m.n, n2, m.image)
-    return m
+def parse_index_map(text: str) -> IndexMap:
+    return _parse_with(text, _index_map)
 
 
 # -- ordinals ------------------------------------------------------------------------
@@ -360,10 +347,7 @@ def _uord_term(toks) -> UOrd:
         coeff = CtblOrd.natural(1)
         if toks.peek() == "*":
             toks.next()
-            coeff = _ctbl_atom(toks)
-            while toks.peek() == "*":
-                toks.next()
-                coeff = coeff * _ctbl_atom(toks)
+            coeff = _ctbl_product(toks)
         if coeff.is_zero():
             raise ParseError("zero coefficient on a u-term", *toks.loc_back())
         return UOrd.u(level, coeff)
@@ -519,11 +503,8 @@ def parse_rep_seq(text: str):
         toks.expect("[")
         out = []
         while toks.peek() != "]":
-            if toks.peek() == "(":
-                out.append(_node(toks))
-            elif toks.peek() == "-1":
-                toks.next()
-                out.append(MINUS_ONE)
+            if toks.peek() in ("(", "-1"):
+                out.append(_node_or_minus(toks))
             else:
                 out.append(_uord_expr(toks))
             if toks.peek() == ",":

@@ -18,6 +18,7 @@ counterexample verbatim.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from functools import partial
@@ -33,9 +34,9 @@ from .level1 import (EMPTY_TREE, FactorMap1, Level1Tree, addable_nodes,
 from .level2 import (MINUS_ONE, LevelLe2Tree, as_domseq, enumerate_le2_trees,
                      enumerate_level2_with_dom, evaluate_description,
                      extended_descriptions, generate_respecting_tuple,
-                     is_regular_description, q_descriptions, recover_tree,
-                     respects_le2, s2_member, typical_trees,
-                     weakly_respects_le2)
+                     is_regular_description, q_descriptions, q_set_plus,
+                     recover_tree, respects_le2, s2_member, typical_trees,
+                     validate_level2, weakly_respects_le2)
 from .level3 import PartialLevelLe2Tree, cf3, ucf, validate_partial_le2
 from .ordinals import (ONE, OMEGA, U1, ZERO, Cofinality, CtblOrd, IndexMap,
                        UOrd, apply_shift, apply_shift_sup, cf_l,
@@ -131,7 +132,6 @@ class EvalOracle:
 
     def assignments(self, nodes, extra: int = 2):
         """Order-respecting pool assignments to the given nodes."""
-        import itertools
         order = bk.bk_sorted(nodes)
         n = len(order)
         out = []
@@ -353,8 +353,8 @@ def suite_factor_order(max_nodes: int = 4) -> SuiteResult:
     trees = enumerate_level1_up_to(max_nodes)
     for p in trees:
         for w in trees:
-            ot_le = order_type_oracle(p).compare(order_type_oracle(w)) <= 0
-            ot_lt = order_type_oracle(p).compare(order_type_oracle(w)) < 0
+            c = order_type_oracle(p).compare(order_type_oracle(w))
+            ot_le, ot_lt = c <= 0, c < 0
             res.check(factor_exists(p, w) == ot_le,
                       lambda: f"factor_exists({p},{w}) != ({ot_le})")
             res.check(strict_factor_exists(p, w) == ot_lt,
@@ -413,28 +413,36 @@ def suite_analysis(count: int = 1000, seed: int = 0) -> SuiteResult:
     return res
 
 
-def _lemma_a_configs(max_partial_nodes: int, max_w: int):
-    """The sup swap's configurations: (P-, p, P, k, j, W, sigma, sigma'),
-    with u_k the L-cofinality of the betas and j = j^{P-,P}."""
+def _degree1_configs(max_partial_nodes: int, max_w: int):
+    """The degree-1 configurations both level-2 ucf lemmas walk: (P, p, P+,
+    k, j, W, sigma) for sigma factoring the completion P+ into W, with u_k
+    the L-cofinality of the betas and j = j^{P,P+}."""
+    ws = enumerate_level1_up_to(max_w)
     for base, p in enumerate_partial_le1(max_partial_nodes):
         if len(p) < 2:
             continue  # the qualifying cofinality would exceed the bound
         completion = validate_level1(set(base.nodes) | {p})
         k = descriptions(base).index(p[:-1]) + 1
         j = inclusion_shift(base, completion)
-        for w in enumerate_level1_up_to(max_w):
+        for w in ws:
             for fm in factorings(completion, w):
-                pred = _pred_in_tree(w, fm(p))
-                if pred is None:
-                    continue
-                try:
-                    mapping = tuple((x, pred if x == p else fm(x))
-                                    for x, _ in fm.mapping)
-                    fm2 = FactorMap1(completion, w, mapping)
-                    check_factor_map(fm2)
-                except NotAFactoring:
-                    continue
-                yield base, p, completion, k, j, w, fm, fm2
+                yield base, p, completion, k, j, w, fm
+
+
+def _lemma_a_configs(max_partial_nodes: int, max_w: int):
+    """The sup swap's configurations: (P-, p, P, k, j, W, sigma, sigma'),
+    where sigma' sends p to the predecessor of sigma(p)."""
+    for base, p, completion, k, j, w, fm in _degree1_configs(max_partial_nodes, max_w):
+        pred = _pred_in_tree(w, fm(p))
+        if pred is None:
+            continue
+        try:
+            mapping = tuple((x, pred if x == p else fm(x)) for x, _ in fm.mapping)
+            fm2 = FactorMap1(completion, w, mapping)
+            check_factor_map(fm2)
+        except NotAFactoring:
+            continue
+        yield base, p, completion, k, j, w, fm, fm2
 
 
 def suite_lemma_level2_ucf(max_partial_nodes: int = 4, max_w: int = 5,
@@ -457,18 +465,10 @@ def suite_lemma_level2_ucf(max_partial_nodes: int = 4, max_w: int = 5,
 
 def _completion_configs(max_partial_nodes: int, max_w: int):
     """The completion route's degree-1 configurations: (P, p, P+, k, j, W,
-    sigma'), with u_k the L-cofinality of the betas, j = j^{P,P+} and
-    sigma'(p) the predecessor of sigma'(p-)."""
-    for base, p in enumerate_partial_le1(max_partial_nodes):
-        if len(p) < 2:
-            continue
-        completion = validate_level1(set(base.nodes) | {p})
-        k = descriptions(base).index(p[:-1]) + 1
-        j = inclusion_shift(base, completion)
-        for w in enumerate_level1_up_to(max_w):
-            for fm2 in factorings(completion, w):
-                if _pred_in_tree(w, fm2(p[:-1])) == fm2(p):
-                    yield base, p, completion, k, j, w, fm2
+    sigma') with sigma'(p) the predecessor of sigma'(p-)."""
+    for base, p, completion, k, j, w, fm2 in _degree1_configs(max_partial_nodes, max_w):
+        if _pred_in_tree(w, fm2(p[:-1])) == fm2(p):
+            yield base, p, completion, k, j, w, fm2
 
 
 def suite_lemma_level2_ucf_another(max_partial_nodes: int = 4, max_w: int = 5,
@@ -510,6 +510,15 @@ def make_restriction(fm: FactorMap1, sub: Level1Tree) -> FactorMap1:
     return FactorMap1(sub, fm.target, mapping)
 
 
+def _realizable(max_dom: int):
+    """(tree, t) for each level <=2 tree with at most ``max_dom`` domain
+    elements that has a generated respecting tuple t."""
+    for tree in enumerate_le2_trees(max_dom):
+        t = generate_respecting_tuple(tree)
+        if t is not None:
+            yield tree, t
+
+
 def recover_tree_by_search(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
     """Search all level <=2 trees over the domain for the one the tuple
     respects.  A second match would falsify the uniqueness lemma."""
@@ -531,10 +540,7 @@ def suite_uniqueness(max_dom: int = 4) -> SuiteResult:
     recovery reads the same tree off the tuple."""
     res = SuiteResult("uniqueness of the representing level <=2 tree")
     realizable = 0
-    for tree in enumerate_le2_trees(max_dom):
-        t = generate_respecting_tuple(tree)
-        if t is None:
-            continue
+    for tree, t in _realizable(max_dom):
         realizable += 1
         verdict = respects_le2(tree, t)
         res.check(bool(verdict), lambda: f"{tree}: generated tuple rejected: {verdict}")
@@ -563,9 +569,8 @@ def suite_desc_eval(max_dom: int = 4) -> SuiteResult:
     is monotone in the (length, lexicographic) description order; the
     constant description and the root's -1 form share the value u_1."""
     res = SuiteResult("description evaluation: continuous values and monotonicity")
-    for tree in enumerate_le2_trees(max_dom):
-        t = generate_respecting_tuple(tree)
-        if t is None or not respects_le2(tree, t):
+    for tree, t in _realizable(max_dom):
+        if not respects_le2(tree, t):
             continue
         items = q_descriptions(tree)
         values = [evaluate_description(tree, t, it, check=False) for it in items]
@@ -602,10 +607,7 @@ def suite_desc_eval(max_dom: int = 4) -> SuiteResult:
 
 def suite_respect_hierarchy(max_dom: int = 4) -> SuiteResult:
     res = SuiteResult("respects implies weakly respects; typical discriminators")
-    for tree in enumerate_le2_trees(max_dom):
-        t = generate_respecting_tuple(tree)
-        if t is None:
-            continue
+    for tree, t in _realizable(max_dom):
         if respects_le2(tree, t):
             res.check(bool(weakly_respects_le2(tree, t)),
                       lambda: f"{tree}: respects but not weakly")
@@ -627,8 +629,6 @@ def suite_respect_hierarchy(max_dom: int = 4) -> SuiteResult:
 def _l2_tower_from_tree(tree) -> list:
     """Peel the level-2 domain in reverse canonical order; prefixes stay
     valid level-2 trees."""
-    from .level2 import validate_level2
-
     entries = dict(tree.entries)
     towers = [tree]
     # reverse insertion order: peel the longest, lexicographically last
@@ -664,11 +664,8 @@ def suite_tree_property(max_dom: int = 4, seed: int = 0) -> SuiteResult:
                           lambda: f"S1 prefix {cut} of {list(map(str, trees))} "
                           "rejected")
     # S2: towers carved out of realizable level <=2 trees with empty level-1 part
-    for tree in enumerate_le2_trees(max_dom):
+    for tree, t in _realizable(max_dom):
         if len(tree.t1):
-            continue
-        t = generate_respecting_tuple(tree)
-        if t is None:
             continue
         towers = _l2_tower_from_tree(tree.t2)
         alphas = []
@@ -718,7 +715,6 @@ def _ucf_case(pt: PartialLevelLe2Tree) -> int:
         return 1
     if pt.d == 1:
         return 2 if len(pt.q) > 1 else 3
-    from .level2 import q_set_plus
     above = q_set_plus(pt.base.t2, pt.q)
     least = min(above, key=bk.bk_key)
     return 4 if least != pt.q[:-1] else 5

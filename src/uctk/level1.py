@@ -14,8 +14,8 @@ import itertools
 
 from . import bk
 from .errors import (CardinalityMismatch, ClosureViolation, ContainsEmpty,
-                     InvalidTower, LengthMismatch, NotADescription, NotInRep,
-                     NotRegular, NotSubtree)
+                     InvalidTower, LengthMismatch, NotADescription,
+                     NotAFactoring, NotInRep, NotRegular, NotSubtree)
 from .ordinals import ONE, OMEGA, ZERO, CtblOrd, UOrd, as_uord
 from .value import Value, set_field
 
@@ -135,11 +135,8 @@ class Rep1Element(Value):
         return (self.node,) if self.index is None else (self.node, self.index)
 
     def __str__(self) -> str:
-        from .grammar import format_node
-        inner = format_node(self.node)
-        if self.index is not None:
-            inner += f", {self.index}"
-        return f"[{inner}]"
+        from .grammar import format_rep1
+        return format_rep1(self)
 
 
 def rep_compare(tree: Level1Tree, x: Rep1Element, y: Rep1Element) -> int:
@@ -222,8 +219,6 @@ def make_factor_map(source: Level1Tree, target: Level1Tree, assignment) -> Facto
 
 
 def check_factor_map(fm: FactorMap1) -> None:
-    from .errors import NotAFactoring
-
     img = fm.image()
     for w in img:
         if w not in fm.target.nodes:

@@ -11,15 +11,16 @@ distinguished element sitting below every node.
 from __future__ import annotations
 
 from . import bk
-from .analysis import analyze, tree_embed, tree_embed_sup
+from .analysis import PotentialTower1, analyze, tree_embed, tree_embed_sup
 from .bk import MINUS_ONE
-from .errors import (BadDescription, BadFirstEntry, CardinalityMismatch,
+from .errors import (BadDescription, BadFirstEntry, CaseViolation,
                      DegreeZeroHasNoCompletion, DomainNotTree, InvalidElement,
                      InvalidTower, KernelError, LengthMismatch, MissingEntry,
                      NoTreeFound, NotCompletionAt, NotRespecting,
                      RootNotCanonical, TowerViolation)
-from .level1 import (EMPTY_TREE, Level1Tree, Node, addable_nodes, is_level1,
-                     is_regular, respects_level1, validate_level1)
+from .level1 import (EMPTY_TREE, Level1Tree, Node, addable_nodes,
+                     enumerate_level1_up_to, is_level1, is_regular,
+                     rep_compare, respects_level1, validate_level1)
 from .ordinals import OMEGA, U1, CtblOrd, UOrd, as_uord
 from .value import Value, set_field
 
@@ -51,13 +52,10 @@ class PartialLevel1Tree(Value):
 
     def __str__(self) -> str:
         from .grammar import format_node
-        pend = "-1" if self.node == MINUS_ONE else format_node(self.node)
-        return f"({self.base}, {pend})"
+        return f"({self.base}, {format_node(self.node)})"
 
 
 def validate_partial_le1(base: Level1Tree, node) -> PartialLevel1Tree:
-    from .errors import CaseViolation
-
     if not is_regular(base):
         raise CaseViolation("base not regular", base)
     if node == MINUS_ONE:
@@ -95,7 +93,6 @@ class PartialTowerLe1(Value):
         return self.final_tree is not None
 
     def compress(self):
-        from .analysis import PotentialTower1
         pvec = tuple(pt.node for pt in self.entries)
         tree = self.final_tree if self.is_continuous() else \
             (self.entries[-1].base if self.entries else EMPTY_TREE)
@@ -273,13 +270,10 @@ class LevelLe2Tree(Value):
 
     def dom(self):
         """Canonical order: level-1 nodes by Brouwer-Kleene, then level-2
-        domain sequences by (length, lex)."""
+        domain sequences by length, then Brouwer-Kleene."""
         out = [(1, p) for p in bk.bk_sorted(self.t1.nodes)]
         out += [(2, q) for q in self.t2.dom()]
         return out
-
-    def is_subtree_of(self, other) -> bool:
-        return self.t1.is_subtree_of(other.t1) and self.t2.is_subtree_of(other.t2)
 
     def __str__(self) -> str:
         from .grammar import format_le2
@@ -330,8 +324,6 @@ CONSTANT_DESC = QDescription((), EMPTY_TREE, (ROOT_NODE,))
 
 def q_potential(t2: Level2Tree, q: DomSeq):
     """Q[q] for q in dom, or Q[q++(-1)] for q of continuous type."""
-    from .analysis import PotentialTower1
-
     if q and q[-1] == MINUS_ONE:
         base = q[:-1]
         pvec = tuple(t2.node(base[:l]) for l in range(len(base) + 1))
@@ -425,28 +417,23 @@ def make_rep2(le2: LevelLe2Tree, q: DomSeq, alphas) -> Rep2Element:
     ``alphas`` assigns countable ordinals to the nodes of the tree at q (and
     to the pending node, or -1, for the q++(-1) form)."""
     t2 = le2.t2
-    if q and q[-1] == MINUS_ONE:
-        base = q[:-1]
-        if base not in t2:
-            raise InvalidElement(q)
+    continuous = bool(q) and q[-1] == MINUS_ONE
+    base = q[:-1] if continuous else q
+    if base not in t2:
+        raise InvalidElement(q)
+    if continuous:
         pt = t2.partial(base)
-        key = pt.node if pt.node != MINUS_ONE else MINUS_ONE
-        if key not in alphas:
+        if pt.node not in alphas:
             raise InvalidElement(q, "missing pending value")
         if not respects_partial_le1(pt, alphas):
             raise InvalidElement(q)
-        seq = []
-        for i in range(len(base)):
-            seq += [alphas[t2.node(base[:i])], base[i]]
-        seq += [alphas[key], MINUS_ONE]
-        return Rep2Element(2, tuple(seq))
-    if q not in t2:
-        raise InvalidElement(q)
-    if not respects_level1(t2.tree(q), alphas):
+    elif not respects_level1(t2.tree(q), alphas):
         raise InvalidElement(q)
     seq = []
-    for i in range(len(q)):
-        seq += [alphas[t2.node(q[:i])], q[i]]
+    for i in range(len(base)):
+        seq += [alphas[t2.node(base[:i])], base[i]]
+    if continuous:
+        seq += [alphas[pt.node], MINUS_ONE]
     return Rep2Element(2, tuple(seq))
 
 
@@ -464,8 +451,7 @@ def rep2_from_payload(le2: LevelLe2Tree, payload) -> Rep2Element:
     for i in range(len(base)):
         alphas[t2.node(base[:i])] = payload[2 * i]
     if q and q[-1] == MINUS_ONE:
-        pend = t2.node(base)
-        alphas[pend if pend != MINUS_ONE else MINUS_ONE] = payload[-2]
+        alphas[t2.node(base)] = payload[-2]
     elt = make_rep2(le2, q, alphas)
     if elt.payload != tuple(payload):
         raise InvalidElement(payload)
@@ -486,7 +472,6 @@ def rep2_compare(le2: LevelLe2Tree, x: Rep2Element, y: Rep2Element) -> int:
     if x.side != y.side:
         return -1 if x.side < y.side else 1
     if x.side == 1:
-        from .level1 import rep_compare
         return rep_compare(le2.t1, x.payload, y.payload)
     return bk.bk(x.payload, y.payload)
 
@@ -621,12 +606,7 @@ def enumerate_dom_shapes(max_nodes: int):
                     nxt.add(shape | {q + (a,)})
         frontier = sorted(nxt, key=lambda s: sorted(map(_dom_sort_key, s)))
         shapes.extend(frontier)
-    seen, out = set(), []
-    for s in shapes:
-        if s not in seen:
-            seen.add(s)
-            out.append(s)
-    return out
+    return shapes
 
 
 def _label_choices(tree: Level1Tree, is_leaf: bool):
@@ -661,18 +641,15 @@ def enumerate_level2_with_dom(shape):
 
 
 def enumerate_le2_trees(max_dom: int):
-    """All level <=2 trees with at most ``max_dom`` domain elements."""
-    from .level1 import enumerate_level1
-
+    """All level <=2 trees with at most ``max_dom`` domain elements: by
+    the shape of the level-2 part, then its labels, then the level-1 part by
+    size."""
+    level1_trees = enumerate_level1_up_to(max_dom - 1)
     out = []
-    for k2 in range(1, max_dom + 1):
-        for shape in enumerate_dom_shapes(k2):
-            if len(shape) != k2:
-                continue
-            for t2 in enumerate_level2_with_dom(shape):
-                for n1 in range(0, max_dom - k2 + 1):
-                    for t1 in enumerate_level1(n1):
-                        out.append(LevelLe2Tree(t1, t2))
+    for shape in enumerate_dom_shapes(max_dom):
+        t1s = [t1 for t1 in level1_trees if len(t1) <= max_dom - len(shape)]
+        for t2 in enumerate_level2_with_dom(shape):
+            out += [LevelLe2Tree(t1, t2) for t1 in t1s]
     return out
 
 
@@ -772,7 +749,7 @@ def s2_member(towers, alphas, variant: str = "respects") -> bool:
     prev_dom = set()
     for i, (tree, a) in enumerate(zip(towers, alphas)):
         if tree.cardinality() != i + 1:
-            raise InvalidTower(CardinalityMismatch(i).code, i)
+            raise InvalidTower("CARDINALITY_MISMATCH", i)
         dom = {(2, q) for q in tree.dom()}
         fresh = dom - prev_dom
         if len(fresh) != 1 or not prev_dom <= dom:

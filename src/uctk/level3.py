@@ -9,9 +9,8 @@ S_3 operations validate tower structure only and say so explicitly.
 from __future__ import annotations
 
 from . import bk
-from .errors import (CaseViolation, CardinalityMismatch, DegreeZero,
-                     DomainNotTree, EmptyKeyPresent, InvalidElement,
-                     InvalidTower, NotRegular, TowerViolation)
+from .errors import (CaseViolation, DegreeZero, DomainNotTree, EmptyKeyPresent,
+                     InvalidElement, InvalidTower, NotRegular, TowerViolation)
 from .level1 import (EMPTY_TREE, Level1Tree, addable_nodes, is_level1,
                      validate_level1)
 from .level2 import (CONSTANT_DESC, MINUS_ONE, LevelLe2Tree, QDescription,
@@ -39,12 +38,6 @@ class PartialLevelLe2Tree(Value):
 
     def degree(self) -> int:
         return self.d
-
-    def cardinality(self) -> int:
-        return self.base.cardinality() + 1
-
-    def dom(self):
-        return self.base.dom() + [(self.d, self.q)]
 
     def __str__(self) -> str:
         from .grammar import format_pl2
@@ -219,30 +212,23 @@ class Rep3Element(Value):
 def make_rep3(tree: Level3Tree, r, values) -> Rep3Element:
     """Build and validate beta (+) r; ``values`` maps dom(R_tree(r)) keys,
     plus the pending key for the r++(-1) form, to their ordinals."""
-    if r and r[-1] == MINUS_ONE:
-        base = r[:-1]
-        if base not in tree:
-            raise InvalidElement(r)
+    continuous = bool(r) and r[-1] == MINUS_ONE
+    base = r[:-1] if continuous else r
+    if base not in tree:
+        raise InvalidElement(r)
+    if continuous:
         pt = tree.label(base)
         if not respects_partial_le2(pt, values):
             raise InvalidElement(r)
-        seq = []
-        for i, entry in enumerate(base):
-            if i:
-                seq.append(values[tree.node(base[:i])])
-            seq.append(entry)
-        seq.append(values[(pt.d, pt.q)])
-        seq.append(MINUS_ONE)
-        return Rep3Element(tuple(seq))
-    if r not in tree:
-        raise InvalidElement(r)
-    if not respects_le2(tree.tree(r), values):
+    elif not respects_le2(tree.tree(r), values):
         raise InvalidElement(r)
     seq = []
-    for i, entry in enumerate(r):
+    for i, entry in enumerate(base):
         if i:
-            seq.append(values[tree.node(r[:i])])
+            seq.append(values[tree.node(base[:i])])
         seq.append(entry)
+    if continuous:
+        seq += [values[(pt.d, pt.q)], MINUS_ONE]
     return Rep3Element(tuple(seq))
 
 
@@ -301,7 +287,7 @@ def s3_structural_member(towers, variant: str = "plain") -> S3Verdict:
         if not is_regular_level3(t):
             raise NotRegular(i)
         if t.cardinality() != i + 1:
-            raise InvalidTower(CardinalityMismatch(i).code, i)
+            raise InvalidTower("CARDINALITY_MISMATCH", i)
         dom = set(t.dom())
         if prev_dom is not None:
             if not towers[i - 1].is_subtree_of(t) or len(dom - prev_dom) != 1:

@@ -189,9 +189,6 @@ class UOrd(_Ordered, Value):
     def is_countable(self) -> bool:
         return not self.uterms
 
-    def is_successor(self) -> bool:
-        return self.tail.is_successor()
-
     def is_limit(self) -> bool:
         if not self.tail.is_zero():
             return self.tail.is_limit()
@@ -325,8 +322,9 @@ class IndexMap(Value):
         return IndexMap(inner.n, self.n2, tuple(self(inner(i)) for i in range(1, inner.n + 1)))
 
     def __str__(self) -> str:
-        body = ", ".join(f"{i}->{self(i)}" for i in range(1, self.n + 1))
-        return "{" + body + "}"
+        from .grammar import format_index_map
+
+        return format_index_map(self)
 
 
 def apply_shift(sigma: IndexMap, b: UOrd) -> UOrd:

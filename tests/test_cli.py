@@ -335,9 +335,9 @@ def test_batch_line_that_is_not_utf8_is_a_parse_error(tmp_path):
     code, out = run("batch", str(batch))
     assert code == 2 and out.splitlines() == [
         "status=ok command=cfl input=u3 result=u3",
-        r'status=error command=batch input=\xff\xfe code=PARSE_ERROR '
+        r'status=error command=batch input="\\xff\\xfe" code=PARSE_ERROR '
         r'detail="PARSE_ERROR: not UTF-8, line 1, col 1"',
-        r'status=error command=batch input="cfl \xc3 u3" code=PARSE_ERROR '
+        r'status=error command=batch input="cfl \\xc3 u3" code=PARSE_ERROR '
         r'detail="PARSE_ERROR: not UTF-8, line 1, col 5"',
         "status=ok command=cfl input=u2 result=u2"]
 
@@ -354,10 +354,31 @@ def test_control_characters_in_a_batch_line_are_escaped(tmp_path):
     assert lines[3] == "status=ok command=cfl input=u2 result=u2"
 
 
-def test_quote_escapes_only_values_with_control_characters():
+def test_quote_leaves_bare_only_plain_values():
     assert _quote("u3") == "u3" and _quote("u1 + 2") == '"u1 + 2"' and _quote("") == '""'
-    assert _quote('a\\b"c') == 'a\\b"c'  # printable values are left as they are
+    assert _quote('a\\b"c') == r'"a\\b\"c"' and _quote('"') == r'"\""'
     assert _quote('a\\"\x07\n\u2028') == r'"a\\\"\x07\n\u2028"'
+
+
+@pytest.mark.parametrize("text", ['a"b c', 'a"b', 'a\\b', "\\", '"', 'u1 + "', "", "x=y"])
+def test_structured_line_splits_back_into_its_fields(text):
+    report = cli.run_command("cfl", [text], _build_parser().parse_intermixed_args(["cfl"]))
+    code, out = run("cfl", text)
+    assert out == report.line() + "\n"
+    assert [tok.split("=", 1) for tok in shlex.split(out)] == [
+        ["status", report.status], ["command", "cfl"],
+        *([k, str(v)] for k, v in report.fields.items())]
+
+
+def test_pretty_and_text_output_escape_control_characters():
+    code, out = run("cfl", 'u3\x1b[2J\x00 "\\', "--pretty")
+    assert code == 2 and all(line.isprintable() for line in out.splitlines())
+    assert out.splitlines()[1] == '  input: u3\\x1b[2J\\x00 "\\'
+    flags = _build_parser().parse_intermixed_args(["cfl", "--format", "text"])
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        cli._emit(cli.Report("cfl", result='u3\x1b[2J\x00 "\\'), flags)
+    assert buf.getvalue() == 'u3\\x1b[2J\\x00 "\\\n'
 
 
 def test_batch_command_on_a_batch_line_names_its_input(tmp_path):
@@ -514,3 +535,36 @@ def test_fuzzed_batch_files_give_one_report_per_line(tmp_path_factory, lines):
     reports = out.splitlines()
     assert len(reports) == len([t for t in texts if t and not t.startswith("#")])
     assert code in (0, 1, 2) and code == max(map(_exit_status, reports), default=0)
+
+
+LE2_TWO = "({} ; () -> ({}, (0)); ((0)) -> ({(0)}, (0 0)))"
+LE2_SIBLINGS = "({} ; () -> ({}, (0)); ((0)) -> ({(0)}, (0 0)); ((0 0)) -> ({(0)}, (0 0)))"
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (("enumerate", "le2", "--bound", "2"), 0,
+     'status=ok command=enumerate input=le2 kind=le2 count=4 result="({} ; () -> ({}, (0))); '
+     '({(0)} ; () -> ({}, (0))); ({} ; () -> ({}, (0)); ((0)) -> ({(0)}, (0 0))); '
+     '({} ; () -> ({}, (0)); ((0)) -> ({(0)}, -1))"'),
+    (("eval-desc", LE2_TWO, "u1", "u1*2", "--at", "((0))", "--extended"), 0,
+     f'status=ok command=eval-desc input="{LE2_TWO} u1 u1*2" '
+     'at="(((0)), {(0) (0 0)}, ((0) (0 0)))" result=u2*2'),
+    (("descriptions", "({(0)} ; () -> ({}, (0)))"), 0,
+     'status=ok command=descriptions input="({(0)} ; () -> ({}, (0)))" count=4 '
+     'result="(1, (0)); (2, ((), {}, ((0))), disc, reg); (2, ((-1), {(0)}, ((0))), cont, irr); '
+     '(2, ((), {(0)}, ((0))), ext, reg)"'),
+    (("recover", "{}", "{() ((0))}", "u1"), 2,
+     'status=error command=recover input="{} {() ((0))} u1" code=ARITY_ERROR '
+     'detail="ARITY_ERROR: domain has 2 entries"'),
+    (("validate", "pl2", "(({} ; () -> ({}, (0))) @ (1, (0), {}))"), 0,
+     'status=ok command=validate input="pl2 (({} ; () -> ({}, (0))) @ (1, (0), {}))" '
+     'kind=pl2 result="(({} ; () -> ({}, (0))) @ (1, (0), {}))"'),
+    # level-2 domain sequences go by length, then Brouwer-Kleene: ((0 0)) before ((0))
+    (("respects", LE2_SIBLINGS, "u1"), 2,
+     f'status=error command=respects input="{LE2_SIBLINGS} u1" code=ARITY_ERROR '
+     "detail=\"ARITY_ERROR: tree has 3 domain entries "
+     "(canonical order ['2:()', '2:((0 0))', '2:((0))'])\""),
+], ids=["enumerate-le2", "eval-desc-extended", "descriptions-le2-level1-part",
+        "recover-too-few-ordinals", "validate-pl2-degree-1", "respects-canonical-order"])
+def test_command_reports_as_recorded(argv, code, line):
+    assert run(*argv) == (code, line + "\n")
