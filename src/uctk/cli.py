@@ -310,14 +310,7 @@ def cmd_eval_desc(args, flags):
         raise ArityError("eval-desc requires --at")
     le2 = grammar.parse_le2(args[0])
     t = _tuple2_from_args(le2, args[1:])
-    q = grammar.parse_domseq(flags.at)
-    if flags.extended:
-        base = q
-        pot = level2.q_potential(le2.t2, base + (MINUS_ONE,))
-        desc = level2.QDescription(base, pot.tree, pot.pvec, extended=True)
-    else:
-        pot = level2.q_potential(le2.t2, q)
-        desc = level2.QDescription(q, pot.tree, pot.pvec)
+    desc = level2.description(le2.t2, grammar.parse_domseq(flags.at), flags.extended)
     val = level2.evaluate_description(le2, t, (2, desc))
     return _ok("eval-desc", at=str(desc), result=grammar.format_uord(val))
 
@@ -326,7 +319,7 @@ def cmd_recover(args, flags):
     if len(args) < 2:
         raise ArityError("recover <level-1 tree> <domain shape> <ordinals...>")
     t1 = grammar.parse_l1(args[0])
-    shape = sorted(_parse_shape(args[1]), key=level2._dom_sort_key)
+    shape = sorted(grammar.parse_shape(args[1]), key=level2._dom_sort_key)
     ordered = [(1, p) for p in bk.bk_sorted(t1.nodes)] + [(2, q) for q in shape]
     texts = args[2:]
     if len(texts) != len(ordered):
@@ -334,17 +327,6 @@ def cmd_recover(args, flags):
     t = {k: grammar.parse_uord(x) for k, x in zip(ordered, texts)}
     tree = level2.recover_tree(t1, shape, t)
     return _ok("recover", result=str(tree))
-
-
-def _parse_shape(text):
-    def inner(toks):
-        toks.expect("{")
-        out = []
-        while toks.peek() != "}":
-            out.append(grammar._domseq(toks))
-        toks.expect("}")
-        return out
-    return grammar._parse_with(text, inner)
 
 
 def cmd_s2(args, flags):

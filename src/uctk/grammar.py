@@ -4,6 +4,7 @@
   level-1 tree    {(0) (0 0)}
   level-1 tower   [{} {(0)}]
   domain sequence ((0) (0 0)), possibly ending in -1
+  domain shape    {() ((0)) ((1))}
   level-2 tree    () -> ({}, (0)); ((0)) -> ({(0)}, (0 0))
   level <=2 tree  ({(0)} ; <level-2 entries>)
   partial <=2     (<level <=2 tree> @ (d, q, P))
@@ -11,7 +12,8 @@
   index map       {1->2, 2->3}
   ordinal         u3*2 + u1*(w^2+3) + 5     (w is omega)
 
-Parsing is whitespace-insensitive; printers emit the canonical spacing used
+A domain sequence may be listed once per shape or tree.  Parsing is
+whitespace-insensitive; printers emit the canonical spacing used
 above, and parse(print(x)) = x on all canonical forms.
 """
 
@@ -25,6 +27,8 @@ from .level1 import Level1Tree, validate_level1
 from .ordinals import CtblOrd, IndexMap, UOrd
 
 _TOKEN = re.compile(r"->|[(){}\[\];,@]|\^|\*|\+|-?\d+|u\d+|w|[A-Za-z_]+")
+_INTEGER = re.compile(r"-?\d+").fullmatch
+_NATURAL = re.compile(r"\d+").fullmatch
 
 # Countable ordinals are the one recursive part of the grammar: parentheses
 # and exponents nest at most this deep, counted together.
@@ -96,24 +100,42 @@ def _parse_with(text, fn):
 
 # -- nodes, trees, sequences ---------------------------------------------------
 
+def _items(toks, close, item, sep=None) -> list:
+    """Items read by ``item`` up to the token ``close``, which is left
+    unread; each item may be followed by one ``sep``."""
+    out = []
+    while toks.peek() != close:
+        out.append(item(toks))
+        if sep is not None and toks.peek() == sep:
+            toks.next()
+    return out
+
+
+def _bracketed(toks, open_, close, read, *args):
+    """``read(toks, close, *args)`` between the tokens open_ and close."""
+    toks.expect(open_)
+    out = read(toks, close, *args)
+    toks.expect(close)
+    return out
+
+
 def _integer(toks, what: str) -> int:
     """The next token as an integer; any other token is a parse error."""
     tok = toks.next()
-    if not re.fullmatch(r"-?\d+", tok):
+    if not _INTEGER(tok):
         raise ParseError(f"{what} is a number, got {tok!r}", *toks.loc_back())
     return int(tok)
 
 
+def _natural(toks) -> int:
+    tok = toks.next()
+    if not _NATURAL(tok):
+        raise ParseError(f"node entries are naturals, got {tok!r}", *toks.loc_back())
+    return int(tok)
+
+
 def _node(toks) -> tuple:
-    toks.expect("(")
-    out = []
-    while toks.peek() != ")":
-        tok = toks.next()
-        if not re.fullmatch(r"\d+", tok):
-            raise ParseError(f"node entries are naturals, got {tok!r}", *toks.loc_back())
-        out.append(int(tok))
-    toks.expect(")")
-    return tuple(out)
+    return tuple(_bracketed(toks, "(", ")", _items, _natural))
 
 
 def parse_node(text: str) -> tuple:
@@ -121,12 +143,7 @@ def parse_node(text: str) -> tuple:
 
 
 def _l1(toks) -> Level1Tree:
-    toks.expect("{")
-    nodes = []
-    while toks.peek() != "}":
-        nodes.append(_node(toks))
-    toks.expect("}")
-    return validate_level1(nodes)
+    return validate_level1(_bracketed(toks, "{", "}", _items, _node))
 
 
 def parse_l1(text: str) -> Level1Tree:
@@ -134,12 +151,7 @@ def parse_l1(text: str) -> Level1Tree:
 
 
 def _tower(toks):
-    toks.expect("[")
-    trees = []
-    while toks.peek() != "]":
-        trees.append(_l1(toks))
-    toks.expect("]")
-    return trees
+    return _bracketed(toks, "[", "]", _items, _l1)
 
 
 def parse_tower(text: str):
@@ -155,39 +167,56 @@ def _node_or_minus(toks):
 
 def _domseq(toks) -> tuple:
     """A parenthesized sequence of nodes, optionally ending in -1."""
-    toks.expect("(")
-    out = []
-    while toks.peek() != ")":
-        out.append(_node_or_minus(toks))
-    toks.expect(")")
-    return tuple(out)
+    return tuple(_bracketed(toks, "(", ")", _items, _node_or_minus))
 
 
 def parse_domseq(text: str) -> tuple:
     return _parse_with(text, _domseq)
 
 
+def _keyed(toks, close, label=None) -> dict:
+    """``q -> label`` entries separated by ';' up to ``close``, as a dict;
+    without ``label``, bare domain sequences, each mapped to None.  Once all
+    are read, a sequence listed twice is a parse error at its second entry."""
+    def entry(toks):
+        at = toks.i
+        q = _domseq(toks)
+        if label:
+            toks.expect("->")
+        return q, at, label(toks) if label else None
+
+    out = {}
+    for q, at, value in _items(toks, close, entry, ";" if label else None):
+        if q in out:
+            raise ParseError(f"domain sequence {format_domseq(q)} listed twice",
+                             *_loc(toks.text, toks.items[at][1]))
+        out[q] = value
+    return out
+
+
+def parse_shape(text: str) -> list:
+    """A domain shape ``{q ...}``: its domain sequences, each listed once."""
+    return _parse_with(text, lambda t: list(_bracketed(t, "{", "}", _keyed)))
+
+
 # -- level-2 / level <=2 trees ---------------------------------------------------
 
-def _l2_entries(toks, stop):
-    entries = {}
-    while toks.peek() not in stop:
-        q = _domseq(toks)
-        toks.expect("->")
-        toks.expect("(")
-        tree = _l1(toks)
-        toks.expect(",")
-        node = _node_or_minus(toks)
-        toks.expect(")")
-        entries[q] = (tree, node)
-        if toks.peek() == ";":
-            toks.next()
+def _l2_label(toks):
+    toks.expect("(")
+    tree = _l1(toks)
+    toks.expect(",")
+    node = _node_or_minus(toks)
+    toks.expect(")")
+    return tree, node
+
+
+def _l2_entries(toks, close):
     from .level2 import validate_level2
-    return validate_level2(entries)
+    return validate_level2(_keyed(toks, close, _l2_label))
 
 
 def parse_l2(text: str):
-    return _parse_with(text, lambda t: _l2_entries(t, {None}))
+    return _parse_with(text, lambda t: _l2_entries(t, None))
 
 
 def _le2(toks):
@@ -195,7 +224,7 @@ def _le2(toks):
     toks.expect("(")
     t1 = _l1(toks)
     toks.expect(";")
-    t2 = _l2_entries(toks, {")"})
+    t2 = _l2_entries(toks, ")")
     toks.expect(")")
     return LevelLe2Tree(t1, t2)
 
@@ -231,32 +260,19 @@ def parse_pl2(text: str):
     return _parse_with(text, _pl2)
 
 
-def _l3_entries(toks, stop):
+def _l3_entries(toks, close):
     from .level3 import validate_level3
-    entries = {}
-    while toks.peek() not in stop:
-        r = _domseq(toks)
-        toks.expect("->")
-        entries[r] = _pl2(toks)
-        if toks.peek() == ";":
-            toks.next()
-    return validate_level3(entries)
+    return validate_level3(_keyed(toks, close, _pl2))
 
 
 def parse_l3(text: str):
-    return _parse_with(text, lambda t: _l3_entries(t, {None}))
+    return _parse_with(text, lambda t: _l3_entries(t, None))
 
 
 def _towers(toks, entries):
     """A bracketed list of bracketed trees, each read by ``entries``."""
-    toks.expect("[")
-    out = []
-    while toks.peek() != "]":
-        toks.expect("[")
-        out.append(entries(toks, {"]"}))
-        toks.expect("]")
-    toks.expect("]")
-    return out
+    return _bracketed(toks, "[", "]", _items,
+                      lambda t: _bracketed(t, "[", "]", entries))
 
 
 def parse_l2_tower(text: str):
@@ -269,17 +285,14 @@ def parse_l3_tower(text: str):
 
 # -- index maps --------------------------------------------------------------------
 
+def _index_pair(toks):
+    i = _integer(toks, "an index")
+    toks.expect("->")
+    return i, _integer(toks, "an index")
+
+
 def _index_map(toks) -> IndexMap:
-    toks.expect("{")
-    pairs = []
-    while toks.peek() != "}":
-        i = _integer(toks, "an index")
-        toks.expect("->")
-        v = _integer(toks, "an index")
-        pairs.append((i, v))
-        if toks.peek() == ",":
-            toks.next()
-    toks.expect("}")
+    pairs = _bracketed(toks, "{", "}", _items, _index_pair, ",")
     if [i for i, _ in pairs] != list(range(1, len(pairs) + 1)):
         raise ParseError("index map domain must be 1..n in order", *toks.loc_back())
     image = tuple(v for _, v in pairs)
@@ -312,7 +325,7 @@ def _ctbl_atom(toks) -> CtblOrd:
             toks.depth -= 1
         return CtblOrd.omega_power(exp)
     tok = toks.next()
-    if tok and re.fullmatch(r"\d+", tok):
+    if tok and _NATURAL(tok):
         return CtblOrd.natural(int(tok))
     raise ParseError(f"expected a countable ordinal, got {tok!r}", *toks.loc_back())
 
@@ -497,18 +510,12 @@ def _rep_entry(e) -> str:
     return format_uord(e)
 
 
+def _rep_item(toks):
+    if toks.peek() in ("(", "-1"):
+        return _node_or_minus(toks)
+    return _uord_expr(toks)
+
+
 def parse_rep_seq(text: str):
     """Bracketed, comma-separated entries: nodes, -1, naturals or ordinals."""
-    def inner(toks):
-        toks.expect("[")
-        out = []
-        while toks.peek() != "]":
-            if toks.peek() in ("(", "-1"):
-                out.append(_node_or_minus(toks))
-            else:
-                out.append(_uord_expr(toks))
-            if toks.peek() == ",":
-                toks.next()
-        toks.expect("]")
-        return tuple(out)
-    return _parse_with(text, inner)
+    return _parse_with(text, lambda t: tuple(_bracketed(t, "[", "]", _items, _rep_item, ",")))

@@ -29,8 +29,8 @@ from .analysis import (analyze, chain_node, factor_to_shift, inclusion_shift,
 from .errors import MultipleTreesFound, NoTreeFound, NotAFactoring
 from .level1 import (EMPTY_TREE, FactorMap1, Level1Tree, addable_nodes,
                      check_factor_map, descriptions, enumerate_level1_up_to,
-                     factor_exists, factorings, rep_order_type, s1_member,
-                     strict_factor_exists, validate_level1)
+                     factor_exists, factorings, regular_nodes, rep_order_type,
+                     s1_member, strict_factor_exists, validate_level1)
 from .level2 import (MINUS_ONE, LevelLe2Tree, as_domseq, enumerate_le2_trees,
                      enumerate_level2_with_dom, evaluate_description,
                      extended_descriptions, generate_respecting_tuple,
@@ -316,13 +316,9 @@ def rand_qualifying_beta(rng: random.Random, max_level: int, k: int) -> UOrd:
 def enumerate_partial_le1(max_completion: int):
     """All partial level <=1 trees of degree 1 whose completion has at most
     ``max_completion`` nodes, base regular."""
-    out = []
-    for base in enumerate_level1_up_to(max_completion - 1, regular_only=True):
-        for p in addable_nodes(base):
-            if p == (1,):
-                continue
-            out.append((base, p))
-    return out
+    return [(base, p)
+            for base in enumerate_level1_up_to(max_completion - 1, regular_only=True)
+            for p in regular_nodes(base)]
 
 
 def _pred_in_tree(tree: Level1Tree, node):
@@ -627,12 +623,12 @@ def suite_respect_hierarchy(max_dom: int = 4) -> SuiteResult:
 
 
 def _l2_tower_from_tree(tree) -> list:
-    """Peel the level-2 domain in reverse canonical order; prefixes stay
-    valid level-2 trees."""
+    """Peel the level-2 domain longest first and, within a length,
+    lexicographically last first, so that each prefix is a level-2 tree: that
+    index has no extension and no right neighbour among its siblings.  The
+    Brouwer-Kleene-last one can have an extension, as (1) beside (1 0)."""
     entries = dict(tree.entries)
     towers = [tree]
-    # reverse insertion order: peel the longest, lexicographically last
-    # element; its index is right-free in its sibling set
     order = sorted(entries, key=lambda q: (len(q), q))
     for q in reversed(order[1:]):
         del entries[q]
@@ -648,8 +644,7 @@ def suite_tree_property(max_dom: int = 4, seed: int = 0) -> SuiteResult:
         size = rng.randrange(1, 5)
         trees, cur = [], EMPTY_TREE
         for _ in range(size):
-            choices = [a for a in addable_nodes(cur) if a != (1,)]
-            cur = validate_level1(set(cur.nodes) | {rng.choice(choices)})
+            cur = validate_level1(set(cur.nodes) | {rng.choice(regular_nodes(cur))})
             trees.append(cur)
         ranks = {p: i for i, p in enumerate(bk.bk_sorted(trees[-1].nodes))}
         alphas = []

@@ -98,6 +98,11 @@ def addable_nodes(tree: Level1Tree):
     return sorted(out)
 
 
+def regular_nodes(tree: Level1Tree):
+    """The addable nodes that keep a regular tree regular: all but (1)."""
+    return [a for a in addable_nodes(tree) if a != (1,)]
+
+
 def enumerate_level1(size: int, regular_only: bool = False):
     """All level-1 trees with exactly ``size`` nodes, deterministically."""
     layer = {frozenset()}
@@ -105,9 +110,7 @@ def enumerate_level1(size: int, regular_only: bool = False):
         nxt = set()
         for nodes in layer:
             tree = Level1Tree(nodes)
-            for a in addable_nodes(tree):
-                if regular_only and a == (1,):
-                    continue
+            for a in regular_nodes(tree) if regular_only else addable_nodes(tree):
                 nxt.add(nodes | {a})
         layer = nxt
     return sorted((Level1Tree(n) for n in layer), key=lambda t: sorted(t.nodes))

@@ -13,14 +13,15 @@ from __future__ import annotations
 from . import bk
 from .analysis import PotentialTower1, analyze, tree_embed, tree_embed_sup
 from .bk import MINUS_ONE
-from .errors import (BadDescription, BadFirstEntry, CaseViolation,
-                     DegreeZeroHasNoCompletion, DomainNotTree, InvalidElement,
-                     InvalidTower, KernelError, LengthMismatch, MissingEntry,
-                     NoTreeFound, NotCompletionAt, NotRespecting,
+from .errors import (ArityError, BadDescription, BadFirstEntry,
+                     CaseViolation, DegreeZeroHasNoCompletion, DomainNotTree,
+                     InvalidElement, InvalidTower, KernelError, LengthMismatch,
+                     MissingEntry, NoTreeFound, NotCompletionAt, NotRespecting,
                      RootNotCanonical, TowerViolation)
 from .level1 import (EMPTY_TREE, Level1Tree, Node, addable_nodes,
                      enumerate_level1_up_to, is_level1, is_regular,
-                     rep_compare, respects_level1, validate_level1)
+                     regular_nodes, rep_compare, respects_level1,
+                     validate_level1)
 from .ordinals import OMEGA, U1, CtblOrd, UOrd, as_uord
 from .value import Value, set_field
 
@@ -65,8 +66,7 @@ def validate_partial_le1(base: Level1Tree, node) -> PartialLevel1Tree:
     node = tuple(node)
     if node in base.nodes:
         raise CaseViolation("pending node already present", node)
-    completed = set(base.nodes) | {node}
-    if not is_level1(completed) or (1,) in completed:
+    if node not in regular_nodes(base):
         raise CaseViolation("completion is not a regular level-1 tree", node)
     return PartialLevel1Tree(base, node)
 
@@ -167,8 +167,11 @@ def check_tree_of_trees(dom):
     """Check that dom, a set of domain sequences with the root () among them,
     is a tree of level-1 trees and return it in canonical order.
 
-    Raises DomainNotTree naming the first element whose predecessor is
-    missing, else the first whose children do not form a level-1 tree."""
+    Raises RootNotCanonical on an empty set, DomainNotTree naming the first
+    element whose predecessor is missing, else the first whose children do
+    not form a level-1 tree."""
+    if not dom:
+        raise RootNotCanonical("missing root")
     order = sorted(dom, key=_dom_sort_key)
     for q in order:
         if q and q[:-1] not in dom:
@@ -237,7 +240,23 @@ class Level2Tree(TreeOfTrees):
         return format_l2(self)
 
 
+def child_labels(parent, leaf: bool = True):
+    """The labels a child of an element labelled ``parent`` = (P, p) may
+    take, in order: (P+, a) for each node a that keeps the completion P+ of
+    P by p regular, then (P+, -1) at a leaf.  None under a degree-0 parent."""
+    tree, node = parent
+    if node == MINUS_ONE:
+        return []
+    completion = validate_level1(set(tree.nodes) | {node})
+    out = [(completion, a) for a in regular_nodes(completion)]
+    if leaf:
+        out.append((completion, MINUS_ONE))
+    return out
+
+
 def validate_level2(entries) -> Level2Tree:
+    """The root labelled ({}, (0)) and every other element one of the
+    ``child_labels`` of its parent's label, else TowerViolation at it."""
     items = {as_domseq(q): (t, (p if p == MINUS_ONE else tuple(p)))
              for q, (t, p) in dict(entries).items()}
     if () not in items:
@@ -245,17 +264,10 @@ def validate_level2(entries) -> Level2Tree:
     if items[()] != (EMPTY_TREE, ROOT_NODE):
         raise RootNotCanonical(items[()])
     order = check_tree_of_trees(items)
-    tree = Level2Tree(tuple((q, items[q]) for q in order))
     for q in order[1:]:
-        t, p = items[q]
-        try:
-            validate_partial_le1(t, p)
-        except KernelError:
+        if items[q] not in child_labels(items[q[:-1]]):
             raise TowerViolation(q)
-        parent = tree.partial(q[:-1])
-        if parent.degree() == 0 or parent.completion() != t:
-            raise TowerViolation(q)
-    return tree
+    return Level2Tree(tuple((q, items[q]) for q in order))
 
 
 class LevelLe2Tree(Value):
@@ -324,12 +336,11 @@ CONSTANT_DESC = QDescription((), EMPTY_TREE, (ROOT_NODE,))
 
 def q_potential(t2: Level2Tree, q: DomSeq):
     """Q[q] for q in dom, or Q[q++(-1)] for q of continuous type."""
-    if q and q[-1] == MINUS_ONE:
-        base = q[:-1]
-        pvec = tuple(t2.node(base[:l]) for l in range(len(base) + 1))
-        return PotentialTower1(t2.partial(base).completion(), pvec)
-    pvec = tuple(t2.node(q[:l]) for l in range(len(q) + 1))
-    return PotentialTower1(t2.tree(q), pvec)
+    continuous = bool(q) and q[-1] == MINUS_ONE
+    base = q[:-1] if continuous else q
+    pvec = tuple(t2.node(base[:l]) for l in range(len(base) + 1))
+    tree = t2.partial(base).completion() if continuous else t2.tree(q)
+    return PotentialTower1(tree, pvec)
 
 
 def dom_star(t2: Level2Tree):
@@ -359,6 +370,13 @@ def q_set_minus(t2: Level2Tree, q: DomSeq):
     return out
 
 
+def description(t2: Level2Tree, q: DomSeq, extended: bool = False) -> QDescription:
+    """The Q-description at q, continuous when q ends in -1; ``extended``
+    gives the continuous one at q++(-1) with the -1 dropped."""
+    pot = q_potential(t2, q + (MINUS_ONE,) if extended else q)
+    return QDescription(q, pot.tree, pot.pvec, extended)
+
+
 def q_descriptions(le2: LevelLe2Tree):
     """All descriptions (d, ...): the level-1 nodes and, on the level-2 side,
     one description per starred domain element that has one."""
@@ -366,8 +384,7 @@ def q_descriptions(le2: LevelLe2Tree):
     for q in dom_star(le2.t2):
         if q and q[-1] == MINUS_ONE and le2.t2.node(q[:-1]) == MINUS_ONE:
             continue  # a degree-0 stage has no completion, hence no description
-        pot = q_potential(le2.t2, q)
-        out.append((2, QDescription(q, pot.tree, pot.pvec)))
+        out.append((2, description(le2.t2, q)))
     return out
 
 
@@ -570,22 +587,13 @@ def evaluate_description(le2: LevelLe2Tree, t, item, check: bool = True) -> UOrd
             raise BadDescription(item)
         return _entry(t, (1, desc))
     t2 = le2.t2
-    if desc.extended:
-        q = desc.q
-        if q not in t2 or t2.node(q) == MINUS_ONE:
+    if desc.extended or desc.is_continuous():
+        q = desc.q if desc.extended else desc.q[:-1]
+        if q not in t2 or t2.node(q) == MINUS_ONE or \
+                desc.tree != t2.partial(q).completion():
             raise BadDescription(item)
-        pt = t2.partial(q)
-        if desc.tree != pt.completion():
-            raise BadDescription(item)
-        return tree_embed(t2.tree(q), desc.tree, _entry(t, (2, q)))
-    if desc.is_continuous():
-        base = desc.q[:-1]
-        if base not in t2 or t2.node(base) == MINUS_ONE:
-            raise BadDescription(item)
-        pt = t2.partial(base)
-        if desc.tree != pt.completion():
-            raise BadDescription(item)
-        return tree_embed_sup(t2.tree(base), desc.tree, _entry(t, (2, base)))
+        embed = tree_embed if desc.extended else tree_embed_sup
+        return embed(t2.tree(q), desc.tree, _entry(t, (2, q)))
     if desc.q not in t2 or q_potential(t2, desc.q).pvec != desc.pvec:
         raise BadDescription(item)
     return _entry(t, (2, desc.q))
@@ -609,35 +617,22 @@ def enumerate_dom_shapes(max_nodes: int):
     return shapes
 
 
-def _label_choices(tree: Level1Tree, is_leaf: bool):
-    pend = [a for a in addable_nodes(tree) if a != (1,)]
-    out = [(tree, a) for a in sorted(pend)]
-    if is_leaf and len(tree):
-        out.append((tree, MINUS_ONE))
-    return out
-
-
 def enumerate_level2_with_dom(shape):
-    """All level-2 trees over a fixed domain shape, canonically ordered."""
+    """All level-2 trees over a fixed domain shape, canonically ordered;
+    each label is one of its parent's ``child_labels``, so none needs
+    validating."""
     dom = check_tree_of_trees(shape)
-    leaves = {q for q in dom if not _children_of(shape, q).nodes}
+    inner = {q[:-1] for q in dom if q}
 
     def build(i, assigned):
         if i == len(dom):
-            yield validate_level2(dict(assigned))
+            yield Level2Tree(tuple((q, assigned[q]) for q in dom))
             return
         q = dom[i]
-        if not q:
-            yield from build(i + 1, {q: (EMPTY_TREE, ROOT_NODE)})
-            return
-        ptree, pnode = assigned[q[:-1]]
-        if pnode == MINUS_ONE:
-            return
-        base = validate_level1(set(ptree.nodes) | {pnode})
-        for label in _label_choices(base, q in leaves):
+        for label in child_labels(assigned[q[:-1]], q not in inner):
             yield from build(i + 1, {**assigned, q: label})
 
-    yield from build(0, {})
+    yield from build(1, {(): (EMPTY_TREE, ROOT_NODE)})
 
 
 def enumerate_le2_trees(max_dom: int):
@@ -666,21 +661,15 @@ def recover_tree(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
     on the candidate decides, so the outcome, a tree or an error, is the
     one a search over every labelling gives.  Uniqueness is checked against
     that search, the independent oracle in ``lemmas``.  Every label is one
-    of ``_label_choices`` of its parent's completion, so the candidate is a
-    level-2 tree by construction and is not validated again.
+    of ``child_labels`` of its parent's, so the candidate is a level-2 tree
+    by construction and is not validated again.
     """
     order = check_tree_of_trees(frozenset(as_domseq(q) for q in dom_shape))
-    if not order:
-        raise RootNotCanonical("missing root")
     inner = {q[:-1] for q in order if q}
-    labels = {}
-    for q in order:
-        if not q:
-            labels[q] = (EMPTY_TREE, ROOT_NODE)
-            continue
-        ptree, pnode = labels[q[:-1]]
-        tree = validate_level1(set(ptree.nodes) | {pnode})
-        choices = _label_choices(tree, q not in inner)
+    labels = {(): (EMPTY_TREE, ROOT_NODE)}
+    for q in order[1:]:
+        choices = child_labels(labels[q[:-1]], q not in inner)
+        tree = choices[0][0]
         try:
             label = (tree, analyze(_entry(t, (2, q)), tree).potential_tower.pvec[-1])
         except KernelError:
@@ -741,6 +730,8 @@ def s2_member(towers, alphas, variant: str = "respects") -> bool:
     """
     towers = tuple(towers)
     alphas = tuple(alphas)
+    if variant not in ("respects", "weak"):
+        raise ArityError(f"unknown variant {variant!r}: respects or weak")
     if len(towers) != len(alphas):
         raise LengthMismatch(len(towers), len(alphas))
     if not towers:

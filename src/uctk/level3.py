@@ -9,12 +9,12 @@ S_3 operations validate tower structure only and say so explicitly.
 from __future__ import annotations
 
 from . import bk
-from .errors import (CaseViolation, DegreeZero, DomainNotTree, EmptyKeyPresent,
-                     InvalidElement, InvalidTower, NotRegular, TowerViolation)
-from .level1 import (EMPTY_TREE, Level1Tree, addable_nodes, is_level1,
-                     validate_level1)
-from .level2 import (CONSTANT_DESC, MINUS_ONE, LevelLe2Tree, QDescription,
-                     TreeOfTrees, as_domseq, check_tree_of_trees, q_potential,
+from .errors import (ArityError, CaseViolation, DegreeZero, DomainNotTree,
+                     EmptyKeyPresent, InvalidElement, InvalidTower, NotRegular,
+                     TowerViolation)
+from .level1 import EMPTY_TREE, Level1Tree, is_level1, validate_level1
+from .level2 import (CONSTANT_DESC, MINUS_ONE, LevelLe2Tree, TreeOfTrees,
+                     as_domseq, check_tree_of_trees, child_labels, description,
                      q_set_plus, respects_le2, validate_level2)
 from .ordinals import U1, as_uord
 from .value import Value, set_field
@@ -110,11 +110,7 @@ def ucf(pt: PartialLevelLe2Tree):
     t2 = pt.base.t2
     above = q_set_plus(t2, pt.q)
     least = min(above, key=bk.bk_key)
-    if least != pt.q[:-1]:
-        pot = q_potential(t2, least)
-        return (2, QDescription(least, pot.tree, pot.pvec))
-    pot = q_potential(t2, pt.q[:-1])
-    return (2, QDescription(pt.q[:-1], pt.p, pot.pvec, extended=True))
+    return (2, description(t2, least, extended=least == pt.q[:-1]))
 
 
 def cf3(pt: PartialLevelLe2Tree) -> int:
@@ -135,14 +131,10 @@ def completion_le2(pt: PartialLevelLe2Tree):
     if pt.d == 1:
         return [LevelLe2Tree(validate_level1(set(pt.base.t1.nodes) | {pt.q}),
                              pt.base.t2)]
-    out = []
     entries = dict(pt.base.t2.entries)
-    labels = [(pt.p, MINUS_ONE)]
-    labels += [(pt.p, a) for a in addable_nodes(pt.p) if a != (1,)]
-    for label in labels:
-        out.append(LevelLe2Tree(pt.base.t1,
-                                validate_level2({**entries, pt.q: label})))
-    return out
+    labels = child_labels(pt.base.t2.label(pt.q[:-1]))
+    return [LevelLe2Tree(pt.base.t1, validate_level2({**entries, pt.q: label}))
+            for label in labels[-1:] + labels[:-1]]
 
 
 # -- level-3 trees ---------------------------------------------------------------
@@ -187,9 +179,7 @@ def validate_level3(entries) -> Level3Tree:
                 raise TowerViolation(r)
         else:
             parent = items[r[:-1]]
-            if parent.d == 0:
-                raise TowerViolation(r)
-            if not any(pt.base == c for c in completion_le2(parent)):
+            if parent.d == 0 or pt.base not in completion_le2(parent):
                 raise TowerViolation(r)
     return Level3Tree(tuple((r, items[r]) for r in order))
 
@@ -273,12 +263,14 @@ class S3Verdict(Value):
 
 
 def s3_structural_member(towers, variant: str = "plain") -> S3Verdict:
-    """Validate the regular-tower part of an S_3 (or S_3^-) node.
+    """Validate the regular-tower part of an S_3 (plain) or S_3^- (minus) node.
 
     The ordinal clause quantifies over tuples below delta^1_3, which this
     kernel does not represent; the verdict is explicit about checking
     structure only.
     """
+    if variant not in ("minus", "plain"):
+        raise ArityError(f"unknown variant {variant!r}: minus or plain")
     towers = tuple(towers)
     if not towers:
         return S3Verdict(True, "empty node")

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uctk import cli
+from uctk import cli, grammar, level2, level3
+from uctk.errors import ArityError
 from uctk.cli import HANDLERS, MAX_BOUND, _build_parser, _quote, main
 from uctk.grammar import MAX_NESTING
 
@@ -568,3 +569,58 @@ LE2_SIBLINGS = "({} ; () -> ({}, (0)); ((0)) -> ({(0)}, (0 0)); ((0 0)) -> ({(0)
         "recover-too-few-ordinals", "validate-pl2-degree-1", "respects-canonical-order"])
 def test_command_reports_as_recorded(argv, code, line):
     assert run(*argv) == (code, line + "\n")
+
+
+S2_TOWER = "[[() -> ({}, (0))] [() -> ({}, (0)); ((0)) -> ({(0)}, (0 0))]]"
+S3_TOWER = "[[((0)) -> (({} ; () -> ({}, (0))) @ (0, -1, {}))]]"
+L3_ENTRY = "((0)) -> (({} ; () -> ({}, (0))) @ (0, -1, {}))"
+
+
+@pytest.mark.parametrize("argv, col", [
+    (("recover", "{}", "{() ()}", "u2", "u1"), 5),
+    (("recover", "{}", "{() ((0)) ()}", "u1", "u2", "u3"), 11),
+    (("validate", "l2", "() -> ({}, (0)); ((0)) -> ({(0)}, (0 0)); "
+      "((0)) -> ({(0)}, -1)"), 43),
+    (("validate", "l3", f"{L3_ENTRY}; {L3_ENTRY}"), 50),
+    (("validate", "le2", "({} ; () -> ({}, (0)); () -> ({}, (0)))"), 24),
+])
+def test_a_domain_sequence_listed_twice_is_a_parse_error(argv, col):
+    code, out = run(*argv)
+    assert code == 2 and out.count("\n") == 1 and "code=PARSE_ERROR" in out
+    assert re.search(r"domain sequence \S+ listed twice, line 1, col (\d+)",
+                     out).group(1) == str(col)
+
+
+def test_batch_goes_on_after_a_domain_sequence_listed_twice(tmp_path):
+    batch = tmp_path / "twice.batch"
+    batch.write_text("recover {} \"{() ()}\" u2 u1\n"
+                     f"validate l3 \"{L3_ENTRY}; {L3_ENTRY}\"\n"
+                     "recover {} \"{() ((0))}\" u1 u1*2\n")
+    code, out = run("batch", str(batch))
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 3
+    assert all("code=PARSE_ERROR" in line for line in lines[:2])
+    assert lines[2].endswith('result="({} ; () -> ({}, (0)); ((0)) -> ({(0)}, (0 0)))"')
+
+
+@pytest.mark.parametrize("argv, variant", [
+    (("s2", S2_TOWER, "u1", "u1+5"), "respects"),
+    (("s3-structural", S3_TOWER), "plain"),
+])
+def test_only_the_documented_variants_are_accepted(argv, variant):
+    code, out = run(*argv, "--variant", "bogus")
+    assert code == 2 and out.count("\n") == 1 and "code=ARITY_ERROR" in out
+    assert "unknown variant 'bogus'" in out
+    assert run(*argv)[1] == run(*argv, "--variant", variant)[1]
+
+
+def test_s2_reads_no_unknown_variant_as_weak():
+    # a node that the weak check accepts and the respects check rejects
+    towers = grammar.parse_l2_tower(S2_TOWER)
+    alphas = [grammar.parse_uord("u1"), grammar.parse_uord("u1+5")]
+    assert level2.s2_member(towers, alphas, "weak")
+    assert not level2.s2_member(towers, alphas, "respects")
+    with pytest.raises(ArityError):
+        level2.s2_member(towers, alphas, "bogus")
+    with pytest.raises(ArityError):
+        level3.s3_structural_member([], "bogus")

@@ -8,7 +8,7 @@ from uctk.grammar import (format_domseq, format_index_map, format_l1,
                           format_pl2, format_tower, format_uord, parse_domseq,
                           parse_index_map, parse_l1, parse_l2, parse_l3,
                           parse_le2, parse_node, parse_pl2, parse_rep_seq,
-                          parse_tower, parse_uord)
+                          parse_shape, parse_tower, parse_uord)
 from uctk.lemmas import rand_uord
 from uctk.level1 import enumerate_level1_up_to
 from uctk.level2 import enumerate_le2_trees
@@ -80,3 +80,16 @@ def test_round_trip_random_ordinals():
     for _ in range(500):
         b = rand_uord(rng)
         assert parse_uord(format_uord(b)) == b
+
+
+def test_shape_lists_each_domain_sequence_once():
+    assert parse_shape("{() ((0)) ((0) -1)}") == [(), ((0,),), ((0,), -1)]
+    assert parse_shape(" { } ") == []
+    with pytest.raises(ParseError) as e:
+        parse_shape("{() ((0))\n((0))}")
+    assert (e.value.detail[0], e.value.line, e.value.col) == \
+        ("domain sequence ((0)) listed twice", 2, 1)
+    with pytest.raises(ParseError) as e:
+        parse_shape("{() ((0))")
+    assert (e.value.detail[0], e.value.line, e.value.col) == \
+        ("unexpected end of input", 1, 10)
