@@ -24,9 +24,13 @@ import re
 from .bk import MINUS_ONE
 from .errors import ParseError
 from .level1 import Level1Tree, validate_level1
+from .level2 import LevelLe2Tree, validate_level2
+from .level3 import validate_level3, validate_partial_le2
 from .ordinals import CtblOrd, IndexMap, UOrd
 
 _TOKEN = re.compile(r"->|[(){}\[\];,@]|\^|\*|\+|-?\d+|u\d+|w|[A-Za-z_]+")
+# One pass over the text: whitespace, then a token or one stray character.
+_SCAN = re.compile(r"\s*(?:(" + _TOKEN.pattern + r")|\S)")
 _INTEGER = re.compile(r"-?\d+").fullmatch
 _NATURAL = re.compile(r"\d+").fullmatch
 
@@ -40,15 +44,14 @@ class _Tokens:
         self.text = text
         self.items = []
         pos = 0
-        for m in _TOKEN.finditer(text):
-            between = text[pos:m.start()]
-            if between.strip():
-                raise ParseError(f"unexpected {between.strip()!r}",
-                                 *_loc(text, pos))
-            self.items.append((m.group(), m.start()))
+        for m in _SCAN.finditer(text):
+            tok = m.group(1)
+            if tok is None:
+                nxt = _TOKEN.search(text, pos)
+                gap = text[pos:nxt.start() if nxt else len(text)].strip()
+                raise ParseError(f"unexpected {gap!r}", *_loc(text, pos))
+            self.items.append((tok, m.start(1)))
             pos = m.end()
-        if text[pos:].strip():
-            raise ParseError(f"unexpected {text[pos:].strip()!r}", *_loc(text, pos))
         self.i = 0
         self.depth = 0  # open parentheses and exponents in an ordinal
 
@@ -211,7 +214,6 @@ def _l2_label(toks):
 
 
 def _l2_entries(toks, close):
-    from .level2 import validate_level2
     return validate_level2(_keyed(toks, close, _l2_label))
 
 
@@ -220,7 +222,6 @@ def parse_l2(text: str):
 
 
 def _le2(toks):
-    from .level2 import LevelLe2Tree
     toks.expect("(")
     t1 = _l1(toks)
     toks.expect(";")
@@ -234,7 +235,6 @@ def parse_le2(text: str):
 
 
 def _pl2(toks):
-    from .level3 import validate_partial_le2
     toks.expect("(")
     base = _le2(toks)
     toks.expect("@")
@@ -261,7 +261,6 @@ def parse_pl2(text: str):
 
 
 def _l3_entries(toks, close):
-    from .level3 import validate_level3
     return validate_level3(_keyed(toks, close, _pl2))
 
 

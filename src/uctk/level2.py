@@ -216,6 +216,32 @@ class TreeOfTrees(Value):
     def is_subtree_of(self, other) -> bool:
         return all(k in other and other.label(k) == v for k, v in self.entries)
 
+    def interleave(self, q, values) -> tuple:
+        """A representation point: each entry of q written after the value
+        at ``node`` of that entry's prefix, when the prefix is in the domain.
+        A level-2 tree holds the root, a level-3 tree does not."""
+        out = []
+        for i, entry in enumerate(q):
+            if q[:i] in self:
+                out.append(values[self.node(q[:i])])
+            out.append(entry)
+        return tuple(out)
+
+    def deinterleave(self, payload):
+        """(q, values) read back from ``interleave``; InvalidElement unless
+        the payload has the layout's parity and q, less a trailing -1, is in
+        the domain."""
+        start = int(() in self)
+        if len(payload) % 2 == start:
+            raise InvalidElement(payload)
+        q = tuple(payload[start::2])
+        base = q[:-1] if q and q[-1] == MINUS_ONE else q
+        if base not in self:
+            raise InvalidElement(payload)
+        values = {self.node(q[:i]): payload[start + 2 * i - 1]
+                  for i in range(len(q)) if q[:i] in self}
+        return q, values
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}<{self}>"
 
@@ -391,10 +417,9 @@ def q_descriptions(le2: LevelLe2Tree):
 def extended_descriptions(le2: LevelLe2Tree):
     """desc* adds, for each continuous description, its form with the -1
     dropped: same tree and vector over the completion."""
-    out = list(q_descriptions(le2))
-    for d, desc in list(out):
-        if d == 2 and desc.is_continuous():
-            out.append((2, QDescription(desc.q[:-1], desc.tree, desc.pvec, extended=True)))
+    out = q_descriptions(le2)
+    out += [(2, description(le2.t2, desc.q[:-1], extended=True))
+            for d, desc in out if d == 2 and desc.is_continuous()]
     return out
 
 
@@ -446,30 +471,13 @@ def make_rep2(le2: LevelLe2Tree, q: DomSeq, alphas) -> Rep2Element:
             raise InvalidElement(q)
     elif not respects_level1(t2.tree(q), alphas):
         raise InvalidElement(q)
-    seq = []
-    for i in range(len(base)):
-        seq += [alphas[t2.node(base[:i])], base[i]]
-    if continuous:
-        seq += [alphas[pt.node], MINUS_ONE]
-    return Rep2Element(2, tuple(seq))
+    return Rep2Element(2, t2.interleave(q, alphas))
 
 
 def rep2_from_payload(le2: LevelLe2Tree, payload) -> Rep2Element:
     """Reconstruct and validate a level-2 representation point from its
     interleaved sequence."""
-    t2 = le2.t2
-    if len(payload) % 2:
-        raise InvalidElement(payload)
-    q = tuple(payload[2 * i + 1] for i in range(len(payload) // 2))
-    base = q[:-1] if q and q[-1] == MINUS_ONE else q
-    if base not in t2:
-        raise InvalidElement(payload)
-    alphas = {}
-    for i in range(len(base)):
-        alphas[t2.node(base[:i])] = payload[2 * i]
-    if q and q[-1] == MINUS_ONE:
-        alphas[t2.node(base)] = payload[-2]
-    elt = make_rep2(le2, q, alphas)
+    elt = make_rep2(le2, *le2.t2.deinterleave(payload))
     if elt.payload != tuple(payload):
         raise InvalidElement(payload)
     return elt
@@ -581,7 +589,7 @@ def evaluate_description(le2: LevelLe2Tree, t, item, check: bool = True) -> UOrd
     """
     if check and not respects_le2(le2, t):
         raise NotRespecting(le2)
-    d, desc = item if isinstance(item, tuple) else (2, item)
+    d, desc = item
     if d == 1:
         if desc not in le2.t1.nodes:
             raise BadDescription(item)
@@ -722,6 +730,17 @@ def _minus_one_nat(c: CtblOrd) -> CtblOrd:
 
 # -- S2 ------------------------------------------------------------------------------
 
+def new_key(towers, i):
+    """The one domain element that stage i of a tower of trees adds: stage
+    i has i+1 elements and extends stage i-1, else InvalidTower at i."""
+    tree = towers[i]
+    if tree.cardinality() != i + 1:
+        raise InvalidTower("CARDINALITY_MISMATCH", i)
+    if i and not towers[i - 1].is_subtree_of(tree):
+        raise InvalidTower(i)
+    return next(k for k, _ in tree.entries if not i or k not in towers[i - 1])
+
+
 def s2_member(towers, alphas, variant: str = "respects") -> bool:
     """Membership of a level-2 tower node in S_2^- (respects) or S_2 (weak).
 
@@ -736,19 +755,7 @@ def s2_member(towers, alphas, variant: str = "respects") -> bool:
         raise LengthMismatch(len(towers), len(alphas))
     if not towers:
         return True
-    t = {}
-    prev_dom = set()
-    for i, (tree, a) in enumerate(zip(towers, alphas)):
-        if tree.cardinality() != i + 1:
-            raise InvalidTower("CARDINALITY_MISMATCH", i)
-        dom = {(2, q) for q in tree.dom()}
-        fresh = dom - prev_dom
-        if len(fresh) != 1 or not prev_dom <= dom:
-            raise InvalidTower(i)
-        if i and not towers[i - 1].is_subtree_of(tree):
-            raise InvalidTower(i)
-        t[next(iter(fresh))] = a
-        prev_dom = dom
+    t = {(2, new_key(towers, i)): a for i, a in enumerate(alphas)}
     last = LevelLe2Tree(EMPTY_TREE, towers[-1])
     check = respects_le2 if variant == "respects" else weakly_respects_le2
     return bool(check(last, t))

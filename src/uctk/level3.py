@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from . import bk
 from .errors import (ArityError, CaseViolation, DegreeZero, DomainNotTree,
-                     EmptyKeyPresent, InvalidElement, InvalidTower, NotRegular,
-                     TowerViolation)
+                     EmptyKeyPresent, InvalidElement, NotRegular, TowerViolation)
 from .level1 import EMPTY_TREE, Level1Tree, is_level1, validate_level1
 from .level2 import (CONSTANT_DESC, MINUS_ONE, LevelLe2Tree, TreeOfTrees,
                      as_domseq, check_tree_of_trees, child_labels, description,
-                     q_set_plus, respects_le2, validate_level2)
+                     new_key, q_set_plus, respects_le2, validate_level2)
 from .ordinals import U1, as_uord
 from .value import Value, set_field
 
@@ -159,7 +158,7 @@ class Level3Tree(TreeOfTrees):
 
 
 def is_regular_level3(tree: Level3Tree) -> bool:
-    return ((1,),) not in tree.dom()
+    return ((1,),) not in tree
 
 
 def validate_level3(entries) -> Level3Tree:
@@ -212,31 +211,14 @@ def make_rep3(tree: Level3Tree, r, values) -> Rep3Element:
             raise InvalidElement(r)
     elif not respects_le2(tree.tree(r), values):
         raise InvalidElement(r)
-    seq = []
-    for i, entry in enumerate(base):
-        if i:
-            seq.append(values[tree.node(base[:i])])
-        seq.append(entry)
-    if continuous:
-        seq += [values[(pt.d, pt.q)], MINUS_ONE]
-    return Rep3Element(tuple(seq))
+    return Rep3Element(tree.interleave(r, values))
 
 
 def rep3_from_payload(tree: Level3Tree, payload) -> Rep3Element:
     """Reconstruct and validate beta (+) r from its interleaved sequence."""
-    if len(payload) % 2 == 0:
-        raise InvalidElement(payload)
-    r = tuple(payload[2 * i] for i in range((len(payload) + 1) // 2))
-    base = r[:-1] if r and r[-1] == MINUS_ONE else r
-    if base not in tree:
-        raise InvalidElement(payload)
-    values = {(2, ()): U1}  # the root entry is forced and not interleaved
-    for i in range(1, len(base)):
-        values[tree.node(base[:i])] = payload[2 * i - 1]
-    if r and r[-1] == MINUS_ONE:
-        pt = tree.label(base)
-        values[(pt.d, pt.q)] = payload[-2]
-    elt = make_rep3(tree, r, values)
+    r, values = tree.deinterleave(payload)
+    # the root entry is forced and not interleaved
+    elt = make_rep3(tree, r, {(2, ()): U1, **values})
     if elt.payload != tuple(payload):
         raise InvalidElement(payload)
     return elt
@@ -274,16 +256,9 @@ def s3_structural_member(towers, variant: str = "plain") -> S3Verdict:
     towers = tuple(towers)
     if not towers:
         return S3Verdict(True, "empty node")
-    prev_dom = None
     for i, t in enumerate(towers):
         if not is_regular_level3(t):
             raise NotRegular(i)
-        if t.cardinality() != i + 1:
-            raise InvalidTower("CARDINALITY_MISMATCH", i)
-        dom = set(t.dom())
-        if prev_dom is not None:
-            if not towers[i - 1].is_subtree_of(t) or len(dom - prev_dom) != 1:
-                raise InvalidTower(i)
-        prev_dom = dom
+        new_key(towers, i)
     return S3Verdict(True, f"regular level-3 tower of length {len(towers)}, "
                            f"variant {variant}")
