@@ -24,7 +24,7 @@ import time
 from functools import partial
 
 from . import bk
-from .analysis import (analyze, chain_node, factor_to_shift, inclusion_shift,
+from .analysis import (analyze, factor_to_shift, inclusion_shift,
                        recover_from_analysis)
 from .errors import MultipleTreesFound, NoTreeFound, NotAFactoring
 from .level1 import (EMPTY_TREE, FactorMap1, Level1Tree, addable_nodes,
@@ -126,9 +126,14 @@ class EvalOracle:
             if not c.is_zero() and s.compare(c.leading_exponent()) < 0:
                 s = c.leading_exponent()
         self.mu = CtblOrd.omega_power(s + ONE)
+        self._pools = {}
 
     def pool(self, j: int) -> CtblOrd:
-        return CtblOrd.omega_power(self.mu * CtblOrd.natural(j))
+        """v_j = w^(mu*j), built once per oracle."""
+        v = self._pools.get(j)
+        if v is None:
+            v = self._pools[j] = CtblOrd.omega_power(self.mu * CtblOrd.natural(j))
+        return v
 
     def assignments(self, nodes, extra: int = 2):
         """Order-respecting pool assignments to the given nodes."""
@@ -172,20 +177,24 @@ class EvalOracle:
 
     def signature_holds(self, claimed) -> bool:
         """(a) strict lexicographic monotonicity in the claimed projection,
-        (b) the projection determines the value."""
+        (b) the projection determines the value.
+
+        The projections all have len(claimed) entries, so their
+        Brouwer-Kleene order is lexicographic.  Sorted by projection, then
+        value, the points satisfy both clauses for every pair exactly when
+        each neighbour has an equal value under an equal projection and a
+        larger value under a larger one."""
         claimed = tuple(claimed)
         if set(claimed) - set(self.tree.nodes):
             return False
-        points = [(tuple(x[w] for w in claimed), self.evaluate(x))
-                  for x in self.assignments(self.tree.nodes)]
-        for px, fx in points:
-            for py, fy in points:
-                if px == py:
-                    if fx.compare(fy) != 0:
-                        return False
-                elif bk.bk_compare(px, py, CtblOrd.compare) < 0 \
-                        and fx.compare(fy) >= 0:
+        points = sorted((tuple([x[w].key for w in claimed]), self.evaluate(x).key)
+                        for x in self.assignments(self.tree.nodes))
+        for (px, fx), (py, fy) in zip(points, points[1:]):
+            if px == py:
+                if fx != fy:
                     return False
+            elif fx >= fy:
+                return False
         return True
 
     def sup_strictly_below(self, assignment) -> CtblOrd:
@@ -217,7 +226,7 @@ class EvalOracle:
         if i == 0:
             return U1
         m = len(self.sig_nodes)
-        chain = [chain_node(l + 1) for l in range(i)]
+        chain = [(0,) * (l + 1) for l in range(i)]
         assignment = {p: self.pool(i - l) for l, p in enumerate(chain)}
         val = ZERO
         for l in range(i):

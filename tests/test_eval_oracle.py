@@ -1,0 +1,103 @@
+"""The a.e.-evaluation oracle of criterion 4 against its own earlier form
+and against the code it checks.
+
+``EvalOracle.signature_holds`` sorts the evaluation points on their
+projections and compares neighbours; ``_pairwise_signature_holds`` is the
+rule it replaced, every pair of points compared in the Brouwer-Kleene
+order.  The oracle must also stay an independent route: it never enters the
+analysis it is run against."""
+
+import itertools
+import random
+import sys
+
+from uctk import analysis, bk
+from uctk.grammar import parse_l1, parse_uord
+from uctk.lemmas import EvalOracle, rand_limit_uord
+from uctk.level1 import enumerate_level1_up_to
+from uctk.ordinals import CtblOrd
+
+
+def _pairwise_signature_holds(oracle, claimed) -> bool:
+    """(a) strict lexicographic monotonicity in the claimed projection,
+    (b) the projection determines the value, over every pair of points."""
+    claimed = tuple(claimed)
+    if set(claimed) - set(oracle.tree.nodes):
+        return False
+    points = [(tuple(x[w] for w in claimed), oracle.evaluate(x))
+              for x in oracle.assignments(oracle.tree.nodes)]
+    for px, fx in points:
+        for py, fy in points:
+            if px == py:
+                if fx.compare(fy) != 0:
+                    return False
+            elif bk.bk_compare(px, py, CtblOrd.compare) < 0 \
+                    and fx.compare(fy) >= 0:
+                return False
+    return True
+
+
+def _claims(tree, signature):
+    """The analysis's signature, its prefix and its reverse, the empty
+    claim, every permutation of up to 3 tree nodes, and a foreign node."""
+    yield signature
+    yield signature[:-1]
+    yield tuple(reversed(signature))
+    yield ()
+    for k in range(1, 4):
+        yield from itertools.permutations(sorted(tree.nodes), k)
+    yield signature + ((7,),)
+
+
+def test_sorted_signature_check_agrees_with_pairwise():
+    """Every level-1 tree with 1-4 nodes, with 4 seeded limits each."""
+    rng = random.Random(11)
+    cases, accepted = 0, 0
+    for tree in [t for t in enumerate_level1_up_to(4) if len(t) >= 1]:
+        drawn = 0
+        while drawn < 4:
+            b = rand_limit_uord(rng, max_level=len(tree))
+            if b.is_countable():
+                continue
+            drawn += 1
+            oracle = EvalOracle(b, tree)
+            for claimed in _claims(tree, analysis.analyze(b, tree).signature):
+                fast = oracle.signature_holds(claimed)
+                assert fast == _pairwise_signature_holds(oracle, claimed), \
+                    f"b={b}, W={tree}, claimed={claimed}"
+                cases += 1
+                accepted += fast
+    assert 0 < accepted < cases
+
+
+_PRODUCTION = (analysis.analyze, analysis.factor_to_shift,
+               analysis.inclusion_shift, analysis.recover_from_analysis,
+               analysis.chain_node)
+
+
+def test_oracle_never_enters_the_analysis():
+    inputs = [(parse_uord(b), parse_l1(w)) for b, w in [
+        ("u2 + u1", "{(0) (0 0)}"),
+        ("u3 + u1*2", "{(0) (0 0) (0 1)}"),
+        ("u2*w + w", "{(0) (1) (0 0)}"),
+        ("u4 + u2*3", "{(0) (0 0) (0 0 0) (1)}"),
+    ]]
+    signatures = [analysis.analyze(b, tree).signature for b, tree in inputs]
+    forbidden = {f.__code__: f.__qualname__ for f in _PRODUCTION}
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in forbidden:
+            entered.add(forbidden[frame.f_code])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for (b, tree), signature in zip(inputs, signatures):
+            oracle = EvalOracle(b, tree)
+            oracle.signature_holds(signature)
+            oracle.essentially_continuous()
+            oracle.approximation_sequence()
+    finally:
+        sys.setprofile(previous)
+    assert not entered
