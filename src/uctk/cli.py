@@ -142,17 +142,21 @@ _ORDERINGS = {-1: "less", 0: "equal", 1: "greater"}
 
 
 def cmd_compare(args, flags):
-    if flags.rep1:
+    given = [f"--{name}" for name in ("rep1", "rep2", "rep3")
+             if getattr(flags, name) is not None]
+    if len(given) > 1:
+        raise ArityError(f"compare takes one of --rep1, --rep2, --rep3, got {' '.join(given)}")
+    if flags.rep1 is not None:
         _need(args, 2, "compare --rep1 TREE [node] / [node, n]")
         tree = grammar.parse_l1(flags.rep1)
-        elts = [_rep1_elt(t) for t in args]
+        elts = [_rep1_elt(grammar.parse_rep_seq(t), t) for t in args]
         c = level1.rep_compare(tree, *elts)
-    elif flags.rep2:
+    elif flags.rep2 is not None:
         _need(args, 2, "compare --rep2 LE2 (d, [entries]) x2")
         le2 = grammar.parse_le2(flags.rep2)
         elts = [_rep2_elt(le2, t) for t in args]
         c = level2.rep2_compare(le2, *elts)
-    elif flags.rep3:
+    elif flags.rep3 is not None:
         _need(args, 2, "compare --rep3 L3 [entries] x2")
         tree = grammar.parse_l3(flags.rep3)
         elts = [level3.rep3_from_payload(tree, grammar.parse_rep_seq(t))
@@ -164,8 +168,9 @@ def cmd_compare(args, flags):
     return _ok("compare", result=_ORDERINGS[c])
 
 
-def _rep1_elt(text):
-    seq = grammar.parse_rep_seq(text)
+def _rep1_elt(seq, text):
+    """The level-1 representation point that the entries seq, read from
+    text, spell: [node] or [node, n]."""
     if len(seq) == 1 and isinstance(seq[0], tuple):
         return level1.Rep1Element(seq[0])
     if len(seq) == 2 and isinstance(seq[0], tuple):
@@ -181,18 +186,13 @@ def _rep1_elt(text):
 
 
 def _rep2_elt(le2, text):
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ParseError(f"rep2 element is (d, [entries]): {text}")
-    d, _, rest = text[1:-1].partition(",")
-    if d.strip() not in ("1", "2"):
-        raise ParseError(f"rep2 element side is 1 or 2: {text}")
-    if d.strip() == "1":
-        elt = _rep1_elt(rest.strip())
+    d, seq = grammar.parse_rep2_point(text)
+    if d == 1:
+        elt = _rep1_elt(seq, text)
         if elt.node not in le2.t1.nodes:
             raise InvalidElement(elt, "level-1 node outside the tree")
         return level2.Rep2Element(1, elt)
-    return level2.rep2_from_payload(le2, grammar.parse_rep_seq(rest.strip()))
+    return level2.rep2_from_payload(le2, seq)
 
 
 def cmd_order_type(args, flags):
@@ -334,8 +334,9 @@ def cmd_s2(args, flags):
         raise ArityError("s2 <[[entries] ...]> [ordinals...] [--variant respects|weak]")
     towers = grammar.parse_l2_tower(args[0])
     alphas = [grammar.parse_uord(t) for t in args[1:]]
-    ok = level2.s2_member(towers, alphas, flags.variant or "respects")
-    return _verdict("s2", ok, variant=flags.variant or "respects")
+    variant = "respects" if flags.variant is None else flags.variant
+    ok = level2.s2_member(towers, alphas, variant)
+    return _verdict("s2", ok, variant=variant)
 
 
 def cmd_ucf(args, flags):
@@ -367,7 +368,8 @@ def cmd_complete(args, flags):
 def cmd_s3_structural(args, flags):
     _need(args, 1, "s3-structural <[[l3 entries] ...]> [--variant minus|plain]")
     towers = grammar.parse_l3_tower(args[0])
-    v = level3.s3_structural_member(towers, flags.variant or "plain")
+    variant = "plain" if flags.variant is None else flags.variant
+    v = level3.s3_structural_member(towers, variant)
     return _verdict("s3-structural", bool(v), detail=v.detail,
                     ordinal_clause=v.ordinal_clause)
 

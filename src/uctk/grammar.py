@@ -11,6 +11,7 @@
   level-3 tree    ((0)) -> (<level <=2 tree> @ (d, q, P)); ...
   index map       {1->2, 2->3}
   ordinal         u3*2 + u1*(w^2+3) + 5     (w is omega)
+  rep point       [(0), 3, -1]; level <=2: (2, [u1, (0)])
 
 A domain sequence may be listed once per shape or tree.  Parsing is
 whitespace-insensitive; printers emit the canonical spacing used
@@ -515,6 +516,27 @@ def _rep_item(toks):
     return _uord_expr(toks)
 
 
+def _rep_seq(toks) -> tuple:
+    return tuple(_bracketed(toks, "[", "]", _items, _rep_item, ","))
+
+
 def parse_rep_seq(text: str):
     """Bracketed, comma-separated entries: nodes, -1, naturals or ordinals."""
-    return _parse_with(text, lambda t: tuple(_bracketed(t, "[", "]", _items, _rep_item, ",")))
+    return _parse_with(text, _rep_seq)
+
+
+def _rep2_point(toks):
+    toks.expect("(")
+    side = toks.next()
+    if side not in ("1", "2"):
+        raise ParseError(f"rep2 element side is 1 or 2, got {side!r}", *toks.loc_back())
+    toks.expect(",")
+    entries = _rep_seq(toks)
+    toks.expect(")")
+    return int(side), entries
+
+
+def parse_rep2_point(text: str):
+    """A level <=2 representation point ``(d, [entries])``: the side d, 1 or
+    2, and the entries as ``parse_rep_seq`` reads them."""
+    return _parse_with(text, _rep2_point)

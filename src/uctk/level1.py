@@ -282,13 +282,6 @@ def validate_tower(trees) -> Level1Tower:
     return Level1Tower(trees, tuple(is_regular(t) for t in trees))
 
 
-def new_node(prev: Level1Tree, cur: Level1Tree) -> Node:
-    diff = cur.nodes - prev.nodes
-    if len(diff) != 1:
-        raise NotSubtree(prev, cur)
-    return next(iter(diff))
-
-
 def respects_level1(tree: Level1Tree, alpha) -> bool:
     """Every value a countable limit, and node order mirrored by value order."""
     vals = []
@@ -322,6 +315,7 @@ def s1_member(trees, alphas) -> bool:
             raise NotRegular(i)
         if len(t) != i + 1 or not prev.is_subtree_of(t):
             raise InvalidTower(i)
-        beta[new_node(prev, t)] = a
+        (node,) = t.nodes - prev.nodes
+        beta[node] = a
         prev = t
     return respects_level1(trees[-1], beta)

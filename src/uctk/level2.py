@@ -122,24 +122,20 @@ def validate_partial_tower_le1(entries, final_tree=None) -> PartialTowerLe1:
 
 
 def expand_potential(potential) -> PartialTowerLe1:
-    """Rebuild the full tower from its compressed (P_*, pvec) form."""
-    trees = [EMPTY_TREE]
+    """Rebuild the full tower from its compressed (P_*, pvec) form: the
+    tower that ``validate_partial_tower_le1`` accepts and that compresses
+    back to ``potential``."""
     stages = []
+    base = EMPTY_TREE
     for p in potential.pvec:
-        stages.append(validate_partial_le1(trees[-1], p))
+        stages.append(validate_partial_le1(base, p))
         if p != MINUS_ONE:
-            trees.append(stages[-1].completion())
-    if len(potential.tree) == len(potential.pvec):
-        if trees[-1] != potential.tree:
-            raise NotCompletionAt(len(stages))
-        return PartialTowerLe1(tuple(stages), potential.tree)
-    if potential.pvec and potential.pvec[-1] != MINUS_ONE:
-        expected = stages[-1].base
-    else:
-        expected = trees[-1]
-    if expected != potential.tree:
+            base = stages[-1].completion()
+    tower = validate_partial_tower_le1(
+        stages, potential.tree if potential.is_continuous() else None)
+    if tower.compress() != potential:
         raise NotCompletionAt(len(stages))
-    return PartialTowerLe1(tuple(stages), None)
+    return tower
 
 
 # -- trees of level-1 trees ------------------------------------------------------
@@ -545,7 +541,7 @@ def respects_le2(le2: LevelLe2Tree, t) -> RespectVerdict:
         except KernelError as e:
             return RespectVerdict(False, f"potential-tower{q}", e.code)
         pot = q_potential(t2, q)
-        if an.potential_tower.tree != pot.tree or an.potential_tower.pvec != pot.pvec:
+        if an.potential_tower != pot:
             return RespectVerdict(False, f"potential-tower{q}",
                                   f"{an.potential_tower} != {pot}")
         expected = tuple(_entry(t, (2, q[:l])) for l in range(len(q) + 1))
@@ -583,6 +579,7 @@ def weakly_respects_le2(le2: LevelLe2Tree, t) -> RespectVerdict:
 def evaluate_description(le2: LevelLe2Tree, t, item, check: bool = True) -> UOrd:
     """Value of a description under a respecting tuple.
 
+    A level-2 description must be the one ``description`` builds at its q.
     Discontinuous descriptions are direct lookups; extended ones embed into
     the completion; continuous ones take the sup-embedding of the
     predecessor value.
@@ -595,16 +592,17 @@ def evaluate_description(le2: LevelLe2Tree, t, item, check: bool = True) -> UOrd
             raise BadDescription(item)
         return _entry(t, (1, desc))
     t2 = le2.t2
-    if desc.extended or desc.is_continuous():
-        q = desc.q if desc.extended else desc.q[:-1]
-        if q not in t2 or t2.node(q) == MINUS_ONE or \
-                desc.tree != t2.partial(q).completion():
-            raise BadDescription(item)
-        embed = tree_embed if desc.extended else tree_embed_sup
-        return embed(t2.tree(q), desc.tree, _entry(t, (2, q)))
-    if desc.q not in t2 or q_potential(t2, desc.q).pvec != desc.pvec:
+    try:
+        expected = description(t2, desc.q, desc.extended)
+    except KernelError:
+        raise BadDescription(item) from None
+    if desc != expected:
         raise BadDescription(item)
-    return _entry(t, (2, desc.q))
+    if not (desc.extended or desc.is_continuous()):
+        return _entry(t, (2, desc.q))
+    q = desc.q if desc.extended else desc.q[:-1]
+    embed = tree_embed if desc.extended else tree_embed_sup
+    return embed(t2.tree(q), desc.tree, _entry(t, (2, q)))
 
 
 # -- enumeration and recovery -----------------------------------------------------
@@ -714,7 +712,7 @@ def generate_respecting_tuple(le2: LevelLe2Tree):
             return None
         rank = bk.bk_sorted(t2.children(q[:-1]).nodes).index(q[-1])
         parent = coeffs[q[:-1]]
-        head = parent[:-1] + (_minus_one_nat(parent[-1]),) if parent else ()
+        head = parent[:-1] + (CtblOrd.natural(parent[-1].natural_value() - 1),) if parent else ()
         coeffs[q] = head + (CtblOrd.natural(3 * rank + 2),)
         uterms = tuple((n - l, c) for l, c in enumerate(coeffs[q]))
         tail = OMEGA if t2.node(q) == MINUS_ONE else CtblOrd.natural(0)
@@ -722,10 +720,6 @@ def generate_respecting_tuple(le2: LevelLe2Tree):
     for i, p in enumerate(bk.bk_sorted(le2.t1.nodes)):
         values[(1, p)] = UOrd.from_ctbl(OMEGA * CtblOrd.natural(i + 1))
     return values
-
-
-def _minus_one_nat(c: CtblOrd) -> CtblOrd:
-    return CtblOrd.natural(c.natural_value() - 1)
 
 
 # -- S2 ------------------------------------------------------------------------------

@@ -624,3 +624,39 @@ def test_s2_reads_no_unknown_variant_as_weak():
         level2.s2_member(towers, alphas, "bogus")
     with pytest.raises(ArityError):
         level3.s3_structural_member([], "bogus")
+
+
+@pytest.mark.parametrize("argv", [
+    ("s2", S2_TOWER, "u1", "u1+5"),
+    ("s3-structural", S3_TOWER),
+])
+def test_an_empty_variant_is_an_unknown_variant(argv):
+    code, out = run(*argv, "--variant", "")
+    assert code == 2 and out.count("\n") == 1 and "code=ARITY_ERROR" in out
+    assert "unknown variant ''" in out
+
+
+def test_an_empty_rep_flag_is_read_not_dropped():
+    code, out = run("compare", "--rep1", "", "[(5), 3]", "[(5), 3]")
+    assert code == 2 and out.count("\n") == 1 and "code=PARSE_ERROR" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ("--rep1", "{(0)}", "--rep3", "X"),
+    ("--rep1", "{(0)}", "--rep2", "({(0)} ; () -> ({}, (0)))"),
+    ("--rep2", "", "--rep3", ""),
+])
+def test_compare_takes_one_rep_flag(flags):
+    code, out = run("compare", *flags, "[(5), 3]", "[(5), 3]")
+    assert code == 2 and out.count("\n") == 1 and "code=ARITY_ERROR" in out
+    assert "compare takes one of --rep1, --rep2, --rep3" in out
+
+
+@pytest.mark.parametrize("point, message", [
+    ("(2, [u1, (0), $])", "unexpected '$', line 1, col 14"),
+    ("(1 [(0)])", "expected ',', got '[', line 1, col 4"),
+    ("(3, [])", "rep2 element side is 1 or 2, got '3', line 1, col 2"),
+], ids=["stray-character", "missing-comma", "bad-side"])
+def test_rep2_points_are_read_by_the_grammar(point, message):
+    code, out = run("compare", "--rep2", "({(0)} ; () -> ({}, (0)))", point, "(2, [])")
+    assert code == 2 and out.count("\n") == 1 and f"PARSE_ERROR: {message}" in out

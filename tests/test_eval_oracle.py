@@ -5,15 +5,16 @@ and against the code it checks.
 projections and compares neighbours; ``_pairwise_signature_holds`` is the
 rule it replaced, every pair of points compared in the Brouwer-Kleene
 order.  The oracle must also stay an independent route: it never enters the
-analysis it is run against."""
+analysis it is run against, and neither do the order-type and
+cofinality oracles enter the closed forms they check."""
 
 import itertools
 import random
 import sys
 
-from uctk import analysis, bk
+from uctk import analysis, bk, level1, ordinals
 from uctk.grammar import parse_l1, parse_uord
-from uctk.lemmas import EvalOracle, rand_limit_uord
+from uctk.lemmas import EvalOracle, cf_oracle, order_type_oracle, rand_limit_uord
 from uctk.level1 import enumerate_level1_up_to
 from uctk.ordinals import CtblOrd
 
@@ -70,6 +71,24 @@ def test_sorted_signature_check_agrees_with_pairwise():
     assert 0 < accepted < cases
 
 
+def _entered(production, run) -> set:
+    """The names of the functions in ``production`` that ``run()`` calls."""
+    forbidden = {f.__code__: f.__qualname__ for f in production}
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in forbidden:
+            entered.add(forbidden[frame.f_code])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return entered
+
+
 _PRODUCTION = (analysis.analyze, analysis.factor_to_shift,
                analysis.inclusion_shift, analysis.recover_from_analysis,
                analysis.chain_node)
@@ -83,21 +102,20 @@ def test_oracle_never_enters_the_analysis():
         ("u4 + u2*3", "{(0) (0 0) (0 0 0) (1)}"),
     ]]
     signatures = [analysis.analyze(b, tree).signature for b, tree in inputs]
-    forbidden = {f.__code__: f.__qualname__ for f in _PRODUCTION}
-    entered = set()
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in forbidden:
-            entered.add(forbidden[frame.f_code])
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
+    def run():
         for (b, tree), signature in zip(inputs, signatures):
             oracle = EvalOracle(b, tree)
             oracle.signature_holds(signature)
             oracle.essentially_continuous()
             oracle.approximation_sequence()
-    finally:
-        sys.setprofile(previous)
-    assert not entered
+
+    assert not _entered(_PRODUCTION, run)
+
+
+def test_order_type_and_cofinality_oracles_never_enter_the_closed_forms():
+    trees = [parse_l1(w) for w in ("{}", "{(0)}", "{(0) (1) (0 0)}")]
+    values = [parse_uord(b) for b in ("0", "5", "w", "u2 + u1*3", "u3*w", "u1*(w+1)")]
+    assert not _entered([level1.rep_order_type],
+                        lambda: [order_type_oracle(t) for t in trees])
+    assert not _entered([ordinals.cf_l], lambda: [cf_oracle(b) for b in values])

@@ -1,7 +1,8 @@
 import pytest
 
-from uctk.errors import (BadDescription, DegreeZeroHasNoCompletion,
-                         DomainNotTree, InvalidElement, KernelError,
+from uctk.analysis import PotentialTower1
+from uctk.errors import (BadDescription, BadFirstEntry,
+                         DegreeZeroHasNoCompletion, DomainNotTree, InvalidElement, KernelError,
                          MissingEntry, NoTreeFound, NotCompletionAt,
                          NotRespecting, RootNotCanonical, TowerViolation)
 from uctk.grammar import parse_l1, parse_l2, parse_uord
@@ -78,6 +79,16 @@ class TestPartialLevel1:
                       validate_partial_tower_le1([one], parse_l1("{(0)}"))):
             again = expand_potential(tower.compress())
             assert again.compress() == tower.compress()
+
+    def test_expand_checks_the_stages_as_the_validator_does(self):
+        # a degree-0 stage inside the vector has no completion to extend
+        with pytest.raises(NotCompletionAt) as e:
+            expand_potential(PotentialTower1(parse_l1("{(0)}"), ((0,), MINUS_ONE, (0, 0))))
+        assert e.value.index == 2
+        with pytest.raises(BadFirstEntry):
+            expand_potential(PotentialTower1(parse_l1("{(0)}"), ()))
+        with pytest.raises(NotCompletionAt):
+            expand_potential(PotentialTower1(parse_l1("{(0) (1)}"), ((0,), (0, 0))))
 
 
 class TestValidateLevel2:
@@ -251,6 +262,17 @@ class TestEvaluate:
         with pytest.raises(BadDescription):
             evaluate_description(Q21, q21_tuple(),
                                  (2, QDescription(((1,),), EMPTY_TREE, ())))
+
+    @pytest.mark.parametrize("desc", [
+        # discontinuous at ((0)) with the wrong tree
+        QDescription(KEY, parse_l1("{(0) (1)}"), ((0,), (0, 0))),
+        # continuous at ((0) -1) and extended at ((0)) with the wrong vector
+        QDescription(KEY + (MINUS_ONE,), parse_l1("{(0) (0 0)}"), ((0,), (1,))),
+        QDescription(KEY, parse_l1("{(0) (0 0)}"), ((0,),), extended=True),
+    ])
+    def test_only_the_built_description_evaluates(self, desc):
+        with pytest.raises(BadDescription):
+            evaluate_description(Q21, q21_tuple(), (2, desc))
 
 
 class TestRecover:
