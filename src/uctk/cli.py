@@ -71,9 +71,13 @@ def _ok(command: str, **fields) -> Report:
     return Report(command, "ok", **fields)
 
 
-def _verdict(command: str, accepted: bool, **fields) -> Report:
-    return Report(command, "ok" if accepted else "rejected",
-                  verdict=("accepted" if accepted else "rejected"), **fields)
+def _verdict(command: str, verdict, **fields) -> Report:
+    """The report of a membership or respect check; a rejection carries
+    the clause it failed and its detail."""
+    if verdict:
+        return Report(command, "ok", verdict="accepted", **fields)
+    return Report(command, "rejected", verdict="rejected", clause=verdict.clause,
+                  detail=verdict.detail, **fields)
 
 
 # -- argument decoding helpers ---------------------------------------------------
@@ -256,8 +260,7 @@ def cmd_s1(args, flags):
     for a in alphas:
         if not a.is_countable():
             raise InvalidElement("S1 ordinals are countable", a)
-    ok = level1.s1_member(trees, alphas)
-    return _verdict("s1", ok)
+    return _verdict("s1", level1.s1_member(trees, alphas))
 
 
 def cmd_analyze(args, flags):
@@ -298,9 +301,7 @@ def cmd_respects(args, flags, weak=False):
     le2 = grammar.parse_le2(args[0])
     t = _tuple2_from_args(le2, args[1:])
     fn = level2.weakly_respects_le2 if weak else level2.respects_le2
-    v = fn(le2, t)
-    fields = {} if v else {"clause": v.clause, "detail": v.detail}
-    return _verdict("weak-respects" if weak else "respects", bool(v), **fields)
+    return _verdict("weak-respects" if weak else "respects", fn(le2, t))
 
 
 def cmd_eval_desc(args, flags):
@@ -335,8 +336,7 @@ def cmd_s2(args, flags):
     towers = grammar.parse_l2_tower(args[0])
     alphas = [grammar.parse_uord(t) for t in args[1:]]
     variant = "respects" if flags.variant is None else flags.variant
-    ok = level2.s2_member(towers, alphas, variant)
-    return _verdict("s2", ok, variant=variant)
+    return _verdict("s2", level2.s2_member(towers, alphas, variant), variant=variant)
 
 
 def cmd_ucf(args, flags):
@@ -370,8 +370,7 @@ def cmd_s3_structural(args, flags):
     towers = grammar.parse_l3_tower(args[0])
     variant = "plain" if flags.variant is None else flags.variant
     v = level3.s3_structural_member(towers, variant)
-    return _verdict("s3-structural", bool(v), detail=v.detail,
-                    ordinal_clause=v.ordinal_clause)
+    return _verdict("s3-structural", v, detail=v.detail, ordinal_clause="not-evaluated")
 
 
 def cmd_enumerate(args, flags):

@@ -31,7 +31,7 @@ from .ordinals import CtblOrd, IndexMap, UOrd
 
 _TOKEN = re.compile(r"->|[(){}\[\];,@]|\^|\*|\+|-?\d+|u\d+|w|[A-Za-z_]+")
 # One pass over the text: whitespace, then a token or one stray character.
-_SCAN = re.compile(r"\s*(?:(" + _TOKEN.pattern + r")|\S)")
+_SCAN = re.compile(r"\s*(?:(" + _TOKEN.pattern + r")|(\S))")
 _INTEGER = re.compile(r"-?\d+").fullmatch
 _NATURAL = re.compile(r"\d+").fullmatch
 
@@ -44,15 +44,14 @@ class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.items = []
-        pos = 0
         for m in _SCAN.finditer(text):
             tok = m.group(1)
             if tok is None:
+                pos = m.start(2)
                 nxt = _TOKEN.search(text, pos)
                 gap = text[pos:nxt.start() if nxt else len(text)].strip()
                 raise ParseError(f"unexpected {gap!r}", *_loc(text, pos))
             self.items.append((tok, m.start(1)))
-            pos = m.end()
         self.i = 0
         self.depth = 0  # open parentheses and exponents in an ordinal
 
@@ -86,7 +85,8 @@ class _Tokens:
 
     def done(self):
         if self.i != len(self.items):
-            raise ParseError(f"trailing input {self.peek()!r}", *self.loc_back())
+            raise ParseError(f"trailing input {self.peek()!r}",
+                             *_loc(self.text, self.items[self.i][1]))
 
 
 def _loc(text: str, pos: int):

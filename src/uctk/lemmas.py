@@ -614,20 +614,15 @@ def suite_respect_hierarchy(max_dom: int = 4) -> SuiteResult:
     res = SuiteResult("respects implies weakly respects; typical discriminators")
     for tree, t in _realizable(max_dom):
         if respects_le2(tree, t):
-            res.check(bool(weakly_respects_le2(tree, t)),
-                      lambda: f"{tree}: respects but not weakly")
-    q0, q1, q20, q21 = typical_trees()
+            weak = weakly_respects_le2(tree, t)
+            res.check(bool(weak), lambda: f"{tree}: respects but not weakly: {weak.clause}")
+    _, _, q20, q21 = typical_trees()
     two = UOrd.u(1, CtblOrd.natural(2))
     lim = UOrd.u(1, OMEGA)
-    key = ((0,),)
-    res.check(bool(respects_le2(q21, {(2, ()): U1, (2, key): two})),
-              "Q21 rejects (u1, u1*2)")
-    res.check(not respects_le2(q20, {(2, ()): U1, (2, key): two}),
-              "Q20 accepts (u1, u1*2)")
-    res.check(bool(respects_le2(q20, {(2, ()): U1, (2, key): lim})),
-              "Q20 rejects (u1, u1*w)")
-    res.check(not respects_le2(q21, {(2, ()): U1, (2, key): lim}),
-              "Q21 accepts (u1, u1*w)")
+    for name, tree, value, accepts in (("Q21", q21, two, True), ("Q20", q20, two, False),
+                                       ("Q20", q20, lim, True), ("Q21", q21, lim, False)):
+        v = respects_le2(tree, {(2, ()): U1, (2, ((0,),)): value})
+        res.check(bool(v) == accepts, lambda: f"{name} on (u1, {value}): {v.clause or 'accepted'}")
     return res
 
 
@@ -664,9 +659,9 @@ def suite_tree_property(max_dom: int = 4, seed: int = 0) -> SuiteResult:
             prev = t
         if s1_member(trees, [a.tail for a in alphas]):
             for cut in range(len(trees)):
-                res.check(s1_member(trees[:cut], [a.tail for a in alphas[:cut]]),
-                          lambda: f"S1 prefix {cut} of {list(map(str, trees))} "
-                          "rejected")
+                v = s1_member(trees[:cut], [a.tail for a in alphas[:cut]])
+                res.check(bool(v), lambda: f"S1 prefix {cut} of {list(map(str, trees))} "
+                          f"rejected: {v.clause}")
     # S2: towers carved out of realizable level <=2 trees with empty level-1 part
     for tree, t in _realizable(max_dom):
         if len(tree.t1):
@@ -681,8 +676,8 @@ def suite_tree_property(max_dom: int = 4, seed: int = 0) -> SuiteResult:
         for variant in ("respects", "weak"):
             if s2_member(towers, alphas, variant):
                 for cut in range(len(towers)):
-                    res.check(s2_member(towers[:cut], alphas[:cut], variant),
-                              lambda: f"S2 prefix {cut} rejected ({variant})")
+                    v = s2_member(towers[:cut], alphas[:cut], variant)
+                    res.check(bool(v), lambda: f"S2 prefix {cut} rejected ({variant}): {v.clause}")
     return res
 
 

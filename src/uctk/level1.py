@@ -17,7 +17,7 @@ from .errors import (CardinalityMismatch, ClosureViolation, ContainsEmpty,
                      InvalidTower, LengthMismatch, NotADescription,
                      NotAFactoring, NotInRep, NotRegular, NotSubtree)
 from .ordinals import ONE, OMEGA, ZERO, CtblOrd, UOrd, as_uord
-from .value import Value, set_field
+from .value import ACCEPTED, Value, Verdict, set_field
 
 Node = tuple  # tuple of naturals
 
@@ -78,8 +78,8 @@ def is_level1(nodes) -> bool:
         return False
 
 
-def is_regular(tree: Level1Tree) -> bool:
-    return (1,) not in tree.nodes
+def is_regular(tree: Level1Tree) -> Verdict:
+    return Verdict(False, "regular", "(1) is a node") if (1,) in tree.nodes else ACCEPTED
 
 
 def addable_nodes(tree: Level1Tree):
@@ -279,23 +279,30 @@ def validate_tower(trees) -> Level1Tower:
     for i, j in zip(range(len(trees)), range(1, len(trees))):
         if not trees[i].is_subtree_of(trees[j]):
             raise NotSubtree(i, j)
-    return Level1Tower(trees, tuple(is_regular(t) for t in trees))
+    return Level1Tower(trees, tuple(bool(is_regular(t)) for t in trees))
 
 
-def respects_level1(tree: Level1Tree, alpha) -> bool:
+def _fmt(node) -> str:
+    from .grammar import format_node  # imported here: grammar imports this module
+    return format_node(node)
+
+
+def respects_level1(tree: Level1Tree, alpha) -> Verdict:
     """Every value a countable limit, and node order mirrored by value order."""
-    vals = []
+    prev = None
     for p in bk.bk_sorted(tree.nodes):
         if p not in alpha:
-            return False
+            return Verdict(False, "missing-value", _fmt(p))
         v = as_uord(alpha[p])
         if not (v.is_countable() and v.is_limit()):
-            return False
-        vals.append(v)
-    return all(a < b for a, b in zip(vals, vals[1:]))
+            return Verdict(False, "countable-limit", f"{_fmt(p)} = {v}")
+        if prev and not prev[1] < v:
+            return Verdict(False, "value-order", f"{_fmt(prev[0])} = {prev[1]}, {_fmt(p)} = {v}")
+        prev = p, v
+    return ACCEPTED
 
 
-def s1_member(trees, alphas) -> bool:
+def s1_member(trees, alphas) -> Verdict:
     """Membership of ((P_i), (alpha_i)) in the tree S_1.
 
     Trees are given from cardinality 1 on (the empty stage is implicit);
@@ -307,7 +314,7 @@ def s1_member(trees, alphas) -> bool:
     if len(trees) != len(alphas):
         raise LengthMismatch(len(trees), len(alphas))
     if not trees:
-        return True
+        return ACCEPTED
     prev = EMPTY_TREE
     beta = {}
     for i, (t, a) in enumerate(zip(trees, alphas)):

@@ -23,7 +23,7 @@ from .level1 import (EMPTY_TREE, Level1Tree, Node, addable_nodes,
                      regular_nodes, rep_compare, respects_level1,
                      validate_level1)
 from .ordinals import OMEGA, U1, CtblOrd, UOrd, as_uord
-from .value import Value, set_field
+from .value import ACCEPTED, Value, Verdict, set_field
 
 ROOT_NODE: Node = (0,)
 DomSeq = tuple  # tuple of nodes (each a tuple of naturals)
@@ -71,13 +71,13 @@ def validate_partial_le1(base: Level1Tree, node) -> PartialLevel1Tree:
     return PartialLevel1Tree(base, node)
 
 
-def respects_partial_le1(pt: PartialLevel1Tree, alpha) -> bool:
+def respects_partial_le1(pt: PartialLevel1Tree, alpha) -> Verdict:
     if pt.node == MINUS_ONE:
         if MINUS_ONE not in alpha:
-            return False
+            return Verdict(False, "missing-value", "-1")
         v = as_uord(alpha[MINUS_ONE])
         if not (v.is_countable() and v.tail.is_natural()):
-            return False
+            return Verdict(False, "natural", f"-1 = {v}")
         return respects_level1(pt.base, alpha)
     return respects_level1(pt.completion(), alpha)
 
@@ -499,25 +499,13 @@ def rep2_compare(le2: LevelLe2Tree, x: Rep2Element, y: Rep2Element) -> int:
 
 # -- respect ---------------------------------------------------------------------
 
-class RespectVerdict(Value):
-    __slots__ = ("ok", "clause", "detail")
-
-    def __init__(self, ok: bool, clause: str = "", detail: str = ""):
-        set_field(self, "ok", ok)
-        set_field(self, "clause", clause)
-        set_field(self, "detail", detail)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _entry(t, key):
     if key not in t:
         raise MissingEntry(key)
     return as_uord(t[key])
 
 
-def respects_le2(le2: LevelLe2Tree, t) -> RespectVerdict:
+def respects_le2(le2: LevelLe2Tree, t) -> Verdict:
     """The executable respect criterion.
 
     (1) the level-1 part respects the level-1 tree; (2) each stored level-2
@@ -526,12 +514,13 @@ def respects_le2(le2: LevelLe2Tree, t) -> RespectVerdict:
     Brouwer-Kleene order of their indices.
     """
     t1_vals = {p: _entry(t, (1, p)) for p in le2.t1.nodes}
-    if not respects_level1(le2.t1, t1_vals):
-        return RespectVerdict(False, "level1-part")
+    v = respects_level1(le2.t1, t1_vals)
+    if not v:
+        return Verdict(False, "level1-part", f"{v.clause}: {v.detail}")
     t2 = le2.t2
     branch = {(): _entry(t, (2, ()))}
     if branch[()].compare(U1) != 0:
-        return RespectVerdict(False, "root-value", str(branch[()]))
+        return Verdict(False, "root-value", str(branch[()]))
     for q in t2.dom():
         if not q:
             continue
@@ -539,27 +528,26 @@ def respects_le2(le2: LevelLe2Tree, t) -> RespectVerdict:
         try:
             an = analyze(val, t2.tree(q))
         except KernelError as e:
-            return RespectVerdict(False, f"potential-tower{q}", e.code)
+            return Verdict(False, f"potential-tower{q}", e.code)
         pot = q_potential(t2, q)
         if an.potential_tower != pot:
-            return RespectVerdict(False, f"potential-tower{q}",
-                                  f"{an.potential_tower} != {pot}")
+            return Verdict(False, f"potential-tower{q}", f"{an.potential_tower} != {pot}")
         expected = tuple(_entry(t, (2, q[:l])) for l in range(len(q) + 1))
         if an.approximation_sequence != expected:
-            return RespectVerdict(False, f"approximation{q}")
+            return Verdict(False, f"approximation{q}")
     for q in t2.dom():
         kids = bk.bk_sorted(t2.children(q).nodes)
         vals = [_entry(t, (2, q + (a,))) for a in kids]
         if any(x.compare(y) >= 0 for x, y in zip(vals, vals[1:])):
-            return RespectVerdict(False, f"sibling-order{q}")
-    return RespectVerdict(True)
+            return Verdict(False, f"sibling-order{q}")
+    return ACCEPTED
 
 
-def weakly_respects_le2(le2: LevelLe2Tree, t) -> RespectVerdict:
+def weakly_respects_le2(le2: LevelLe2Tree, t) -> Verdict:
     """beta_empty = u_1 and each level-2 value sits below the embedded image
     of its predecessor."""
     if _entry(t, (2, ())).compare(U1) != 0:
-        return RespectVerdict(False, "root-value")
+        return Verdict(False, "root-value")
     t2 = le2.t2
     for q in t2.dom():
         if not q:
@@ -568,10 +556,10 @@ def weakly_respects_le2(le2: LevelLe2Tree, t) -> RespectVerdict:
         try:
             bound = tree_embed(t2.tree(q[:-1]), t2.tree(q), prev)
         except KernelError as e:
-            return RespectVerdict(False, f"embed{q}", e.code)
+            return Verdict(False, f"embed{q}", e.code)
         if _entry(t, (2, q)).compare(bound) >= 0:
-            return RespectVerdict(False, f"bound{q}")
-    return RespectVerdict(True)
+            return Verdict(False, f"bound{q}")
+    return ACCEPTED
 
 
 # -- description evaluation ------------------------------------------------------
@@ -735,7 +723,7 @@ def new_key(towers, i):
     return next(k for k, _ in tree.entries if not i or k not in towers[i - 1])
 
 
-def s2_member(towers, alphas, variant: str = "respects") -> bool:
+def s2_member(towers, alphas, variant: str = "respects") -> Verdict:
     """Membership of a level-2 tower node in S_2^- (respects) or S_2 (weak).
 
     Each new domain element receives the ordinal arriving with its tree; the
@@ -748,8 +736,8 @@ def s2_member(towers, alphas, variant: str = "respects") -> bool:
     if len(towers) != len(alphas):
         raise LengthMismatch(len(towers), len(alphas))
     if not towers:
-        return True
+        return ACCEPTED
     t = {(2, new_key(towers, i)): a for i, a in enumerate(alphas)}
     last = LevelLe2Tree(EMPTY_TREE, towers[-1])
     check = respects_le2 if variant == "respects" else weakly_respects_le2
-    return bool(check(last, t))
+    return check(last, t)

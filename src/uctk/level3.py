@@ -16,7 +16,7 @@ from .level2 import (CONSTANT_DESC, MINUS_ONE, LevelLe2Tree, TreeOfTrees,
                      as_domseq, check_tree_of_trees, child_labels, description,
                      new_key, q_set_plus, respects_le2, validate_level2)
 from .ordinals import U1, as_uord
-from .value import Value, set_field
+from .value import ACCEPTED, Value, Verdict, set_field
 
 RSeq = tuple  # tuple of nodes indexing dom(R)
 
@@ -75,23 +75,25 @@ def validate_partial_le2(base: LevelLe2Tree, d: int, q, p) -> PartialLevelLe2Tre
     raise CaseViolation("degree must be 0, 1 or 2", d)
 
 
-def respects_partial_le2(pt: PartialLevelLe2Tree, t) -> bool:
-    """Restriction respects the base; the new entry is a natural (degree 0)
-    or extends to a respecting tuple of some completion."""
+def respects_partial_le2(pt: PartialLevelLe2Tree, t) -> Verdict:
+    """Restriction respects the base (its verdict is passed on); the new
+    entry is a natural (degree 0) or extends to a respecting tuple of some
+    completion."""
     base_keys = set(pt.base.dom())
-    restricted = {k: v for k, v in t.items() if k in base_keys}
-    if not respects_le2(pt.base, restricted):
-        return False
+    verdict = respects_le2(pt.base, {k: v for k, v in t.items() if k in base_keys})
+    if not verdict:
+        return verdict
     key = (pt.d, pt.q)
     if key not in t:
-        return False
+        return Verdict(False, "missing-value", f"new entry of degree {pt.d}")
     if pt.d == 0:
         v = as_uord(t[key])
-        return v.is_countable() and v.tail.is_natural()
-    for comp in completion_le2(pt):
-        if respects_le2(comp, t):
-            return True
-    return False
+        return ACCEPTED if v.is_countable() and v.tail.is_natural() else \
+            Verdict(False, "natural", f"-1 = {v}")
+    comps = completion_le2(pt)
+    if any(respects_le2(comp, t) for comp in comps):
+        return ACCEPTED
+    return Verdict(False, "completion", f"none of {len(comps)} respected")
 
 
 def ucf(pt: PartialLevelLe2Tree):
@@ -157,8 +159,8 @@ class Level3Tree(TreeOfTrees):
         return format_l3(self)
 
 
-def is_regular_level3(tree: Level3Tree) -> bool:
-    return ((1,),) not in tree
+def is_regular_level3(tree: Level3Tree) -> Verdict:
+    return Verdict(False, "regular", "((1)) is in the domain") if ((1,),) in tree else ACCEPTED
 
 
 def validate_level3(entries) -> Level3Tree:
@@ -232,19 +234,7 @@ def rep3_compare(tree: Level3Tree, x: Rep3Element, y: Rep3Element) -> int:
 
 # -- S3, structural part ------------------------------------------------------------
 
-class S3Verdict(Value):
-    __slots__ = ("ok", "detail", "ordinal_clause")
-
-    def __init__(self, ok: bool, detail: str, ordinal_clause: str = "not-evaluated"):
-        set_field(self, "ok", ok)
-        set_field(self, "detail", detail)
-        set_field(self, "ordinal_clause", ordinal_clause)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def s3_structural_member(towers, variant: str = "plain") -> S3Verdict:
+def s3_structural_member(towers, variant: str = "plain") -> Verdict:
     """Validate the regular-tower part of an S_3 (plain) or S_3^- (minus) node.
 
     The ordinal clause quantifies over tuples below delta^1_3, which this
@@ -255,10 +245,10 @@ def s3_structural_member(towers, variant: str = "plain") -> S3Verdict:
         raise ArityError(f"unknown variant {variant!r}: minus or plain")
     towers = tuple(towers)
     if not towers:
-        return S3Verdict(True, "empty node")
+        return Verdict(True, detail="empty node")
     for i, t in enumerate(towers):
         if not is_regular_level3(t):
             raise NotRegular(i)
         new_key(towers, i)
-    return S3Verdict(True, f"regular level-3 tower of length {len(towers)}, "
-                           f"variant {variant}")
+    return Verdict(True, detail=f"regular level-3 tower of length {len(towers)}, "
+                                f"variant {variant}")

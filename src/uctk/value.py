@@ -47,3 +47,22 @@ class Value:
 
     def __reduce__(self):
         return type(self), self._values(self)
+
+
+class Verdict(Value):
+    """The outcome of a membership or respect check, truthy when accepted.
+    A rejection names the clause it failed and, in ``detail``, what failed
+    it; an acceptance with no detail is the one ``ACCEPTED``."""
+
+    __slots__ = ("ok", "clause", "detail")
+
+    def __init__(self, ok: bool, clause: str = "", detail: str = ""):
+        set_field(self, "ok", ok)
+        set_field(self, "clause", clause)
+        set_field(self, "detail", detail)
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+ACCEPTED = Verdict(True)

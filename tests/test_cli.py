@@ -653,7 +653,7 @@ def test_compare_takes_one_rep_flag(flags):
 
 
 @pytest.mark.parametrize("point, message", [
-    ("(2, [u1, (0), $])", "unexpected '$', line 1, col 14"),
+    ("(2, [u1, (0), $])", "unexpected '$', line 1, col 15"),
     ("(1 [(0)])", "expected ',', got '[', line 1, col 4"),
     ("(3, [])", "rep2 element side is 1 or 2, got '3', line 1, col 2"),
 ], ids=["stray-character", "missing-comma", "bad-side"])

@@ -93,3 +93,15 @@ def test_shape_lists_each_domain_sequence_once():
         parse_shape("{() ((0))")
     assert (e.value.detail[0], e.value.line, e.value.col) == \
         ("unexpected end of input", 1, 10)
+
+
+@pytest.mark.parametrize("parse, text, message, col", [
+    (parse_node, "(0) x", "trailing input 'x'", 5),
+    (parse_l1, "{(0)} junk", "trailing input 'junk'", 7),
+    (parse_rep_seq, "[ $]", "unexpected '$'", 3),
+    (parse_l1, "{(0)\n  $ (1)}", "unexpected '$'", 3),
+], ids=["trailing-node", "trailing-tree", "stray", "stray-second-line"])
+def test_errors_point_at_the_offending_token(parse, text, message, col):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.detail[0], e.value.col) == (message, col)

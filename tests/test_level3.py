@@ -1,5 +1,6 @@
 import pytest
 
+from uctk.cli import main
 from uctk.errors import (CaseViolation, DegreeZero, DomainNotTree,
                          EmptyKeyPresent, InvalidElement, InvalidTower,
                          MissingEntry, NotRegular, TowerViolation)
@@ -220,9 +221,12 @@ class TestRep3Order:
 
 
 class TestS3Structural:
-    def test_empty_node(self):
+    def test_empty_node(self, capsys):
         v = s3_structural_member([], "plain")
-        assert v and v.ordinal_clause == "not-evaluated"
+        assert v and v.detail == "empty node"
+        assert main(["s3-structural", "[]"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(
+            'verdict=accepted detail="empty node" ordinal_clause=not-evaluated')
 
     def test_two_step_tower(self):
         t1 = validate_level3({((0,),): r1_entry()})

@@ -16,11 +16,12 @@ from uctk.level2 import (MINUS_ONE, LevelLe2Tree, Rep2Element, dom_star,
                          rep2_from_payload, s2_member, typical_trees,
                          validate_level2, weakly_respects_le2)
 from uctk.lemmas import enumerate_partial_le2
-from uctk.level3 import (Rep3Element, S3Verdict, completion_le2,
+from uctk.level3 import (Rep3Element, completion_le2,
                          is_regular_level3, make_rep3, rep3_from_payload,
                          respects_partial_le2, s3_structural_member,
                          validate_level3)
 from uctk.ordinals import OMEGA, U1, CtblOrd, UOrd
+from uctk.value import ACCEPTED, Verdict
 
 # -- the replaced code -------------------------------------------------------------
 
@@ -114,7 +115,7 @@ def _old_s2_member(towers, alphas, variant="respects"):
     if len(towers) != len(alphas):
         raise LengthMismatch(len(towers), len(alphas))
     if not towers:
-        return True
+        return ACCEPTED
     t = {}
     prev_dom = set()
     for i, (tree, a) in enumerate(zip(towers, alphas)):
@@ -130,7 +131,7 @@ def _old_s2_member(towers, alphas, variant="respects"):
         prev_dom = dom
     last = LevelLe2Tree(EMPTY_TREE, towers[-1])
     check = respects_le2 if variant == "respects" else weakly_respects_le2
-    return bool(check(last, t))
+    return check(last, t)
 
 
 def _old_s3_structural_member(towers, variant="plain"):
@@ -138,7 +139,7 @@ def _old_s3_structural_member(towers, variant="plain"):
         raise ArityError(f"unknown variant {variant!r}: minus or plain")
     towers = tuple(towers)
     if not towers:
-        return S3Verdict(True, "empty node")
+        return Verdict(True, detail="empty node")
     prev_dom = None
     for i, t in enumerate(towers):
         if not is_regular_level3(t):
@@ -150,8 +151,8 @@ def _old_s3_structural_member(towers, variant="plain"):
             if not towers[i - 1].is_subtree_of(t) or len(dom - prev_dom) != 1:
                 raise InvalidTower(i)
         prev_dom = dom
-    return S3Verdict(True, f"regular level-3 tower of length {len(towers)}, "
-                           f"variant {variant}")
+    return Verdict(True, detail=f"regular level-3 tower of length {len(towers)}, "
+                                f"variant {variant}")
 
 
 # -- inputs --------------------------------------------------------------------------
@@ -302,7 +303,7 @@ def test_s2_tower_step_agrees_with_the_loop_it_replaced():
                 args = (stages, alphas[:len(stages)], variant)
                 got = _outcome(s2_member, *args)
                 assert got == _outcome(_old_s2_member, *args), [str(s) for s in stages]
-                outcomes.add(got if type(got) is bool else got[1][0])
+                outcomes.add(got.ok if isinstance(got, Verdict) else got[1][0])
     assert outcomes == {True, False, "CARDINALITY_MISMATCH"} | set(range(1, 5)), outcomes
 
 
@@ -315,6 +316,6 @@ def test_s3_tower_step_agrees_with_the_loop_it_replaced():
         for stages in _variants(rng, tower, pool) + [tower + tower[-1:]]:
             got = _outcome(s3_structural_member, stages)
             assert got == _outcome(_old_s3_structural_member, stages), [str(s) for s in stages]
-            outcomes.add(got.ok if isinstance(got, S3Verdict) else got[0].__name__ + str(got[1]))
+            outcomes.add(got.ok if isinstance(got, Verdict) else got[0].__name__ + str(got[1]))
     assert {True, "NotRegular(1,)", "InvalidTower(1,)", "InvalidTower(2,)",
             "InvalidTower('CARDINALITY_MISMATCH', 1)"} <= outcomes, outcomes

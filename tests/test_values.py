@@ -93,8 +93,8 @@ def test_every_value_type_is_sampled():
         "CtblOrd", "UOrd", "Cofinality", "IndexMap", "Level1Tree", "Rep1Element",
         "FactorMap1", "Level1Tower", "PotentialTower1", "OrdAnalysis",
         "PartialLevel1Tree", "PartialTowerLe1", "Level2Tree", "LevelLe2Tree",
-        "QDescription", "Rep2Element", "RespectVerdict", "PartialLevelLe2Tree",
-        "Level3Tree", "Rep3Element", "S3Verdict", "SuiteResult"}
+        "QDescription", "Rep2Element", "Verdict", "PartialLevelLe2Tree",
+        "Level3Tree", "Rep3Element", "SuiteResult"}
 
 
 def test_str_and_repr_are_as_recorded():
