@@ -6,27 +6,3 @@ factoring maps, and the effective analysis (signature, uniform cofinality,
 approximation sequence) of ordinals below u_omega in indiscernible normal
 form, together with executable checkers for the supporting lemmas.
 """
-
-from .bk import bk_compare, bk_sorted
-from .ordinals import (OMEGA, ONE, U1, ZERO, Cofinality, CtblOrd, IndexMap,
-                       UOrd, apply_shift, apply_shift_sup, cf_l,
-                       decompose_shift, shift_is_continuous,
-                       shift_sup_by_decomposition)
-from .level1 import (EMPTY_TREE, FactorMap1, Level1Tower, Level1Tree,
-                     Rep1Element, addable_nodes, descriptions,
-                     enumerate_level1, factor_exists, factorings, is_regular,
-                     rep_compare, rep_order_type, respects_level1, s1_member,
-                     seed, strict_factor_exists, validate_level1,
-                     validate_tower)
-from .analysis import (OrdAnalysis, analyze, chain_tree, factor_to_shift,
-                       tree_embed, tree_embed_sup)
-from .level2 import (Level2Tree, LevelLe2Tree, PartialLevel1Tree,
-                     QDescription, Rep2Element, evaluate_description,
-                     generate_respecting_tuple, q_descriptions, recover_tree,
-                     rep2_compare, respects_le2, s2_member, typical_trees,
-                     validate_level2, weakly_respects_le2)
-from .level3 import (Level3Tree, PartialLevelLe2Tree, Rep3Element, cf3,
-                     completion_le2, rep3_compare, s3_structural_member, ucf,
-                     validate_level3, validate_partial_le2)
-
-__version__ = "0.1.0"

@@ -8,7 +8,6 @@ potential partial tower straight off the normal form.
 
 from __future__ import annotations
 
-from . import bk
 from .bk import MINUS_ONE
 from .errors import BelowOmega1, NotALimit, NotSubtree, OutOfRange
 from .level1 import (FactorMap1, Level1Tree, Level1Tower, check_factor_map,
@@ -36,7 +35,7 @@ def factor_to_shift(fm: FactorMap1) -> IndexMap:
 def inclusion_shift(sub: Level1Tree, sup: Level1Tree) -> IndexMap:
     if not sub.is_subtree_of(sup):
         raise NotSubtree(sub, sup)
-    fm = FactorMap1(sub, sup, tuple((p, p) for p in bk.bk_sorted(sub.nodes)))
+    fm = FactorMap1(sub, sup, tuple((p, p) for p in sub.bk_sorted()))
     return factor_to_shift(fm)
 
 

@@ -67,15 +67,11 @@ class Report:
         return "\n".join(lines)
 
 
-def _ok(command: str, **fields) -> Report:
-    return Report(command, "ok", **fields)
-
-
 def _verdict(command: str, verdict, **fields) -> Report:
     """The report of a membership or respect check; a rejection carries
     the clause it failed and its detail."""
     if verdict:
-        return Report(command, "ok", verdict="accepted", **fields)
+        return Report(command, verdict="accepted", **fields)
     return Report(command, "rejected", verdict="rejected", clause=verdict.clause,
                   detail=verdict.detail, **fields)
 
@@ -129,7 +125,7 @@ def cmd_validate(args, flags):
     if parser is None:
         raise ArityError(f"unknown kind {kind!r}")
     obj = parser(text)
-    return _ok("validate", kind=kind, result=str(obj))
+    return Report("validate", kind=kind, result=str(obj))
 
 
 def cmd_regular(args, flags):
@@ -169,7 +165,7 @@ def cmd_compare(args, flags):
     else:
         _need(args, 2, "compare SEQ SEQ")
         c = bk.bk(grammar.parse_rep_seq(args[0]), grammar.parse_rep_seq(args[1]))
-    return _ok("compare", result=_ORDERINGS[c])
+    return Report("compare", result=_ORDERINGS[c])
 
 
 def _rep1_elt(seq, text):
@@ -202,7 +198,7 @@ def _rep2_elt(le2, text):
 def cmd_order_type(args, flags):
     _need(args, 1, "order-type <level-1 tree>")
     tree = grammar.parse_l1(args[0])
-    return _ok("order-type", result=grammar.format_ctbl(level1.rep_order_type(tree)))
+    return Report("order-type", result=grammar.format_ctbl(level1.rep_order_type(tree)))
 
 
 def cmd_descriptions(args, flags):
@@ -211,7 +207,7 @@ def cmd_descriptions(args, flags):
     if text.lstrip().startswith("{"):
         tree = grammar.parse_l1(text)
         descs = [grammar.format_node(d) for d in level1.descriptions(tree)]
-        return _ok("descriptions", count=len(descs), result=" ".join(descs))
+        return Report("descriptions", count=len(descs), result=" ".join(descs))
     le2 = grammar.parse_le2(text)
     items = level2.extended_descriptions(le2)
     parts = []
@@ -223,14 +219,14 @@ def cmd_descriptions(args, flags):
                 ("cont" if desc.is_continuous() else "disc")
             reg = "reg" if level2.is_regular_description(le2, (d, desc)) else "irr"
             parts.append(f"(2, {desc}, {kind}, {reg})")
-    return _ok("descriptions", count=len(parts), result="; ".join(parts))
+    return Report("descriptions", count=len(parts), result="; ".join(parts))
 
 
 def cmd_seed(args, flags):
     _need(args, 2, "seed <level-1 tree> <node or ()>")
     tree = grammar.parse_l1(args[0])
     d = grammar.parse_node(args[1])
-    return _ok("seed", result=grammar.format_uord(level1.seed(tree, d)))
+    return Report("seed", result=grammar.format_uord(level1.seed(tree, d)))
 
 
 def cmd_factorings(args, flags):
@@ -238,10 +234,10 @@ def cmd_factorings(args, flags):
     p = grammar.parse_l1(args[0])
     w = grammar.parse_l1(args[1])
     maps = level1.factorings(p, w)
-    return _ok("factorings", count=len(maps),
-               exists=str(level1.factor_exists(p, w)).lower(),
-               strict=str(level1.strict_factor_exists(p, w)).lower(),
-               result="; ".join(str(m) for m in maps))
+    return Report("factorings", count=len(maps),
+                  exists=str(level1.factor_exists(p, w)).lower(),
+                  strict=str(level1.strict_factor_exists(p, w)).lower(),
+                  result="; ".join(str(m) for m in maps))
 
 
 def cmd_tower(args, flags):
@@ -249,7 +245,7 @@ def cmd_tower(args, flags):
     trees = grammar.parse_tower(args[0])
     tower = level1.validate_tower(trees)
     flagstr = " ".join("regular" if f else "non-regular" for f in tower.regular_flags)
-    return _ok("tower", length=len(tower), result=flagstr or "empty")
+    return Report("tower", length=len(tower), result=flagstr or "empty")
 
 
 def cmd_s1(args, flags):
@@ -268,7 +264,7 @@ def cmd_analyze(args, flags):
     b = grammar.parse_uord(args[0])
     tree = grammar.parse_l1(args[1])
     an = analysis.analyze(b, tree)
-    return _ok(
+    return Report(
         "analyze",
         signature=" ".join(grammar.format_node(w) for w in an.signature),
         seeds=" ".join(grammar.format_uord(s) for s in an.signature_seeds),
@@ -284,7 +280,7 @@ def cmd_analyze(args, flags):
 
 def cmd_cfl(args, flags):
     _need(args, 1, "cfl <ordinal>")
-    return _ok("cfl", result=str(ordinals.cf_l(grammar.parse_uord(args[0]))))
+    return Report("cfl", result=str(ordinals.cf_l(grammar.parse_uord(args[0]))))
 
 
 def cmd_shift(args, flags, sup=False):
@@ -292,7 +288,7 @@ def cmd_shift(args, flags, sup=False):
     sigma = grammar.parse_index_map(args[0])
     b = grammar.parse_uord(args[1])
     out = ordinals.apply_shift_sup(sigma, b) if sup else ordinals.apply_shift(sigma, b)
-    return _ok("shift-sup" if sup else "shift", result=grammar.format_uord(out))
+    return Report("shift-sup" if sup else "shift", result=grammar.format_uord(out))
 
 
 def cmd_respects(args, flags, weak=False):
@@ -313,7 +309,7 @@ def cmd_eval_desc(args, flags):
     t = _tuple2_from_args(le2, args[1:])
     desc = level2.description(le2.t2, grammar.parse_domseq(flags.at), flags.extended)
     val = level2.evaluate_description(le2, t, (2, desc))
-    return _ok("eval-desc", at=str(desc), result=grammar.format_uord(val))
+    return Report("eval-desc", at=str(desc), result=grammar.format_uord(val))
 
 
 def cmd_recover(args, flags):
@@ -321,13 +317,13 @@ def cmd_recover(args, flags):
         raise ArityError("recover <level-1 tree> <domain shape> <ordinals...>")
     t1 = grammar.parse_l1(args[0])
     shape = sorted(grammar.parse_shape(args[1]), key=level2._dom_sort_key)
-    ordered = [(1, p) for p in bk.bk_sorted(t1.nodes)] + [(2, q) for q in shape]
+    ordered = [(1, p) for p in t1.bk_sorted()] + [(2, q) for q in shape]
     texts = args[2:]
     if len(texts) != len(ordered):
         raise ArityError(f"domain has {len(ordered)} entries")
     t = {k: grammar.parse_uord(x) for k, x in zip(ordered, texts)}
     tree = level2.recover_tree(t1, shape, t)
-    return _ok("recover", result=str(tree))
+    return Report("recover", result=str(tree))
 
 
 def cmd_s2(args, flags):
@@ -344,25 +340,25 @@ def cmd_ucf(args, flags):
     pt = grammar.parse_pl2(args[0])
     value = level3.ucf(pt)
     if value == (0, MINUS_ONE):
-        return _ok("ucf", result="(0, -1)")
+        return Report("ucf", result="(0, -1)")
     d, desc = value
     if d == 1:
-        return _ok("ucf", result=f"(1, {grammar.format_node(desc)})")
-    return _ok("ucf", result=f"(2, {desc})",
-               extended=str(desc.extended).lower())
+        return Report("ucf", result=f"(1, {grammar.format_node(desc)})")
+    return Report("ucf", result=f"(2, {desc})",
+                  extended=str(desc.extended).lower())
 
 
 def cmd_cf3(args, flags):
     _need(args, 1, "cf3 <partial le2 tree>")
-    return _ok("cf3", result=str(level3.cf3(grammar.parse_pl2(args[0]))))
+    return Report("cf3", result=str(level3.cf3(grammar.parse_pl2(args[0]))))
 
 
 def cmd_complete(args, flags):
     _need(args, 1, "complete <partial le2 tree>")
     pt = grammar.parse_pl2(args[0])
     comps = level3.completion_le2(pt)
-    return _ok("complete", count=len(comps),
-               result="; ".join(str(c) for c in comps))
+    return Report("complete", count=len(comps),
+                  result="; ".join(str(c) for c in comps))
 
 
 def cmd_s3_structural(args, flags):
@@ -383,11 +379,12 @@ def cmd_enumerate(args, flags):
         trees = level1.enumerate_level1_up_to(bound, regular_only=flags.regular)
     else:
         trees = level2.enumerate_le2_trees(bound)
-    return _ok("enumerate", kind=kind, count=len(trees),
-               result="; ".join(str(t) for t in trees))
+    return Report("enumerate", kind=kind, count=len(trees),
+                  result="; ".join(str(t) for t in trees))
 
 
 def cmd_check_lemmas(args, flags):
+    _need(args, 0, "check-lemmas [--bound N] [--seed S] [--timings]")
     from . import lemmas  # only this command runs the suites; others start faster
 
     results = lemmas.check_lemmas(bound=_bound(flags, 4, "check-lemmas"),

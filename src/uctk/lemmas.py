@@ -331,7 +331,7 @@ def enumerate_partial_le1(max_completion: int):
 
 
 def _pred_in_tree(tree: Level1Tree, node):
-    order = bk.bk_sorted(tree.nodes)
+    order = tree.bk_sorted()
     i = order.index(node)
     return order[i - 1] if i else None
 
@@ -650,7 +650,7 @@ def suite_tree_property(max_dom: int = 4, seed: int = 0) -> SuiteResult:
         for _ in range(size):
             cur = validate_level1(set(cur.nodes) | {rng.choice(regular_nodes(cur))})
             trees.append(cur)
-        ranks = {p: i for i, p in enumerate(bk.bk_sorted(trees[-1].nodes))}
+        ranks = {p: i for i, p in enumerate(trees[-1].bk_sorted())}
         alphas = []
         prev = EMPTY_TREE
         for t in trees:

@@ -36,11 +36,10 @@ class Level1Tree(Value):
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def __iter__(self):
-        return iter(sorted(self.nodes))
-
-    def bk_sorted(self):
-        return bk.bk_sorted(self.nodes)
+    def bk_sorted(self) -> tuple:
+        """The nodes in Brouwer-Kleene order, from the cache that
+        ``descriptions`` and ``desc_rank`` read."""
+        return _bk_order(self.nodes)[0]
 
     def is_subtree_of(self, other: "Level1Tree") -> bool:
         return self.nodes <= other.nodes
@@ -161,22 +160,23 @@ def rep_order_type(tree: Level1Tree) -> CtblOrd:
 # -- descriptions, seeds, factoring ------------------------------------------
 
 @functools.lru_cache(maxsize=1024)
-def _description_order(nodes: frozenset):
-    """The sorted descriptions of a node set and the rank of each.  Cached by
-    node set, not per tree, so equal trees share one entry."""
-    descs = (*bk.bk_sorted(nodes), EMPTY_DESC)
-    return descs, {d: i for i, d in enumerate(descs)}
+def _bk_order(nodes: frozenset):
+    """A node set in Brouwer-Kleene order, and the rank of each description
+    with the constant one last.  Cached by node set, not per tree, so equal
+    trees share one entry."""
+    order = tuple(bk.bk_sorted(nodes))
+    return order, {d: i for i, d in enumerate((*order, EMPTY_DESC))}
 
 
 def descriptions(tree: Level1Tree):
     """desc(P) = P plus the constant description, in increasing order."""
-    return list(_description_order(tree.nodes)[0])
+    return [*tree.bk_sorted(), EMPTY_DESC]
 
 
 def desc_rank(tree: Level1Tree, d: Node) -> int:
     key = tuple(d)
     try:
-        return _description_order(tree.nodes)[1][key]
+        return _bk_order(tree.nodes)[1][key]
     except (KeyError, TypeError):  # TypeError: an unhashable entry
         raise NotADescription(d, tree) from None
 
@@ -215,7 +215,7 @@ class FactorMap1(Value):
 
 
 def make_factor_map(source: Level1Tree, target: Level1Tree, assignment) -> FactorMap1:
-    pairs = [(p, tuple(assignment[p])) for p in bk.bk_sorted(source.nodes)]
+    pairs = [(p, tuple(assignment[p])) for p in source.bk_sorted()]
     fm = FactorMap1(source, target, tuple(pairs))
     check_factor_map(fm)
     return fm
@@ -233,10 +233,9 @@ def check_factor_map(fm: FactorMap1) -> None:
 
 def factorings(source: Level1Tree, target: Level1Tree):
     """All maps factoring the pair, lexicographic in their images."""
-    src = bk.bk_sorted(source.nodes)
-    tgt = bk.bk_sorted(target.nodes)
+    src = source.bk_sorted()
     out = []
-    for combo in itertools.combinations(tgt, len(src)):
+    for combo in itertools.combinations(target.bk_sorted(), len(src)):
         out.append(FactorMap1(source, target, tuple(zip(src, combo))))
     return out
 
@@ -247,10 +246,9 @@ def factor_exists(source: Level1Tree, target: Level1Tree) -> bool:
 
 def strict_factor_exists(source: Level1Tree, target: Level1Tree) -> bool:
     """Some factoring map plus a node of the target above its whole image."""
-    tgt = bk.bk_sorted(target.nodes)
     for fm in factorings(source, target):
         img = fm.image()
-        for w in tgt:
+        for w in target.bk_sorted():
             if all(bk.bk(v, w) < 0 for v in img):
                 return True
     return False
@@ -290,7 +288,7 @@ def _fmt(node) -> str:
 def respects_level1(tree: Level1Tree, alpha) -> Verdict:
     """Every value a countable limit, and node order mirrored by value order."""
     prev = None
-    for p in bk.bk_sorted(tree.nodes):
+    for p in tree.bk_sorted():
         if p not in alpha:
             return Verdict(False, "missing-value", _fmt(p))
         v = as_uord(alpha[p])

@@ -305,7 +305,7 @@ class LevelLe2Tree(Value):
     def dom(self):
         """Canonical order: level-1 nodes by Brouwer-Kleene, then level-2
         domain sequences by length, then Brouwer-Kleene."""
-        out = [(1, p) for p in bk.bk_sorted(self.t1.nodes)]
+        out = [(1, p) for p in self.t1.bk_sorted()]
         out += [(2, q) for q in self.t2.dom()]
         return out
 
@@ -402,7 +402,7 @@ def description(t2: Level2Tree, q: DomSeq, extended: bool = False) -> QDescripti
 def q_descriptions(le2: LevelLe2Tree):
     """All descriptions (d, ...): the level-1 nodes and, on the level-2 side,
     one description per starred domain element that has one."""
-    out = [(1, p) for p in bk.bk_sorted(le2.t1.nodes)]
+    out = [(1, p) for p in le2.t1.bk_sorted()]
     for q in dom_star(le2.t2):
         if q and q[-1] == MINUS_ONE and le2.t2.node(q[:-1]) == MINUS_ONE:
             continue  # a degree-0 stage has no completion, hence no description
@@ -505,6 +505,11 @@ def _entry(t, key):
     return as_uord(t[key])
 
 
+def _fmt(q) -> str:
+    from .grammar import format_domseq  # imported here: grammar imports this module
+    return format_domseq(q)
+
+
 def respects_le2(le2: LevelLe2Tree, t) -> Verdict:
     """The executable respect criterion.
 
@@ -528,26 +533,27 @@ def respects_le2(le2: LevelLe2Tree, t) -> Verdict:
         try:
             an = analyze(val, t2.tree(q))
         except KernelError as e:
-            return Verdict(False, f"potential-tower{q}", e.code)
+            return Verdict(False, f"potential-tower{_fmt(q)}", e.code)
         pot = q_potential(t2, q)
         if an.potential_tower != pot:
-            return Verdict(False, f"potential-tower{q}", f"{an.potential_tower} != {pot}")
+            return Verdict(False, f"potential-tower{_fmt(q)}", f"{an.potential_tower} != {pot}")
         expected = tuple(_entry(t, (2, q[:l])) for l in range(len(q) + 1))
         if an.approximation_sequence != expected:
-            return Verdict(False, f"approximation{q}")
+            got, want = (", ".join(map(str, vs)) for vs in (an.approximation_sequence, expected))
+            return Verdict(False, f"approximation{_fmt(q)}", f"[{got}] != [{want}]")
     for q in t2.dom():
-        kids = bk.bk_sorted(t2.children(q).nodes)
-        vals = [_entry(t, (2, q + (a,))) for a in kids]
+        vals = [_entry(t, (2, q + (a,))) for a in t2.children(q).bk_sorted()]
         if any(x.compare(y) >= 0 for x, y in zip(vals, vals[1:])):
-            return Verdict(False, f"sibling-order{q}")
+            return Verdict(False, f"sibling-order{_fmt(q)}")
     return ACCEPTED
 
 
 def weakly_respects_le2(le2: LevelLe2Tree, t) -> Verdict:
     """beta_empty = u_1 and each level-2 value sits below the embedded image
     of its predecessor."""
-    if _entry(t, (2, ())).compare(U1) != 0:
-        return Verdict(False, "root-value")
+    root = _entry(t, (2, ()))
+    if root.compare(U1) != 0:
+        return Verdict(False, "root-value", str(root))
     t2 = le2.t2
     for q in t2.dom():
         if not q:
@@ -556,9 +562,10 @@ def weakly_respects_le2(le2: LevelLe2Tree, t) -> Verdict:
         try:
             bound = tree_embed(t2.tree(q[:-1]), t2.tree(q), prev)
         except KernelError as e:
-            return Verdict(False, f"embed{q}", e.code)
-        if _entry(t, (2, q)).compare(bound) >= 0:
-            return Verdict(False, f"bound{q}")
+            return Verdict(False, f"embed{_fmt(q)}", e.code)
+        val = _entry(t, (2, q))
+        if val.compare(bound) >= 0:
+            return Verdict(False, f"bound{_fmt(q)}", f"{val} >= {bound}")
     return ACCEPTED
 
 
@@ -698,14 +705,14 @@ def generate_respecting_tuple(le2: LevelLe2Tree):
             return None
         if t2.node(q) not in (MINUS_ONE, (0,) * (n + 1)):
             return None
-        rank = bk.bk_sorted(t2.children(q[:-1]).nodes).index(q[-1])
+        rank = t2.children(q[:-1]).bk_sorted().index(q[-1])
         parent = coeffs[q[:-1]]
         head = parent[:-1] + (CtblOrd.natural(parent[-1].natural_value() - 1),) if parent else ()
         coeffs[q] = head + (CtblOrd.natural(3 * rank + 2),)
         uterms = tuple((n - l, c) for l, c in enumerate(coeffs[q]))
         tail = OMEGA if t2.node(q) == MINUS_ONE else CtblOrd.natural(0)
         values[(2, q)] = UOrd(uterms, tail)
-    for i, p in enumerate(bk.bk_sorted(le2.t1.nodes)):
+    for i, p in enumerate(le2.t1.bk_sorted()):
         values[(1, p)] = UOrd.from_ctbl(OMEGA * CtblOrd.natural(i + 1))
     return values
 

@@ -88,6 +88,14 @@ def test_check_lemmas_bound_below_one_is_an_arity_error():
     assert code == 2 and out.count("\n") == 1 and "code=ARITY_ERROR" in out
 
 
+def test_check_lemmas_takes_no_positional_argument(monkeypatch):
+    from uctk import lemmas
+    monkeypatch.setattr(lemmas, "check_lemmas", lambda **kw: pytest.fail("a suite ran"))
+    code, out = run("check-lemmas", "foo", "--bound", "1")
+    assert code == 2 and out.count("\n") == 1
+    assert out.startswith("status=error command=check-lemmas input=foo code=ARITY_ERROR ")
+
+
 @pytest.mark.parametrize("name", sorted(MAX_BOUND))
 def test_bound_above_the_maximum_is_an_arity_error(name):
     code, out = run(*name.split(), "--bound", str(MAX_BOUND[name] + 1))
@@ -120,6 +128,13 @@ def test_cli_import_loads_neither_dataclasses_nor_the_suites():
     lines = proc.stdout.splitlines()
     assert lines[0] == "status=ok command=cfl input=u3 result=u3"
     assert lines[1].startswith("status=ok command=check-lemmas suites=11 ")
+
+
+def test_package_import_loads_no_kernel_module():
+    script = "import sys, uctk\nprint(sorted(m for m in sys.modules if m.startswith('uctk')))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['uctk']\n"
 
 
 def test_shift_with_bad_index_map_is_a_report():

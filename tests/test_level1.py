@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from uctk.bk import bk
+from uctk.bk import bk, bk_sorted
 from uctk.errors import (CardinalityMismatch, ClosureViolation, ContainsEmpty,
                          LengthMismatch, NotADescription, NotInRep, NotRegular)
 from uctk.grammar import parse_l1, parse_uord
@@ -106,6 +106,16 @@ class TestDescriptions:
             for d in descs:
                 assert desc_rank(t, d) == descs.index(d)
                 assert desc_rank(t, list(d)) == descs.index(d)
+
+    def test_one_cached_bk_order_serves_every_reader(self):
+        for t in enumerate_level1_up_to(5):
+            order = t.bk_sorted()
+            assert order == tuple(bk_sorted(t.nodes))
+            assert descriptions(t) == [*order, ()]
+            for i, d in enumerate(descriptions(t)):
+                assert desc_rank(t, d) == i
+            # an equal tree built separately reads the same cached tuple
+            assert validate_level1(set(t.nodes)).bk_sorted() is order
 
     def test_desc_rank_rejects_foreign_nodes(self):
         t = parse_l1("{(0)}")

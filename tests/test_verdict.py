@@ -50,10 +50,10 @@ CASES = [
     (respects_partial_le2, (PL2, {(2, ()): U1, (0, MINUS_ONE): u("3")}),
      (PL2, {(2, ()): U1}), "missing-value"),
     (is_regular_level3, (grammar.parse_l3(L3),), (grammar.parse_l3(L3_IRREGULAR),), "regular"),
-    (respects_le2, (Q21, _q21("u1*2")), (Q20, _q21("u1*2")), "potential-tower((0,),)"),
-    (weakly_respects_le2, (Q21, _q21("u1*2")), (Q21, _q21("u2")), "bound((0,),)"),
+    (respects_le2, (Q21, _q21("u1*2")), (Q20, _q21("u1*2")), "potential-tower((0))"),
+    (weakly_respects_le2, (Q21, _q21("u1*2")), (Q21, _q21("u2")), "bound((0))"),
     (s2_member, ([CARD1_L2, Q21.t2], [U1, u("u1*2")]), ([CARD1_L2, Q21.t2], [U1, u("u2")]),
-     "potential-tower((0,),)"),
+     "potential-tower((0))"),
 ]
 
 
@@ -78,6 +78,32 @@ def test_rejection_details_print_nodes_in_the_grammar():
     le2 = grammar.parse_le2("({(0)} ; () -> ({}, (0)))")
     v = respects_le2(le2, {(1, (0,)): u("3"), (2, ()): U1})
     assert (v.clause, v.detail) == ("level1-part", "countable-limit: (0) = 3")
+
+
+LE2_DEPTH2 = grammar.parse_le2(
+    "({} ; () -> ({}, (0)); ((0)) -> ({(0)}, (0 0)); ((0) (0)) -> ({(0) (0 0)}, (0 0 0)))")
+
+# a rejection of each clause whose detail was once empty, and the detail it gives
+DETAILS = [
+    (weakly_respects_le2, (Q21, {(2, ()): u("u2"), (2, ((0,),)): u("u1")}), "root-value", "u2"),
+    (weakly_respects_le2, (Q21, _q21("u2")), "bound((0))", "u2 >= u2"),
+    (respects_le2, (LE2_DEPTH2, {(2, ()): U1, (2, ((0,),)): u("u1*3"),
+                                 (2, ((0,), (0,))): u("u2 + u1*2")}),
+     "approximation((0) (0))", "[u1, u1*2, u2 + u1*2] != [u1, u1*3, u2 + u1*2]"),
+]
+
+
+@pytest.mark.parametrize("fn, args, clause, detail", DETAILS,
+                         ids=[c[2].split("(")[0] for c in DETAILS])
+def test_rejection_details_give_the_values_in_the_grammar(fn, args, clause, detail):
+    v = fn(*args)
+    assert (v.ok, v.clause, v.detail) == (False, clause, detail)
+
+
+def test_weak_respects_reports_the_root_value():
+    argv = ["weak-respects", "({} ; () -> ({}, (0)); ((0)) -> ({(0)}, (0 0)))", "u2", "u1"]
+    (report,) = _reports([argv])
+    assert (report["clause"], report["detail"]) == ("root-value", "u2")
 
 
 def _reports(lines):
