@@ -97,16 +97,13 @@ def _tuple2_from_args(le2, ordinals_text):
 MAX_BOUND = {"enumerate l1": 11, "enumerate le2": 6, "check-lemmas": 10}
 
 
-def _bound(flags, default: int, name: str) -> int:
-    """--bound when given (1 to MAX_BOUND[name]), else the command's default."""
-    if flags.bound is None:
-        return default
-    if flags.bound < 1:
-        raise ArityError(f"--bound must be at least 1, got {flags.bound}")
-    if flags.bound > MAX_BOUND[name]:
-        raise ArityError(f"--bound for {name} is at most {MAX_BOUND[name]}, "
-                         f"got {flags.bound}")
-    return flags.bound
+def _bound(bound: int, name: str) -> int:
+    """bound, if it is 1 to MAX_BOUND[name]."""
+    if bound < 1:
+        raise ArityError(f"--bound must be at least 1, got {bound}")
+    if bound > MAX_BOUND[name]:
+        raise ArityError(f"--bound for {name} is at most {MAX_BOUND[name]}, got {bound}")
+    return bound
 
 
 def _dom_label(key) -> str:
@@ -116,7 +113,7 @@ def _dom_label(key) -> str:
 
 # -- command handlers --------------------------------------------------------------
 
-def cmd_validate(args, flags):
+def cmd_validate(args):
     _need(args, 2, "validate <kind:l1|l2|le2|l3|pl2> <text>")
     kind, text = args
     parser = {"l1": grammar.parse_l1, "l2": grammar.parse_l2,
@@ -128,7 +125,7 @@ def cmd_validate(args, flags):
     return Report("validate", kind=kind, result=str(obj))
 
 
-def cmd_regular(args, flags):
+def cmd_regular(args):
     _need(args, 1, "regular <level-1 tree | level-3 tree>")
     text = args[0]
     if text.lstrip().startswith("{"):
@@ -141,24 +138,23 @@ def cmd_regular(args, flags):
 _ORDERINGS = {-1: "less", 0: "equal", 1: "greater"}
 
 
-def cmd_compare(args, flags):
-    given = [f"--{name}" for name in ("rep1", "rep2", "rep3")
-             if getattr(flags, name) is not None]
+def cmd_compare(args, *, rep1=None, rep2=None, rep3=None):
+    given = [f"--rep{i}" for i, tree in enumerate((rep1, rep2, rep3), 1) if tree is not None]
     if len(given) > 1:
         raise ArityError(f"compare takes one of --rep1, --rep2, --rep3, got {' '.join(given)}")
-    if flags.rep1 is not None:
+    if rep1 is not None:
         _need(args, 2, "compare --rep1 TREE [node] / [node, n]")
-        tree = grammar.parse_l1(flags.rep1)
+        tree = grammar.parse_l1(rep1)
         elts = [_rep1_elt(grammar.parse_rep_seq(t), t) for t in args]
         c = level1.rep_compare(tree, *elts)
-    elif flags.rep2 is not None:
+    elif rep2 is not None:
         _need(args, 2, "compare --rep2 LE2 (d, [entries]) x2")
-        le2 = grammar.parse_le2(flags.rep2)
+        le2 = grammar.parse_le2(rep2)
         elts = [_rep2_elt(le2, t) for t in args]
         c = level2.rep2_compare(le2, *elts)
-    elif flags.rep3 is not None:
+    elif rep3 is not None:
         _need(args, 2, "compare --rep3 L3 [entries] x2")
-        tree = grammar.parse_l3(flags.rep3)
+        tree = grammar.parse_l3(rep3)
         elts = [level3.rep3_from_payload(tree, grammar.parse_rep_seq(t))
                 for t in args]
         c = level3.rep3_compare(tree, *elts)
@@ -195,13 +191,13 @@ def _rep2_elt(le2, text):
     return level2.rep2_from_payload(le2, seq)
 
 
-def cmd_order_type(args, flags):
+def cmd_order_type(args):
     _need(args, 1, "order-type <level-1 tree>")
     tree = grammar.parse_l1(args[0])
     return Report("order-type", result=grammar.format_ctbl(level1.rep_order_type(tree)))
 
 
-def cmd_descriptions(args, flags):
+def cmd_descriptions(args):
     _need(args, 1, "descriptions <level-1 tree | level <=2 tree>")
     text = args[0]
     if text.lstrip().startswith("{"):
@@ -222,14 +218,14 @@ def cmd_descriptions(args, flags):
     return Report("descriptions", count=len(parts), result="; ".join(parts))
 
 
-def cmd_seed(args, flags):
+def cmd_seed(args):
     _need(args, 2, "seed <level-1 tree> <node or ()>")
     tree = grammar.parse_l1(args[0])
     d = grammar.parse_node(args[1])
     return Report("seed", result=grammar.format_uord(level1.seed(tree, d)))
 
 
-def cmd_factorings(args, flags):
+def cmd_factorings(args):
     _need(args, 2, "factorings <P> <W>")
     p = grammar.parse_l1(args[0])
     w = grammar.parse_l1(args[1])
@@ -240,7 +236,7 @@ def cmd_factorings(args, flags):
                   result="; ".join(str(m) for m in maps))
 
 
-def cmd_tower(args, flags):
+def cmd_tower(args):
     _need(args, 1, "tower <[T0 T1 ...]>")
     trees = grammar.parse_tower(args[0])
     tower = level1.validate_tower(trees)
@@ -248,7 +244,7 @@ def cmd_tower(args, flags):
     return Report("tower", length=len(tower), result=flagstr or "empty")
 
 
-def cmd_s1(args, flags):
+def cmd_s1(args):
     if not args:
         raise ArityError("s1 <[T1 ...]> [ordinals...]")
     trees = grammar.parse_tower(args[0])
@@ -259,7 +255,7 @@ def cmd_s1(args, flags):
     return _verdict("s1", level1.s1_member(trees, alphas))
 
 
-def cmd_analyze(args, flags):
+def cmd_analyze(args):
     _need(args, 2, "analyze <ordinal> <level-1 tree>")
     b = grammar.parse_uord(args[0])
     tree = grammar.parse_l1(args[1])
@@ -278,12 +274,12 @@ def cmd_analyze(args, flags):
     )
 
 
-def cmd_cfl(args, flags):
+def cmd_cfl(args):
     _need(args, 1, "cfl <ordinal>")
     return Report("cfl", result=str(ordinals.cf_l(grammar.parse_uord(args[0]))))
 
 
-def cmd_shift(args, flags, sup=False):
+def cmd_shift(args, sup=False):
     _need(args, 2, "shift <index map> <ordinal>")
     sigma = grammar.parse_index_map(args[0])
     b = grammar.parse_uord(args[1])
@@ -291,7 +287,7 @@ def cmd_shift(args, flags, sup=False):
     return Report("shift-sup" if sup else "shift", result=grammar.format_uord(out))
 
 
-def cmd_respects(args, flags, weak=False):
+def cmd_respects(args, weak=False):
     if len(args) < 1:
         raise ArityError("respects <le2 tree> <ordinals in canonical dom order...>")
     le2 = grammar.parse_le2(args[0])
@@ -300,19 +296,19 @@ def cmd_respects(args, flags, weak=False):
     return _verdict("weak-respects" if weak else "respects", fn(le2, t))
 
 
-def cmd_eval_desc(args, flags):
+def cmd_eval_desc(args, *, at=None, extended=False):
     if len(args) < 2:
         raise ArityError("eval-desc <le2 tree> <ordinals...> --at Q [--extended]")
-    if not flags.at:
+    if not at:
         raise ArityError("eval-desc requires --at")
     le2 = grammar.parse_le2(args[0])
     t = _tuple2_from_args(le2, args[1:])
-    desc = level2.description(le2.t2, grammar.parse_domseq(flags.at), flags.extended)
+    desc = level2.description(le2.t2, grammar.parse_domseq(at), extended)
     val = level2.evaluate_description(le2, t, (2, desc))
     return Report("eval-desc", at=str(desc), result=grammar.format_uord(val))
 
 
-def cmd_recover(args, flags):
+def cmd_recover(args):
     if len(args) < 2:
         raise ArityError("recover <level-1 tree> <domain shape> <ordinals...>")
     t1 = grammar.parse_l1(args[0])
@@ -326,16 +322,15 @@ def cmd_recover(args, flags):
     return Report("recover", result=str(tree))
 
 
-def cmd_s2(args, flags):
+def cmd_s2(args, *, variant="respects"):
     if not args:
         raise ArityError("s2 <[[entries] ...]> [ordinals...] [--variant respects|weak]")
     towers = grammar.parse_l2_tower(args[0])
     alphas = [grammar.parse_uord(t) for t in args[1:]]
-    variant = "respects" if flags.variant is None else flags.variant
     return _verdict("s2", level2.s2_member(towers, alphas, variant), variant=variant)
 
 
-def cmd_ucf(args, flags):
+def cmd_ucf(args):
     _need(args, 1, "ucf <partial le2 tree>")
     pt = grammar.parse_pl2(args[0])
     value = level3.ucf(pt)
@@ -348,12 +343,12 @@ def cmd_ucf(args, flags):
                   extended=str(desc.extended).lower())
 
 
-def cmd_cf3(args, flags):
+def cmd_cf3(args):
     _need(args, 1, "cf3 <partial le2 tree>")
     return Report("cf3", result=str(level3.cf3(grammar.parse_pl2(args[0]))))
 
 
-def cmd_complete(args, flags):
+def cmd_complete(args):
     _need(args, 1, "complete <partial le2 tree>")
     pt = grammar.parse_pl2(args[0])
     comps = level3.completion_le2(pt)
@@ -361,39 +356,39 @@ def cmd_complete(args, flags):
                   result="; ".join(str(c) for c in comps))
 
 
-def cmd_s3_structural(args, flags):
+def cmd_s3_structural(args, *, variant="plain"):
     _need(args, 1, "s3-structural <[[l3 entries] ...]> [--variant minus|plain]")
     towers = grammar.parse_l3_tower(args[0])
-    variant = "plain" if flags.variant is None else flags.variant
     v = level3.s3_structural_member(towers, variant)
     return _verdict("s3-structural", v, detail=v.detail, ordinal_clause="not-evaluated")
 
 
-def cmd_enumerate(args, flags):
+def cmd_enumerate(args, *, bound=3, regular=False):
     _need(args, 1, "enumerate <l1|le2> [--bound N] [--regular]")
     kind = args[0]
     if kind not in ("l1", "le2"):
         raise ArityError(f"unknown kind {kind!r}")
-    bound = _bound(flags, 3, f"enumerate {kind}")
+    bound = _bound(bound, f"enumerate {kind}")
     if kind == "l1":
-        trees = level1.enumerate_level1_up_to(bound, regular_only=flags.regular)
+        trees = level1.enumerate_level1_up_to(bound, regular_only=regular)
+    elif regular:  # --regular keeps the regular level-1 trees; it has no level <=2 reading
+        raise ArityError("enumerate le2 takes no --regular")
     else:
         trees = level2.enumerate_le2_trees(bound)
     return Report("enumerate", kind=kind, count=len(trees),
                   result="; ".join(str(t) for t in trees))
 
 
-def cmd_check_lemmas(args, flags):
+def cmd_check_lemmas(args, *, bound=4, seed=0, timings=False):
     _need(args, 0, "check-lemmas [--bound N] [--seed S] [--timings]")
     from . import lemmas  # only this command runs the suites; others start faster
 
-    results = lemmas.check_lemmas(bound=_bound(flags, 4, "check-lemmas"),
-                                  seed=flags.seed or 0)
+    results = lemmas.check_lemmas(bound=_bound(bound, "check-lemmas"), seed=seed)
     all_ok = all(r.passed for r in results)
     fields = {}
     for i, r in enumerate(results):
         fields[f"suite{i}"] = r.line()
-        if flags.timings:
+        if timings:
             fields[f"suite{i}_seconds"] = f"{r.seconds:.3f}"
     return Report("check-lemmas", "ok" if all_ok else "rejected",
                   suites=len(results),
@@ -412,10 +407,10 @@ HANDLERS = {
     "s1": cmd_s1,
     "analyze": cmd_analyze,
     "cfl": cmd_cfl,
-    "shift": lambda a, f: cmd_shift(a, f, sup=False),
-    "shift-sup": lambda a, f: cmd_shift(a, f, sup=True),
-    "respects": lambda a, f: cmd_respects(a, f, weak=False),
-    "weak-respects": lambda a, f: cmd_respects(a, f, weak=True),
+    "shift": lambda a: cmd_shift(a, sup=False),
+    "shift-sup": lambda a: cmd_shift(a, sup=True),
+    "respects": lambda a: cmd_respects(a, weak=False),
+    "weak-respects": lambda a: cmd_respects(a, weak=True),
     "eval-desc": cmd_eval_desc,
     "recover": cmd_recover,
     "s2": cmd_s2,
@@ -426,6 +421,14 @@ HANDLERS = {
     "enumerate": cmd_enumerate,
     "check-lemmas": cmd_check_lemmas,
 }
+
+
+# The command flags and the type of each one's value (None: a switch).  A handler
+# takes those it reads as keyword-only parameters, with their defaults; a flag
+# that is not given parses as None and is not passed on.
+COMMAND_FLAGS = {"seed": int, "bound": int, "variant": str, "regular": None,
+                 "extended": None, "timings": None, "at": str, "rep1": str,
+                 "rep2": str, "rep3": str}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -441,22 +444,19 @@ def _build_parser(batch_line: bool = False):
     """The argument parser, built once per process: building it costs more
     than most commands, and in-process callers run ``main`` many times.
     A batch line's parser has no -h/--help, whose action would print the
-    help and exit mid-batch; there -h is an unrecognized argument."""
+    help and exit mid-batch; there -h is an unrecognized argument.  Nor has
+    it --pretty or --format: the batch's own flags decide its output."""
     p = _Parser(prog="uctk", add_help=not batch_line, description=__doc__)
     p.add_argument("command", choices=sorted(HANDLERS) + ["batch"])
     p.add_argument("args", nargs="*")
-    p.add_argument("--pretty", action="store_true")
-    p.add_argument("--format", choices=["text", "structured"], default="structured")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--variant", default=None)
-    p.add_argument("--regular", action="store_true")
-    p.add_argument("--extended", action="store_true")
-    p.add_argument("--timings", action="store_true")
-    p.add_argument("--at", default=None)
-    p.add_argument("--rep1", default=None)
-    p.add_argument("--rep2", default=None)
-    p.add_argument("--rep3", default=None)
+    if not batch_line:
+        p.add_argument("--pretty", action="store_true")
+        p.add_argument("--format", choices=["text", "structured"], default="structured")
+    for name, kind in COMMAND_FLAGS.items():
+        if kind is None:
+            p.add_argument(f"--{name}", action="store_true", default=None)
+        else:
+            p.add_argument(f"--{name}", type=kind)
     # parse_intermixed_args formats the usage on every call while usage is
     # None (it keeps the text for its error messages), which costs more than
     # most commands; format it once here, the same text argparse would print.
@@ -475,6 +475,17 @@ def _internal_error(command: str, e: Exception) -> Report:
                   detail=f"{type(e).__name__}: {e} (at {where})")
 
 
+def _given(command: str, takes, flags) -> dict:
+    """The command flags given in the namespace flags, by name; ArityError
+    at the first one that is not in takes."""
+    given = {name: value for name in COMMAND_FLAGS
+             if (value := getattr(flags, name)) is not None}
+    for name in given:
+        if name not in takes:
+            raise ArityError(f"{command} takes no --{name}")
+    return given
+
+
 def run_command(command: str, args, flags) -> Report:
     handler = HANDLERS.get(command)
     if handler is None:
@@ -482,7 +493,7 @@ def run_command(command: str, args, flags) -> Report:
                         detail=f"unknown command {command!r}")
     else:
         try:
-            report = handler(args, flags)
+            report = handler(args, **_given(command, handler.__kwdefaults__ or (), flags))
         except KernelError as e:
             report = Report(command, "error", code=e.code, detail=str(e))
         except Exception as e:  # a defect; still one report, and a batch goes on
@@ -527,8 +538,12 @@ def main(argv=None) -> int:
     except ArityError as e:
         argparse.ArgumentParser.error(parser, *e.detail)
     if ns.command == "batch":
-        if len(ns.args) != 1:
-            _emit(Report("batch", "error", code="ARITY_ERROR", detail="batch <file>"), ns)
+        try:
+            _given("batch", (), ns)
+            if len(ns.args) != 1:
+                raise ArityError("batch <file>")
+        except ArityError as e:
+            _emit(Report("batch", "error", code=e.code, detail=e.detail[0]), ns)
             return 2
         try:
             fh = open(ns.args[0], encoding="utf-8", errors="surrogateescape")

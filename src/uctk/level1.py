@@ -214,13 +214,6 @@ class FactorMap1(Value):
         return "{" + body + "}"
 
 
-def make_factor_map(source: Level1Tree, target: Level1Tree, assignment) -> FactorMap1:
-    pairs = [(p, tuple(assignment[p])) for p in source.bk_sorted()]
-    fm = FactorMap1(source, target, tuple(pairs))
-    check_factor_map(fm)
-    return fm
-
-
 def check_factor_map(fm: FactorMap1) -> None:
     img = fm.image()
     for w in img:
@@ -259,14 +252,17 @@ def strict_factor_exists(source: Level1Tree, target: Level1Tree) -> bool:
 class Level1Tower(Value):
     """(P_i)_{i<=n} with card(P_i) = i and inclusions."""
 
-    __slots__ = ("trees", "regular_flags")
+    __slots__ = ("trees",)
 
-    def __init__(self, trees: tuple, regular_flags: tuple = ()):
+    def __init__(self, trees: tuple):
         set_field(self, "trees", trees)
-        set_field(self, "regular_flags", regular_flags)
 
     def __len__(self):
         return len(self.trees)
+
+    @property
+    def regular_flags(self) -> tuple:
+        return tuple(bool(is_regular(t)) for t in self.trees)
 
 
 def validate_tower(trees) -> Level1Tower:
@@ -277,7 +273,7 @@ def validate_tower(trees) -> Level1Tower:
     for i, j in zip(range(len(trees)), range(1, len(trees))):
         if not trees[i].is_subtree_of(trees[j]):
             raise NotSubtree(i, j)
-    return Level1Tower(trees, tuple(bool(is_regular(t)) for t in trees))
+    return Level1Tower(trees)
 
 
 def _fmt(node) -> str:

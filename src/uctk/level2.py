@@ -440,10 +440,6 @@ class Rep2Element(Value):
         set_field(self, "side", side)
         set_field(self, "payload", payload)  # side 1: Rep1Element sequence; side 2: interleaving
 
-    @staticmethod
-    def top():
-        return Rep2Element(2, ())
-
     def __str__(self) -> str:
         from .grammar import format_rep2
         return format_rep2(self)

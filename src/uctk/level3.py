@@ -35,9 +35,6 @@ class PartialLevelLe2Tree(Value):
         set_field(self, "q", q)  # -1, a node, or a domain sequence
         set_field(self, "p", p)
 
-    def degree(self) -> int:
-        return self.d
-
     def __str__(self) -> str:
         from .grammar import format_pl2
         return format_pl2(self)

@@ -311,10 +311,6 @@ class IndexMap(Value):
             return 0
         return self.image[i - 1]
 
-    @staticmethod
-    def identity(n: int) -> "IndexMap":
-        return IndexMap(n, n, tuple(range(1, n + 1)))
-
     def compose(self, inner: "IndexMap") -> "IndexMap":
         """self after inner."""
         if inner.n2 > self.n:

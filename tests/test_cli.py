@@ -1,4 +1,5 @@
 import argparse
+import ast
 import io
 import re
 import shlex
@@ -94,6 +95,75 @@ def test_check_lemmas_takes_no_positional_argument(monkeypatch):
     code, out = run("check-lemmas", "foo", "--bound", "1")
     assert code == 2 and out.count("\n") == 1
     assert out.startswith("status=error command=check-lemmas input=foo code=ARITY_ERROR ")
+
+
+# The command flags, and those each command reads; every other (command,
+# flag) pair is a stray flag.
+FLAGS = ("seed", "bound", "variant", "regular", "extended", "timings", "at",
+         "rep1", "rep2", "rep3")
+TAKES = {"compare": {"rep1", "rep2", "rep3"}, "eval-desc": {"at", "extended"},
+         "s2": {"variant"}, "s3-structural": {"variant"},
+         "enumerate": {"bound", "regular"}, "check-lemmas": {"bound", "seed", "timings"}}
+SWITCHES = {"regular", "extended", "timings"}
+
+
+def test_each_handler_takes_the_flags_it_reads():
+    assert {command: set(handler.__kwdefaults__ or ()) for command, handler
+            in HANDLERS.items()} == {command: TAKES.get(command, set()) for command in HANDLERS}
+    assert tuple(cli.COMMAND_FLAGS) == FLAGS and set(FLAGS) == set().union(*TAKES.values())
+    assert sum(map(len, TAKES.values())) == 12
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in sorted(HANDLERS) + ["batch"]
+    for flag in FLAGS if flag not in TAKES.get(command, ())])
+def test_a_stray_flag_is_an_arity_error(command, flag, monkeypatch, tmp_path):
+    def stand_in(*args, **flags):
+        pytest.fail(f"{command} ran")
+
+    if command == "batch":
+        monkeypatch.setattr(cli, "run_command", stand_in)
+        batch = tmp_path / "one.batch"
+        batch.write_text("cfl u3\n")
+        args, detail = [str(batch)], f"batch takes no --{flag}"
+    else:
+        stand_in.__kwdefaults__ = HANDLERS[command].__kwdefaults__
+        monkeypatch.setitem(HANDLERS, command, stand_in)
+        args, detail = [], f"ARITY_ERROR: {command} takes no --{flag}"
+    value = [] if flag in SWITCHES else ["1"]
+    assert run(command, *args, f"--{flag}", *value) == (
+        2, f'status=error command={command} code=ARITY_ERROR detail="{detail}"\n')
+
+
+def test_enumerate_le2_takes_no_regular(monkeypatch):
+    monkeypatch.setattr(level2, "enumerate_le2_trees", lambda bound: pytest.fail("it ran"))
+    assert run("enumerate", "le2", "--bound", "2", "--regular") == (
+        2, 'status=error command=enumerate input=le2 code=ARITY_ERROR '
+           'detail="ARITY_ERROR: enumerate le2 takes no --regular"\n')
+
+
+def test_a_batch_line_takes_no_output_flag(tmp_path):
+    batch = tmp_path / "output_flags.batch"
+    batch.write_text("cfl u3 --pretty\ncfl u3 --format text\ncfl u3 --seed 3\ncfl u2\n")
+    code, out = run("batch", str(batch))
+    assert code == 2 and out.splitlines() == [
+        'status=error command=batch input="cfl u3 --pretty" code=ARITY_ERROR '
+        'detail="ARITY_ERROR: unrecognized arguments: --pretty"',
+        'status=error command=batch input="cfl u3 --format text" code=ARITY_ERROR '
+        'detail="ARITY_ERROR: unrecognized arguments: --format text"',
+        'status=error command=cfl input=u3 code=ARITY_ERROR '
+        'detail="ARITY_ERROR: cfl takes no --seed"',
+        "status=ok command=cfl input=u2 result=u2"]
+
+
+def test_readme_lists_the_flags_each_handler_takes():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \| `--(\w+)[^`]*` \| `([^`]+)` \|", readme, re.M)
+    table = {}
+    for command, flag, default in rows:
+        table.setdefault(command, {})[flag] = ast.literal_eval(default)
+    assert table == {command: handler.__kwdefaults__
+                     for command, handler in HANDLERS.items() if handler.__kwdefaults__}
 
 
 @pytest.mark.parametrize("name", sorted(MAX_BOUND))
@@ -423,7 +493,7 @@ def test_batch_file_reports_honour_the_output_flags(tmp_path, flags, expected):
 
 
 def test_an_exception_in_a_handler_is_an_internal_error(tmp_path, monkeypatch, capsys):
-    def broken(args, flags):
+    def broken(args):
         raise ValueError("not a kernel error")
 
     monkeypatch.setitem(cli.HANDLERS, "cfl", broken)
@@ -475,9 +545,11 @@ fuzz_text = st.builds(
     st.sampled_from(["", " "]),
 ).filter(lambda s: not _argparse_takes(s))
 fuzz_flags = st.lists(st.one_of(
-    st.sampled_from(["--extended", "--regular"]).map(lambda f: [f]),
+    st.sampled_from(["--extended", "--regular", "--timings"]).map(lambda f: [f]),
     st.tuples(st.sampled_from(["--rep1", "--rep2", "--rep3", "--at", "--variant"]),
               fuzz_text).map(list),
+    # bounds kept small: enumerate takes --bound, and a large one runs for seconds
+    st.tuples(st.sampled_from(["--seed", "--bound"]), st.integers(-1, 3).map(str)).map(list),
 ), max_size=2)
 
 

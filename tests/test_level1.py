@@ -7,10 +7,10 @@ from uctk.errors import (CardinalityMismatch, ClosureViolation, ContainsEmpty,
                          LengthMismatch, NotADescription, NotInRep, NotRegular)
 from uctk.grammar import parse_l1, parse_uord
 from uctk.lemmas import order_type_oracle
-from uctk.level1 import (EMPTY_TREE, Rep1Element, addable_nodes, desc_rank,
-                         descriptions, enumerate_level1, enumerate_level1_up_to,
-                         factor_exists, factorings, is_regular, rep_compare,
-                         rep_order_type, respects_level1, s1_member, seed,
+from uctk.level1 import (EMPTY_TREE, FactorMap1, Rep1Element, addable_nodes,
+                         check_factor_map, desc_rank, descriptions, enumerate_level1,
+                         enumerate_level1_up_to, factor_exists, factorings, is_regular,
+                         rep_compare, rep_order_type, respects_level1, s1_member, seed,
                          strict_factor_exists, validate_level1, validate_tower)
 from uctk.ordinals import OMEGA, CtblOrd
 
@@ -140,9 +140,8 @@ class TestFactorings:
         assert any(all(m(x) == x for x in p.nodes) for m in factorings(p, p))
         for m1 in factorings(p, w):
             for m2 in factorings(w, w):
-                composition = {x: m2(m1(x)) for x in p.nodes}
-                from uctk.level1 import make_factor_map
-                make_factor_map(p, w, composition)  # validates
+                composition = tuple((x, m2(m1(x))) for x in p.bk_sorted())
+                check_factor_map(FactorMap1(p, w, composition))  # validates
 
     def test_map_lookup(self):
         p = parse_l1("{(0) (0 0)}")

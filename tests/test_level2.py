@@ -145,7 +145,7 @@ class TestDescriptions:
 
 class TestRep2:
     def test_top_is_greatest(self):
-        top = Rep2Element.top()
+        top = Rep2Element(2, ())
         below = make_rep2(Q21, (MINUS_ONE,), {(0,): ct("w")})
         assert rep2_compare(Q21, below, top) == -1
 
@@ -162,13 +162,13 @@ class TestRep2:
             beta = x.payload[0] + OMEGA
             fence = make_rep2(Q21, (MINUS_ONE,), {(0,): beta})
             assert rep2_compare(Q21, x, fence) == -1
-            assert rep2_compare(Q21, fence, Rep2Element.top()) == -1
+            assert rep2_compare(Q21, fence, Rep2Element(2, ())) == -1
 
     def test_level1_part_below_level2_part(self):
         from uctk.level1 import Rep1Element
         one = LevelLe2Tree(parse_l1("{(0)}"), Q21.t2)
         x = Rep2Element(1, Rep1Element((0,), 3))
-        assert rep2_compare(one, x, Rep2Element.top()) == -1
+        assert rep2_compare(one, x, Rep2Element(2, ())) == -1
 
     def test_degree_zero_pending_is_natural(self):
         elt = make_rep2(Q20, KEY + (MINUS_ONE,), {(0,): ct("w"), MINUS_ONE: 3})

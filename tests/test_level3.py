@@ -26,10 +26,10 @@ KEY = ((0,),)
 
 class TestValidatePartial:
     def test_degree_cases(self):
-        assert validate_partial_le2(Q0, 0, MINUS_ONE, EMPTY_TREE).degree() == 0
-        assert validate_partial_le2(Q0, 1, (0,), EMPTY_TREE).degree() == 1
+        assert validate_partial_le2(Q0, 0, MINUS_ONE, EMPTY_TREE).d == 0
+        assert validate_partial_le2(Q0, 1, (0,), EMPTY_TREE).d == 1
         pt = validate_partial_le2(Q21, 2, ((0,), (0,)), parse_l1("{(0) (0 0)}"))
-        assert pt.degree() == 2
+        assert pt.d == 2
 
     def test_degree2_tree_forced(self):
         with pytest.raises(CaseViolation):
@@ -44,7 +44,7 @@ class TestValidatePartial:
             validate_partial_le2(Q1, 1, (0,), EMPTY_TREE)
 
     def test_nonregular_level1_side_allowed(self):
-        assert validate_partial_le2(Q1, 1, (1,), EMPTY_TREE).degree() == 1
+        assert validate_partial_le2(Q1, 1, (1,), EMPTY_TREE).d == 1
 
     def test_parse_print_round_trip(self):
         pt = validate_partial_le2(Q21, 2, ((0,), (0,)), parse_l1("{(0) (0 0)}"))

@@ -208,7 +208,7 @@ def imap(*image):
 
 def test_apply_shift_examples():
     assert apply_shift(imap(2), uord("u1 + 5")) == uord("u2 + 5")
-    assert apply_shift(IndexMap.identity(3), uord("u3*2 + u1")) == uord("u3*2 + u1")
+    assert apply_shift(IndexMap(3, 3, (1, 2, 3)), uord("u3*2 + u1")) == uord("u3*2 + u1")
     assert apply_shift(imap(1, 3), uord("u2*2 + u1")) == uord("u3*2 + u1")
     with pytest.raises(LevelOutOfRange):
         apply_shift(imap(2), uord("u2"))
@@ -298,7 +298,7 @@ def test_index_map_errors_are_coded():
     with pytest.raises(OutOfRange):
         IndexMap(2, 3, (1,))
     with pytest.raises(OutOfRange):
-        IndexMap.identity(1).compose(IndexMap.identity(2))
+        IndexMap(1, 1, (1,)).compose(IndexMap(2, 2, (1, 2)))
 
 
 def test_as_uord_normalises_tuple_values():

@@ -40,7 +40,7 @@ def worked_example_values():
         an.potential_tower, level2.expand_potential(an.potential_tower),
         le2, le2.t2, le2_cont, le2.t2.partial(((0,),)),
         *(desc for d, desc in level2.extended_descriptions(le2_cont) if d == 2),
-        level2.Rep2Element(1, level1.Rep1Element((0,), 3)), level2.Rep2Element.top(),
+        level2.Rep2Element(1, level1.Rep1Element((0,), 3)), level2.Rep2Element(2, ()),
         level2.rep2_from_payload(le2, (u("w"), (0,))),
         level2.respects_le2(le2, t), level2.respects_le2(le2_cont, t),
         level2.weakly_respects_le2(le2, {**t, (2, ((0,),)): u("u2")}),
