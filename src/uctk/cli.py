@@ -451,7 +451,9 @@ def _build_parser(batch_line: bool = False):
     p.add_argument("args", nargs="*")
     if not batch_line:
         p.add_argument("--pretty", action="store_true")
-        p.add_argument("--format", choices=["text", "structured"], default="structured")
+        # no default: a --format that is given must be told apart from none,
+        # which prints structured lines, to reject it beside --pretty
+        p.add_argument("--format", choices=["text", "structured"])
     for name, kind in COMMAND_FLAGS.items():
         if kind is None:
             p.add_argument(f"--{name}", action="store_true", default=None)
@@ -537,6 +539,10 @@ def main(argv=None) -> int:
         ns = parser.parse_intermixed_args(argv)
     except ArityError as e:
         argparse.ArgumentParser.error(parser, *e.detail)
+    if ns.pretty and ns.format is not None:
+        print(Report(ns.command, "error", code="ARITY_ERROR",
+                     detail="--pretty and --format exclude each other").line())
+        return 2
     if ns.command == "batch":
         try:
             _given("batch", (), ns)

@@ -506,6 +506,15 @@ def _fmt(q) -> str:
     return format_domseq(q)
 
 
+def _analysis(t, q, tree):
+    """The analysis of t's level-2 value at q over tree, or the code of the
+    KernelError it raised (a kept error's traceback holds the caller's frame)."""
+    try:
+        return analyze(_entry(t, (2, q)), tree)
+    except KernelError as e:
+        return e.code
+
+
 def respects_le2(le2: LevelLe2Tree, t) -> Verdict:
     """The executable respect criterion.
 
@@ -514,6 +523,11 @@ def respects_le2(le2: LevelLe2Tree, t) -> Verdict:
     values, the root value being u_1; (3) sibling values follow the
     Brouwer-Kleene order of their indices.
     """
+    return _respects(le2, t, lambda q: _analysis(t, q, le2.t2.tree(q)))
+
+
+def _respects(le2: LevelLe2Tree, t, analysis_at) -> Verdict:
+    """``respects_le2``, with ``analysis_at(q)`` giving ``_analysis`` of t at q."""
     t1_vals = {p: _entry(t, (1, p)) for p in le2.t1.nodes}
     v = respects_level1(le2.t1, t1_vals)
     if not v:
@@ -525,11 +539,10 @@ def respects_le2(le2: LevelLe2Tree, t) -> Verdict:
     for q in t2.dom():
         if not q:
             continue
-        val = _entry(t, (2, q))
-        try:
-            an = analyze(val, t2.tree(q))
-        except KernelError as e:
-            return Verdict(False, f"potential-tower{_fmt(q)}", e.code)
+        _entry(t, (2, q))  # a missing value raises here, before its analysis is read
+        an = analysis_at(q)
+        if isinstance(an, str):
+            return Verdict(False, f"potential-tower{_fmt(q)}", an)
         pot = q_potential(t2, q)
         if an.potential_tower != pot:
             return Verdict(False, f"potential-tower{_fmt(q)}", f"{an.potential_tower} != {pot}")
@@ -654,26 +667,27 @@ def recover_tree(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
     tower of t at q analysed over that tree.  Where the tuple fixes no
     valid label (a missing or invalid value, a failed analysis, a pending
     node the domain does not allow), any valid label stands in: the
-    candidate fails at q whatever label q holds.  One ``respects_le2`` call
-    on the candidate decides, so the outcome, a tree or an error, is the
-    one a search over every labelling gives.  Uniqueness is checked against
-    that search, the independent oracle in ``lemmas``.  Every label is one
-    of ``child_labels`` of its parent's, so the candidate is a level-2 tree
-    by construction and is not validated again.
+    candidate fails at q whatever label q holds.  The respect criterion on
+    the candidate decides, so the outcome, a tree or an error, is the one a
+    search over every labelling gives; the walk's analyses decide its clause
+    (2), as every label ``child_labels`` offers at q has the tree the walk
+    analyses over, so each domain value is analysed once per call.
+    Uniqueness is checked against that search, the independent oracle in
+    ``lemmas``.  Every label is one of ``child_labels`` of its parent's, so
+    the candidate is a level-2 tree by construction and is not validated.
     """
     order = check_tree_of_trees(frozenset(as_domseq(q) for q in dom_shape))
     inner = {q[:-1] for q in order if q}
     labels = {(): (EMPTY_TREE, ROOT_NODE)}
+    found = {}
     for q in order[1:]:
         choices = child_labels(labels[q[:-1]], q not in inner)
         tree = choices[0][0]
-        try:
-            label = (tree, analyze(_entry(t, (2, q)), tree).potential_tower.pvec[-1])
-        except KernelError:
-            label = None
+        an = found[q] = _analysis(t, q, tree)
+        label = None if isinstance(an, str) else (tree, an.potential_tower.pvec[-1])
         labels[q] = label if label in choices else choices[0]
     cand = LevelLe2Tree(t1, Level2Tree(tuple((q, labels[q]) for q in order)))
-    if not respects_le2(cand, t):
+    if not _respects(cand, t, found.__getitem__):
         raise NoTreeFound()
     return cand
 

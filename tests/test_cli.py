@@ -156,6 +156,24 @@ def test_a_batch_line_takes_no_output_flag(tmp_path):
         "status=ok command=cfl input=u2 result=u2"]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--pretty", "--format", "text"], ["--format", "text", "--pretty"],
+    ["--pretty", "--format", "structured"], ["--format", "structured", "--pretty"],
+], ids=["pretty-text", "text-pretty", "pretty-structured", "structured-pretty"])
+@pytest.mark.parametrize("command", ["cfl", "batch"])
+def test_pretty_with_format_is_an_arity_error(command, flags, monkeypatch, tmp_path):
+    def stand_in(*args, **flags):
+        pytest.fail(f"{command} ran")
+
+    monkeypatch.setattr(cli, "run_command", stand_in)
+    batch = tmp_path / "one.batch"
+    batch.write_text("cfl u3\n")
+    args = [str(batch)] if command == "batch" else ["u3"]
+    assert run(command, *args, *flags) == (
+        2, f'status=error command={command} code=ARITY_ERROR '
+           'detail="--pretty and --format exclude each other"\n')
+
+
 def test_readme_lists_the_flags_each_handler_takes():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `([a-z0-9-]+)` \| `--(\w+)[^`]*` \| `([^`]+)` \|", readme, re.M)

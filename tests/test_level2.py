@@ -1,6 +1,9 @@
+import gc
+
 import pytest
 
-from uctk.analysis import PotentialTower1
+from uctk import level2
+from uctk.analysis import PotentialTower1, analyze
 from uctk.errors import (BadDescription, BadFirstEntry,
                          DegreeZeroHasNoCompletion, DomainNotTree, InvalidElement, KernelError,
                          MissingEntry, NoTreeFound, NotCompletionAt,
@@ -8,8 +11,9 @@ from uctk.errors import (BadDescription, BadFirstEntry,
 from uctk.grammar import parse_l1, parse_l2, parse_uord
 from uctk.lemmas import recover_tree_by_search
 from uctk.level1 import EMPTY_TREE
-from uctk.level2 import (CARD1_L2, MINUS_ONE, LevelLe2Tree, QDescription,
-                         Rep2Element, check_tree_of_trees,
+from uctk.level2 import (CARD1_L2, MINUS_ONE, ROOT_NODE, Level2Tree,
+                         LevelLe2Tree, QDescription, Rep2Element, as_domseq,
+                         check_tree_of_trees, child_labels,
                          enumerate_le2_trees, evaluate_description,
                          expand_potential, generate_respecting_tuple,
                          is_regular_description, make_rep2, q_descriptions,
@@ -298,21 +302,68 @@ def _outcome(recover, t1, shape, t):
         return type(e), e.code
 
 
+def _recover_then_respects(t1, dom_shape, t):
+    """The route recover_tree replaced, kept as its reference: the same walk,
+    then one respects_le2 call on the candidate, which analyses each value
+    over the tree at its q a second time."""
+    order = check_tree_of_trees(frozenset(as_domseq(q) for q in dom_shape))
+    inner = {q[:-1] for q in order if q}
+    labels = {(): (EMPTY_TREE, ROOT_NODE)}
+    for q in order[1:]:
+        choices = child_labels(labels[q[:-1]], q not in inner)
+        tree = choices[0][0]
+        try:
+            label = (tree, analyze(level2._entry(t, (2, q)), tree).potential_tower.pvec[-1])
+        except KernelError:
+            label = None
+        labels[q] = label if label in choices else choices[0]
+    cand = LevelLe2Tree(t1, Level2Tree(tuple((q, labels[q]) for q in order)))
+    if not respects_le2(cand, t):
+        raise NoTreeFound()
+    return cand
+
+
+def _exact_outcome(recover, t1, shape, t):
+    """The tree, or the class, code and message of the error."""
+    try:
+        return recover(t1, shape, t)
+    except KernelError as e:
+        return type(e), e.code, str(e)
+
+
+def _same_as_replaced_route(t1, shape, t):
+    assert _exact_outcome(recover_tree, t1, shape, t) == \
+        _exact_outcome(_recover_then_respects, t1, shape, t), \
+        (str(t1), shape, {k: str(v) for k, v in t.items()})
+
+
+def _realizable(max_dom):
+    """Each realizable tree with at most max_dom domain elements, with its
+    generated respecting tuple."""
+    for tree in enumerate_le2_trees(max_dom):
+        t = generate_respecting_tuple(tree)
+        if t is not None:
+            yield tree, t
+
+
+def _bumped(t, key):
+    return {**t, key: t[key] + UOrd.from_nat(1)}
+
+
 class TestRecoverRoutesAgree:
-    """The direct route against the exhaustive search it replaced."""
+    """The direct route against the exhaustive search it replaced, and
+    against the route that checked its candidate with respects_le2."""
 
     def _agree(self, t1, shape, t):
         direct = _outcome(recover_tree, t1, shape, t)
         assert direct == _outcome(recover_tree_by_search, t1, shape, t), \
             (str(t1), shape, {k: str(v) for k, v in t.items()})
+        _same_as_replaced_route(t1, shape, t)
         return direct
 
     def test_realizable_trees_and_perturbed_tuples(self):
         trees = perturbations = 0
-        for tree in enumerate_le2_trees(4):
-            t = generate_respecting_tuple(tree)
-            if t is None:
-                continue
+        for tree, t in _realizable(4):
             shape = tree.t2.dom()
             assert self._agree(tree.t1, shape, t) == tree
             trees += 1
@@ -320,8 +371,7 @@ class TestRecoverRoutesAgree:
                 dropped = {j: v for j, v in t.items() if j != k}
                 perturbed = [dropped]
                 if k[0] == 2:
-                    perturbed += [{**t, k: t[k] + UOrd.from_nat(1)},
-                                  {**t, k: u("u1*w")}]
+                    perturbed += [_bumped(t, k), {**t, k: u("u1*w")}]
                 for bad in perturbed:
                     self._agree(tree.t1, shape, bad)
                     perturbations += 1
@@ -344,14 +394,72 @@ class TestRecoverRoutesAgree:
             (DomainNotTree, "DOMAIN_NOT_TREE")
 
 
+def test_recover_agrees_with_the_replaced_route_up_to_five_elements():
+    trees = 0
+    for tree, t in _realizable(5):
+        for case in (t, _bumped(t, (2, tree.t2.dom()[-1]))):
+            _same_as_replaced_route(tree.t1, tree.t2.dom(), case)
+        trees += 1
+    assert trees >= 700
+
+
+class TestRecoverAnalysesOnce:
+    """recover_tree analyses each value once: its respect check reads the
+    walk's analyses."""
+
+    @staticmethod
+    def _cases():
+        """Each realizable tree with a non-root domain element, with its
+        generated tuple and the key of its last level-2 value."""
+        for tree, t in _realizable(4):
+            if len(tree.t2.dom()) > 1:
+                yield tree, t, (2, tree.t2.dom()[-1])
+
+    @pytest.mark.parametrize("case", ["hit", "miss", "dropped"])
+    def test_one_analyze_call_per_non_root_entry(self, case, monkeypatch):
+        calls = []
+
+        def counted(b, tree):
+            calls.append(b)
+            return analyze(b, tree)
+
+        monkeypatch.setattr(level2, "analyze", counted)
+        trees = 0
+        for tree, t, last in self._cases():
+            n = len(tree.t2.dom()) - 1
+            t, outcome, analysed = {
+                "hit": (t, tree, n),
+                "miss": (_bumped(t, last), (NoTreeFound, "NO_TREE_FOUND"), n),
+                # the dropped value is missed when it is read, before analyze
+                "dropped": ({k: v for k, v in t.items() if k != last},
+                            (MissingEntry, "MISSING_ENTRY"), n - 1),
+            }[case]
+            calls.clear()
+            assert _outcome(recover_tree, tree.t1, tree.t2.dom(), t) == outcome
+            assert len(calls) == analysed, str(tree)
+            trees += 1
+        assert trees >= 5
+
+    def test_a_miss_leaves_no_cyclic_garbage(self):
+        # a stored KernelError would keep its traceback, which holds the
+        # recover_tree frame, which holds the stored error: a cycle
+        tree, t, last = next(c for c in self._cases() if len(c[0].t2.dom()) > 2)
+        miss = _bumped(t, last)
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(NoTreeFound):
+                recover_tree(tree.t1, tree.t2.dom(), miss)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 def test_recovered_tree_is_the_validated_tree():
     # recover_tree builds its level-2 tree from its labels without
     # validate_level2; the labels must pass it and give the same tree
     trees = 0
-    for tree in enumerate_le2_trees(5):
-        t = generate_respecting_tuple(tree)
-        if t is None:
-            continue
+    for tree, t in _realizable(5):
         built = recover_tree(tree.t1, tree.t2.dom(), t).t2
         assert built.entries == validate_level2(dict(built.entries)).entries
         assert built == tree.t2
