@@ -245,12 +245,36 @@ class EvalOracle:
 
 # The generators build each normal form directly, with the draws of summing
 # its terms by ordinal addition (tests/test_seeded_draws.py holds them to
-# recorded draws).  rng.choice(seq) makes the one _randbelow(len(seq)) call
-# that rng.randrange(len(seq)) makes.
+# recorded draws).  They draw through _below and _sample, which make the
+# getrandbits calls of the stdlib's randrange and sample in the same order,
+# so the cases depend only on getrandbits's word stream, not on how a Python
+# release implements choice or sample.
 _NATURALS = tuple(CtblOrd.natural(n) for n in range(6))
 _SMALL_EXPONENTS = _NATURALS[1:4]
-_ZERO_TO_THREE = (0, 1, 2, 3)
-_ONE_TO_THREE = (1, 2, 3)
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """rng.randrange(n) for n >= 1: Random._randbelow written out."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _sample(rng: random.Random, lo: int, hi: int, k: int) -> list:
+    """rng.sample(range(lo, hi + 1), k): the pool-swap branch that
+    Random.sample takes for every population of at most 21, and only it."""
+    n = hi - lo + 1
+    if not 0 <= k <= n <= 21:
+        raise ValueError(f"sample of {k} from {n} elements, not 0 <= k <= n <= 21")
+    pool = list(range(lo, hi + 1))
+    result = []
+    for i in range(n, n - k, -1):
+        j = _below(rng, i)
+        result.append(pool[j])
+        pool[j] = pool[i - 1]
+    return result
 
 
 def _add_term(terms: list, exp: CtblOrd, coeff: int) -> None:
@@ -266,16 +290,16 @@ def _add_term(terms: list, exp: CtblOrd, coeff: int) -> None:
 
 
 def rand_ctbl(rng: random.Random, depth: int = 1) -> CtblOrd:
-    kind = rng.choice(_ZERO_TO_THREE)
+    kind = _below(rng, 4)
     if kind == 0 or depth <= 0:
-        return rng.choice(_NATURALS)
+        return _NATURALS[_below(rng, 6)]
     terms = []
-    for _ in range(rng.choice((1, 2))):
+    for _ in range(_below(rng, 2) + 1):
         exp = rand_ctbl(rng, depth - 1) if rng.random() < 0.4 else \
-            rng.choice(_SMALL_EXPONENTS)
-        _add_term(terms, exp, rng.choice(_ONE_TO_THREE))
+            _SMALL_EXPONENTS[_below(rng, 3)]
+        _add_term(terms, exp, _below(rng, 3) + 1)
     if rng.random() < 0.5:
-        n = rng.choice(_ZERO_TO_THREE)
+        n = _below(rng, 4)
         if n:
             _add_term(terms, ZERO, n)
     return CtblOrd(tuple(terms))
@@ -283,8 +307,8 @@ def rand_ctbl(rng: random.Random, depth: int = 1) -> CtblOrd:
 
 def rand_uord(rng: random.Random, max_level: int = 6,
               allow_tail: bool = True) -> UOrd:
-    levels = sorted(rng.sample(range(1, max_level + 1),
-                               rng.choice(range(max_level + 1))), reverse=True)
+    levels = sorted(_sample(rng, 1, max_level, _below(rng, max_level + 1)),
+                    reverse=True)
     uterms = []
     for k in levels:
         coeff = rand_ctbl(rng)
@@ -303,21 +327,22 @@ def rand_limit_uord(rng: random.Random, max_level: int = 6) -> UOrd:
 
 
 def rand_index_map(rng: random.Random, n: int, n2: int) -> IndexMap:
-    return IndexMap(n, n2, tuple(sorted(rng.sample(range(1, n2 + 1), n))))
+    return IndexMap(n, n2, tuple(sorted(_sample(rng, 1, n2, n))))
 
 
 def rand_qualifying_beta(rng: random.Random, max_level: int, k: int) -> UOrd:
     """A limit below u_{max_level+1} with L-cofinality u_k: its last
     coefficient is a random countable ordinal plus 1, 2 or 3."""
-    above = range(k + 1, max_level + 1)
-    pick = sorted(rng.sample(above, rng.choice(range(len(above) + 1))),
+    if not 1 <= k <= max_level:
+        raise ValueError(f"level {k} outside 1..{max_level}")
+    pick = sorted(_sample(rng, k + 1, max_level, _below(rng, max_level - k + 1)),
                   reverse=True)
     uterms = []
     for lv in pick:
         coeff = rand_ctbl(rng)
         uterms.append((lv, coeff if not coeff.is_zero() else ONE))
     last = list(rand_ctbl(rng).terms)
-    _add_term(last, ZERO, rng.choice(_ONE_TO_THREE))
+    _add_term(last, ZERO, _below(rng, 3) + 1)
     uterms.append((k, CtblOrd(tuple(last))))
     return UOrd(tuple(uterms), ZERO)
 

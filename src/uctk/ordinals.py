@@ -332,7 +332,8 @@ def apply_shift(sigma: IndexMap, b: UOrd) -> UOrd:
 
 
 def _strip_one_u(b: UOrd):
-    """Write a limit b of L-cofinality u_k as delta + u_k; return (delta, k)."""
+    """Write a limit b of L-cofinality u_k as delta + u_k; return (delta, k).
+    Only the oracle shift_sup_by_decomposition calls it."""
     level, coeff = b.uterms[-1]
     n = coeff.finite_part()  # coefficient is a successor here
     lowered = CtblOrd(coeff.terms[:-1] + (((ZERO, n - 1),) if n > 1 else ()))
@@ -360,10 +361,18 @@ def apply_shift_sup(sigma: IndexMap, b: UOrd) -> UOrd:
         raise LevelOutOfRange(b, sigma)
     if shift_is_continuous(sigma, b):
         return apply_shift(sigma, b)
-    # b = delta + u_k: the levels of j^sigma(delta) are at least
-    # sigma(k) > sigma(k-1)+1, so u_{sigma(k-1)+1} is added as a last term
-    delta, k = _strip_one_u(b)
-    return UOrd(apply_shift(sigma, delta).uterms + ((sigma(k - 1) + 1, ONE),), ZERO)
+    # b = delta + u_k*(c+1) with a zero tail: the levels of j^sigma(delta)
+    # are at least sigma(k) > sigma(k-1)+1, so u_{sigma(k-1)+1} is the last
+    # term, after u_{sigma(k)}*c when c is not zero
+    image = sigma.image
+    k, coeff = b.uterms[-1]
+    n = coeff.terms[-1][1]  # the finite part: coeff is a successor here
+    c = coeff.terms[:-1] + (((ZERO, n - 1),) if n > 1 else ())
+    uterms = [(image[lv - 1], d) for lv, d in b.uterms[:-1]]
+    if c:
+        uterms.append((image[k - 1], CtblOrd(c)))
+    uterms.append((sigma(k - 1) + 1, ONE))
+    return UOrd(tuple(uterms), ZERO)
 
 
 def decompose_shift(sigma: IndexMap, k: int):

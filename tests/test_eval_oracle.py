@@ -6,7 +6,8 @@ projections and compares neighbours; ``_pairwise_signature_holds`` is the
 rule it replaced, every pair of points compared in the Brouwer-Kleene
 order.  The oracle must also stay an independent route: it never enters the
 analysis it is run against, and neither do the order-type and
-cofinality oracles enter the closed forms they check."""
+cofinality oracles enter the closed forms they check, and the sup shift's
+closed form and decomposition recursion share none of their own code."""
 
 import itertools
 import random
@@ -14,7 +15,8 @@ import sys
 
 from uctk import analysis, bk, level1, ordinals
 from uctk.grammar import parse_l1, parse_uord
-from uctk.lemmas import EvalOracle, cf_oracle, order_type_oracle, rand_limit_uord
+from uctk.lemmas import (EvalOracle, cf_oracle, order_type_oracle, rand_index_map,
+                         rand_limit_uord)
 from uctk.level1 import enumerate_level1_up_to
 from uctk.ordinals import CtblOrd
 
@@ -119,3 +121,20 @@ def test_order_type_and_cofinality_oracles_never_enter_the_closed_forms():
     assert not _entered([level1.rep_order_type],
                         lambda: [order_type_oracle(t) for t in trees])
     assert not _entered([ordinals.cf_l], lambda: [cf_oracle(b) for b in values])
+
+
+def test_sup_shift_closed_form_and_decomposition_share_no_code():
+    rng = random.Random(5)
+    pairs = []
+    for _ in range(200):
+        b = rand_limit_uord(rng, 4)
+        n = max(b.max_level(), 1)
+        pairs.append((rand_index_map(rng, n, n + rng.randrange(0, 3)), b))
+    assert not all(ordinals.shift_is_continuous(s, b) for s, b in pairs)
+    oracle = (ordinals._strip_one_u, ordinals.decompose_shift,
+              ordinals.shift_sup_by_decomposition)
+    assert not _entered(oracle, lambda: [ordinals.apply_shift_sup(s, b)
+                                         for s, b in pairs])
+    assert not _entered([ordinals.apply_shift_sup],
+                        lambda: [ordinals.shift_sup_by_decomposition(s, b)
+                                 for s, b in pairs])

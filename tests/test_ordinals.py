@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,9 +9,9 @@ from uctk.errors import (CriterionFails, InvalidElement, LevelOutOfRange,
 from uctk.grammar import format_ctbl, format_uord, parse_ctbl, parse_uord
 from uctk.lemmas import cf_oracle, rand_ctbl, rand_uord
 from uctk.ordinals import (OMEGA, ONE, U1, ZERO, Cofinality, CtblOrd,
-                           IndexMap, UOrd, apply_shift, apply_shift_sup,
-                           as_uord, cf_l, decompose_shift,
-                           shift_sup_by_decomposition)
+                           IndexMap, UOrd, _strip_one_u, apply_shift,
+                           apply_shift_sup, as_uord, cf_l, decompose_shift,
+                           shift_is_continuous, shift_sup_by_decomposition)
 
 
 def ctbl(text):
@@ -254,6 +255,51 @@ def test_sup_closed_form_against_decomposition_recursion():
         n = max(b.max_level(), 1)
         sigma = rand_index_map(rng, n, n + rng.randrange(0, 3))
         assert apply_shift_sup(sigma, b) == shift_sup_by_decomposition(sigma, b)
+
+
+def _sup_by_stripping(sigma, b):
+    """apply_shift_sup as it was before it built its discontinuous result in
+    one pass: strip the last u_k, shift, and append u_{sigma(k-1)+1}."""
+    if not b.is_limit():
+        raise NotALimit(b)
+    if b.max_level() > sigma.n:
+        raise LevelOutOfRange(b, sigma)
+    if shift_is_continuous(sigma, b):
+        return apply_shift(sigma, b)
+    delta, k = _strip_one_u(b)
+    return UOrd(apply_shift(sigma, delta).uterms + ((sigma(k - 1) + 1, ONE),), ZERO)
+
+
+def _outcome(f, sigma, b):
+    try:
+        return f(sigma, b)
+    except (NotALimit, LevelOutOfRange) as e:
+        return type(e), e.code
+
+
+def test_one_pass_sup_agrees_with_the_stripping_route():
+    """Every level pattern below u_5, a successor, limit and zero tail, the
+    last coefficients 1, 2, 3, w+1, w*2+3, w^2+1 and w, and every index map
+    {1..n} -> {1..n+2} with n <= 4."""
+    heads = [ctbl(t) for t in ("1", "w+2", "w^2")]
+    lasts = [ctbl(t) for t in ("1", "2", "3", "w+1", "w*2+3", "w^2+1", "w")]
+    tails = [ZERO, ONE, OMEGA]
+    maps = [IndexMap(n, n + 2, image) for n in range(5)
+            for image in itertools.combinations(range(1, n + 3), n)]
+    seen = set()
+    for size in range(5):
+        for levels in itertools.combinations(range(4, 0, -1), size):
+            for last in lasts if levels else [ZERO]:
+                coeffs = [heads[i % 3] for i in range(size - 1)] + [last]
+                for tail in tails:
+                    b = UOrd(tuple(zip(levels, coeffs)), tail)
+                    for sigma in maps:
+                        got = _outcome(apply_shift_sup, sigma, b)
+                        assert got == _outcome(_sup_by_stripping, sigma, b), (sigma, b)
+                        seen.add(got if isinstance(got, tuple) else
+                                 shift_is_continuous(sigma, b))
+    assert seen == {True, False, (NotALimit, "NOT_A_LIMIT"),
+                    (LevelOutOfRange, "LEVEL_OUT_OF_RANGE")}
 
 
 def test_sup_monotonicity_bracketing():

@@ -2,11 +2,14 @@
 they built normal forms directly: the same values, and the same RNG calls
 in the same order, so the generator that follows sees the same state.
 tests/data/seeded_draws.json holds the draws recorded from the generators
-that built each value by ordinal addition."""
+that built each value by ordinal addition.  The draw helpers they use,
+``_below`` and ``_sample``, are held to the stdlib calls they replace."""
 
 import json
 import random
 from pathlib import Path
+
+import pytest
 
 from uctk import lemmas
 
@@ -45,3 +48,52 @@ def test_generators_reproduce_the_recorded_draws():
         assert list(got) == list(recorded[str(seed)])
         for name, values in got.items():
             assert values == recorded[str(seed)][name], (seed, name)
+
+
+def _twins(seed):
+    return random.Random(seed), random.Random(seed)
+
+
+def test_below_is_randrange():
+    for seed in SEEDS:
+        rng, ref = _twins(seed)
+        for n in range(1, 65):
+            assert lemmas._below(rng, n) == ref.randrange(n), (seed, n)
+            assert rng.random() == ref.random(), (seed, n)
+
+
+def test_sample_is_the_stdlib_sample_up_to_21_elements():
+    cases = 0
+    for lo in range(1, 4):
+        for hi in range(lo, lo + 21):
+            for k in range(hi - lo + 2):
+                rng, ref = _twins(cases)
+                assert lemmas._sample(rng, lo, hi, k) == \
+                    ref.sample(range(lo, hi + 1), k), (lo, hi, k)
+                assert rng.random() == ref.random(), (lo, hi, k)
+                cases += 1
+    assert cases == 3 * sum(range(2, 23))
+
+
+@pytest.mark.parametrize("lo, hi, k", [(1, 2, 3), (1, 0, 1), (3, 3, 2), (1, 22, 1),
+                                       (2, 30, 0), (1, 3, -1)])
+def test_sample_rejects_before_any_draw(lo, hi, k):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        lemmas._sample(rng, lo, hi, k)
+    assert rng.getstate() == state
+
+
+def test_index_map_larger_than_its_range_is_a_value_error():
+    with pytest.raises(ValueError):
+        lemmas.rand_index_map(random.Random(0), 3, 2)
+
+
+@pytest.mark.parametrize("max_level, k", [(2, 0), (2, 3), (1, -1), (0, 0), (4, 5)])
+def test_qualifying_beta_rejects_a_level_outside_one_to_max_level(max_level, k):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        lemmas.rand_qualifying_beta(rng, max_level, k)
+    assert rng.getstate() == state
