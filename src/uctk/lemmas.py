@@ -30,7 +30,7 @@ from .errors import MultipleTreesFound, NoTreeFound, NotAFactoring
 from .level1 import (EMPTY_TREE, FactorMap1, Level1Tree, addable_nodes,
                      check_factor_map, descriptions, enumerate_level1_up_to,
                      factor_exists, factorings, regular_nodes, rep_order_type,
-                     s1_member, strict_factor_exists, validate_level1)
+                     s1_member, strict_factor_exists)
 from .level2 import (MINUS_ONE, LevelLe2Tree, as_domseq, enumerate_le2_trees,
                      enumerate_level2_with_dom, evaluate_description,
                      extended_descriptions, generate_respecting_tuple,
@@ -245,10 +245,11 @@ class EvalOracle:
 
 # The generators build each normal form directly, with the draws of summing
 # its terms by ordinal addition (tests/test_seeded_draws.py holds them to
-# recorded draws).  They draw through _below and _sample, which make the
-# getrandbits calls of the stdlib's randrange and sample in the same order,
-# so the cases depend only on getrandbits's word stream, not on how a Python
-# release implements choice or sample.
+# recorded draws).  They and the suite bodies draw through random(), _below
+# and _sample; the last two make the getrandbits calls of the stdlib's
+# randrange, choice and sample in the same order, so the cases depend only
+# on the generator's word stream, not on how a Python release implements
+# randrange, choice or sample.
 _NATURALS = tuple(CtblOrd.natural(n) for n in range(6))
 _SMALL_EXPONENTS = _NATURALS[1:4]
 
@@ -398,7 +399,7 @@ def suite_shift(pairs: int = 10000, seed: int = 0, max_level: int = 6) -> SuiteR
     for _ in range(pairs):
         b = rand_limit_uord(rng, max_level)
         n = max(b.max_level(), 1)
-        n2 = n + rng.randrange(0, 4)
+        n2 = n + _below(rng, 4)
         sigma = rand_index_map(rng, n, n2)
         closed = apply_shift_sup(sigma, b)
         orc = shift_sup_by_decomposition(sigma, b)
@@ -416,7 +417,7 @@ def suite_analysis(count: int = 1000, seed: int = 0) -> SuiteResult:
     pool_trees = [t for t in enumerate_level1_up_to(5) if len(t) >= 1]
     produced = 0
     while produced < count:
-        tree = rng.choice(pool_trees)
+        tree = pool_trees[_below(rng, len(pool_trees))]
         b = rand_limit_uord(rng, max_level=len(tree))
         if b.is_countable():
             continue
@@ -451,7 +452,7 @@ def _degree1_configs(max_partial_nodes: int, max_w: int):
     for base, p in enumerate_partial_le1(max_partial_nodes):
         if len(p) < 2:
             continue  # the qualifying cofinality would exceed the bound
-        completion = validate_level1(set(base.nodes) | {p})
+        completion = Level1Tree(base.nodes | {p})
         k = descriptions(base).index(p[:-1]) + 1
         j = inclusion_shift(base, completion)
         for w in ws:
@@ -670,10 +671,11 @@ def suite_tree_property(max_dom: int = 4, seed: int = 0) -> SuiteResult:
     rng = random.Random(seed)
     # S1: random regular towers with order-respecting ordinals
     for _ in range(50):
-        size = rng.randrange(1, 5)
+        size = _below(rng, 4) + 1
         trees, cur = [], EMPTY_TREE
         for _ in range(size):
-            cur = validate_level1(set(cur.nodes) | {rng.choice(regular_nodes(cur))})
+            nodes = regular_nodes(cur)
+            cur = Level1Tree(cur.nodes | {nodes[_below(rng, len(nodes))]})
             trees.append(cur)
         ranks = {p: i for i, p in enumerate(trees[-1].bk_sorted())}
         alphas = []

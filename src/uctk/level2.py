@@ -32,7 +32,7 @@ DomSeq = tuple  # tuple of nodes (each a tuple of naturals)
 # -- partial level <= 1 trees and towers --------------------------------------
 
 class PartialLevel1Tree(Value):
-    """A regular tree with one pending node; -1 is the level-0 pending."""
+    """A regular tree with one addable pending node; -1 is the level-0 pending."""
 
     __slots__ = ("base", "node")
 
@@ -46,7 +46,7 @@ class PartialLevel1Tree(Value):
     def completion(self) -> Level1Tree:
         if self.node == MINUS_ONE:
             raise DegreeZeroHasNoCompletion(self)
-        return validate_level1(set(self.base.nodes) | {self.node})
+        return Level1Tree(self.base.nodes | {self.node})
 
     def cardinality(self) -> int:
         return len(self.base) + 1
@@ -264,12 +264,12 @@ class Level2Tree(TreeOfTrees):
 
 def child_labels(parent, leaf: bool = True):
     """The labels a child of an element labelled ``parent`` = (P, p) may
-    take, in order: (P+, a) for each node a that keeps the completion P+ of
-    P by p regular, then (P+, -1) at a leaf.  None under a degree-0 parent."""
+    take, in order: (P+, a) for each a in ``regular_nodes`` of P+, P grown by
+    its addable p, then (P+, -1) at a leaf.  None under a degree-0 parent."""
     tree, node = parent
     if node == MINUS_ONE:
         return []
-    completion = validate_level1(set(tree.nodes) | {node})
+    completion = Level1Tree(tree.nodes | {node})
     out = [(completion, a) for a in regular_nodes(completion)]
     if leaf:
         out.append((completion, MINUS_ONE))
@@ -539,19 +539,19 @@ def _respects(le2: LevelLe2Tree, t, analysis_at) -> Verdict:
     for q in t2.dom():
         if not q:
             continue
-        _entry(t, (2, q))  # a missing value raises here, before its analysis is read
+        branch[q] = _entry(t, (2, q))  # a missing value raises here, before its analysis is read
         an = analysis_at(q)
         if isinstance(an, str):
             return Verdict(False, f"potential-tower{_fmt(q)}", an)
         pot = q_potential(t2, q)
         if an.potential_tower != pot:
             return Verdict(False, f"potential-tower{_fmt(q)}", f"{an.potential_tower} != {pot}")
-        expected = tuple(_entry(t, (2, q[:l])) for l in range(len(q) + 1))
+        expected = tuple(branch[q[:l]] for l in range(len(q) + 1))
         if an.approximation_sequence != expected:
             got, want = (", ".join(map(str, vs)) for vs in (an.approximation_sequence, expected))
             return Verdict(False, f"approximation{_fmt(q)}", f"[{got}] != [{want}]")
     for q in t2.dom():
-        vals = [_entry(t, (2, q + (a,))) for a in t2.children(q).bk_sorted()]
+        vals = [branch[q + (a,)] for a in t2.children(q).bk_sorted()]
         if any(x.compare(y) >= 0 for x, y in zip(vals, vals[1:])):
             return Verdict(False, f"sibling-order{_fmt(q)}")
     return ACCEPTED
@@ -560,19 +560,18 @@ def _respects(le2: LevelLe2Tree, t, analysis_at) -> Verdict:
 def weakly_respects_le2(le2: LevelLe2Tree, t) -> Verdict:
     """beta_empty = u_1 and each level-2 value sits below the embedded image
     of its predecessor."""
-    root = _entry(t, (2, ()))
-    if root.compare(U1) != 0:
-        return Verdict(False, "root-value", str(root))
+    branch = {(): _entry(t, (2, ()))}
+    if branch[()].compare(U1) != 0:
+        return Verdict(False, "root-value", str(branch[()]))
     t2 = le2.t2
     for q in t2.dom():
         if not q:
             continue
-        prev = _entry(t, (2, q[:-1]))
         try:
-            bound = tree_embed(t2.tree(q[:-1]), t2.tree(q), prev)
+            bound = tree_embed(t2.tree(q[:-1]), t2.tree(q), branch[q[:-1]])
         except KernelError as e:
             return Verdict(False, f"embed{_fmt(q)}", e.code)
-        val = _entry(t, (2, q))
+        val = branch[q] = _entry(t, (2, q))
         if val.compare(bound) >= 0:
             return Verdict(False, f"bound{_fmt(q)}", f"{val} >= {bound}")
     return ACCEPTED

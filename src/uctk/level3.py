@@ -9,9 +9,9 @@ S_3 operations validate tower structure only and say so explicitly.
 from __future__ import annotations
 
 from . import bk
-from .errors import (ArityError, CaseViolation, DegreeZero, DomainNotTree,
-                     EmptyKeyPresent, InvalidElement, NotRegular, TowerViolation)
-from .level1 import EMPTY_TREE, Level1Tree, is_level1, validate_level1
+from .errors import (ArityError, CaseViolation, DegreeZero, EmptyKeyPresent,
+                     InvalidElement, NotRegular, TowerViolation)
+from .level1 import EMPTY_TREE, Level1Tree, addable_nodes
 from .level2 import (CONSTANT_DESC, MINUS_ONE, LevelLe2Tree, TreeOfTrees,
                      as_domseq, check_tree_of_trees, child_labels, description,
                      new_key, q_set_plus, respects_le2, validate_level2)
@@ -49,7 +49,7 @@ def validate_partial_le2(base: LevelLe2Tree, d: int, q, p) -> PartialLevelLe2Tre
         q = tuple(q)
         if q in base.t1.nodes:
             raise CaseViolation("node already present", q)
-        if not is_level1(set(base.t1.nodes) | {q}):
+        if q not in addable_nodes(base.t1):
             raise CaseViolation("extension is not a level-1 tree", q)
         if len(p):
             raise CaseViolation("degree 1 carries no tree component")
@@ -59,9 +59,7 @@ def validate_partial_le2(base: LevelLe2Tree, d: int, q, p) -> PartialLevelLe2Tre
         t2 = base.t2
         if q in t2 or not q:
             raise CaseViolation("sequence not a fresh extension", q)
-        try:
-            check_tree_of_trees(set(t2.dom()) | {q})
-        except DomainNotTree:
+        if q[:-1] not in t2 or q[-1] not in addable_nodes(t2.children(q[:-1])):
             raise CaseViolation("domain extension is not a tree of trees", q)
         parent = t2.partial(q[:-1])
         if parent.degree() == 0:
@@ -127,8 +125,7 @@ def completion_le2(pt: PartialLevelLe2Tree):
     if pt.d == 0:
         raise DegreeZero(pt)
     if pt.d == 1:
-        return [LevelLe2Tree(validate_level1(set(pt.base.t1.nodes) | {pt.q}),
-                             pt.base.t2)]
+        return [LevelLe2Tree(Level1Tree(pt.base.t1.nodes | {pt.q}), pt.base.t2)]
     entries = dict(pt.base.t2.entries)
     labels = child_labels(pt.base.t2.label(pt.q[:-1]))
     return [LevelLe2Tree(pt.base.t1, validate_level2({**entries, pt.q: label}))

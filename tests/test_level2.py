@@ -455,6 +455,37 @@ class TestRecoverAnalysesOnce:
             gc.enable()
 
 
+class TestRespectReadsEachValueOnce:
+    """The respect walks keep each value they read: respects_le2 reads each
+    level-1 value and the root once and every other level-2 value twice,
+    the second time for its analysis; weakly_respects_le2 reads each level-2
+    value once.  Trees with a non-root level-2 element only: on the others
+    both walks read each value once."""
+
+    @pytest.mark.parametrize("check, reads", [
+        (respects_le2, lambda t1, n: t1 + 1 + 2 * (n - 1)),
+        (weakly_respects_le2, lambda t1, n: n),
+    ], ids=["respects", "weakly"])
+    def test_entry_reads_per_accepted_tree(self, check, reads, monkeypatch):
+        calls = []
+        entry = level2._entry
+
+        def counted(t, key):
+            calls.append(key)
+            return entry(t, key)
+
+        monkeypatch.setattr(level2, "_entry", counted)
+        trees = 0
+        for tree, t in _realizable(4):
+            n = len(tree.t2.dom())
+            calls.clear()
+            if n == 1 or not check(tree, t):
+                continue
+            assert len(calls) == reads(len(tree.t1), n), str(tree)
+            trees += 1
+        assert trees == 94
+
+
 def test_recovered_tree_is_the_validated_tree():
     # recover_tree builds its level-2 tree from its labels without
     # validate_level2; the labels must pass it and give the same tree

@@ -3,7 +3,8 @@ they built normal forms directly: the same values, and the same RNG calls
 in the same order, so the generator that follows sees the same state.
 tests/data/seeded_draws.json holds the draws recorded from the generators
 that built each value by ordinal addition.  The draw helpers they use,
-``_below`` and ``_sample``, are held to the stdlib calls they replace."""
+``_below`` and ``_sample``, are held to the stdlib calls they replace:
+``randrange`` with one and two arguments, ``choice`` and ``sample``."""
 
 import json
 import random
@@ -60,6 +61,24 @@ def test_below_is_randrange():
         for n in range(1, 65):
             assert lemmas._below(rng, n) == ref.randrange(n), (seed, n)
             assert rng.random() == ref.random(), (seed, n)
+
+
+def test_below_indexing_is_choice():
+    for seed in SEEDS:
+        rng, ref = _twins(seed)
+        for n in range(1, 65):
+            seq = [f"item {i}" for i in range(n)]
+            assert seq[lemmas._below(rng, len(seq))] == ref.choice(seq), (seed, n)
+            assert rng.random() == ref.random(), (seed, n)
+
+
+def test_shifted_below_is_two_argument_randrange():
+    for seed in SEEDS:
+        rng, ref = _twins(seed)
+        for lo in range(4):
+            for n in range(1, 33):
+                assert lemmas._below(rng, n) + lo == ref.randrange(lo, lo + n), (seed, lo, n)
+                assert rng.random() == ref.random(), (seed, lo, n)
 
 
 def test_sample_is_the_stdlib_sample_up_to_21_elements():
