@@ -21,6 +21,7 @@ above, and parse(print(x)) = x on all canonical forms.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .bk import MINUS_ONE
 from .errors import ParseError
@@ -34,6 +35,7 @@ _TOKEN = re.compile(r"->|[(){}\[\];,@]|\^|\*|\+|-?\d+|u\d+|w|[A-Za-z_]+")
 _SCAN = re.compile(r"\s*(?:(" + _TOKEN.pattern + r")|(\S))")
 _INTEGER = re.compile(r"-?\d+").fullmatch
 _NATURAL = re.compile(r"\d+").fullmatch
+_ULEVEL = re.compile(r"u\d+").fullmatch
 
 # Countable ordinals are the one recursive part of the grammar: parentheses
 # and exponents nest at most this deep, counted together.
@@ -41,29 +43,32 @@ MAX_NESTING = 200
 
 
 class _Tokens:
+    """The tokens of ``text`` as one list of strings, ended by a None
+    sentinel.  The tokens come from one ``findall``; since no token holds
+    whitespace, they miss a character exactly when their concatenation
+    differs from the text's non-space characters, and only then is the text
+    scanned again, to report the stray character.  A token's position is
+    found by ``pos``, which only error reports call."""
+
     def __init__(self, text: str):
         self.text = text
-        self.items = []
-        for m in _SCAN.finditer(text):
-            tok = m.group(1)
-            if tok is None:
-                pos = m.start(2)
-                nxt = _TOKEN.search(text, pos)
-                gap = text[pos:nxt.start() if nxt else len(text)].strip()
-                raise ParseError(f"unexpected {gap!r}", *_loc(text, pos))
-            self.items.append((tok, m.start(1)))
+        self.items = _TOKEN.findall(text)
+        if "".join(self.items) != "".join(text.split()):
+            for _ in _positions(text):  # raises at the stray character
+                pass
+        self.items.append(None)
         self.i = 0
         self.depth = 0  # open parentheses and exponents in an ordinal
 
     def peek(self):
-        return self.items[self.i][0] if self.i < len(self.items) else None
+        return self.items[self.i]
 
     def next(self):
-        if self.i >= len(self.items):
-            raise ParseError("unexpected end of input", *_loc(self.text, len(self.text)))
         tok = self.items[self.i]
+        if tok is None:
+            raise ParseError("unexpected end of input", *_loc(self.text, len(self.text)))
         self.i += 1
-        return tok[0]
+        return tok
 
     def expect(self, want: str):
         got = self.next()
@@ -79,14 +84,30 @@ class _Tokens:
             raise ParseError(f"ordinal nested deeper than {MAX_NESTING}",
                              *self.loc_back())
 
+    def pos(self, i: int) -> int:
+        """Where token i starts in the text."""
+        return next(islice(_positions(self.text), i, None))
+
     def loc_back(self):
-        pos = self.items[self.i - 1][1] if 0 < self.i <= len(self.items) else len(self.text)
-        return _loc(self.text, pos)
+        """Line and column of the token last read."""
+        return _loc(self.text, self.pos(self.i - 1))
 
     def done(self):
-        if self.i != len(self.items):
+        if self.peek() is not None:
             raise ParseError(f"trailing input {self.peek()!r}",
-                             *_loc(self.text, self.items[self.i][1]))
+                             *_loc(self.text, self.pos(self.i)))
+
+
+def _positions(text: str):
+    """Where each token of ``text`` starts, in one pass over the text; a
+    stray character is a parse error at it."""
+    for m in _SCAN.finditer(text):
+        if m.group(1) is None:
+            pos = m.start(2)
+            nxt = _TOKEN.search(text, pos)
+            gap = text[pos:nxt.start() if nxt else len(text)].strip()
+            raise ParseError(f"unexpected {gap!r}", *_loc(text, pos))
+        yield m.start(1)
 
 
 def _loc(text: str, pos: int):
@@ -170,8 +191,16 @@ def _node_or_minus(toks):
 
 
 def _domseq(toks) -> tuple:
-    """A parenthesized sequence of nodes, optionally ending in -1."""
-    return tuple(_bracketed(toks, "(", ")", _items, _node_or_minus))
+    """A parenthesized sequence of nodes, optionally ending in -1: after a
+    -1 only the closing parenthesis may come."""
+    toks.expect("(")
+    out = []
+    while toks.peek() != ")":
+        out.append(_node_or_minus(toks))
+        if out[-1] == MINUS_ONE:
+            break
+    toks.expect(")")
+    return tuple(out)
 
 
 def parse_domseq(text: str) -> tuple:
@@ -193,7 +222,7 @@ def _keyed(toks, close, label=None) -> dict:
     for q, at, value in _items(toks, close, entry, ";" if label else None):
         if q in out:
             raise ParseError(f"domain sequence {format_domseq(q)} listed twice",
-                             *_loc(toks.text, toks.items[at][1]))
+                             *_loc(toks.text, toks.pos(at)))
         out[q] = value
     return out
 
@@ -352,7 +381,7 @@ def parse_ctbl(text: str) -> CtblOrd:
 
 def _uord_term(toks) -> UOrd:
     tok = toks.peek()
-    if tok and re.fullmatch(r"u\d+", tok):
+    if tok and _ULEVEL(tok):
         toks.next()
         level = int(tok[1:])
         if level < 1:

@@ -8,13 +8,15 @@ S_3 operations validate tower structure only and say so explicitly.
 
 from __future__ import annotations
 
+from bisect import bisect
+
 from . import bk
 from .errors import (ArityError, CaseViolation, DegreeZero, EmptyKeyPresent,
                      InvalidElement, NotRegular, TowerViolation)
 from .level1 import EMPTY_TREE, Level1Tree, addable_nodes
-from .level2 import (CONSTANT_DESC, MINUS_ONE, LevelLe2Tree, TreeOfTrees,
-                     as_domseq, check_tree_of_trees, child_labels, description,
-                     new_key, q_set_plus, respects_le2, validate_level2)
+from .level2 import (CONSTANT_DESC, MINUS_ONE, Level2Tree, LevelLe2Tree,
+                     TreeOfTrees, _dom_sort_key, as_domseq, check_tree_of_trees,
+                     child_labels, description, new_key, q_set_plus, respects_le2)
 from .ordinals import U1, as_uord
 from .value import ACCEPTED, Value, Verdict, set_field
 
@@ -126,9 +128,11 @@ def completion_le2(pt: PartialLevelLe2Tree):
         raise DegreeZero(pt)
     if pt.d == 1:
         return [LevelLe2Tree(Level1Tree(pt.base.t1.nodes | {pt.q}), pt.base.t2)]
-    entries = dict(pt.base.t2.entries)
+    entries = pt.base.t2.entries
+    at = bisect(entries, _dom_sort_key(pt.q), key=lambda e: _dom_sort_key(e[0]))
     labels = child_labels(pt.base.t2.label(pt.q[:-1]))
-    return [LevelLe2Tree(pt.base.t1, validate_level2({**entries, pt.q: label}))
+    return [LevelLe2Tree(pt.base.t1,
+                         Level2Tree(entries[:at] + ((pt.q, label),) + entries[at:]))
             for label in labels[-1:] + labels[:-1]]
 
 

@@ -252,6 +252,8 @@ def test_batch_goes_on_after_a_bad_index_map(tmp_path):
      1, "INVALID_ELEMENT"),
     (("compare", "--rep2", "({(0)} ; () -> ({}, (0)))", "(x, [(0 0)])", "(2, [])"),
      2, "PARSE_ERROR"),
+    (("validate", "l2", "() -> ({}, (0)); (-1 (0)) -> ({(0)}, (0 0))"), 2, "PARSE_ERROR"),
+    (("eval-desc", "({} ; () -> ({}, (0)))", "u1", "--at", "(-1 -1)"), 2, "PARSE_ERROR"),
 ])
 def test_malformed_input_is_one_coded_report(argv, exit_code, code):
     got, out = run(*argv)

@@ -1,8 +1,11 @@
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 
-from uctk.errors import ParseError
+from uctk import grammar
+from uctk.errors import KernelError, ParseError
 from uctk.grammar import (format_domseq, format_index_map, format_l1,
                           format_l2, format_l3, format_le2, format_node,
                           format_pl2, format_tower, format_uord, parse_domseq,
@@ -100,8 +103,128 @@ def test_shape_lists_each_domain_sequence_once():
     (parse_l1, "{(0)} junk", "trailing input 'junk'", 7),
     (parse_rep_seq, "[ $]", "unexpected '$'", 3),
     (parse_l1, "{(0)\n  $ (1)}", "unexpected '$'", 3),
-], ids=["trailing-node", "trailing-tree", "stray", "stray-second-line"])
+    (parse_domseq, "(-1 -1)", "expected ')', got '-1'", 5),
+    (parse_domseq, "((0) -1 (0))", "expected ')', got '('", 9),
+    (parse_l2, "() -> ({}, (0)); (-1 (0)) -> ({(0)}, (0 0))", "expected ')', got '('", 22),
+    (parse_shape, "{() ((0) -1 -1)}", "expected ')', got '-1'", 13),
+], ids=["trailing-node", "trailing-tree", "stray", "stray-second-line",
+        "minus-one-twice", "node-after-minus-one", "l2-key-minus-one-first",
+        "shape-minus-one-twice"])
 def test_errors_point_at_the_offending_token(parse, text, message, col):
     with pytest.raises(ParseError) as e:
         parse(text)
     assert (e.value.detail[0], e.value.col) == (message, col)
+
+
+# -- the tokenizer ---------------------------------------------------------------
+
+BATCH = Path(__file__).parent / "data" / "spec_examples.batch"
+PARSERS = [getattr(grammar, name) for name in sorted(dir(grammar))
+           if name.startswith("parse_")]
+
+
+def _golden_arguments():
+    """Every word after the command on each line of the worked examples,
+    flags left out and flag values kept."""
+    out = []
+    for line in BATCH.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            out += [w for w in shlex.split(line)[1:] if not w.startswith("--")]
+    return out
+
+
+def _mutations(texts, per_text):
+    """Each text with 1-3 characters dropped, replaced or inserted, drawn
+    from an alphabet of tokens' characters, strays and whitespace."""
+    rng = random.Random(0)
+    alphabet = "(){}[];,@-^*+>0123456789uwx$ \n\t"
+    out = []
+    for text in texts:
+        for _ in range(per_text):
+            t = text
+            for _ in range(rng.randint(1, 3)):
+                j, op = rng.randrange(len(t) + 1), rng.randrange(3)
+                keep = t[j + 1:] if op < 2 and j < len(t) else t[j:]
+                t = t[:j] + ("" if op == 0 else rng.choice(alphabet)) + keep
+            out.append(t)
+    return out
+
+
+EDGE_TEXTS = [
+    "", " ", " \t\n ", "$", "$(0)", "(0)$", "u$3", "(0) $ (1)", "{(0)} ~",
+    "(\u00a0 0\u2028)", "(0\x1c1)", "(\u0663)", "\u00a0$",
+    "{(0)\n (0 0)\n\t(1)}", "{(0)\n\n  (x)}", "[(0),\n 3,\n $]",
+]
+
+
+def _tokens_by_scan(text):
+    """The tokenizer as it was: a (token, position) pair per token from one
+    pass of ``_SCAN``, or the message, line and column of the ParseError at
+    the first stray character."""
+    items = []
+    for m in grammar._SCAN.finditer(text):
+        if m.group(1) is None:
+            pos = m.start(2)
+            nxt = grammar._TOKEN.search(text, pos)
+            gap = text[pos:nxt.start() if nxt else len(text)].strip()
+            return (f"unexpected {gap!r}", *grammar._loc(text, pos))
+        items.append((m.group(1), m.start(1)))
+    return items
+
+
+def _tokens_now(text):
+    """The same from ``_Tokens``.  Positions are read once it is built, so
+    a stray character it let through fails the comparison."""
+    try:
+        toks = grammar._Tokens(text)
+    except ParseError as e:
+        return e.detail[0], e.line, e.col
+    assert toks.items[-1] is None
+    return [(tok, toks.pos(i)) for i, tok in enumerate(toks.items[:-1])]
+
+
+def test_tokens_and_positions_agree_with_the_one_pass_scan():
+    golden = _golden_arguments()
+    texts = golden + _mutations(golden, per_text=20) + EDGE_TEXTS
+    strays = 0
+    for text in texts:
+        ref = _tokens_by_scan(text)
+        assert _tokens_now(text) == ref, repr(text)
+        strays += isinstance(ref, tuple)
+    assert len(golden) == 133 and 0 < strays < len(texts)
+
+
+class _CountingScan:
+    """Stands in for ``grammar._SCAN``: counts ``finditer`` calls."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def finditer(self, text):
+        self.calls += 1
+        return self.pattern.finditer(text)
+
+
+def test_a_valid_parse_scans_once(monkeypatch):
+    """The tokens come from one ``findall``; ``_SCAN`` runs once more only
+    to place an error: a stray character or the token a parse error names.
+    The end of input needs no scan to place."""
+    scan = _CountingScan(grammar._SCAN)
+    monkeypatch.setattr(grammar, "_SCAN", scan)
+    golden = _golden_arguments()
+    counts = {"parsed": 0, "placed": 0}
+    for text in golden + _mutations(golden, per_text=1) + EDGE_TEXTS:
+        for parse in PARSERS:
+            scan.calls = 0
+            try:
+                parse(text)
+            except ParseError as e:
+                placed = e.detail[0] != "unexpected end of input"
+            except KernelError:
+                placed = False
+            else:
+                placed = False
+                counts["parsed"] += 1
+            assert scan.calls == placed, (parse.__name__, text)
+            counts["placed"] += placed
+    assert counts["parsed"] > 100 and counts["placed"] > 100

@@ -11,9 +11,10 @@ from test_eval_oracle import _entered
 from uctk.errors import CaseViolation, DomainNotTree, KernelError
 from uctk.level1 import (EMPTY_TREE, addable_nodes, enumerate_level1_up_to,
                          is_level1, regular_nodes, validate_level1)
+from uctk.lemmas import enumerate_partial_le2
 from uctk.level2 import (CARD1_L2, MINUS_ONE, LevelLe2Tree, as_domseq,
                          check_tree_of_trees, child_labels, enumerate_le2_trees,
-                         validate_partial_le1)
+                         validate_level2, validate_partial_le1)
 from uctk.level3 import PartialLevelLe2Tree, completion_le2, validate_partial_le2
 
 # every node of length at most 3 with entries 0-2, and the empty node
@@ -54,6 +55,15 @@ def _validate_partial_le2_by_revalidation(base, d, q, p):
     return PartialLevelLe2Tree(base, 2, q, p)
 
 
+def _completion_le2_by_revalidation(pt):
+    """The degree-2 branch of ``completion_le2`` as it was: each completion
+    built by validating the whole grown level-2 tree."""
+    entries = dict(pt.base.t2.entries)
+    labels = child_labels(pt.base.t2.label(pt.q[:-1]))
+    return [LevelLe2Tree(pt.base.t1, validate_level2({**entries, pt.q: label}))
+            for label in labels[-1:] + labels[:-1]]
+
+
 def _outcome(validate, *args):
     """The value, or the error's class, code and message."""
     try:
@@ -77,6 +87,13 @@ def _grid():
             if q[:-1] in t2 and t2.node(q[:-1]) != MINUS_ONE:
                 p = _completion_by_revalidation(*t2.label(q[:-1]))
             yield tree, 2, q, p
+
+
+def _degree2_partials():
+    """Every degree-2 partial tree over a level <=2 tree with at most 4
+    domain elements."""
+    return [pt for tree in enumerate_le2_trees(4)
+            for pt in enumerate_partial_le2(tree) if pt.d == 2]
 
 
 def test_partial_le2_checks_agree_with_whole_set_validation():
@@ -109,9 +126,11 @@ def test_grown_trees_are_the_validated_trees():
 
 def test_growth_never_enters_whole_set_validation():
     """At every level <=2 tree with at most 4 domain elements: each growth
-    site on each label and addable node, and the one-element checks on each
-    addable node and on one that is not addable."""
+    site on each label and addable node, the one-element checks on each
+    addable node and on one that is not addable, and the completions of
+    every degree-2 partial tree over it."""
     trees = enumerate_le2_trees(4)
+    partials = _degree2_partials()
 
     def run():
         for tree in trees:
@@ -129,5 +148,18 @@ def test_growth_never_enters_whole_set_validation():
                         validate_partial_le2(tree, 2, q + (a,), p)
                     except CaseViolation:
                         pass
+        for pt in partials:
+            completion_le2(pt)
 
-    assert not _entered([validate_level1, is_level1, check_tree_of_trees], run)
+    assert not _entered([validate_level1, is_level1, check_tree_of_trees,
+                         validate_level2], run)
+
+
+def test_degree2_completions_are_the_validated_trees():
+    cases = 0
+    for pt in _degree2_partials():
+        grown, validated = completion_le2(pt), _completion_le2_by_revalidation(pt)
+        assert grown == validated, str(pt)
+        assert [c.t2.entries for c in grown] == [c.t2.entries for c in validated]
+        cases += len(grown)
+    assert cases == 1674
