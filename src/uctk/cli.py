@@ -7,11 +7,11 @@ ok, 1 domain rejection, 2 usage or parse error, 3 internal error.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import shlex
 import sys
+from types import SimpleNamespace
 
 from . import analysis, bk, grammar, level1, level2, level3, ordinals
 from .bk import MINUS_ONE
@@ -431,22 +431,60 @@ COMMAND_FLAGS = {"seed": int, "bound": int, "variant": str, "regular": None,
                  "rep2": str, "rep3": str}
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises ArityError on a usage error instead of exiting, so that a
-    batch line can report it; ``main`` exits as argparse does for argv."""
+# An argv's flags; a batch line takes COMMAND_FLAGS only.
+_ARGV_FLAGS = {"pretty": None, "format": str, **COMMAND_FLAGS}
 
-    def error(self, message):
-        raise ArityError(message)
+
+def _read_words(words, batch_line: bool):
+    """The namespace ``_build_parser(batch_line)`` gives for words, read in
+    one pass; None unless each word is a positional (no leading '-') or a
+    whole --name of that parser's flags, each valued flag's next word has no
+    leading '-' and converts (--format: text or structured), and the first
+    positional is a command or batch.  Help, usage errors and every other
+    spelling (--name=value, --, abbreviations) are left to argparse."""
+    kinds = COMMAND_FLAGS if batch_line else _ARGV_FLAGS
+    flags = dict.fromkeys(kinds)
+    if not batch_line:
+        flags["pretty"] = False
+    positionals = []
+    words = iter(words)
+    for word in words:
+        if not word.startswith("-"):
+            positionals.append(word)
+        elif not word.startswith("--") or (name := word[2:]) not in kinds:
+            return None
+        elif kinds[name] is None:
+            flags[name] = True
+        else:
+            value = next(words, "-")
+            if value.startswith("-") or name == "format" and value not in ("text", "structured"):
+                return None
+            try:
+                flags[name] = kinds[name](value)
+            except ValueError:
+                return None
+    if not positionals or positionals[0] not in HANDLERS and positionals[0] != "batch":
+        return None
+    return SimpleNamespace(command=positionals[0], args=positionals[1:], **flags)
 
 
 @functools.cache
 def _build_parser(batch_line: bool = False):
-    """The argument parser, built once per process: building it costs more
-    than most commands, and in-process callers run ``main`` many times.
-    A batch line's parser has no -h/--help, whose action would print the
-    help and exit mid-batch; there -h is an unrecognized argument.  Nor has
-    it --pretty or --format: the batch's own flags decide its output."""
-    p = _Parser(prog="uctk", add_help=not batch_line, description=__doc__)
+    """The argument parser for the words ``_read_words`` leaves to it, built
+    once per process: building it costs more than most commands.  A batch
+    line's parser raises ArityError on a usage error, where an argv's exits,
+    so that the line can report it; it has no -h/--help, whose action would
+    print the help and exit mid-batch, so there -h is an unrecognized
+    argument.  Nor has it --pretty or --format: the batch's own flags decide
+    its output."""
+    import argparse  # only this fallback needs it; a well-formed argv starts faster
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ArityError(message)
+
+    p = (_Parser if batch_line else argparse.ArgumentParser)(
+        prog="uctk", add_help=not batch_line, description=__doc__)
     p.add_argument("command", choices=sorted(HANDLERS) + ["batch"])
     p.add_argument("args", nargs="*")
     if not batch_line:
@@ -519,7 +557,7 @@ def _printable(text: str) -> str:
     return text.encode(errors="surrogateescape").decode(errors="backslashreplace")
 
 
-def _parse_line(parser, line):
+def _parse_line(line):
     """The namespace of one batch line; ParseError or ArityError if the
     line is not UTF-8, does not split into words or argparse rejects them."""
     try:
@@ -530,15 +568,14 @@ def _parse_line(parser, line):
         words = shlex.split(line)
     except ValueError as e:  # an unclosed quote or escape, at the line's end
         raise ParseError(str(e), 1, len(line) + 1) from None
-    return parser.parse_intermixed_args(words)
+    return (_read_words(words, batch_line=True)
+            or _build_parser(batch_line=True).parse_intermixed_args(words))
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        ns = parser.parse_intermixed_args(argv)
-    except ArityError as e:
-        argparse.ArgumentParser.error(parser, *e.detail)
+    if argv is None:
+        argv = sys.argv[1:]
+    ns = _read_words(argv, batch_line=False) or _build_parser().parse_intermixed_args(argv)
     if ns.pretty and ns.format is not None:
         print(Report(ns.command, "error", code="ARITY_ERROR",
                      detail="--pretty and --format exclude each other").line())
@@ -557,7 +594,6 @@ def main(argv=None) -> int:
             _emit(Report("batch", "error", input=_printable(ns.args[0]), code="ARITY_ERROR",
                          detail=f"cannot read batch file: {e.strerror}"), ns)
             return 2
-        line_parser = _build_parser(batch_line=True)
         worst = 0
         with fh:
             for raw in fh:
@@ -565,7 +601,7 @@ def main(argv=None) -> int:
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    sub = _parse_line(line_parser, line)
+                    sub = _parse_line(line)
                 except KernelError as e:
                     report = Report("batch", "error", input=_printable(line), code=e.code,
                                     detail=str(e))

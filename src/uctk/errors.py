@@ -12,7 +12,15 @@ class KernelError(Exception):
 
     def __init__(self, *detail):
         self.detail = detail
-        super().__init__(f"{self.code}: " + ", ".join(str(d) for d in detail))
+        super().__init__(f"{self.code}: " + ", ".join(map(self._form, detail)))
+
+    _form = str  # how the message writes each detail
+
+
+def _node_form(e) -> str:
+    """e as the grammar writes it if it is a node, else str(e)."""
+    from .grammar import format_node  # imported here: grammar imports this module
+    return format_node(e) if isinstance(e, (tuple, list)) else str(e)
 
 
 class ContainsEmpty(KernelError):
@@ -116,6 +124,8 @@ class RootNotCanonical(KernelError):
 class DomainNotTree(KernelError):
     code = "DOMAIN_NOT_TREE"
 
+    _form = staticmethod(lambda q: "(" + " ".join(map(_node_form, q)) + ")")
+
 
 class TowerViolation(KernelError):
     code = "TOWER_VIOLATION"
@@ -137,6 +147,8 @@ class IncomparableEntries(InvalidElement, TypeError):
     """A node against an entry that is neither a node nor -1, or an entry
     that has no Brouwer-Kleene sort key.  It stays a TypeError for callers
     that catch the uncoded form."""
+
+    _form = staticmethod(_node_form)
 
 
 class MissingEntry(KernelError):

@@ -1,20 +1,22 @@
 import argparse
 import ast
 import io
+import json
 import re
 import shlex
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from conftest import _entered
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uctk import cli, grammar, level2, level3
 from uctk.errors import ArityError
-from uctk.cli import HANDLERS, MAX_BOUND, _build_parser, _quote, main
+from uctk.cli import HANDLERS, MAX_BOUND, _build_parser, _quote, _read_words, main
 from uctk.grammar import MAX_NESTING
 
 BATCH = Path(__file__).parent / "data" / "spec_examples.batch"
@@ -241,23 +243,35 @@ def test_batch_goes_on_after_a_bad_index_map(tmp_path):
     assert lines[2].endswith("result=u1")
 
 
-@pytest.mark.parametrize("argv, exit_code, code", [
+# each case's argv, exit status and exact detail; a detail writes nodes and
+# domain sequences as the grammar does
+MALFORMED = [
     (("validate", "l2", "() -> ({}, (0)); ((0) -1) -> ({(0)}, (0 0))"),
-     1, "DOMAIN_NOT_TREE"),
-    (("recover", "{}", "{() ((0) -1)}", "u1", "u1"), 1, "DOMAIN_NOT_TREE"),
-    (("s1", "[{(0)}]", "u1"), 1, "INVALID_ELEMENT"),
-    (("compare", "[(0)]", "[5]"), 1, "INVALID_ELEMENT"),
-    (("compare", "--rep1", "{(0)}", "[(0), w]", "[(0)]"), 1, "INVALID_ELEMENT"),
+     1, "DOMAIN_NOT_TREE: ((0) -1)"),
+    (("recover", "{}", "{() ((0) -1)}", "u1", "u1"), 1, "DOMAIN_NOT_TREE: ((0) -1)"),
+    (("s1", "[{(0)}]", "u1"), 1, "INVALID_ELEMENT: S1 ordinals are countable, u1"),
+    (("compare", "[(0)]", "[5]"), 1, "INVALID_ELEMENT: (0), 5"),
+    (("compare", "--rep1", "{(0)}", "[(0), w]", "[(0)]"), 1,
+     "INVALID_ELEMENT: [(0), w], index is not a natural"),
     (("compare", "--rep2", "({(0)} ; () -> ({}, (0)))", "(1, [(0 0)])", "(2, [])"),
-     1, "INVALID_ELEMENT"),
+     1, "INVALID_ELEMENT: [(0 0)], level-1 node outside the tree"),
     (("compare", "--rep2", "({(0)} ; () -> ({}, (0)))", "(x, [(0 0)])", "(2, [])"),
-     2, "PARSE_ERROR"),
-    (("validate", "l2", "() -> ({}, (0)); (-1 (0)) -> ({(0)}, (0 0))"), 2, "PARSE_ERROR"),
-    (("eval-desc", "({} ; () -> ({}, (0)))", "u1", "--at", "(-1 -1)"), 2, "PARSE_ERROR"),
-])
-def test_malformed_input_is_one_coded_report(argv, exit_code, code):
+     2, "PARSE_ERROR: rep2 element side is 1 or 2, got 'x', line 1, col 2"),
+    (("validate", "l2", "() -> ({}, (0)); (-1 (0)) -> ({(0)}, (0 0))"), 2,
+     "PARSE_ERROR: expected ')', got '(', line 1, col 22"),
+    (("eval-desc", "({} ; () -> ({}, (0)))", "u1", "--at", "(-1 -1)"), 2,
+     "PARSE_ERROR: expected ')', got '-1', line 1, col 5"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, detail", MALFORMED, ids=[
+    f"argv{i}-{exit_code}-{detail.split(':')[0]}"
+    for i, (_, exit_code, detail) in enumerate(MALFORMED)])
+def test_malformed_input_is_one_coded_report(argv, exit_code, detail):
     got, out = run(*argv)
-    assert got == exit_code and out.count("\n") == 1 and f"code={code}" in out
+    code = detail.split(":")[0]
+    assert got == exit_code and out.count("\n") == 1
+    assert out.endswith(f' code={code} detail="{detail}"\n')
 
 
 def test_batch_goes_on_after_a_continuous_domain_sequence(tmp_path):
@@ -405,12 +419,36 @@ def test_batch_goes_on_after_lines_that_do_not_parse(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+# What argparse prints for help and for usage errors on argv, recorded at 80
+# columns; the one-pass reader leaves each of these argv to argparse.
+ARGPARSE_TEXTS = json.loads((BATCH.parent / "argparse_texts.json").read_text())
+
+
+@pytest.fixture
+def columns_80(monkeypatch):
+    """argparse wraps its help and usage to the terminal's width, and the
+    parser keeps the usage it formatted when it was built."""
+    monkeypatch.setenv("COLUMNS", "80")
+    _build_parser.cache_clear()
+    yield
+    _build_parser.cache_clear()
+
+
 @pytest.mark.parametrize("argv", [("-h",), ("--help",), ("cfl", "u3", "-h")])
-def test_help_on_argv_prints_the_help(argv, capsys):
+def test_help_on_argv_prints_the_help(argv, capsys, columns_80):
     with pytest.raises(SystemExit) as exit_:
         main(list(argv))
     assert exit_.value.code == 0
-    assert capsys.readouterr().out == _build_parser().format_help()
+    assert capsys.readouterr() == (ARGPARSE_TEXTS["help"], "")
+
+
+@pytest.mark.parametrize("case", ARGPARSE_TEXTS["errors"],
+                         ids=[" ".join(c["argv"]) or "empty" for c in ARGPARSE_TEXTS["errors"]])
+def test_argv_usage_errors_print_as_recorded(case, capsys, columns_80):
+    with pytest.raises(SystemExit) as exit_:
+        main(case["argv"])
+    assert exit_.value.code == case["exit"]
+    assert capsys.readouterr() == ("", case["stderr"])
 
 
 def test_help_on_a_batch_line_is_one_report(tmp_path, capsys):
@@ -767,3 +805,108 @@ def test_compare_takes_one_rep_flag(flags):
 def test_rep2_points_are_read_by_the_grammar(point, message):
     code, out = run("compare", "--rep2", "({(0)} ; () -> ({}, (0)))", point, "(2, [])")
     assert code == 2 and out.count("\n") == 1 and f"PARSE_ERROR: {message}" in out
+
+
+# -- the one-pass reader against argparse --------------------------------------
+
+READER_COMMANDS = ["cfl", "compare", "enumerate", "check-lemmas", "batch", "nosuch"]
+READER_WORDS = [
+    *READER_COMMANDS, *(f"--{name}" for name in cli._ARGV_FLAGS),
+    "--seed=3", "--bou", "--he", "--help", "-h", "--", "-", "-1", "-x", "",
+    "a b", "\u0663", "3_0", "3", " 3", "3.5", "x", "text", "structured", "xml",
+    "u3", "{(0)}", "[(0)]",
+]
+
+
+def _by_argparse(words, batch_line):
+    """The namespace argparse gives for words, or None if it raises."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(_build_parser(batch_line=batch_line).parse_intermixed_args(words))
+    except (ArityError, SystemExit):
+        return None
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(words=st.one_of(
+    st.lists(st.sampled_from(READER_WORDS), max_size=7),
+    st.builds(lambda command, rest: [command, *(w for ws in rest for w in ws)],
+              st.sampled_from(READER_COMMANDS),
+              st.lists(st.one_of(st.tuples(st.sampled_from(READER_WORDS)),
+                                 st.tuples(st.sampled_from(READER_WORDS),
+                                           st.sampled_from(READER_WORDS))),
+                       max_size=4)),
+), batch_line=st.booleans())
+def test_the_reader_agrees_with_argparse(words, batch_line):
+    fast = _read_words(words, batch_line)
+    slow = _by_argparse(words, batch_line)
+    if fast is not None:
+        assert vars(fast) == slow, words
+
+
+@pytest.mark.parametrize("words", [
+    ["cfl", "u3"], ["compare", "--rep1", "{(0)}", "[(0)]", "[(0), 1]"],
+    ["enumerate", "l1", "--bound", "2", "--regular", "--bound", "3"],
+    ["cfl", "u3", "--pretty", "--format", "text"], ["check-lemmas", "--seed", "\u0663"],
+    ["batch", "", "--at", "a b"],
+])
+@pytest.mark.parametrize("batch_line", [False, True])
+def test_the_reader_reads_the_usual_shape(words, batch_line):
+    fast = _read_words(words, batch_line)
+    if batch_line and "--pretty" in words:  # --pretty and --format are an argv's flags only
+        assert fast is None and _by_argparse(words, batch_line) is None
+    else:
+        assert vars(fast) == _by_argparse(words, batch_line)
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["cfl", "u3"], 0, "status=ok command=cfl input=u3 result=u3"),
+    (["cfl", "u3", "--bou", "3"], 2, "status=error command=cfl input=u3 code=ARITY_ERROR "
+     'detail="ARITY_ERROR: cfl takes no --bound"'),
+])
+def test_main_reads_sys_argv_when_given_none(argv, code, line, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["uctk", *argv])
+    assert main(None) == code
+    assert capsys.readouterr() == (line + "\n", "")
+
+
+def _argparse_entered(run) -> set:
+    """Which of argparse's parse and the parser's build run() enters, from an
+    empty parser cache."""
+    _build_parser.cache_clear()
+    return _entered([argparse.ArgumentParser.parse_known_args, _build_parser.__wrapped__], run)
+
+
+def test_well_formed_words_never_reach_argparse(tmp_path):
+    batch = tmp_path / "well_formed.batch"
+    batch.write_text('cfl u3\ncompare --rep1 "{(0)}" "[(0)]" "[(0), 1]"\n'
+                     'enumerate l1 --bound 2\n')
+    for argv in [["cfl", "u3"], ["compare", "--rep1", "{(0)}", "[(0)]", "[(0), 1]"],
+                 ["eval-desc", "({} ; () -> ({}, (0)))", "u1", "--at", "()"],
+                 ["enumerate", "l1", "--bound", "2"], ["batch", str(batch)]]:
+        assert not _argparse_entered(lambda: run(*argv)), argv
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["cfl", "u3", "--seed=3"],
+                                  ["cfl", "u3", "--bou", "3"], ["cfl", "--", "u3"]])
+def test_other_spellings_go_to_argparse(argv, tmp_path):
+    def run_argv():
+        try:
+            run(*argv)
+        except SystemExit:
+            pass
+
+    assert _argparse_entered(run_argv) == {"ArgumentParser.parse_known_args", "_build_parser"}
+    batch = tmp_path / "spelling.batch"
+    batch.write_text(shlex.join(argv) + "\n")
+    assert _argparse_entered(lambda: run("batch", str(batch))) == \
+        {"ArgumentParser.parse_known_args", "_build_parser"}
+
+
+def test_a_well_formed_argv_imports_no_argparse():
+    script = ("import sys\nimport uctk.cli\nuctk.cli.main(['cfl', 'u3'])\n"
+              "assert 'argparse' not in sys.modules\n"
+              "uctk.cli.main(['cfl', 'u3', '--bou', '3'])\n"
+              "assert 'argparse' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

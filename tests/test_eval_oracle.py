@@ -11,7 +11,8 @@ closed form and decomposition recursion share none of their own code."""
 
 import itertools
 import random
-import sys
+
+from conftest import _entered
 
 from uctk import analysis, bk, level1, ordinals
 from uctk.grammar import parse_l1, parse_uord
@@ -71,24 +72,6 @@ def test_sorted_signature_check_agrees_with_pairwise():
                 cases += 1
                 accepted += fast
     assert 0 < accepted < cases
-
-
-def _entered(production, run) -> set:
-    """The names of the functions in ``production`` that ``run()`` calls."""
-    forbidden = {f.__code__: f.__qualname__ for f in production}
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in forbidden:
-            entered.add(forbidden[frame.f_code])
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(previous)
-    return entered
 
 
 _PRODUCTION = (analysis.analyze, analysis.factor_to_shift,

@@ -6,7 +6,7 @@ which validated the whole grown set, and shown never to enter it."""
 
 import itertools
 
-from test_eval_oracle import _entered
+from conftest import _entered
 
 from uctk.errors import CaseViolation, DomainNotTree, KernelError
 from uctk.level1 import (EMPTY_TREE, addable_nodes, enumerate_level1_up_to,

@@ -28,7 +28,7 @@ RECORDED = {
     "completions-3":
         "00091c4f3eb542a1f168f8b99d342aba625d6f014870b63e392de828a7851483",
     "cli-batch-seed-1":
-        "456c66eef578daa03cfccac72ab3e5db48421888632b5feeb24dde1f616780e7",
+        "ff603de96185ae38065d94693b6bae8259fbf39a10b8d89ea6ffca868cc0f1de",
     "rep-points":
         "0df6f1cc8fcdc9ef5d5abb4039fa3c3d6351a83621ee8b0b4135eaef9fc6c8f3",
 }
