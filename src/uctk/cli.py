@@ -87,7 +87,7 @@ def _tuple2_from_args(le2, ordinals_text):
     dom = le2.dom()
     if len(ordinals_text) != len(dom):
         raise ArityError(f"tree has {len(dom)} domain entries "
-                         f"(canonical order {[_dom_label(k) for k in dom]})")
+                         f"(canonical order {grammar.format_detail(dom)})")
     return {k: grammar.parse_uord(t) for k, t in zip(dom, ordinals_text)}
 
 
@@ -104,11 +104,6 @@ def _bound(bound: int, name: str) -> int:
     if bound > MAX_BOUND[name]:
         raise ArityError(f"--bound for {name} is at most {MAX_BOUND[name]}, got {bound}")
     return bound
-
-
-def _dom_label(key) -> str:
-    d, q = key
-    return f"{d}:{grammar.format_node(q) if d == 1 else grammar.format_domseq(q)}"
 
 
 # -- command handlers --------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Kernel exceptions with stable error codes.
 
 Every rejection raised by the kernel carries a ``code`` string that the CLI
-echoes verbatim, so scripts can match on codes rather than messages.
+echoes verbatim, so scripts can match on codes rather than messages.  An
+error keeps the values it was raised with as ``detail``; its message,
+``CODE: a, b``, is written when it is read, each value by
+``grammar.format_detail``, so an error that is caught and never printed
+formats nothing.
 """
 
 from __future__ import annotations
@@ -10,17 +14,13 @@ from __future__ import annotations
 class KernelError(Exception):
     code = "KERNEL_ERROR"
 
-    def __init__(self, *detail):
-        self.detail = detail
-        super().__init__(f"{self.code}: " + ", ".join(map(self._form, detail)))
+    @property
+    def detail(self) -> tuple:
+        return self.args
 
-    _form = str  # how the message writes each detail
-
-
-def _node_form(e) -> str:
-    """e as the grammar writes it if it is a node, else str(e)."""
-    from .grammar import format_node  # imported here: grammar imports this module
-    return format_node(e) if isinstance(e, (tuple, list)) else str(e)
+    def __str__(self) -> str:
+        from .grammar import format_detail  # imported here: grammar imports this module
+        return f"{self.code}: " + ", ".join(map(format_detail, self.args))
 
 
 class ContainsEmpty(KernelError):
@@ -28,13 +28,16 @@ class ContainsEmpty(KernelError):
 
 
 class ClosureViolation(KernelError):
+    """``node`` is in the set and ``missing``, its predecessor or left
+    sibling, is not: ``CLOSURE_VIOLATION: (1), missing (0)``."""
     code = "CLOSURE_VIOLATION"
 
-    def __init__(self, node, missing):
-        self.node = node
-        self.missing = missing
-        fmt = lambda n: "(" + " ".join(str(i) for i in n) + ")"
-        super().__init__(fmt(node), f"missing {fmt(missing)}")
+    node = property(lambda self: self.args[0])
+    missing = property(lambda self: self.args[1])
+
+    def __str__(self) -> str:
+        from .grammar import format_detail
+        return f"{self.code}: {format_detail(self.node)}, missing {format_detail(self.missing)}"
 
 
 class NotInRep(KernelError):
@@ -52,9 +55,7 @@ class NotAFactoring(KernelError):
 class CardinalityMismatch(KernelError):
     code = "CARDINALITY_MISMATCH"
 
-    def __init__(self, index):
-        self.index = index
-        super().__init__(index)
+    index = property(lambda self: self.args[0])
 
 
 class NotSubtree(KernelError):
@@ -63,10 +64,6 @@ class NotSubtree(KernelError):
 
 class NotRegular(KernelError):
     code = "NOT_REGULAR"
-
-    def __init__(self, index):
-        self.index = index
-        super().__init__(index)
 
 
 class LengthMismatch(KernelError):
@@ -112,9 +109,7 @@ class BadFirstEntry(KernelError):
 class NotCompletionAt(KernelError):
     code = "NOT_COMPLETION_AT"
 
-    def __init__(self, index):
-        self.index = index
-        super().__init__(index)
+    index = property(lambda self: self.args[0])
 
 
 class RootNotCanonical(KernelError):
@@ -124,15 +119,9 @@ class RootNotCanonical(KernelError):
 class DomainNotTree(KernelError):
     code = "DOMAIN_NOT_TREE"
 
-    _form = staticmethod(lambda q: "(" + " ".join(map(_node_form, q)) + ")")
-
 
 class TowerViolation(KernelError):
     code = "TOWER_VIOLATION"
-
-    def __init__(self, where):
-        self.where = where
-        super().__init__(where)
 
 
 class EmptyKeyPresent(KernelError):
@@ -147,8 +136,6 @@ class IncomparableEntries(InvalidElement, TypeError):
     """A node against an entry that is neither a node nor -1, or an entry
     that has no Brouwer-Kleene sort key.  It stays a TypeError for callers
     that catch the uncoded form."""
-
-    _form = staticmethod(_node_form)
 
 
 class MissingEntry(KernelError):

@@ -521,22 +521,28 @@ def format_rep1(elt) -> str:
 def format_rep2(elt) -> str:
     if elt.side == 1:
         return f"(1, {format_rep1(elt.payload)})"
-    inner = ", ".join(_rep_entry(e) for e in elt.payload)
-    return f"(2, [{inner}])"
+    return f"(2, {format_detail(list(elt.payload))})"
 
 
 def format_rep3(elt) -> str:
-    return "[" + ", ".join(_rep_entry(e) for e in elt.payload) + "]"
+    return format_detail(list(elt.payload))
 
 
-def _rep_entry(e) -> str:
-    if isinstance(e, int):
-        return str(e)
-    if isinstance(e, tuple):
-        return format_node(e)
-    if isinstance(e, CtblOrd):
-        return format_ctbl(e)
-    return format_uord(e)
+def format_detail(x) -> str:
+    """x in the grammar's form, for any x; every error detail and every
+    representation payload is written here.  A list, such as a payload, is
+    [a, b]; a level key (d, q), d 1 or 2, is d:q; any other tuple, such as a
+    node or a domain sequence, is (0 0) or ((0) -1); anything else is
+    written by str, which is the grammar's form of every kernel value.  A
+    raise site hands over a payload as a list, since a tuple of nodes would
+    read as a domain sequence."""
+    if isinstance(x, list):
+        return "[" + ", ".join(map(format_detail, x)) + "]"
+    if isinstance(x, tuple):
+        if len(x) == 2 and isinstance(x[1], tuple) and x[0] in (1, 2):
+            return f"{x[0]}:{format_detail(x[1])}"
+        return "(" + " ".join(map(format_detail, x)) + ")"
+    return str(x)
 
 
 def _rep_item(toks):

@@ -364,7 +364,7 @@ def _pred_in_tree(tree: Level1Tree, node):
 
 # -- suites ---------------------------------------------------------------------------
 
-def suite_order_type(max_nodes: int = 6) -> SuiteResult:
+def suite_order_type(max_nodes: int) -> SuiteResult:
     res = SuiteResult("order-type law: o.t.(<^P) = w*card(P)+1 vs rank oracle")
     for tree in enumerate_level1_up_to(max_nodes):
         if not len(tree):
@@ -379,7 +379,7 @@ def suite_order_type(max_nodes: int = 6) -> SuiteResult:
     return res
 
 
-def suite_factor_order(max_nodes: int = 4) -> SuiteResult:
+def suite_factor_order(max_nodes: int) -> SuiteResult:
     res = SuiteResult("factoring existence vs order-type comparison")
     trees = enumerate_level1_up_to(max_nodes)
     for p in trees:
@@ -393,7 +393,7 @@ def suite_factor_order(max_nodes: int = 4) -> SuiteResult:
     return res
 
 
-def suite_shift(pairs: int = 10000, seed: int = 0, max_level: int = 6) -> SuiteResult:
+def suite_shift(pairs: int, seed: int, max_level: int) -> SuiteResult:
     res = SuiteResult("shift continuity criterion and decomposition recursion")
     rng = random.Random(seed)
     for _ in range(pairs):
@@ -411,7 +411,7 @@ def suite_shift(pairs: int = 10000, seed: int = 0, max_level: int = 6) -> SuiteR
     return res
 
 
-def suite_analysis(count: int = 1000, seed: int = 0) -> SuiteResult:
+def suite_analysis(count: int, seed: int) -> SuiteResult:
     res = SuiteResult("analysis coherence against the a.e.-evaluation oracle")
     rng = random.Random(seed)
     pool_trees = [t for t in enumerate_level1_up_to(5) if len(t) >= 1]
@@ -476,8 +476,8 @@ def _lemma_a_configs(max_partial_nodes: int, max_w: int):
         yield base, p, completion, k, j, w, fm, fm2
 
 
-def suite_lemma_level2_ucf(max_partial_nodes: int = 4, max_w: int = 5,
-                           betas: int = 100, seed: int = 0) -> SuiteResult:
+def suite_lemma_level2_ucf(max_partial_nodes: int, max_w: int, betas: int,
+                           seed: int) -> SuiteResult:
     """sigma^W o j^{P-,P}_sup = (sigma')^W_sup o j^{P-,P} on qualifying betas."""
     res = SuiteResult("level-2 uniform cofinality lemma (sup swap)")
     rng = random.Random(seed)
@@ -502,8 +502,8 @@ def _completion_configs(max_partial_nodes: int, max_w: int):
             yield base, p, completion, k, j, w, fm2
 
 
-def suite_lemma_level2_ucf_another(max_partial_nodes: int = 4, max_w: int = 5,
-                                   betas: int = 100, seed: int = 0) -> SuiteResult:
+def suite_lemma_level2_ucf_another(max_partial_nodes: int, max_w: int, betas: int,
+                                   seed: int) -> SuiteResult:
     """sigma^W = (sigma')^W_sup o j^{P,P+} in both displayed cases."""
     res = SuiteResult("level-2 uniform cofinality lemma (completion route)")
     rng = random.Random(seed)
@@ -566,7 +566,7 @@ def recover_tree_by_search(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
     return found[0]
 
 
-def suite_uniqueness(max_dom: int = 4) -> SuiteResult:
+def suite_uniqueness(max_dom: int) -> SuiteResult:
     """The search oracle finds exactly the generating tree, and the direct
     recovery reads the same tree off the tuple."""
     res = SuiteResult("uniqueness of the representing level <=2 tree")
@@ -594,7 +594,7 @@ def _desc_sort_key(item):
     return (2, len(desc.q), bk.bk_key(desc.q))
 
 
-def suite_desc_eval(max_dom: int = 4) -> SuiteResult:
+def suite_desc_eval(max_dom: int) -> SuiteResult:
     """Continuous descriptions evaluate to the sup-embedding of their
     predecessor (checked against the decomposition oracle), and evaluation
     is monotone in the (length, lexicographic) description order; the
@@ -636,7 +636,7 @@ def suite_desc_eval(max_dom: int = 4) -> SuiteResult:
     return res
 
 
-def suite_respect_hierarchy(max_dom: int = 4) -> SuiteResult:
+def suite_respect_hierarchy(max_dom: int) -> SuiteResult:
     res = SuiteResult("respects implies weakly respects; typical discriminators")
     for tree, t in _realizable(max_dom):
         if respects_le2(tree, t):
@@ -666,7 +666,7 @@ def _l2_tower_from_tree(tree) -> list:
     return list(reversed(towers))
 
 
-def suite_tree_property(max_dom: int = 4, seed: int = 0) -> SuiteResult:
+def suite_tree_property(max_dom: int, seed: int) -> SuiteResult:
     res = SuiteResult("S1/S2 accept every initial segment of an accepted node")
     rng = random.Random(seed)
     # S1: random regular towers with order-respecting ordinals
@@ -708,7 +708,7 @@ def suite_tree_property(max_dom: int = 4, seed: int = 0) -> SuiteResult:
     return res
 
 
-def suite_ucf_cf3(max_base_dom: int = 3) -> SuiteResult:
+def suite_ucf_cf3(max_base_dom: int) -> SuiteResult:
     res = SuiteResult("ucf totality/regularity and case coverage; cf3 cases")
     ucf_cases = {i: 0 for i in range(1, 6)}
     cf_cases = {0: 0, 1: 0, 2: 0}
@@ -766,7 +766,7 @@ def check_lemmas(bound: int = 4, seed: int = 0):
     suites = [
         partial(suite_order_type, max_nodes=max(bound, 3)),
         partial(suite_factor_order, max_nodes=min(bound, 4)),
-        partial(suite_shift, pairs=200 * bound, seed=seed),
+        partial(suite_shift, pairs=200 * bound, seed=seed, max_level=6),
         partial(suite_analysis, count=50 * bound, seed=seed),
         partial(suite_lemma_level2_ucf, max_partial_nodes=min(bound, 4),
                 max_w=min(bound + 1, 5), betas=10, seed=seed),

@@ -178,7 +178,7 @@ def desc_rank(tree: Level1Tree, d: Node) -> int:
     try:
         return _bk_order(tree.nodes)[1][key]
     except (KeyError, TypeError):  # TypeError: an unhashable entry
-        raise NotADescription(d, tree) from None
+        raise NotADescription(key, tree) from None
 
 
 def seed(tree: Level1Tree, d: Node) -> UOrd:
@@ -276,22 +276,21 @@ def validate_tower(trees) -> Level1Tower:
     return Level1Tower(trees)
 
 
-def _fmt(node) -> str:
-    from .grammar import format_node  # imported here: grammar imports this module
-    return format_node(node)
-
-
 def respects_level1(tree: Level1Tree, alpha) -> Verdict:
     """Every value a countable limit, and node order mirrored by value order."""
     prev = None
     for p in tree.bk_sorted():
         if p not in alpha:
-            return Verdict(False, "missing-value", _fmt(p))
+            from .grammar import format_detail  # grammar imports this module
+            return Verdict(False, "missing-value", format_detail(p))
         v = as_uord(alpha[p])
         if not (v.is_countable() and v.is_limit()):
-            return Verdict(False, "countable-limit", f"{_fmt(p)} = {v}")
+            from .grammar import format_detail  # grammar imports this module
+            return Verdict(False, "countable-limit", f"{format_detail(p)} = {v}")
         if prev and not prev[1] < v:
-            return Verdict(False, "value-order", f"{_fmt(prev[0])} = {prev[1]}, {_fmt(p)} = {v}")
+            from .grammar import format_detail  # grammar imports this module
+            return Verdict(False, "value-order",
+                           f"{format_detail(prev[0])} = {prev[1]}, {format_detail(p)} = {v}")
         prev = p, v
     return ACCEPTED
 

@@ -229,11 +229,11 @@ class TreeOfTrees(Value):
         the domain."""
         start = int(() in self)
         if len(payload) % 2 == start:
-            raise InvalidElement(payload)
+            raise InvalidElement(list(payload))
         q = tuple(payload[start::2])
         base = q[:-1] if q and q[-1] == MINUS_ONE else q
         if base not in self:
-            raise InvalidElement(payload)
+            raise InvalidElement(list(payload))
         values = {self.node(q[:i]): payload[start + 2 * i - 1]
                   for i in range(len(q)) if q[:i] in self}
         return q, values
@@ -284,7 +284,7 @@ def validate_level2(entries) -> Level2Tree:
     if () not in items:
         raise RootNotCanonical("missing root")
     if items[()] != (EMPTY_TREE, ROOT_NODE):
-        raise RootNotCanonical(items[()])
+        raise RootNotCanonical(PartialLevel1Tree(*items[()]))
     order = check_tree_of_trees(items)
     for q in order[1:]:
         if items[q] not in child_labels(items[q[:-1]]):
@@ -471,7 +471,7 @@ def rep2_from_payload(le2: LevelLe2Tree, payload) -> Rep2Element:
     interleaved sequence."""
     elt = make_rep2(le2, *le2.t2.deinterleave(payload))
     if elt.payload != tuple(payload):
-        raise InvalidElement(payload)
+        raise InvalidElement(list(payload))
     return elt
 
 
@@ -499,11 +499,6 @@ def _entry(t, key):
     if key not in t:
         raise MissingEntry(key)
     return as_uord(t[key])
-
-
-def _fmt(q) -> str:
-    from .grammar import format_domseq  # imported here: grammar imports this module
-    return format_domseq(q)
 
 
 def _analysis(t, q, tree):
@@ -542,18 +537,23 @@ def _respects(le2: LevelLe2Tree, t, analysis_at) -> Verdict:
         branch[q] = _entry(t, (2, q))  # a missing value raises here, before its analysis is read
         an = analysis_at(q)
         if isinstance(an, str):
-            return Verdict(False, f"potential-tower{_fmt(q)}", an)
+            from .grammar import format_detail  # grammar imports this module
+            return Verdict(False, f"potential-tower{format_detail(q)}", an)
         pot = q_potential(t2, q)
         if an.potential_tower != pot:
-            return Verdict(False, f"potential-tower{_fmt(q)}", f"{an.potential_tower} != {pot}")
+            from .grammar import format_detail  # grammar imports this module
+            return Verdict(False, f"potential-tower{format_detail(q)}",
+                           f"{an.potential_tower} != {pot}")
         expected = tuple(branch[q[:l]] for l in range(len(q) + 1))
         if an.approximation_sequence != expected:
             got, want = (", ".join(map(str, vs)) for vs in (an.approximation_sequence, expected))
-            return Verdict(False, f"approximation{_fmt(q)}", f"[{got}] != [{want}]")
+            from .grammar import format_detail  # grammar imports this module
+            return Verdict(False, f"approximation{format_detail(q)}", f"[{got}] != [{want}]")
     for q in t2.dom():
         vals = [branch[q + (a,)] for a in t2.children(q).bk_sorted()]
         if any(x.compare(y) >= 0 for x, y in zip(vals, vals[1:])):
-            return Verdict(False, f"sibling-order{_fmt(q)}")
+            from .grammar import format_detail  # grammar imports this module
+            return Verdict(False, f"sibling-order{format_detail(q)}")
     return ACCEPTED
 
 
@@ -570,10 +570,12 @@ def weakly_respects_le2(le2: LevelLe2Tree, t) -> Verdict:
         try:
             bound = tree_embed(t2.tree(q[:-1]), t2.tree(q), branch[q[:-1]])
         except KernelError as e:
-            return Verdict(False, f"embed{_fmt(q)}", e.code)
+            from .grammar import format_detail  # grammar imports this module
+            return Verdict(False, f"embed{format_detail(q)}", e.code)
         val = branch[q] = _entry(t, (2, q))
         if val.compare(bound) >= 0:
-            return Verdict(False, f"bound{_fmt(q)}", f"{val} >= {bound}")
+            from .grammar import format_detail  # grammar imports this module
+            return Verdict(False, f"bound{format_detail(q)}", f"{val} >= {bound}")
     return ACCEPTED
 
 

@@ -220,7 +220,7 @@ def rep3_from_payload(tree: Level3Tree, payload) -> Rep3Element:
     # the root entry is forced and not interleaved
     elt = make_rep3(tree, r, {(2, ()): U1, **values})
     if elt.payload != tuple(payload):
-        raise InvalidElement(payload)
+        raise InvalidElement(list(payload))
     return elt
 
 

@@ -299,7 +299,7 @@ class IndexMap(Value):
         set_field(self, "n2", n2)
         set_field(self, "image", image)  # image[i-1] = sigma(i)
         if len(image) != n:
-            raise OutOfRange("image length mismatch", image)
+            raise OutOfRange("image length mismatch", list(image))
         prev = 0
         for v in image:
             if not (prev < v <= n2):

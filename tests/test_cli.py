@@ -261,6 +261,16 @@ MALFORMED = [
      "PARSE_ERROR: expected ')', got '(', line 1, col 22"),
     (("eval-desc", "({} ; () -> ({}, (0)))", "u1", "--at", "(-1 -1)"), 2,
      "PARSE_ERROR: expected ')', got '-1', line 1, col 5"),
+    (("eval-desc", "({} ; () -> ({}, (0)))", "u1", "--at", "((0))"), 1, "MISSING_ENTRY: ((0))"),
+    (("compare", "--rep3", "((0)) -> (({} ; () -> ({}, (0))) @ (0, -1, {}))", "[(0)]", "[u1]"),
+     1, "INVALID_ELEMENT: [u1]"),
+    (("seed", "{(0)}", "(1)"), 1, "NOT_A_DESCRIPTION: (1), {(0)}"),
+    (("validate", "l2", "() -> ({}, (0)); ((0)) -> ({}, (0))"), 1, "TOWER_VIOLATION: ((0))"),
+    (("validate", "pl2", "(({(0)} ; () -> ({}, (0))) @ (1, (0), {}))"), 1,
+     "CASE_VIOLATION: node already present, (0)"),
+    (("validate", "l2", "() -> ({}, (1))"), 1, "ROOT_NOT_CANONICAL: ({}, (1))"),
+    (("compare", "--rep2", "({} ; () -> ({}, (0)))", "(2, [(0)])", "(2, [u1])"), 1,
+     "INVALID_ELEMENT: [(0)]"),
 ]
 
 
@@ -709,7 +719,7 @@ LE2_SIBLINGS = "({} ; () -> ({}, (0)); ((0)) -> ({(0)}, (0 0)); ((0 0)) -> ({(0)
     (("respects", LE2_SIBLINGS, "u1"), 2,
      f'status=error command=respects input="{LE2_SIBLINGS} u1" code=ARITY_ERROR '
      "detail=\"ARITY_ERROR: tree has 3 domain entries "
-     "(canonical order ['2:()', '2:((0 0))', '2:((0))'])\""),
+     "(canonical order [2:(), 2:((0 0)), 2:((0))])\""),
 ], ids=["enumerate-le2", "eval-desc-extended", "descriptions-le2-level1-part",
         "recover-too-few-ordinals", "validate-pl2-degree-1", "respects-canonical-order"])
 def test_command_reports_as_recorded(argv, code, line):

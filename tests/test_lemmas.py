@@ -1,3 +1,4 @@
+import inspect
 import random
 
 from uctk import lemmas
@@ -60,3 +61,27 @@ def test_shift_per_configuration_is_the_tree_embedding():
             assert apply_shift(j, beta) == tree_embed(base, completion, beta), (base, p, beta)
             assert apply_shift_sup(j, beta) == tree_embed_sup(base, completion, beta), \
                 (base, p, beta)
+
+
+def test_check_lemmas_looks_each_suite_up_when_called(monkeypatch):
+    # the benchmark and bench/layertrace.py replace the module's suite_*
+    # attributes; check_lemmas must call the replacement, not a function
+    # object it captured earlier
+    calls = []
+    original = lemmas.suite_order_type
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lemmas, "suite_order_type", counting)
+    results = lemmas.check_lemmas(1, 0)
+    assert calls == [{"max_nodes": 3}] and len(results) == 11
+
+
+def test_no_suite_has_a_size_default():
+    suites = [f for name, f in vars(lemmas).items() if name.startswith("suite_")]
+    assert len(suites) == 11
+    for suite in suites:
+        params = inspect.signature(suite).parameters.values()
+        assert all(p.default is p.empty for p in params), suite.__name__

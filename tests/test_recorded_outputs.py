@@ -11,6 +11,7 @@ import hashlib
 import importlib
 import io
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -28,9 +29,9 @@ RECORDED = {
     "completions-3":
         "00091c4f3eb542a1f168f8b99d342aba625d6f014870b63e392de828a7851483",
     "cli-batch-seed-1":
-        "ff603de96185ae38065d94693b6bae8259fbf39a10b8d89ea6ffca868cc0f1de",
+        "cf25316ed9dcb7527e4221278402afcececa947c0345fb7629b83db809cb4c38",
     "rep-points":
-        "0df6f1cc8fcdc9ef5d5abb4039fa3c3d6351a83621ee8b0b4135eaef9fc6c8f3",
+        "72284b8a5547786a1905bb56d51ccb139377511296c307a97f483c313cb9d67b",
 }
 
 
@@ -179,3 +180,20 @@ def _sha256(lines) -> str:
 def test_output_matches_the_recorded_hash(name, monkeypatch):
     got = _sha256(PRODUCERS[name](monkeypatch))
     assert got == RECORDED[name], f"{name}: hash moved from {RECORDED[name]} to {got}"
+
+
+# What Python's repr leaves in a text and the grammar never writes: a
+# one-tuple's ",)", a value class's "UOrd<", a list of strings' "', '" and
+# a tuple of naturals' "(0, 0".
+REPR = re.compile(r",\)|\w<|', '|\(\d+, \d")
+
+
+@pytest.mark.parametrize("name", ["cli-batch-seed-1", "rep-points"])
+def test_no_error_detail_holds_a_python_repr(name, monkeypatch):
+    lines = PRODUCERS[name](monkeypatch)
+    if name == "cli-batch-seed-1":
+        details = [line.split(" detail=", 1)[1] for line in lines if " detail=" in line]
+    else:
+        details = [line for line in lines if re.match(r"\w+ [A-Z_]+: ", line)]
+    assert len(details) > 100
+    assert [d for d in details if REPR.search(d)] == []

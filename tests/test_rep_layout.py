@@ -51,11 +51,11 @@ def _old_make_rep2(le2, q, alphas):
 def _old_rep2_from_payload(le2, payload):
     t2 = le2.t2
     if len(payload) % 2:
-        raise InvalidElement(payload)
+        raise InvalidElement(list(payload))
     q = tuple(payload[2 * i + 1] for i in range(len(payload) // 2))
     base = q[:-1] if q and q[-1] == MINUS_ONE else q
     if base not in t2:
-        raise InvalidElement(payload)
+        raise InvalidElement(list(payload))
     alphas = {}
     for i in range(len(base)):
         alphas[t2.node(base[:i])] = payload[2 * i]
@@ -63,7 +63,7 @@ def _old_rep2_from_payload(le2, payload):
         alphas[t2.node(base)] = payload[-2]
     elt = _old_make_rep2(le2, q, alphas)
     if elt.payload != tuple(payload):
-        raise InvalidElement(payload)
+        raise InvalidElement(list(payload))
     return elt
 
 
@@ -90,11 +90,11 @@ def _old_make_rep3(tree, r, values):
 
 def _old_rep3_from_payload(tree, payload):
     if len(payload) % 2 == 0:
-        raise InvalidElement(payload)
+        raise InvalidElement(list(payload))
     r = tuple(payload[2 * i] for i in range((len(payload) + 1) // 2))
     base = r[:-1] if r and r[-1] == MINUS_ONE else r
     if base not in tree:
-        raise InvalidElement(payload)
+        raise InvalidElement(list(payload))
     values = {(2, ()): U1}
     for i in range(1, len(base)):
         values[tree.node(base[:i])] = payload[2 * i - 1]
@@ -103,7 +103,7 @@ def _old_rep3_from_payload(tree, payload):
         values[(pt.d, pt.q)] = payload[-2]
     elt = _old_make_rep3(tree, r, values)
     if elt.payload != tuple(payload):
-        raise InvalidElement(payload)
+        raise InvalidElement(list(payload))
     return elt
 
 
