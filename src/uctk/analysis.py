@@ -14,7 +14,7 @@ from .level1 import (FactorMap1, Level1Tree, Level1Tower, check_factor_map,
                      desc_rank, descriptions)
 from .ordinals import (ONE, U1, ZERO, Cofinality, IndexMap, UOrd, apply_shift,
                        apply_shift_sup, cf_l)
-from .value import Value, set_field
+from .value import Value, format_node, set_field
 
 
 def factor_to_shift(fm: FactorMap1) -> IndexMap:
@@ -81,7 +81,6 @@ class PotentialTower1(Value):
         return len(self.tree) == len(self.pvec)
 
     def __str__(self) -> str:
-        from .grammar import format_node
         body = " ".join(format_node(p) for p in self.pvec)
         return f"({self.tree}, ({body}))"
 

@@ -17,8 +17,7 @@ from collections.abc import Callable, Sequence
 
 from .errors import IncomparableEntries
 from .ordinals import as_uord
-
-MINUS_ONE = -1  # the distinguished entry below every natural and every node
+from .value import MINUS_ONE
 
 LESS = -1
 EQUAL = 0

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 from . import analysis, bk, grammar, level1, level2, level3, ordinals
 from .bk import MINUS_ONE
 from .errors import ArityError, InvalidElement, KernelError, ParseError
+from .value import format_detail
 
 
 def _visible(value) -> str:
@@ -87,7 +88,7 @@ def _tuple2_from_args(le2, ordinals_text):
     dom = le2.dom()
     if len(ordinals_text) != len(dom):
         raise ArityError(f"tree has {len(dom)} domain entries "
-                         f"(canonical order {grammar.format_detail(dom)})")
+                         f"(canonical order {format_detail(dom)})")
     return {k: grammar.parse_uord(t) for k, t in zip(dom, ordinals_text)}
 
 

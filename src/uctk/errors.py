@@ -4,11 +4,13 @@ Every rejection raised by the kernel carries a ``code`` string that the CLI
 echoes verbatim, so scripts can match on codes rather than messages.  An
 error keeps the values it was raised with as ``detail``; its message,
 ``CODE: a, b``, is written when it is read, each value by
-``grammar.format_detail``, so an error that is caught and never printed
+``value.format_detail``, so an error that is caught and never printed
 formats nothing.
 """
 
 from __future__ import annotations
+
+from .value import format_detail
 
 
 class KernelError(Exception):
@@ -19,7 +21,6 @@ class KernelError(Exception):
         return self.args
 
     def __str__(self) -> str:
-        from .grammar import format_detail  # imported here: grammar imports this module
         return f"{self.code}: " + ", ".join(map(format_detail, self.args))
 
 
@@ -36,7 +37,6 @@ class ClosureViolation(KernelError):
     missing = property(lambda self: self.args[1])
 
     def __str__(self) -> str:
-        from .grammar import format_detail
         return f"{self.code}: {format_detail(self.node)}, missing {format_detail(self.missing)}"
 
 
@@ -166,10 +166,14 @@ class CaseViolation(KernelError):
 class ParseError(KernelError):
     code = "PARSE_ERROR"
 
+    line = property(lambda self: self.args[1])
+    col = property(lambda self: self.args[2])
+
     def __init__(self, message, line=1, col=1):
-        self.line = line
-        self.col = col
-        super().__init__(message, f"line {line}", f"col {col}")
+        super().__init__(message, line, col)
+
+    def __str__(self) -> str:
+        return f"{self.code}: {self.args[0]}, line {self.line}, col {self.col}"
 
 
 class ArityError(KernelError):

@@ -1,4 +1,4 @@
-"""Textual grammar: parsing and canonical printing.
+"""Textual grammar: the parsers of every written form.
 
   node            (0 0)            empty node / constant description: ()
   level-1 tree    {(0) (0 0)}
@@ -14,8 +14,9 @@
   rep point       [(0), 3, -1]; level <=2: (2, [u1, (0)])
 
 A domain sequence may be listed once per shape or tree.  Parsing is
-whitespace-insensitive; printers emit the canonical spacing used
-above, and parse(print(x)) = x on all canonical forms.
+whitespace-insensitive.  The printers, in ``uctk.value``, emit the
+canonical spacing used above, and parse(print(x)) = x on all canonical
+forms.
 """
 
 from __future__ import annotations
@@ -23,12 +24,19 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from .bk import MINUS_ONE
 from .errors import ParseError
 from .level1 import Level1Tree, validate_level1
 from .level2 import LevelLe2Tree, validate_level2
 from .level3 import validate_level3, validate_partial_le2
 from .ordinals import CtblOrd, IndexMap, UOrd
+from .value import MINUS_ONE
+# The printers are re-exported as they are: the CLI, the README's API and
+# the benchmark's tracer name them grammar.format_*, and the tracer wraps
+# each by identity wherever it is bound.
+from .value import (format_ctbl, format_desc, format_domseq, format_index_map,  # noqa: F401
+                    format_l1, format_l2, format_l3, format_le2, format_node,
+                    format_pl2, format_rep1, format_rep2, format_rep3,
+                    format_tower, format_uord)
 
 _TOKEN = re.compile(r"->|[(){}\[\];,@]|\^|\*|\+|-?\d+|u\d+|w|[A-Za-z_]+")
 # One pass over the text: whitespace, then a token or one stray character.
@@ -406,143 +414,6 @@ def _uord_expr(toks) -> UOrd:
 
 def parse_uord(text: str) -> UOrd:
     return _parse_with(text, _uord_expr)
-
-
-# -- printers --------------------------------------------------------------------------
-
-def format_node(node) -> str:
-    if node == MINUS_ONE:
-        return "-1"
-    return "(" + " ".join(str(i) for i in node) + ")"
-
-
-def format_l1(tree) -> str:
-    return "{" + " ".join(format_node(n) for n in sorted(tree.nodes)) + "}"
-
-
-def format_tower(trees) -> str:
-    return "[" + " ".join(format_l1(t) for t in trees) + "]"
-
-
-def format_domseq(q) -> str:
-    return "(" + " ".join(format_node(n) for n in q) + ")"
-
-
-def format_l2(t2) -> str:
-    parts = []
-    for q, (tree, node) in t2.entries:
-        parts.append(f"{format_domseq(q)} -> ({format_l1(tree)}, {format_node(node)})")
-    return "; ".join(parts)
-
-
-def format_le2(le2) -> str:
-    return f"({format_l1(le2.t1)} ; {format_l2(le2.t2)})"
-
-
-def format_pl2(pt) -> str:
-    if pt.d == 0:
-        ext = "(0, -1, {})"
-    elif pt.d == 1:
-        ext = f"(1, {format_node(pt.q)}, {{}})"
-    else:
-        ext = f"(2, {format_domseq(pt.q)}, {format_l1(pt.p)})"
-    return f"({format_le2(pt.base)} @ {ext})"
-
-
-def format_l3(t3) -> str:
-    parts = []
-    for r, pt in t3.entries:
-        parts.append(f"{format_domseq(r)} -> {format_pl2(pt)}")
-    return "; ".join(parts)
-
-
-def format_index_map(m: IndexMap) -> str:
-    return "{" + ", ".join(f"{i}->{m(i)}" for i in range(1, m.n + 1)) + "}"
-
-
-def _format_ctbl_exponent(exp: CtblOrd) -> str:
-    if exp.is_natural():
-        return str(exp.natural_value())
-    if len(exp.terms) == 1 and exp.terms[0][1] == 1 and exp.terms[0][0].is_natural() \
-            and exp.terms[0][0].natural_value() == 1:
-        return "w"
-    return "(" + format_ctbl(exp) + ")"
-
-
-def format_ctbl(c: CtblOrd) -> str:
-    if c.is_zero():
-        return "0"
-    parts = []
-    for exp, coeff in c.terms:
-        if exp.is_zero():
-            parts.append(str(coeff))
-            continue
-        if exp.compare(CtblOrd.natural(1)) == 0:
-            base = "w"
-        else:
-            base = f"w^{_format_ctbl_exponent(exp)}"
-        parts.append(base if coeff == 1 else f"{base}*{coeff}")
-    return "+".join(parts)
-
-
-def _format_coeff(c: CtblOrd) -> str:
-    if c.is_natural():
-        return str(c.natural_value())
-    if len(c.terms) == 1 and c.terms[0][1] == 1:
-        return format_ctbl(c)  # a bare omega power: w, w^2, ...
-    return "(" + format_ctbl(c) + ")"
-
-
-def format_uord(b: UOrd) -> str:
-    if b.is_zero():
-        return "0"
-    parts = []
-    for level, coeff in b.uterms:
-        if coeff.is_natural() and coeff.natural_value() == 1:
-            parts.append(f"u{level}")
-        else:
-            parts.append(f"u{level}*{_format_coeff(coeff)}")
-    if not b.tail.is_zero():
-        parts.append(format_ctbl(b.tail))
-    return " + ".join(parts)
-
-
-def format_desc(desc) -> str:
-    pvec = "(" + " ".join(format_node(p) for p in desc.pvec) + ")"
-    return f"({format_domseq(desc.q)}, {format_l1(desc.tree)}, {pvec})"
-
-
-def format_rep1(elt) -> str:
-    if elt.index is None:
-        return f"[{format_node(elt.node)}]"
-    return f"[{format_node(elt.node)}, {elt.index}]"
-
-
-def format_rep2(elt) -> str:
-    if elt.side == 1:
-        return f"(1, {format_rep1(elt.payload)})"
-    return f"(2, {format_detail(list(elt.payload))})"
-
-
-def format_rep3(elt) -> str:
-    return format_detail(list(elt.payload))
-
-
-def format_detail(x) -> str:
-    """x in the grammar's form, for any x; every error detail and every
-    representation payload is written here.  A list, such as a payload, is
-    [a, b]; a level key (d, q), d 1 or 2, is d:q; any other tuple, such as a
-    node or a domain sequence, is (0 0) or ((0) -1); anything else is
-    written by str, which is the grammar's form of every kernel value.  A
-    raise site hands over a payload as a list, since a tuple of nodes would
-    read as a domain sequence."""
-    if isinstance(x, list):
-        return "[" + ", ".join(map(format_detail, x)) + "]"
-    if isinstance(x, tuple):
-        if len(x) == 2 and isinstance(x[1], tuple) and x[0] in (1, 2):
-            return f"{x[0]}:{format_detail(x[1])}"
-        return "(" + " ".join(map(format_detail, x)) + ")"
-    return str(x)
 
 
 def _rep_item(toks):

@@ -306,8 +306,7 @@ def rand_ctbl(rng: random.Random, depth: int = 1) -> CtblOrd:
     return CtblOrd(tuple(terms))
 
 
-def rand_uord(rng: random.Random, max_level: int = 6,
-              allow_tail: bool = True) -> UOrd:
+def rand_uord(rng: random.Random, max_level: int) -> UOrd:
     levels = sorted(_sample(rng, 1, max_level, _below(rng, max_level + 1)),
                     reverse=True)
     uterms = []
@@ -316,11 +315,11 @@ def rand_uord(rng: random.Random, max_level: int = 6,
         if coeff.is_zero():
             coeff = ONE
         uterms.append((k, coeff))
-    tail = rand_ctbl(rng) if allow_tail and rng.random() < 0.6 else ZERO
+    tail = rand_ctbl(rng) if rng.random() < 0.6 else ZERO
     return UOrd(tuple(uterms), tail)
 
 
-def rand_limit_uord(rng: random.Random, max_level: int = 6) -> UOrd:
+def rand_limit_uord(rng: random.Random, max_level: int) -> UOrd:
     while True:
         b = rand_uord(rng, max_level)
         if b.is_limit():

@@ -17,7 +17,8 @@ from .errors import (CardinalityMismatch, ClosureViolation, ContainsEmpty,
                      InvalidTower, LengthMismatch, NotADescription,
                      NotAFactoring, NotInRep, NotRegular, NotSubtree)
 from .ordinals import ONE, OMEGA, ZERO, CtblOrd, UOrd, as_uord
-from .value import ACCEPTED, Value, Verdict, set_field
+from .value import (ACCEPTED, Value, Verdict, format_detail, format_l1, format_node,
+                    format_rep1, set_field)
 
 Node = tuple  # tuple of naturals
 
@@ -45,7 +46,6 @@ class Level1Tree(Value):
         return self.nodes <= other.nodes
 
     def __str__(self) -> str:
-        from .grammar import format_l1
         return format_l1(self)
 
     def __repr__(self) -> str:
@@ -137,7 +137,6 @@ class Rep1Element(Value):
         return (self.node,) if self.index is None else (self.node, self.index)
 
     def __str__(self) -> str:
-        from .grammar import format_rep1
         return format_rep1(self)
 
 
@@ -209,7 +208,6 @@ class FactorMap1(Value):
         return [w for _, w in self.mapping]
 
     def __str__(self) -> str:
-        from .grammar import format_node
         body = ", ".join(f"{format_node(p)}->{format_node(w)}" for p, w in self.mapping)
         return "{" + body + "}"
 
@@ -281,14 +279,11 @@ def respects_level1(tree: Level1Tree, alpha) -> Verdict:
     prev = None
     for p in tree.bk_sorted():
         if p not in alpha:
-            from .grammar import format_detail  # grammar imports this module
             return Verdict(False, "missing-value", format_detail(p))
         v = as_uord(alpha[p])
         if not (v.is_countable() and v.is_limit()):
-            from .grammar import format_detail  # grammar imports this module
             return Verdict(False, "countable-limit", f"{format_detail(p)} = {v}")
         if prev and not prev[1] < v:
-            from .grammar import format_detail  # grammar imports this module
             return Verdict(False, "value-order",
                            f"{format_detail(prev[0])} = {prev[1]}, {format_detail(p)} = {v}")
         prev = p, v

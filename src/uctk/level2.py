@@ -23,7 +23,8 @@ from .level1 import (EMPTY_TREE, Level1Tree, Node, addable_nodes,
                      regular_nodes, rep_compare, respects_level1,
                      validate_level1)
 from .ordinals import OMEGA, U1, CtblOrd, UOrd, as_uord
-from .value import ACCEPTED, Value, Verdict, set_field
+from .value import (ACCEPTED, Value, Verdict, format_desc, format_detail, format_l2,
+                    format_le2, format_node, format_rep2, set_field)
 
 ROOT_NODE: Node = (0,)
 DomSeq = tuple  # tuple of nodes (each a tuple of naturals)
@@ -52,7 +53,6 @@ class PartialLevel1Tree(Value):
         return len(self.base) + 1
 
     def __str__(self) -> str:
-        from .grammar import format_node
         return f"({self.base}, {format_node(self.node)})"
 
 
@@ -258,7 +258,6 @@ class Level2Tree(TreeOfTrees):
         return PartialLevel1Tree(*self.label(q))
 
     def __str__(self) -> str:
-        from .grammar import format_l2
         return format_l2(self)
 
 
@@ -310,7 +309,6 @@ class LevelLe2Tree(Value):
         return out
 
     def __str__(self) -> str:
-        from .grammar import format_le2
         return format_le2(self)
 
     def __repr__(self) -> str:
@@ -349,7 +347,6 @@ class QDescription(Value):
         return bool(self.q) and self.q[-1] == MINUS_ONE
 
     def __str__(self) -> str:
-        from .grammar import format_desc
         return format_desc(self)
 
 
@@ -441,7 +438,6 @@ class Rep2Element(Value):
         set_field(self, "payload", payload)  # side 1: Rep1Element sequence; side 2: interleaving
 
     def __str__(self) -> str:
-        from .grammar import format_rep2
         return format_rep2(self)
 
 
@@ -537,22 +533,18 @@ def _respects(le2: LevelLe2Tree, t, analysis_at) -> Verdict:
         branch[q] = _entry(t, (2, q))  # a missing value raises here, before its analysis is read
         an = analysis_at(q)
         if isinstance(an, str):
-            from .grammar import format_detail  # grammar imports this module
             return Verdict(False, f"potential-tower{format_detail(q)}", an)
         pot = q_potential(t2, q)
         if an.potential_tower != pot:
-            from .grammar import format_detail  # grammar imports this module
             return Verdict(False, f"potential-tower{format_detail(q)}",
                            f"{an.potential_tower} != {pot}")
         expected = tuple(branch[q[:l]] for l in range(len(q) + 1))
         if an.approximation_sequence != expected:
             got, want = (", ".join(map(str, vs)) for vs in (an.approximation_sequence, expected))
-            from .grammar import format_detail  # grammar imports this module
             return Verdict(False, f"approximation{format_detail(q)}", f"[{got}] != [{want}]")
     for q in t2.dom():
         vals = [branch[q + (a,)] for a in t2.children(q).bk_sorted()]
         if any(x.compare(y) >= 0 for x, y in zip(vals, vals[1:])):
-            from .grammar import format_detail  # grammar imports this module
             return Verdict(False, f"sibling-order{format_detail(q)}")
     return ACCEPTED
 
@@ -570,11 +562,9 @@ def weakly_respects_le2(le2: LevelLe2Tree, t) -> Verdict:
         try:
             bound = tree_embed(t2.tree(q[:-1]), t2.tree(q), branch[q[:-1]])
         except KernelError as e:
-            from .grammar import format_detail  # grammar imports this module
             return Verdict(False, f"embed{format_detail(q)}", e.code)
         val = branch[q] = _entry(t, (2, q))
         if val.compare(bound) >= 0:
-            from .grammar import format_detail  # grammar imports this module
             return Verdict(False, f"bound{format_detail(q)}", f"{val} >= {bound}")
     return ACCEPTED
 

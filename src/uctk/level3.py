@@ -18,7 +18,8 @@ from .level2 import (CONSTANT_DESC, MINUS_ONE, Level2Tree, LevelLe2Tree,
                      TreeOfTrees, _dom_sort_key, as_domseq, check_tree_of_trees,
                      child_labels, description, new_key, q_set_plus, respects_le2)
 from .ordinals import U1, as_uord
-from .value import ACCEPTED, Value, Verdict, set_field
+from .value import (ACCEPTED, Value, Verdict, format_l3, format_pl2, format_rep3,
+                    set_field)
 
 RSeq = tuple  # tuple of nodes indexing dom(R)
 
@@ -38,7 +39,6 @@ class PartialLevelLe2Tree(Value):
         set_field(self, "p", p)
 
     def __str__(self) -> str:
-        from .grammar import format_pl2
         return format_pl2(self)
 
 
@@ -153,7 +153,6 @@ class Level3Tree(TreeOfTrees):
         return (lab.d, lab.q)
 
     def __str__(self) -> str:
-        from .grammar import format_l3
         return format_l3(self)
 
 
@@ -194,7 +193,6 @@ class Rep3Element(Value):
         set_field(self, "payload", payload)
 
     def __str__(self) -> str:
-        from .grammar import format_rep3
         return format_rep3(self)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .errors import (CriterionFails, InvalidElement, LevelOutOfRange, NotALimit,
                      OutOfRange)
-from .value import Value, set_field
+from .value import Value, format_ctbl, format_index_map, format_uord, set_field
 
 
 class _Ordered:
@@ -144,8 +144,6 @@ class CtblOrd(_Ordered, Value):
         return out
 
     def __str__(self) -> str:
-        from .grammar import format_ctbl
-
         return format_ctbl(self)
 
     def __repr__(self) -> str:
@@ -218,8 +216,6 @@ class UOrd(_Ordered, Value):
         return UOrd(tuple(kept) + tuple(merged), other.tail)
 
     def __str__(self) -> str:
-        from .grammar import format_uord
-
         return format_uord(self)
 
     def __repr__(self) -> str:
@@ -318,8 +314,6 @@ class IndexMap(Value):
         return IndexMap(inner.n, self.n2, tuple(self(inner(i)) for i in range(1, inner.n + 1)))
 
     def __str__(self) -> str:
-        from .grammar import format_index_map
-
         return format_index_map(self)
 
 

@@ -150,7 +150,7 @@ def test_criterion_11_cli_determinism_and_roundtrip():
     rng = random.Random(0)
     trees = enumerate_level1_up_to(5)
     for _ in range(1000):
-        b = rand_uord(rng)
+        b = rand_uord(rng, 6)
         assert parse_uord(format_uord(b)) == b
         t = rng.choice(trees)
         assert parse_l1(format_l1(t)) == t

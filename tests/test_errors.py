@@ -1,19 +1,22 @@
 """One writer for error details: every KernelError keeps the values it was
-raised with and writes ``CODE: a, b`` through ``grammar.format_detail``
+raised with and writes ``CODE: a, b`` through ``value.format_detail``
 only when it is read."""
+
+import pickle
 
 import pytest
 from conftest import _entered
 
-from uctk import errors, grammar, level1, level2, ordinals
+from uctk import errors, level1, level2, ordinals, value
 from uctk.bk import MINUS_ONE
 from uctk.errors import (ClosureViolation, KernelError, NoTreeFound,
                          NotAFactoring, NotALimit, ParseError)
 from uctk.level1 import EMPTY_TREE, FactorMap1, validate_level1
 from uctk.ordinals import U1, CtblOrd, IndexMap, UOrd
+from uctk.value import format_detail
 
-# every printer of the grammar, the detail writer among them
-PRINTERS = [f for name, f in vars(grammar).items() if name.startswith(("format_", "_format_"))]
+# every printer of the grammar's forms, the detail writer among them
+PRINTERS = [f for name, f in vars(value).items() if name.startswith(("format_", "_format_"))]
 ONE_NODE = validate_level1({(0,)})
 
 
@@ -51,7 +54,7 @@ def _instance(cls):
     (None, "None"),
 ])
 def test_format_detail_writes_the_grammar_forms(value, text):
-    assert grammar.format_detail(value) == text
+    assert format_detail(value) == text
 
 
 def test_every_error_reads_as_its_code_and_detail():
@@ -66,12 +69,21 @@ def test_every_error_reads_as_its_code_and_detail():
         "PARSE_ERROR: unexpected end of input, line 1, col 5"
 
 
+def test_every_error_comes_back_from_pickle_as_it_was():
+    for cls in ERRORS:
+        e = _instance(cls)
+        back = pickle.loads(pickle.dumps(e))
+        assert (type(back), str(back), back.detail) == (cls, str(e), e.detail), cls
+
+
 def test_an_error_keeps_what_it_was_raised_with():
     e = ClosureViolation((1,), (0,))
     assert (e.node, e.missing, e.detail) == ((1,), (0,), ((1,), (0,)))
     payload = [U1, (0,)]
     assert errors.InvalidElement(payload).detail[0] is payload
     assert errors.NotCompletionAt(2).index == 2
+    e = ParseError("unexpected end of input", 1, 5)
+    assert (e.detail, e.line, e.col) == (("unexpected end of input", 1, 5), 1, 5)
 
 
 def test_constructing_an_error_formats_nothing():
@@ -102,7 +114,7 @@ def test_a_recover_miss_writes_no_error_message():
     # candidate then fails, so recover_tree raises NoTreeFound without
     # reading any error's message (its rejection verdict is still written)
     t = {(2, ()): U1, (2, ((0,),)): UOrd.u(2)}
-    writers = [KernelError.__str__, ClosureViolation.__str__]
+    writers = [KernelError.__str__, ClosureViolation.__str__, ParseError.__str__]
 
     def run():
         with pytest.raises(NoTreeFound):

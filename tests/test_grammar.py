@@ -81,7 +81,7 @@ def test_round_trip_enumerated_trees():
 def test_round_trip_random_ordinals():
     rng = random.Random(0)
     for _ in range(500):
-        b = rand_uord(rng)
+        b = rand_uord(rng, 6)
         assert parse_uord(format_uord(b)) == b
 
 

@@ -5,7 +5,7 @@ bench/layertrace.py wraps and that goes away breaks
 import importlib
 from pathlib import Path
 
-from uctk import grammar, level2
+from uctk import grammar, level2, value
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -23,3 +23,14 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert (grammar.parse_uord, level2.respects_le2) == originals
+
+
+def test_grammar_names_the_printers_the_tracer_wraps(monkeypatch):
+    """The tracer wraps grammar.format_* and rebinds every name bound to the
+    same object, so the kernel's calls through uctk.value are counted too."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    layertrace = importlib.import_module("layertrace")
+    names = [attr for _, attr, _, _ in layertrace.TARGETS if attr.startswith("format_")]
+    assert len(names) == 15
+    for name in names:
+        assert getattr(grammar, name) is getattr(value, name), name
