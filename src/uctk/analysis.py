@@ -12,9 +12,8 @@ from .bk import MINUS_ONE
 from .errors import BelowOmega1, NotALimit, NotSubtree, OutOfRange
 from .level1 import (FactorMap1, Level1Tree, Level1Tower, check_factor_map,
                      desc_rank, descriptions)
-from .ordinals import (ONE, U1, ZERO, Cofinality, IndexMap, UOrd, apply_shift,
-                       apply_shift_sup, cf_l)
-from .value import Value, format_node, set_field
+from .ordinals import ONE, U1, ZERO, IndexMap, UOrd, apply_shift, apply_shift_sup, cf_l
+from .value import Value, format_node
 
 
 def factor_to_shift(fm: FactorMap1) -> IndexMap:
@@ -71,11 +70,8 @@ class PotentialTower1(Value):
     Continuous type iff card(P_*) = lh(pvec); discontinuous iff one less.
     """
 
-    __slots__ = ("tree", "pvec")
-
-    def __init__(self, tree: Level1Tree, pvec: tuple):
-        set_field(self, "tree", tree)
-        set_field(self, "pvec", pvec)  # nodes, possibly ending in -1
+    __slots__ = ("tree",
+                 "pvec")  # nodes, possibly ending in -1
 
     def is_continuous(self) -> bool:
         return len(self.tree) == len(self.pvec)
@@ -86,22 +82,10 @@ class PotentialTower1(Value):
 
 
 class OrdAnalysis(Value):
-    __slots__ = ("signature", "signature_seeds", "essentially_continuous",
-                 "uniform_cofinality", "induced_tower", "factoring_map",
-                 "approximation_sequence", "potential_tower")
-
-    def __init__(self, signature: tuple, signature_seeds: tuple,
-                 essentially_continuous: bool, uniform_cofinality: Cofinality,
-                 induced_tower: Level1Tower, factoring_map: FactorMap1,
-                 approximation_sequence: tuple, potential_tower: PotentialTower1):
-        set_field(self, "signature", signature)  # nodes of W, decreasing seed levels
-        set_field(self, "signature_seeds", signature_seeds)  # their u-levels as UOrds
-        set_field(self, "essentially_continuous", essentially_continuous)
-        set_field(self, "uniform_cofinality", uniform_cofinality)
-        set_field(self, "induced_tower", induced_tower)
-        set_field(self, "factoring_map", factoring_map)
-        set_field(self, "approximation_sequence", approximation_sequence)
-        set_field(self, "potential_tower", potential_tower)
+    __slots__ = ("signature",  # nodes of W, decreasing seed levels
+                 "signature_seeds",  # their u-levels as UOrds
+                 "essentially_continuous", "uniform_cofinality", "induced_tower",
+                 "factoring_map", "approximation_sequence", "potential_tower")
 
 
 def analyze(b: UOrd, tree: Level1Tree) -> OrdAnalysis:

@@ -164,7 +164,7 @@ def _rep1_elt(seq, text):
     """The level-1 representation point that the entries seq, read from
     text, spell: [node] or [node, n]."""
     if len(seq) == 1 and isinstance(seq[0], tuple):
-        return level1.Rep1Element(seq[0])
+        return level1.Rep1Element(seq[0], None)
     if len(seq) == 2 and isinstance(seq[0], tuple):
         idx = seq[1]
         if isinstance(idx, ordinals.UOrd):
@@ -174,7 +174,7 @@ def _rep1_elt(seq, text):
         elif idx != MINUS_ONE:
             raise InvalidElement(text, "index is not a natural")
         return level1.Rep1Element(seq[0], idx)
-    raise ParseError(f"not a representation point: {text}")
+    raise ParseError(f"not a representation point: {text}", 1, 1)
 
 
 def _rep2_elt(le2, text):
@@ -209,7 +209,7 @@ def cmd_descriptions(args):
         else:
             kind = "ext" if desc.extended else \
                 ("cont" if desc.is_continuous() else "disc")
-            reg = "reg" if level2.is_regular_description(le2, (d, desc)) else "irr"
+            reg = "reg" if level2.is_regular_description((d, desc)) else "irr"
             parts.append(f"(2, {desc}, {kind}, {reg})")
     return Report("descriptions", count=len(parts), result="; ".join(parts))
 
@@ -295,7 +295,7 @@ def cmd_respects(args, weak=False):
 def cmd_eval_desc(args, *, at=None, extended=False):
     if len(args) < 2:
         raise ArityError("eval-desc <le2 tree> <ordinals...> --at Q [--extended]")
-    if not at:
+    if at is None:
         raise ArityError("eval-desc requires --at")
     le2 = grammar.parse_le2(args[0])
     t = _tuple2_from_args(le2, args[1:])

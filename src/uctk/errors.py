@@ -169,9 +169,6 @@ class ParseError(KernelError):
     line = property(lambda self: self.args[1])
     col = property(lambda self: self.args[2])
 
-    def __init__(self, message, line=1, col=1):
-        super().__init__(message, line, col)
-
     def __str__(self) -> str:
         return f"{self.code}: {self.args[0]}, line {self.line}, col {self.col}"
 

@@ -726,7 +726,7 @@ def suite_ucf_cf3(max_base_dom: int) -> SuiteResult:
                 continue
             found = [item for item in extended_descriptions(base)
                      if item[0] == 2 and item[1] == desc]
-            res.check(len(found) == 1 and is_regular_description(base, found[0]),
+            res.check(len(found) == 1 and is_regular_description(found[0]),
                       lambda: f"{pt}: ucf {desc} is not a regular extended description")
     res.check(all(ucf_cases.values()),
               lambda: f"ucf cases not all exercised: {ucf_cases}")

@@ -28,9 +28,6 @@ EMPTY_DESC: Node = ()  # the constant description
 class Level1Tree(Value):
     __slots__ = ("nodes",)
 
-    def __init__(self, nodes: frozenset):
-        set_field(self, "nodes", nodes)
-
     def __contains__(self, node: Node) -> bool:
         return node in self.nodes
 
@@ -127,11 +124,8 @@ def enumerate_level1_up_to(max_size: int, regular_only: bool = False):
 class Rep1Element(Value):
     """(p) or (p, n) for p in P; (p) is the sup of its omega-block."""
 
-    __slots__ = ("node", "index")
-
-    def __init__(self, node: Node, index: int = None):
-        set_field(self, "node", node)
-        set_field(self, "index", index)  # None for the block sup (p)
+    __slots__ = ("node",
+                 "index")  # None for the block sup (p)
 
     def as_seq(self):
         return (self.node,) if self.index is None else (self.node, self.index)
@@ -251,9 +245,6 @@ class Level1Tower(Value):
     """(P_i)_{i<=n} with card(P_i) = i and inclusions."""
 
     __slots__ = ("trees",)
-
-    def __init__(self, trees: tuple):
-        set_field(self, "trees", trees)
 
     def __len__(self):
         return len(self.trees)

@@ -35,11 +35,8 @@ DomSeq = tuple  # tuple of nodes (each a tuple of naturals)
 class PartialLevel1Tree(Value):
     """A regular tree with one addable pending node; -1 is the level-0 pending."""
 
-    __slots__ = ("base", "node")
-
-    def __init__(self, base: Level1Tree, node):
-        set_field(self, "base", base)
-        set_field(self, "node", node)  # Node or -1
+    __slots__ = ("base",
+                 "node")  # Node or -1
 
     def degree(self) -> int:
         return 0 if self.node == MINUS_ONE else 1
@@ -83,11 +80,8 @@ def respects_partial_le1(pt: PartialLevel1Tree, alpha) -> Verdict:
 
 
 class PartialTowerLe1(Value):
-    __slots__ = ("entries", "final_tree")
-
-    def __init__(self, entries: tuple, final_tree=None):
-        set_field(self, "entries", entries)  # PartialLevel1Tree stages
-        set_field(self, "final_tree", final_tree)  # completion stage of a continuous-type tower
+    __slots__ = ("entries",  # PartialLevel1Tree stages
+                 "final_tree")  # completion stage of a continuous-type tower
 
     def is_continuous(self) -> bool:
         return self.final_tree is not None
@@ -99,7 +93,7 @@ class PartialTowerLe1(Value):
         return PotentialTower1(tree, pvec)
 
 
-def validate_partial_tower_le1(entries, final_tree=None) -> PartialTowerLe1:
+def validate_partial_tower_le1(entries, final_tree) -> PartialTowerLe1:
     """Validate a partial level <=1 tower; the trailing tree, when present,
     must complete the last stage (continuous type)."""
     entries = tuple(entries)
@@ -294,10 +288,6 @@ def validate_level2(entries) -> Level2Tree:
 class LevelLe2Tree(Value):
     __slots__ = ("t1", "t2")
 
-    def __init__(self, t1: Level1Tree, t2: Level2Tree):
-        set_field(self, "t1", t1)
-        set_field(self, "t2", t2)
-
     def cardinality(self) -> int:
         return len(self.t1) + self.t2.cardinality()
 
@@ -337,12 +327,6 @@ class QDescription(Value):
 
     __slots__ = ("q", "tree", "pvec", "extended")
 
-    def __init__(self, q: DomSeq, tree: Level1Tree, pvec: tuple, extended: bool = False):
-        set_field(self, "q", q)
-        set_field(self, "tree", tree)
-        set_field(self, "pvec", pvec)
-        set_field(self, "extended", extended)
-
     def is_continuous(self) -> bool:
         return bool(self.q) and self.q[-1] == MINUS_ONE
 
@@ -350,7 +334,7 @@ class QDescription(Value):
         return format_desc(self)
 
 
-CONSTANT_DESC = QDescription((), EMPTY_TREE, (ROOT_NODE,))
+CONSTANT_DESC = QDescription((), EMPTY_TREE, (ROOT_NODE,), False)
 
 
 def q_potential(t2: Level2Tree, q: DomSeq):
@@ -416,7 +400,7 @@ def extended_descriptions(le2: LevelLe2Tree):
     return out
 
 
-def is_regular_description(le2: LevelLe2Tree, item) -> bool:
+def is_regular_description(item) -> bool:
     """Regular: discontinuous members of desc(Q), and the extended forms."""
     d, desc = item
     if d == 1:
@@ -431,11 +415,8 @@ def is_regular_description(le2: LevelLe2Tree, item) -> bool:
 class Rep2Element(Value):
     """(1, rep point of the level-1 part) or (2, alpha interleaved with q)."""
 
-    __slots__ = ("side", "payload")
-
-    def __init__(self, side: int, payload: tuple):
-        set_field(self, "side", side)
-        set_field(self, "payload", payload)  # side 1: Rep1Element sequence; side 2: interleaving
+    __slots__ = ("side",
+                 "payload")  # side 1: Rep1Element sequence; side 2: interleaving
 
     def __str__(self) -> str:
         return format_rep2(self)
@@ -545,7 +526,7 @@ def _respects(le2: LevelLe2Tree, t, analysis_at) -> Verdict:
     for q in t2.dom():
         vals = [branch[q + (a,)] for a in t2.children(q).bk_sorted()]
         if any(x.compare(y) >= 0 for x, y in zip(vals, vals[1:])):
-            return Verdict(False, f"sibling-order{format_detail(q)}")
+            return Verdict(False, f"sibling-order{format_detail(q)}", "")
     return ACCEPTED
 
 
@@ -731,7 +712,7 @@ def new_key(towers, i):
     return next(k for k, _ in tree.entries if not i or k not in towers[i - 1])
 
 
-def s2_member(towers, alphas, variant: str = "respects") -> Verdict:
+def s2_member(towers, alphas, variant: str) -> Verdict:
     """Membership of a level-2 tower node in S_2^- (respects) or S_2 (weak).
 
     Each new domain element receives the ordinal arriving with its tree; the

@@ -18,8 +18,7 @@ from .level2 import (CONSTANT_DESC, MINUS_ONE, Level2Tree, LevelLe2Tree,
                      TreeOfTrees, _dom_sort_key, as_domseq, check_tree_of_trees,
                      child_labels, description, new_key, q_set_plus, respects_le2)
 from .ordinals import U1, as_uord
-from .value import (ACCEPTED, Value, Verdict, format_l3, format_pl2, format_rep3,
-                    set_field)
+from .value import ACCEPTED, Value, Verdict, format_l3, format_pl2, format_rep3
 
 RSeq = tuple  # tuple of nodes indexing dom(R)
 
@@ -30,13 +29,9 @@ class PartialLevelLe2Tree(Value):
     """(Q, (d, q, P)): a level <=2 tree with one pending extension of
     degree 0, 1 or 2."""
 
-    __slots__ = ("base", "d", "q", "p")
-
-    def __init__(self, base: LevelLe2Tree, d: int, q, p: Level1Tree):
-        set_field(self, "base", base)
-        set_field(self, "d", d)
-        set_field(self, "q", q)  # -1, a node, or a domain sequence
-        set_field(self, "p", p)
+    __slots__ = ("base", "d",
+                 "q",  # -1, a node, or a domain sequence
+                 "p")
 
     def __str__(self) -> str:
         return format_pl2(self)
@@ -189,9 +184,6 @@ class Rep3Element(Value):
 
     __slots__ = ("payload",)
 
-    def __init__(self, payload: tuple):
-        set_field(self, "payload", payload)
-
     def __str__(self) -> str:
         return format_rep3(self)
 
@@ -230,7 +222,7 @@ def rep3_compare(tree: Level3Tree, x: Rep3Element, y: Rep3Element) -> int:
 
 # -- S3, structural part ------------------------------------------------------------
 
-def s3_structural_member(towers, variant: str = "plain") -> Verdict:
+def s3_structural_member(towers, variant: str) -> Verdict:
     """Validate the regular-tower part of an S_3 (plain) or S_3^- (minus) node.
 
     The ordinal clause quantifies over tuples below delta^1_3, which this
@@ -241,10 +233,10 @@ def s3_structural_member(towers, variant: str = "plain") -> Verdict:
         raise ArityError(f"unknown variant {variant!r}: minus or plain")
     towers = tuple(towers)
     if not towers:
-        return Verdict(True, detail="empty node")
+        return Verdict(True, "", "empty node")
     for i, t in enumerate(towers):
         if not is_regular_level3(t):
             raise NotRegular(i)
         new_key(towers, i)
-    return Verdict(True, detail=f"regular level-3 tower of length {len(towers)}, "
-                                f"variant {variant}")
+    return Verdict(True, "", f"regular level-3 tower of length {len(towers)}, "
+                             f"variant {variant}")

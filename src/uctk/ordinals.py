@@ -56,7 +56,7 @@ class CtblOrd(_Ordered, Value):
 
     __slots__ = ("terms", "_key")
 
-    def __init__(self, terms: tuple = ()):
+    def __init__(self, terms: tuple):
         set_field(self, "terms", terms)
         set_field(self, "_key", None)
 
@@ -71,10 +71,8 @@ class CtblOrd(_Ordered, Value):
         return CtblOrd(((ZERO, n),))
 
     @staticmethod
-    def omega_power(exp: "CtblOrd", coeff: int = 1) -> "CtblOrd":
-        if coeff < 1:
-            raise ValueError("coefficient must be >= 1")
-        return CtblOrd(((exp, coeff),))
+    def omega_power(exp: "CtblOrd") -> "CtblOrd":
+        return CtblOrd(((exp, 1),))
 
     # -- predicates --------------------------------------------------------
 
@@ -150,7 +148,7 @@ class CtblOrd(_Ordered, Value):
         return f"CtblOrd<{self}>"
 
 
-ZERO = CtblOrd()
+ZERO = CtblOrd(())
 ONE = CtblOrd.natural(1)
 OMEGA = CtblOrd.omega_power(ONE)
 
@@ -160,7 +158,7 @@ class UOrd(_Ordered, Value):
 
     __slots__ = ("uterms", "tail", "_key")
 
-    def __init__(self, uterms: tuple = (), tail: CtblOrd = ZERO):
+    def __init__(self, uterms: tuple, tail: CtblOrd):
         set_field(self, "uterms", uterms)  # ((level, CtblOrd coeff), ...), levels decreasing
         set_field(self, "tail", tail)
         set_field(self, "_key", None)
@@ -243,21 +241,17 @@ class Cofinality(Value):
 
     __slots__ = ("kind", "level")
 
-    def __init__(self, kind: str, level: int = 0):
-        set_field(self, "kind", kind)
-        set_field(self, "level", level)
-
     @staticmethod
     def zero():
-        return Cofinality("zero")
+        return Cofinality("zero", 0)
 
     @staticmethod
     def successor():
-        return Cofinality("successor")
+        return Cofinality("successor", 0)
 
     @staticmethod
     def omega():
-        return Cofinality("omega")
+        return Cofinality("omega", 0)
 
     @staticmethod
     def u(level: int):

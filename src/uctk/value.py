@@ -1,10 +1,14 @@
 """The base of the kernel's immutable value types, and their printers.
 
-A value class lists its fields in ``__slots__``, in the order its
-``__init__`` takes them, and sets each once through ``set_field``; a slot
-whose name begins with "_" holds a cache built from the fields.  Equality
-and hashing go by the fields and the exact class, repr lists the fields,
-and pickling calls the class on them, so ``__init__`` rebuilds the caches.
+A value class states its fields once, in ``__slots__``; a slot whose name
+begins with "_" holds a cache built from the fields.  A class whose
+``__slots__`` names fields and that defines no ``__init__`` is given one,
+compiled from that list as ``dataclasses`` compiles its constructors: it
+takes the fields in order, with no defaults, and sets each once through
+``set_field``.  A class writes its own ``__init__`` only to build a cache or
+check its fields, and it takes the same arguments.  Equality and hashing go
+by the fields and the exact class, repr lists the fields, and pickling calls
+the class on them, so ``__init__`` rebuilds the caches.
 
 The printers write each kernel value in the notation ``uctk.grammar``
 reads back.  They read only the values' fields, so this module imports no
@@ -31,6 +35,9 @@ class Value:
         get = attrgetter(*cls._fields)
         # the fields as a tuple; attrgetter returns a lone field bare
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda v: (get(v),))
+        own = cls.__dict__.get("__slots__", ())
+        if "__init__" not in cls.__dict__ and any(not n.startswith("_") for n in own):
+            cls.__init__ = _constructor(cls)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -55,6 +62,17 @@ class Value:
         return type(self), self._values(self)
 
 
+def _constructor(cls):
+    """``__init__(self, *fields)`` for cls, written out and compiled."""
+    body = "".join(f"\n    set_field(self, {name!r}, {name})" for name in cls._fields)
+    namespace = {}
+    exec(f"def __init__(self, {', '.join(cls._fields)}):{body}",
+         {"set_field": set_field}, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 class Verdict(Value):
     """The outcome of a membership or respect check, truthy when accepted.
     A rejection names the clause it failed and, in ``detail``, what failed
@@ -62,16 +80,11 @@ class Verdict(Value):
 
     __slots__ = ("ok", "clause", "detail")
 
-    def __init__(self, ok: bool, clause: str = "", detail: str = ""):
-        set_field(self, "ok", ok)
-        set_field(self, "clause", clause)
-        set_field(self, "detail", detail)
-
     def __bool__(self) -> bool:
         return self.ok
 
 
-ACCEPTED = Verdict(True)
+ACCEPTED = Verdict(True, "", "")
 
 
 # -- printers --------------------------------------------------------------------------

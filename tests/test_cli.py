@@ -271,6 +271,8 @@ MALFORMED = [
     (("validate", "l2", "() -> ({}, (1))"), 1, "ROOT_NOT_CANONICAL: ({}, (1))"),
     (("compare", "--rep2", "({} ; () -> ({}, (0)))", "(2, [(0)])", "(2, [u1])"), 1,
      "INVALID_ELEMENT: [(0)]"),
+    (("eval-desc", "({} ; () -> ({}, (0)))", "u1", "--at", ""), 2,
+     "PARSE_ERROR: unexpected end of input, line 1, col 1"),
 ]
 
 

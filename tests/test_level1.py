@@ -52,18 +52,18 @@ class TestRegular:
 class TestRep:
     def test_examples(self):
         t = parse_l1("{(0) (0 0)}")
-        assert rep_compare(t, Rep1Element((0, 0)), Rep1Element((0,), 3)) == -1
-        assert rep_compare(t, Rep1Element((0,), 3), Rep1Element((0,))) == -1
+        assert rep_compare(t, Rep1Element((0, 0), None), Rep1Element((0,), 3)) == -1
+        assert rep_compare(t, Rep1Element((0,), 3), Rep1Element((0,), None)) == -1
         assert rep_compare(t, Rep1Element((0,), 3), Rep1Element((0,), 3)) == 0
 
     def test_block_structure(self):
         t = parse_l1("{(0)}")
         assert rep_compare(t, Rep1Element((0,), 3), Rep1Element((0,), 4)) == -1
-        assert rep_compare(t, Rep1Element((0,), 100), Rep1Element((0,))) == -1
+        assert rep_compare(t, Rep1Element((0,), 100), Rep1Element((0,), None)) == -1
 
     def test_not_in_rep(self):
         with pytest.raises(NotInRep):
-            rep_compare(parse_l1("{(0)}"), Rep1Element((1,)), Rep1Element((0,)))
+            rep_compare(parse_l1("{(0)}"), Rep1Element((1,), None), Rep1Element((0,), None))
 
     def test_order_type_examples(self):
         assert rep_order_type(EMPTY_TREE).is_zero()

@@ -56,17 +56,17 @@ class TestPartialLevel1:
 
     def test_tower_classification(self):
         one = validate_partial_le1(EMPTY_TREE, (0,))
-        t = validate_partial_tower_le1([one])
+        t = validate_partial_tower_le1([one], None)
         assert not t.is_continuous()
         assert t.compress().tree == EMPTY_TREE
         assert t.compress().pvec == ((0,),)
 
         two = validate_partial_le1(parse_l1("{(0)}"), (0, 0))
-        t2 = validate_partial_tower_le1([one, two])
+        t2 = validate_partial_tower_le1([one, two], None)
         pot = t2.compress()
         assert pot.tree == parse_l1("{(0)}") and pot.pvec == ((0,), (0, 0))
 
-        t3 = validate_partial_tower_le1([one], final_tree=parse_l1("{(0)}"))
+        t3 = validate_partial_tower_le1([one], parse_l1("{(0)}"))
         assert t3.is_continuous()
         assert t3.compress().tree == parse_l1("{(0)}")
         assert t3.compress().pvec == ((0,),)
@@ -74,12 +74,12 @@ class TestPartialLevel1:
     def test_completion_chain_checked(self):
         one = validate_partial_le1(EMPTY_TREE, (0,))
         with pytest.raises(NotCompletionAt):
-            validate_partial_tower_le1([one, one])
+            validate_partial_tower_le1([one, one], None)
 
     def test_expand_round_trip(self):
         one = validate_partial_le1(EMPTY_TREE, (0,))
         two = validate_partial_le1(parse_l1("{(0)}"), (0, 0))
-        for tower in (validate_partial_tower_le1([one, two]),
+        for tower in (validate_partial_tower_le1([one, two], None),
                       validate_partial_tower_le1([one], parse_l1("{(0)}"))):
             again = expand_potential(tower.compress())
             assert again.compress() == tower.compress()
@@ -119,13 +119,13 @@ class TestDescriptions:
     def test_q0(self):
         items = q_descriptions(Q0)
         assert all(d == 2 for d, _ in items)
-        assert (2, QDescription((), EMPTY_TREE, ((0,),))) in items
+        assert (2, QDescription((), EMPTY_TREE, ((0,),), False)) in items
 
     def test_q21(self):
         items = q_descriptions(Q21)
-        disc = QDescription(KEY, parse_l1("{(0)}"), ((0,), (0, 0)))
+        disc = QDescription(KEY, parse_l1("{(0)}"), ((0,), (0, 0)), False)
         cont = QDescription(KEY + (MINUS_ONE,), parse_l1("{(0) (0 0)}"),
-                            ((0,), (0, 0)))
+                            ((0,), (0, 0)), False)
         assert (2, disc) in items and (2, cont) in items
 
     def test_q1_has_level1_side(self):
@@ -137,14 +137,14 @@ class TestDescriptions:
                        for d, desc in items)
 
     def test_regularity_classifier(self):
-        disc = QDescription(KEY, parse_l1("{(0)}"), ((0,), (0, 0)))
+        disc = QDescription(KEY, parse_l1("{(0)}"), ((0,), (0, 0)), False)
         cont = QDescription(KEY + (MINUS_ONE,), parse_l1("{(0) (0 0)}"),
-                            ((0,), (0, 0)))
+                            ((0,), (0, 0)), False)
         ext = QDescription(KEY, parse_l1("{(0) (0 0)}"), ((0,), (0, 0)),
                            extended=True)
-        assert is_regular_description(Q21, (2, disc))
-        assert not is_regular_description(Q21, (2, cont))
-        assert is_regular_description(Q21, (2, ext))
+        assert is_regular_description((2, disc))
+        assert not is_regular_description((2, cont))
+        assert is_regular_description((2, ext))
 
 
 class TestRep2:
@@ -240,16 +240,16 @@ class TestRespect:
 class TestEvaluate:
     def test_continuous_value(self):
         pot = q_potential(Q21.t2, KEY + (MINUS_ONE,))
-        d = QDescription(KEY + (MINUS_ONE,), pot.tree, pot.pvec)
+        d = QDescription(KEY + (MINUS_ONE,), pot.tree, pot.pvec, False)
         assert evaluate_description(Q21, q21_tuple(), (2, d)) == u("u2 + u1")
 
     def test_discontinuous_lookup(self):
         pot = q_potential(Q21.t2, KEY)
-        d = QDescription(KEY, pot.tree, pot.pvec)
+        d = QDescription(KEY, pot.tree, pot.pvec, False)
         assert evaluate_description(Q21, q21_tuple(), (2, d)) == u("u1*2")
 
     def test_constant_description(self):
-        d = QDescription((), EMPTY_TREE, ((0,),))
+        d = QDescription((), EMPTY_TREE, ((0,),), False)
         assert evaluate_description(Q21, q21_tuple(), (2, d)) == U1
 
     def test_extended_embeds(self):
@@ -258,20 +258,20 @@ class TestEvaluate:
         assert evaluate_description(Q21, q21_tuple(), (2, ext)) == u("u2*2")
 
     def test_not_respecting_rejected(self):
-        d = QDescription((), EMPTY_TREE, ((0,),))
+        d = QDescription((), EMPTY_TREE, ((0,),), False)
         with pytest.raises(NotRespecting):
             evaluate_description(Q21, q21_tuple("u2"), (2, d))
 
     def test_bad_description(self):
         with pytest.raises(BadDescription):
             evaluate_description(Q21, q21_tuple(),
-                                 (2, QDescription(((1,),), EMPTY_TREE, ())))
+                                 (2, QDescription(((1,),), EMPTY_TREE, (), False)))
 
     @pytest.mark.parametrize("desc", [
         # discontinuous at ((0)) with the wrong tree
-        QDescription(KEY, parse_l1("{(0) (1)}"), ((0,), (0, 0))),
+        QDescription(KEY, parse_l1("{(0) (1)}"), ((0,), (0, 0)), False),
         # continuous at ((0) -1) and extended at ((0)) with the wrong vector
-        QDescription(KEY + (MINUS_ONE,), parse_l1("{(0) (0 0)}"), ((0,), (1,))),
+        QDescription(KEY + (MINUS_ONE,), parse_l1("{(0) (0 0)}"), ((0,), (1,)), False),
         QDescription(KEY, parse_l1("{(0) (0 0)}"), ((0,),), extended=True),
     ])
     def test_only_the_built_description_evaluates(self, desc):
@@ -540,7 +540,7 @@ class TestDeepBranch:
         tree = self._tree()
         q = ((0,), (0,), MINUS_ONE)
         pot = q_potential(tree.t2, q)
-        d = QDescription(q, pot.tree, pot.pvec)
+        d = QDescription(q, pot.tree, pot.pvec, False)
         assert evaluate_description(tree, self._good(), (2, d)) == \
             u("u3 + u2*2 + u1")
 

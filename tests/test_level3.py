@@ -61,7 +61,7 @@ class TestUcf:
 
     def test_case3_short_level1(self):
         d, desc = ucf(validate_partial_le2(Q0, 1, (0,), EMPTY_TREE))
-        assert d == 2 and desc == QDescription((), EMPTY_TREE, ((0,),))
+        assert d == 2 and desc == QDescription((), EMPTY_TREE, ((0,),), False)
 
     def test_case4_least_sibling_above(self):
         base = LevelLe2Tree(EMPTY_TREE, validate_level2({

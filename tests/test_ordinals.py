@@ -35,7 +35,7 @@ def _sum_terms(parts):
 
 
 def _sum_uords(parts):
-    out = UOrd()
+    out = UOrd((), ZERO)
     for p in parts:
         out = out + p
     return out
@@ -45,7 +45,7 @@ ctbl_ords = st.recursive(
     ctbl_atoms,
     lambda inner: st.lists(
         st.tuples(inner, st.integers(1, 3)), min_size=1, max_size=3
-    ).map(lambda ps: _sum_terms([CtblOrd.omega_power(e, c) for e, c in ps])),
+    ).map(lambda ps: _sum_terms([CtblOrd(((e, c),)) for e, c in ps])),
     max_leaves=6,
 )
 

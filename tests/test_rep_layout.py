@@ -139,7 +139,7 @@ def _old_s3_structural_member(towers, variant="plain"):
         raise ArityError(f"unknown variant {variant!r}: minus or plain")
     towers = tuple(towers)
     if not towers:
-        return Verdict(True, detail="empty node")
+        return Verdict(True, "", "empty node")
     prev_dom = None
     for i, t in enumerate(towers):
         if not is_regular_level3(t):
@@ -151,8 +151,8 @@ def _old_s3_structural_member(towers, variant="plain"):
             if not towers[i - 1].is_subtree_of(t) or len(dom - prev_dom) != 1:
                 raise InvalidTower(i)
         prev_dom = dom
-    return Verdict(True, detail=f"regular level-3 tower of length {len(towers)}, "
-                                f"variant {variant}")
+    return Verdict(True, "", f"regular level-3 tower of length {len(towers)}, "
+                             f"variant {variant}")
 
 
 # -- inputs --------------------------------------------------------------------------
@@ -314,8 +314,9 @@ def test_s3_tower_step_agrees_with_the_loop_it_replaced():
     outcomes = set()
     for tower in towers:
         for stages in _variants(rng, tower, pool) + [tower + tower[-1:]]:
-            got = _outcome(s3_structural_member, stages)
-            assert got == _outcome(_old_s3_structural_member, stages), [str(s) for s in stages]
+            got = _outcome(s3_structural_member, stages, "plain")
+            assert got == _outcome(_old_s3_structural_member, stages, "plain"), \
+                [str(s) for s in stages]
             outcomes.add(got.ok if isinstance(got, Verdict) else got[0].__name__ + str(got[1]))
     assert {True, "NotRegular(1,)", "InvalidTower(1,)", "InvalidTower(2,)",
             "InvalidTower('CARDINALITY_MISMATCH', 1)"} <= outcomes, outcomes

@@ -1,8 +1,12 @@
 """The kernel's value types on seeded values and on the worked examples:
 each pickles to an equal value with an equal hash, refuses assignment, and
 prints as recorded in tests/data/value_forms.json (the str and repr the
-types had as dataclasses)."""
+types had as dataclasses).  Each type states its fields once, in
+``__slots__``, and is built from exactly those fields, with no defaults."""
 
+import ast
+import importlib
+import inspect
 import json
 import pickle
 import random
@@ -10,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from uctk import analysis, grammar, lemmas, level1, level2, level3, ordinals
+import uctk
+from uctk import analysis, grammar, lemmas, level1, level2, level3, ordinals, value
 
 RECORDED = Path(__file__).parent / "data" / "value_forms.json"
 
@@ -33,7 +38,7 @@ def worked_example_values():
         tree, level1.EMPTY_TREE, ordinals.ZERO, u("u3*2 + u1*(w^2+3) + 5"),
         grammar.parse_ctbl("w^(w+1)*2 + 3"), grammar.parse_index_map("{1->1, 2->3}"),
         ordinals.cf_l(u("u2 + u1*2")), ordinals.cf_l(u("u1*w")), ordinals.cf_l(u("5")),
-        level1.Rep1Element((0, 0)), level1.Rep1Element((0,), 3),
+        level1.Rep1Element((0, 0), None), level1.Rep1Element((0,), 3),
         *level1.factorings(grammar.parse_l1("{(0)}"), tree),
         level1.validate_tower(grammar.parse_tower("[{} {(0)} {(0) (1)}]")),
         an, analysis.analyze(u("u2"), tree), analysis.analyze(u("u1*w"), grammar.parse_l1("{(0)}")),
@@ -46,7 +51,7 @@ def worked_example_values():
         level2.weakly_respects_le2(le2, {**t, (2, ((0,),)): u("u2")}),
         pl2, *level3.completion_le2(pl2), level3.ucf(pl2)[1],
         l3, level3.rep3_from_payload(l3, grammar.parse_rep_seq("[(0), 3, -1]")),
-        level3.s3_structural_member(grammar.parse_l3_tower(f"[[{L3}]]")),
+        level3.s3_structural_member(grammar.parse_l3_tower(f"[[{L3}]]"), "plain"),
         level3.s3_structural_member([], "minus"),
         lemmas.SuiteResult("suite", 2, ["P={(0)}: 1 != 2"], 0.25),
     ]
@@ -154,3 +159,64 @@ def test_suite_result_stays_mutable():
     assert res == lemmas.SuiteResult("suite", 1, ["x"], 1.5)
     with pytest.raises(TypeError):
         hash(res)
+
+
+SRC = Path(uctk.__file__).parent
+
+
+def _value_classes():
+    """Every Value subclass that a uctk module defines, each module imported."""
+    for path in SRC.glob("*.py"):
+        if path.stem != "__init__":
+            importlib.import_module(f"uctk.{path.stem}")
+    out, stack = [], [value.Value]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("uctk."):
+                out.append(cls)
+    return out
+
+
+# SuiteResult is exempt: it is mutable, it belongs to the lemma suites rather
+# than the kernel, and each of the 11 suites starts one as SuiteResult(name)
+# and relies on the defaults of its counts.
+@pytest.mark.parametrize("cls", [c for c in _value_classes() if c is not lemmas.SuiteResult],
+                         ids=lambda c: c.__name__)
+def test_a_value_takes_its_fields_and_nothing_else(cls):
+    params = inspect.signature(cls).parameters.values()
+    assert [p.name for p in params] == list(cls._fields)
+    assert all(p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+
+
+def _sets_a_parameter(stmt, params) -> bool:
+    """stmt is set_field(self, "x", x) or self.x = x for a parameter x."""
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+        call = stmt.value
+        return (isinstance(call.func, ast.Name) and call.func.id == "set_field"
+                and len(call.args) == 3 and isinstance(call.args[1], ast.Constant)
+                and isinstance(call.args[2], ast.Name)
+                and call.args[1].value == call.args[2].id in params)
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target = stmt.targets[0]
+        return (isinstance(target, ast.Attribute) and isinstance(stmt.value, ast.Name)
+                and target.attr == stmt.value.id in params)
+    return False
+
+
+def test_no_constructor_only_sets_its_fields():
+    """Value builds that constructor itself; a class writes its own only to
+    build a cache or check its fields."""
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    params = {a.arg for a in fn.args.args[1:]}
+                    body = [s for s in fn.body if not isinstance(s, ast.Expr)
+                            or not isinstance(s.value, ast.Constant)]
+                    if all(_sets_a_parameter(s, params) for s in body):
+                        hits.append(f"{path.stem}.{cls.name}")
+    assert hits == []

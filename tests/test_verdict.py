@@ -52,8 +52,8 @@ CASES = [
     (is_regular_level3, (grammar.parse_l3(L3),), (grammar.parse_l3(L3_IRREGULAR),), "regular"),
     (respects_le2, (Q21, _q21("u1*2")), (Q20, _q21("u1*2")), "potential-tower((0))"),
     (weakly_respects_le2, (Q21, _q21("u1*2")), (Q21, _q21("u2")), "bound((0))"),
-    (s2_member, ([CARD1_L2, Q21.t2], [U1, u("u1*2")]), ([CARD1_L2, Q21.t2], [U1, u("u2")]),
-     "potential-tower((0))"),
+    (s2_member, ([CARD1_L2, Q21.t2], [U1, u("u1*2")], "respects"),
+     ([CARD1_L2, Q21.t2], [U1, u("u2")], "respects"), "potential-tower((0))"),
 ]
 
 
