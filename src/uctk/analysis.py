@@ -55,11 +55,6 @@ def tree_embed_sup(sub: Level1Tree, sup: Level1Tree, b: UOrd) -> UOrd:
     return apply_shift_sup(inclusion_shift(sub, sup), b)
 
 
-def chain_tree(size: int) -> Level1Tree:
-    """The tree {(0), (0,0), ...}: the shape realizing decreasing patterns."""
-    return Level1Tree(frozenset((0,) * j for j in range(1, size + 1)))
-
-
 def chain_node(length: int):
     return (0,) * length
 
@@ -104,20 +99,20 @@ def analyze(b: UOrd, tree: Level1Tree) -> OrdAnalysis:
     seeds = tuple(UOrd.u(k) for k, _ in b.uterms)
 
     coeffs = [c for _, c in b.uterms]
-    continuous = b.tail.is_zero() and coeffs[-1].compare(ONE) == 0
+    continuous = b.tail.is_zero() and coeffs[-1] == ONE  # normal forms: equal iff the same
 
-    towers = [chain_tree(i) for i in range(m + 1)]
-    pvec = tuple(chain_node(i + 1) for i in range(m))
-    fmap = FactorMap1(towers[m], tree,
-                      tuple((chain_node(i + 1), signature[i]) for i in reversed(range(m))))
+    chain = [chain_node(i) for i in range(1, m + 2)]  # (0), (0 0), ..., of lengths 1 to m+1
+    # the chain trees {(0), (0 0), ...} of 0 to m nodes: the shapes realizing decreasing patterns
+    towers = [Level1Tree(frozenset(chain[:i])) for i in range(m + 1)]
+    pvec = tuple(chain[:m])
+    fmap = FactorMap1(towers[m], tree, tuple((chain[i], signature[i]) for i in reversed(range(m))))
     check_factor_map(fmap)
 
     approx = [U1]
     for i in range(1, m):
         val = UOrd(tuple((i - l, coeffs[l]) for l in range(i)), ZERO) + U1
         approx.append(val)
-    if m >= 1:
-        approx.append(UOrd(tuple((m - l, coeffs[l]) for l in range(m)), b.tail))
+    approx.append(UOrd(tuple((m - l, coeffs[l]) for l in range(m)), b.tail))  # m >= 1: b >= u_1
 
     ucf = cf_l(b)
     if continuous:
@@ -126,7 +121,7 @@ def analyze(b: UOrd, tree: Level1Tree) -> OrdAnalysis:
         potential = PotentialTower1(towers[m], pvec + (MINUS_ONE,))
     else:
         # cofinality u_{lowest level}: the pending node extends the chain
-        potential = PotentialTower1(towers[m], pvec + (chain_node(m + 1),))
+        potential = PotentialTower1(towers[m], pvec + (chain[m],))
 
     return OrdAnalysis(signature, seeds, continuous, ucf,
                        Level1Tower(tuple(towers)), fmap, tuple(approx), potential)

@@ -3,9 +3,9 @@
 Every rejection raised by the kernel carries a ``code`` string that the CLI
 echoes verbatim, so scripts can match on codes rather than messages.  An
 error keeps the values it was raised with as ``detail``; its message,
-``CODE: a, b``, is written when it is read, each value by
-``value.format_detail``, so an error that is caught and never printed
-formats nothing.
+``CODE: a, b``, or the bare ``CODE`` when it holds no value, is written
+when it is read, each value by ``value.format_detail``, so an error that
+is caught and never printed formats nothing.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ class KernelError(Exception):
         return self.args
 
     def __str__(self) -> str:
+        if not self.args:
+            return self.code
         return f"{self.code}: " + ", ".join(map(format_detail, self.args))
 
 

@@ -159,15 +159,19 @@ def check_tree_of_trees(dom):
 
     Raises RootNotCanonical on an empty set, DomainNotTree naming the first
     element whose predecessor is missing, else the first whose children do
-    not form a level-1 tree."""
+    not form a level-1 tree.  The pass that checks predecessors gathers the
+    children's indices."""
     if not dom:
         raise RootNotCanonical("missing root")
     order = sorted(dom, key=_dom_sort_key)
+    children = {}
     for q in order:
-        if q and q[:-1] not in dom:
-            raise DomainNotTree(q)
+        if q:
+            if q[:-1] not in dom:
+                raise DomainNotTree(q)
+            children.setdefault(q[:-1], []).append(q[-1])
     for q in order:
-        if not is_level1(_children_of(dom, q).nodes):
+        if q in children and not is_level1(children[q]):
             raise DomainNotTree(q)
     return order
 
@@ -523,10 +527,15 @@ def _respects(le2: LevelLe2Tree, t, analysis_at) -> Verdict:
         if an.approximation_sequence != expected:
             got, want = (", ".join(map(str, vs)) for vs in (an.approximation_sequence, expected))
             return Verdict(False, f"approximation{format_detail(q)}", f"[{got}] != [{want}]")
-    for q in t2.dom():
-        vals = [branch[q + (a,)] for a in t2.children(q).bk_sorted()]
-        if any(x.compare(y) >= 0 for x, y in zip(vals, vals[1:])):
-            return Verdict(False, f"sibling-order{format_detail(q)}", "")
+    # canonical order lists the children of each q together, in the
+    # Brouwer-Kleene order of their last entries, and in the order of their q
+    last = {}
+    for q, val in branch.items():
+        if q:
+            prev = last.get(q[:-1])
+            if prev is not None and prev.compare(val) >= 0:
+                return Verdict(False, f"sibling-order{format_detail(q[:-1])}", "")
+            last[q[:-1]] = val
     return ACCEPTED
 
 

@@ -6,9 +6,12 @@ begins with "_" holds a cache built from the fields.  A class whose
 compiled from that list as ``dataclasses`` compiles its constructors: it
 takes the fields in order, with no defaults, and sets each once through
 ``set_field``.  A class writes its own ``__init__`` only to build a cache or
-check its fields, and it takes the same arguments.  Equality and hashing go
-by the fields and the exact class, repr lists the fields, and pickling calls
-the class on them, so ``__init__`` rebuilds the caches.
+check its fields, and it takes the same arguments.  Equality and hashing are
+compiled from the same list: ``__eq__`` asks for the exact class, then
+compares the fields in order, and ``__hash__`` hashes the tuple of the
+fields.  A class that writes its own ``__eq__`` or ``__hash__`` keeps it.
+Repr lists the fields, and pickling calls the class on them, so ``__init__``
+rebuilds the caches.
 
 The printers write each kernel value in the notation ``uctk.grammar``
 reads back.  They read only the values' fields, so this module imports no
@@ -36,22 +39,18 @@ class Value:
         # the fields as a tuple; attrgetter returns a lone field bare
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda v: (get(v),))
         own = cls.__dict__.get("__slots__", ())
-        if "__init__" not in cls.__dict__ and any(not n.startswith("_") for n in own):
-            cls.__init__ = _constructor(cls)
+        if not any(not n.startswith("_") for n in own):
+            return  # no field of its own: the parent's methods serve
+        for name, compile_method in (("__init__", _constructor), ("__eq__", _equality),
+                                     ("__hash__", _hash)):
+            if name not in cls.__dict__:
+                setattr(cls, name, compile_method(cls))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values(self) == other._values(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values(self))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{name}={value!r}"
@@ -62,15 +61,34 @@ class Value:
         return type(self), self._values(self)
 
 
-def _constructor(cls):
-    """``__init__(self, *fields)`` for cls, written out and compiled."""
-    body = "".join(f"\n    set_field(self, {name!r}, {name})" for name in cls._fields)
+def _compiled(cls, name, params, body):
+    """The method ``name`` of cls, written out and compiled."""
     namespace = {}
-    exec(f"def __init__(self, {', '.join(cls._fields)}):{body}",
-         {"set_field": set_field}, namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+    exec(f"def {name}({params}):{body}", {"set_field": set_field}, namespace)
+    method = namespace[name]
+    method.__qualname__ = f"{cls.__qualname__}.{name}"
+    return method
+
+
+def _constructor(cls):
+    """``__init__(self, *fields)``: sets each field once."""
+    body = "".join(f"\n    set_field(self, {name!r}, {name})" for name in cls._fields)
+    return _compiled(cls, "__init__", ", ".join(("self", *cls._fields)), body)
+
+
+def _equality(cls):
+    """``__eq__``: the exact class, then the fields in order."""
+    fields = " and ".join(f"self.{name} == other.{name}" for name in cls._fields)
+    return _compiled(cls, "__eq__", "self, other",
+                     "\n    if other.__class__ is not self.__class__:"
+                     "\n        return NotImplemented"
+                     f"\n    return {fields}")
+
+
+def _hash(cls):
+    """``__hash__``: the hash of the tuple of the fields."""
+    fields = "".join(f"self.{name}, " for name in cls._fields)
+    return _compiled(cls, "__hash__", "self", f"\n    return hash(({fields}))")
 
 
 class Verdict(Value):

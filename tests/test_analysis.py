@@ -2,13 +2,18 @@ import random
 
 import pytest
 
-from uctk.analysis import (analyze, chain_tree, factor_to_shift,
-                           recover_from_analysis, tree_embed, tree_embed_sup)
-from uctk.errors import BelowOmega1, NotALimit, NotSubtree, OutOfRange
+from uctk.analysis import (OrdAnalysis, PotentialTower1, analyze, chain_node,
+                           factor_to_shift, recover_from_analysis, tree_embed,
+                           tree_embed_sup)
+from uctk.bk import MINUS_ONE
+from uctk.errors import (BelowOmega1, KernelError, NotALimit, NotSubtree,
+                         OutOfRange)
 from uctk.grammar import parse_l1, parse_uord
-from uctk.lemmas import EvalOracle, cf_oracle, rand_limit_uord
-from uctk.level1 import FactorMap1
-from uctk.ordinals import Cofinality, cf_l
+from uctk.lemmas import (EvalOracle, cf_oracle, rand_limit_uord,
+                         rand_qualifying_beta, rand_uord)
+from uctk.level1 import (FactorMap1, Level1Tower, Level1Tree, check_factor_map,
+                         descriptions, enumerate_level1_up_to)
+from uctk.ordinals import ONE, U1, ZERO, Cofinality, UOrd, cf_l
 
 
 def u(text):
@@ -58,7 +63,7 @@ class TestAnalyze:
         assert an.essentially_continuous
         assert an.uniform_cofinality == Cofinality.u(2)
         # continuous-type potential tower: the pending chain is completed
-        assert an.potential_tower.tree == chain_tree(1)
+        assert an.potential_tower.tree == parse_l1("{(0)}")
         assert an.potential_tower.pvec == ((0,),)
         assert an.potential_tower.is_continuous()
 
@@ -67,7 +72,7 @@ class TestAnalyze:
         assert an.signature == ((0,),)
         assert not an.essentially_continuous
         assert an.uniform_cofinality == Cofinality.u(1)
-        assert an.potential_tower.tree == chain_tree(1)
+        assert an.potential_tower.tree == parse_l1("{(0)}")
         assert an.potential_tower.pvec == ((0,), (0, 0))
         assert [str(x) for x in an.approximation_sequence] == ["u1", "u1*2"]
 
@@ -129,3 +134,71 @@ class TestAnalyze:
         an = analyze(b, tree)
         sigma = an.factoring_map
         assert [sigma(p) for p in ((0,), (0, 0))] == list(an.signature)
+
+
+def _chain_tree(size):
+    return Level1Tree(frozenset((0,) * j for j in range(1, size + 1)))
+
+
+def _old_analyze(b, tree):
+    """analyze as it was, kept as its reference: each chain tree and chain
+    node built on its own, and continuity tested by compare."""
+    if b.is_countable():
+        raise BelowOmega1(b)
+    if not b.is_limit():
+        raise NotALimit(b)
+    if b.max_level() > len(tree):
+        raise OutOfRange(b, tree)
+    descs = descriptions(tree)
+    m = len(b.uterms)
+    signature = tuple(descs[k - 1] for k, _ in b.uterms)
+    seeds = tuple(UOrd.u(k) for k, _ in b.uterms)
+    coeffs = [c for _, c in b.uterms]
+    continuous = b.tail.is_zero() and coeffs[-1].compare(ONE) == 0
+    towers = [_chain_tree(i) for i in range(m + 1)]
+    pvec = tuple(chain_node(i + 1) for i in range(m))
+    fmap = FactorMap1(towers[m], tree,
+                      tuple((chain_node(i + 1), signature[i]) for i in reversed(range(m))))
+    check_factor_map(fmap)
+    approx = [U1]
+    for i in range(1, m):
+        approx.append(UOrd(tuple((i - l, coeffs[l]) for l in range(i)), ZERO) + U1)
+    if m >= 1:
+        approx.append(UOrd(tuple((m - l, coeffs[l]) for l in range(m)), b.tail))
+    ucf = cf_l(b)
+    if continuous:
+        potential = PotentialTower1(towers[m], pvec)
+    elif ucf.kind == "omega":
+        potential = PotentialTower1(towers[m], pvec + (MINUS_ONE,))
+    else:
+        potential = PotentialTower1(towers[m], pvec + (chain_node(m + 1),))
+    return OrdAnalysis(signature, seeds, continuous, ucf,
+                       Level1Tower(tuple(towers)), fmap, tuple(approx), potential)
+
+
+def _analysed(route, b, tree):
+    """The analysis, or the class and values of the error."""
+    try:
+        return route(b, tree)
+    except KernelError as e:
+        return type(e), e.args
+
+
+def test_analyze_agrees_with_the_route_it_replaced():
+    """Seeded betas over every level-1 tree of at most 5 nodes: qualifying
+    ones of each cofinality level, and any below u_{card+2}, which also
+    meet the countable, successor and out-of-range rejections."""
+    rng = random.Random(24)
+    outcomes = set()
+    for tree in enumerate_level1_up_to(5):
+        betas = [rand_uord(rng, len(tree) + 1) for _ in range(6)]
+        betas += [rand_qualifying_beta(rng, len(tree), k)
+                  for k in range(1, len(tree) + 1) for _ in range(2)]
+        for b in betas:
+            got = _analysed(analyze, b, tree)
+            assert got == _analysed(_old_analyze, b, tree), (str(b), str(tree))
+            assert repr(got) == repr(_analysed(_old_analyze, b, tree))
+            outcomes.add(got[0] if isinstance(got, tuple) else
+                         (got.essentially_continuous, got.uniform_cofinality.kind))
+    assert outcomes >= {BelowOmega1, NotALimit, OutOfRange,
+                        (True, "u"), (False, "u"), (False, "omega")}

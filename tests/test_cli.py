@@ -273,6 +273,9 @@ MALFORMED = [
      "INVALID_ELEMENT: [(0)]"),
     (("eval-desc", "({} ; () -> ({}, (0)))", "u1", "--at", ""), 2,
      "PARSE_ERROR: unexpected end of input, line 1, col 1"),
+    # an error raised without values reads as its bare code, unquoted
+    (("validate", "l1", "{()}"), 1, "CONTAINS_EMPTY"),
+    (("recover", "{}", "{() ((0))}", "u1", "u2"), 1, "NO_TREE_FOUND"),
 ]
 
 
@@ -283,7 +286,8 @@ def test_malformed_input_is_one_coded_report(argv, exit_code, detail):
     got, out = run(*argv)
     code = detail.split(":")[0]
     assert got == exit_code and out.count("\n") == 1
-    assert out.endswith(f' code={code} detail="{detail}"\n')
+    field = f'"{detail}"' if " " in detail else detail
+    assert out.endswith(f" code={code} detail={field}\n")
 
 
 def test_batch_goes_on_after_a_continuous_domain_sequence(tmp_path):

@@ -69,6 +69,18 @@ def test_every_error_reads_as_its_code_and_detail():
         "PARSE_ERROR: unexpected end of input, line 1, col 5"
 
 
+def test_an_error_raised_without_values_reads_as_its_bare_code():
+    for cls in ERRORS:
+        if cls not in (ClosureViolation, ParseError):  # each is raised with its values
+            assert str(cls()) == cls.code, cls
+    with pytest.raises(NoTreeFound) as e:
+        level2.recover_tree(EMPTY_TREE, [(), ((0,),)], {(2, ()): U1, (2, ((0,),)): UOrd.u(2)})
+    assert (str(e.value), e.value.detail) == ("NO_TREE_FOUND", ())
+    with pytest.raises(errors.ContainsEmpty) as e:
+        validate_level1({()})
+    assert str(e.value) == "CONTAINS_EMPTY"
+
+
 def test_every_error_comes_back_from_pickle_as_it_was():
     for cls in ERRORS:
         e = _instance(cls)

@@ -1,6 +1,7 @@
 import gc
 
 import pytest
+from conftest import _entered
 
 from uctk import level2
 from uctk.analysis import PotentialTower1, analyze
@@ -10,10 +11,10 @@ from uctk.errors import (BadDescription, BadFirstEntry,
                          NotRespecting, RootNotCanonical, TowerViolation)
 from uctk.grammar import parse_l1, parse_l2, parse_uord
 from uctk.lemmas import recover_tree_by_search
-from uctk.level1 import EMPTY_TREE
+from uctk.level1 import EMPTY_TREE, Level1Tree, is_level1, respects_level1
 from uctk.level2 import (CARD1_L2, MINUS_ONE, ROOT_NODE, Level2Tree,
                          LevelLe2Tree, QDescription, Rep2Element, as_domseq,
-                         check_tree_of_trees, child_labels,
+                         check_tree_of_trees, child_labels, enumerate_dom_shapes,
                          enumerate_le2_trees, evaluate_description,
                          expand_potential, generate_respecting_tuple,
                          is_regular_description, make_rep2, q_descriptions,
@@ -23,6 +24,7 @@ from uctk.level2 import (CARD1_L2, MINUS_ONE, ROOT_NODE, Level2Tree,
                          validate_partial_le1, validate_partial_tower_le1,
                          weakly_respects_le2)
 from uctk.ordinals import OMEGA, U1, CtblOrd, UOrd
+from uctk.value import ACCEPTED, Verdict, format_detail
 
 
 def u(text):
@@ -557,6 +559,123 @@ class TestDeepBranch:
         assert s2_member(towers, alphas, "respects")
         assert s2_member(towers, alphas, "weak")
         assert not s2_member(towers, [U1, u("u1*2"), u("u3")], "weak")
+
+
+def _old_children(dom, q) -> Level1Tree:
+    """The children's indices of q, found by a scan of the whole domain."""
+    return Level1Tree(frozenset(k[-1] for k in dom if len(k) == len(q) + 1 and k[:len(q)] == q))
+
+
+def _old_check_tree_of_trees(dom):
+    """check_tree_of_trees as it was, kept as its reference: the children of
+    each element found by a scan of the whole domain."""
+    if not dom:
+        raise RootNotCanonical("missing root")
+    order = sorted(dom, key=level2._dom_sort_key)
+    for q in order:
+        if q and q[:-1] not in dom:
+            raise DomainNotTree(q)
+    for q in order:
+        if not is_level1(_old_children(dom, q).nodes):
+            raise DomainNotTree(q)
+    return order
+
+
+def _old_respects_le2(le2, t):
+    """respects_le2 as it was, kept as its reference: the sibling order of
+    each element read off the level-1 tree of its children, Brouwer-Kleene
+    sorted."""
+    t1_vals = {p: level2._entry(t, (1, p)) for p in le2.t1.nodes}
+    v = respects_level1(le2.t1, t1_vals)
+    if not v:
+        return Verdict(False, "level1-part", f"{v.clause}: {v.detail}")
+    t2 = le2.t2
+    branch = {(): level2._entry(t, (2, ()))}
+    if branch[()].compare(U1) != 0:
+        return Verdict(False, "root-value", str(branch[()]))
+    for q in t2.dom():
+        if not q:
+            continue
+        branch[q] = level2._entry(t, (2, q))
+        an = level2._analysis(t, q, t2.tree(q))
+        if isinstance(an, str):
+            return Verdict(False, f"potential-tower{format_detail(q)}", an)
+        pot = q_potential(t2, q)
+        if an.potential_tower != pot:
+            return Verdict(False, f"potential-tower{format_detail(q)}",
+                           f"{an.potential_tower} != {pot}")
+        expected = tuple(branch[q[:l]] for l in range(len(q) + 1))
+        if an.approximation_sequence != expected:
+            got, want = (", ".join(map(str, vs)) for vs in (an.approximation_sequence, expected))
+            return Verdict(False, f"approximation{format_detail(q)}", f"[{got}] != [{want}]")
+    for q in t2.dom():
+        vals = [branch[q + (a,)] for a in _old_children(t2.dom(), q).bk_sorted()]
+        if any(x.compare(y) >= 0 for x, y in zip(vals, vals[1:])):
+            return Verdict(False, f"sibling-order{format_detail(q)}", "")
+    return ACCEPTED
+
+
+def _checked(check, dom):
+    """The canonical order, or the class and values of the error."""
+    try:
+        return check(dom)
+    except (KernelError, TypeError) as e:  # a -1 entry reaches is_level1: TypeError
+        return type(e), e.args
+
+
+class TestReplacedRoutesAgree:
+    """check_tree_of_trees gathers children in its predecessor pass, and
+    respects_le2 reads sibling order off canonical order; each against the
+    route it replaced."""
+
+    def test_tree_of_trees_order_on_every_shape(self):
+        shapes = enumerate_dom_shapes(6)
+        for shape in shapes:
+            assert check_tree_of_trees(shape) == _old_check_tree_of_trees(shape), sorted(shape)
+        assert len(shapes) > 300
+
+    def test_tree_of_trees_first_error_on_damaged_sets(self):
+        outcomes = set()
+        for shape in enumerate_dom_shapes(5):
+            for q in shape:
+                # dropping q loses a parent or a left sibling, or leaves a tree
+                for damaged in (shape - {q}, shape | {q + (MINUS_ONE,)}):
+                    got = _checked(check_tree_of_trees, damaged)
+                    assert got == _checked(_old_check_tree_of_trees, damaged), sorted(damaged)
+                    outcomes.add(got[0] if isinstance(got, tuple) else list)
+        assert outcomes == {list, RootNotCanonical, DomainNotTree, TypeError}
+
+    def test_respects_le2_on_hits_misses_and_swapped_siblings(self):
+        trees = sibling_order = 0
+        for tree, t in _realizable(5):
+            dom = tree.t2.dom()
+            cases = [t, _bumped(t, (2, dom[-1]))]
+            for q in dom:
+                siblings = [(2, k) for k in dom if k and k[:-1] == q]
+                for a, b in zip(siblings, siblings[1:]):
+                    cases += [{**t, a: t[b], b: t[a]}, {**t, b: t[a]}]  # swapped, equal
+            for case in cases:
+                got, want = respects_le2(tree, case), _old_respects_le2(tree, case)
+                assert (got.ok, got.clause, got.detail) == (want.ok, want.clause, want.detail), \
+                    (str(tree), {k: str(v) for k, v in case.items()})
+                sibling_order += got.clause.startswith("sibling-order")
+            trees += 1
+        assert trees >= 700 and sibling_order >= 500
+
+
+def test_recover_never_scans_the_domain_for_children():
+    """recover_tree reads every element's children off canonical order, on a
+    hit and on a miss."""
+    cases = [(tree, t) for tree, t in _realizable(4) if len(tree.t2.dom()) > 2]
+
+    def run():
+        for tree, t in cases:
+            assert recover_tree(tree.t1, tree.t2.dom(), t) == tree
+            with pytest.raises(NoTreeFound):
+                recover_tree(tree.t1, tree.t2.dom(), _bumped(t, (2, tree.t2.dom()[-1])))
+
+    assert len(cases) >= 5
+    assert _entered([level2._children_of, level2.TreeOfTrees.children], run) == set()
 
 
 class TestTreeOfTrees:

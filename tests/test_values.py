@@ -159,6 +159,71 @@ def test_suite_result_stays_mutable():
     assert res == lemmas.SuiteResult("suite", 1, ["x"], 1.5)
     with pytest.raises(TypeError):
         hash(res)
+    # its own __hash__ = None stands, also over fields that would all hash
+    assert lemmas.SuiteResult.__hash__ is None
+    with pytest.raises(TypeError):
+        hash(lemmas.SuiteResult("suite", 1, (), 1.5))
+
+
+def _by_class():
+    out = {}
+    for v in VALUES:
+        out.setdefault(type(v), []).append(v)
+    return out
+
+
+def test_equality_and_hash_agree_with_the_field_tuple():
+    """Within each class, == and != are those of the field tuples, and the
+    hash is the hash of that tuple."""
+    pairs = 0
+    for cls, values in _by_class().items():
+        for v in values:
+            if cls is not lemmas.SuiteResult:
+                assert hash(v) == hash(v._values(v)), repr(v)
+            for w in values:
+                same = v._values(v) == w._values(w)
+                assert (v == w, v != w) == (same, not same), (repr(v), repr(w))
+                pairs += 1
+    assert pairs > 1000
+
+
+def test_values_of_different_classes_with_equal_fields_are_unequal():
+    """Each sampled value against a value of every other class with as many
+    fields, holding the same field values."""
+    classes = list(_by_class())
+    pairs = 0
+    for v in VALUES:
+        for cls in classes:
+            if cls is type(v) or len(cls._fields) != len(v._fields):
+                continue
+            w = object.__new__(cls)  # same fields, no constructor checks
+            for name, field in zip(cls._fields, v._values(v)):
+                value.set_field(w, name, field)
+            assert w._values(w) == v._values(v)
+            assert not v == w and not w == v and v != w and w != v, (repr(v), cls)
+            pairs += 1
+    assert pairs > 500
+
+
+def test_a_class_that_writes_its_own_equality_keeps_it():
+    class Plain(value.Value):
+        __slots__ = ("a",)
+
+    class Own(value.Value):
+        __slots__ = ("a",)
+
+        def __eq__(self, other):
+            return True
+
+    class OwnHash(value.Value):
+        __slots__ = ("a",)
+
+        def __hash__(self):
+            return 7
+
+    assert Plain(1) == Plain(1) != Plain(2) and hash(Plain(1)) == hash((1,))
+    assert Own(1) == Own(2) and Own.__hash__ is None  # Python's rule for an own __eq__
+    assert OwnHash(1) != OwnHash(2) and hash(OwnHash(1)) == 7
 
 
 SRC = Path(uctk.__file__).parent
