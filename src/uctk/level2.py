@@ -158,16 +158,16 @@ def check_tree_of_trees(dom):
     is a tree of level-1 trees and return it in canonical order.
 
     Raises RootNotCanonical on an empty set, DomainNotTree naming the first
-    element whose predecessor is missing, else the first whose children do
-    not form a level-1 tree.  The pass that checks predecessors gathers the
-    children's indices."""
+    element whose predecessor is missing or whose last entry is -1, else
+    the first whose children do not form a level-1 tree.  The pass that
+    checks predecessors gathers the children's indices."""
     if not dom:
         raise RootNotCanonical("missing root")
     order = sorted(dom, key=_dom_sort_key)
     children = {}
     for q in order:
         if q:
-            if q[:-1] not in dom:
+            if q[:-1] not in dom or q[-1] == MINUS_ONE:
                 raise DomainNotTree(q)
             children.setdefault(q[:-1], []).append(q[-1])
     for q in order:

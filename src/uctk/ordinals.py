@@ -56,10 +56,6 @@ class CtblOrd(_Ordered, Value):
 
     __slots__ = ("terms", "_key")
 
-    def __init__(self, terms: tuple):
-        set_field(self, "terms", terms)
-        set_field(self, "_key", None)
-
     # -- construction ------------------------------------------------------
 
     @staticmethod
@@ -156,12 +152,8 @@ OMEGA = CtblOrd.omega_power(ONE)
 class UOrd(_Ordered, Value):
     """Ordinal below u_omega: u-terms with countable coefficients plus tail."""
 
-    __slots__ = ("uterms", "tail", "_key")
-
-    def __init__(self, uterms: tuple, tail: CtblOrd):
-        set_field(self, "uterms", uterms)  # ((level, CtblOrd coeff), ...), levels decreasing
-        set_field(self, "tail", tail)
-        set_field(self, "_key", None)
+    __slots__ = ("uterms",  # ((level, CtblOrd coeff), ...), levels decreasing
+                 "tail", "_key")
 
     @staticmethod
     def u(level: int, coeff: CtblOrd = ONE) -> "UOrd":
@@ -261,20 +253,30 @@ class Cofinality(Value):
         return f"u{self.level}" if self.kind == "u" else self.kind
 
 
+CF_ZERO, CF_SUCCESSOR, CF_OMEGA = Cofinality.zero(), Cofinality.successor(), Cofinality.omega()
+
+
+def cf_level(b: UOrd) -> int:
+    """k when b has L-cofinality u_k, else 0: the last component of b is a
+    u-term u_k*c whose coefficient c is a successor."""
+    if b.tail.terms or not b.uterms:
+        return 0
+    level, coeff = b.uterms[-1]
+    return 0 if coeff.is_limit() else level
+
+
 def cf_l(b: UOrd) -> Cofinality:
     """L-cofinality of an ordinal below u_omega.
 
     The uncountable L-regular cardinals below u_omega are exactly the u_n,
     and the cofinality of a sum is that of its last component.
     """
-    if b.is_zero():
-        return Cofinality.zero()
-    if not b.tail.is_zero():
-        return Cofinality.successor() if b.tail.is_successor() else Cofinality.omega()
-    level, coeff = b.uterms[-1]
-    if coeff.is_limit():
-        return Cofinality.omega()
-    return Cofinality.u(level)
+    level = cf_level(b)
+    if level:
+        return Cofinality.u(level)
+    if b.tail.terms:
+        return CF_SUCCESSOR if b.tail.is_successor() else CF_OMEGA
+    return CF_OMEGA if b.uterms else CF_ZERO
 
 
 # -- index maps and shifts ---------------------------------------------------
@@ -335,10 +337,8 @@ def _strip_one_u(b: UOrd):
 def shift_is_continuous(sigma: IndexMap, b: UOrd) -> bool:
     """Continuity criterion: j^sigma(b) = j^sigma_sup(b) unless the
     L-cofinality is some u_k with sigma(k) > sigma(k-1)+1."""
-    c = cf_l(b)
-    if c.kind != "u":
-        return True
-    return sigma(c.level) == sigma(c.level - 1) + 1
+    k = cf_level(b)
+    return not k or sigma(k) == sigma(k - 1) + 1
 
 
 def apply_shift_sup(sigma: IndexMap, b: UOrd) -> UOrd:
@@ -347,12 +347,12 @@ def apply_shift_sup(sigma: IndexMap, b: UOrd) -> UOrd:
         raise NotALimit(b)
     if b.max_level() > sigma.n:
         raise LevelOutOfRange(b, sigma)
-    if shift_is_continuous(sigma, b):
-        return apply_shift(sigma, b)
+    image = sigma.image
+    if shift_is_continuous(sigma, b):  # j^sigma(b), its levels checked above
+        return UOrd(tuple([(image[k - 1], c) for k, c in b.uterms]), b.tail)
     # b = delta + u_k*(c+1) with a zero tail: the levels of j^sigma(delta)
     # are at least sigma(k) > sigma(k-1)+1, so u_{sigma(k-1)+1} is the last
     # term, after u_{sigma(k)}*c when c is not zero
-    image = sigma.image
     k, coeff = b.uterms[-1]
     n = coeff.terms[-1][1]  # the finite part: coeff is a successor here
     c = coeff.terms[:-1] + (((ZERO, n - 1),) if n > 1 else ())

@@ -4,14 +4,19 @@ A value class states its fields once, in ``__slots__``; a slot whose name
 begins with "_" holds a cache built from the fields.  A class whose
 ``__slots__`` names fields and that defines no ``__init__`` is given one,
 compiled from that list as ``dataclasses`` compiles its constructors: it
-takes the fields in order, with no defaults, and sets each once through
-``set_field``.  A class writes its own ``__init__`` only to build a cache or
-check its fields, and it takes the same arguments.  Equality and hashing are
-compiled from the same list: ``__eq__`` asks for the exact class, then
-compares the fields in order, and ``__hash__`` hashes the tuple of the
-fields.  A class that writes its own ``__eq__`` or ``__hash__`` keeps it.
-Repr lists the fields, and pickling calls the class on them, so ``__init__``
-rebuilds the caches.
+takes the fields in order, with no defaults, and stores each once through
+its slot's own member descriptor (the descriptor's ``__set__``, bound once
+when the class is compiled, which costs less than ``object.__setattr__``),
+then sets each cache slot to None.  A class writes its own ``__init__``
+only to build a cache or check its fields, and it takes the same arguments.
+Equality and hashing are compiled from the same list: ``__eq__`` asks for
+the exact class, then compares the fields in order, and ``__hash__``
+hashes the tuple of the fields.  A class that writes its own ``__eq__`` or
+``__hash__`` keeps it.  Each compiled method's code has a file name that
+names its class and method, such as ``<uctk.value CtblOrd.__init__>``, so
+profiles and tracebacks tell the classes apart.  Repr lists the fields,
+and pickling calls the class on them, so ``__init__`` builds or empties
+the caches again.
 
 The printers write each kernel value in the notation ``uctk.grammar``
 reads back.  They read only the values' fields, so this module imports no
@@ -61,19 +66,27 @@ class Value:
         return type(self), self._values(self)
 
 
-def _compiled(cls, name, params, body):
-    """The method ``name`` of cls, written out and compiled."""
+def _compiled(cls, name, params, body, names):
+    """The method ``name`` of cls, written out and compiled with ``names``
+    as its globals."""
     namespace = {}
-    exec(f"def {name}({params}):{body}", {"set_field": set_field}, namespace)
+    code = compile(f"def {name}({params}):{body}",
+                   f"<{__name__} {cls.__qualname__}.{name}>", "exec")
+    exec(code, names, namespace)
     method = namespace[name]
     method.__qualname__ = f"{cls.__qualname__}.{name}"
     return method
 
 
 def _constructor(cls):
-    """``__init__(self, *fields)``: sets each field once."""
-    body = "".join(f"\n    set_field(self, {name!r}, {name})" for name in cls._fields)
-    return _compiled(cls, "__init__", ", ".join(("self", *cls._fields)), body)
+    """``__init__(self, *fields)``: stores each field once, and None in
+    each cache slot, each through the ``__set__`` of its slot."""
+    caches = [name for c in cls.__mro__ for name in c.__dict__.get("__slots__", ())
+              if name.startswith("_")]
+    stores = [(name, name) for name in cls._fields] + [(name, "None") for name in caches]
+    body = "".join(f"\n    set_{name}(self, {value})" for name, value in stores)
+    setters = {f"set_{name}": getattr(cls, name).__set__ for name, _ in stores}
+    return _compiled(cls, "__init__", ", ".join(("self", *cls._fields)), body, setters)
 
 
 def _equality(cls):
@@ -82,13 +95,13 @@ def _equality(cls):
     return _compiled(cls, "__eq__", "self, other",
                      "\n    if other.__class__ is not self.__class__:"
                      "\n        return NotImplemented"
-                     f"\n    return {fields}")
+                     f"\n    return {fields}", {})
 
 
 def _hash(cls):
     """``__hash__``: the hash of the tuple of the fields."""
     fields = "".join(f"self.{name}, " for name in cls._fields)
-    return _compiled(cls, "__hash__", "self", f"\n    return hash(({fields}))")
+    return _compiled(cls, "__hash__", "self", f"\n    return hash(({fields}))", {})
 
 
 class Verdict(Value):

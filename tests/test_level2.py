@@ -619,7 +619,7 @@ def _checked(check, dom):
     """The canonical order, or the class and values of the error."""
     try:
         return check(dom)
-    except (KernelError, TypeError) as e:  # a -1 entry reaches is_level1: TypeError
+    except (KernelError, TypeError) as e:  # the old route: a -1 entry reaches is_level1
         return type(e), e.args
 
 
@@ -635,15 +635,29 @@ class TestReplacedRoutesAgree:
         assert len(shapes) > 300
 
     def test_tree_of_trees_first_error_on_damaged_sets(self):
-        outcomes = set()
+        """The same order or first error as the old route, except where a -1
+        entry made it raise a bare TypeError: that is a DomainNotTree naming
+        the element that ends in -1."""
+        outcomes, type_errors = set(), 0
         for shape in enumerate_dom_shapes(5):
             for q in shape:
                 # dropping q loses a parent or a left sibling, or leaves a tree
                 for damaged in (shape - {q}, shape | {q + (MINUS_ONE,)}):
                     got = _checked(check_tree_of_trees, damaged)
-                    assert got == _checked(_old_check_tree_of_trees, damaged), sorted(damaged)
+                    want = _checked(_old_check_tree_of_trees, damaged)
+                    if isinstance(want, tuple) and want[0] is TypeError:
+                        want, type_errors = (DomainNotTree, (q + (MINUS_ONE,),)), type_errors + 1
+                    assert got == want, sorted(damaged)
                     outcomes.add(got[0] if isinstance(got, tuple) else list)
-        assert outcomes == {list, RootNotCanonical, DomainNotTree, TypeError}
+        assert outcomes == {list, RootNotCanonical, DomainNotTree} and type_errors > 100
+
+    @pytest.mark.parametrize("dom", [{(), (MINUS_ONE,)}, {(), ((0,),), ((0,), MINUS_ONE)},
+                                     {(), ((0,),), ((1,),), ((0,), MINUS_ONE)}])
+    def test_a_minus_one_entry_is_not_a_tree(self, dom):
+        q = next(k for k in dom if k and k[-1] == MINUS_ONE)
+        with pytest.raises(DomainNotTree) as info:
+            check_tree_of_trees(dom)
+        assert info.value.args == (q,)
 
     def test_respects_le2_on_hits_misses_and_swapped_siblings(self):
         trees = sibling_order = 0

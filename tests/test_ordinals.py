@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from uctk.errors import (CriterionFails, InvalidElement, LevelOutOfRange,
                          NotALimit, OutOfRange)
 from uctk.grammar import format_ctbl, format_uord, parse_ctbl, parse_uord
-from uctk.lemmas import cf_oracle, rand_ctbl, rand_uord
+from uctk.lemmas import cf_oracle, rand_ctbl, rand_qualifying_beta, rand_uord
 from uctk.ordinals import (OMEGA, ONE, U1, ZERO, Cofinality, CtblOrd,
                            IndexMap, UOrd, _strip_one_u, apply_shift,
                            apply_shift_sup, as_uord, cf_l, decompose_shift,
@@ -315,6 +315,82 @@ def test_sup_monotonicity_bracketing():
         bp = rand_uord(rng, max_level=n)
         if bp < b:
             assert apply_shift(sigma, bp) < sup
+
+
+def _old_cf_l(b):
+    """cf_l as it was, kept as its reference: the zero, successor and limit
+    tests, and a new Cofinality for each answer."""
+    if b.is_zero():
+        return Cofinality.zero()
+    if not b.tail.is_zero():
+        return Cofinality.successor() if b.tail.is_successor() else Cofinality.omega()
+    level, coeff = b.uterms[-1]
+    if coeff.is_limit():
+        return Cofinality.omega()
+    return Cofinality.u(level)
+
+
+def _old_shift_is_continuous(sigma, b):
+    """shift_is_continuous as it was: the level read off a Cofinality."""
+    c = _old_cf_l(b)
+    if c.kind != "u":
+        return True
+    return sigma(c.level) == sigma(c.level - 1) + 1
+
+
+def _old_apply_shift_sup(sigma, b):
+    """apply_shift_sup as it was: the continuous case through apply_shift,
+    which checks the levels again."""
+    if not b.is_limit():
+        raise NotALimit(b)
+    if b.max_level() > sigma.n:
+        raise LevelOutOfRange(b, sigma)
+    if _old_shift_is_continuous(sigma, b):
+        return apply_shift(sigma, b)
+    image = sigma.image
+    k, coeff = b.uterms[-1]
+    n = coeff.terms[-1][1]
+    c = coeff.terms[:-1] + (((ZERO, n - 1),) if n > 1 else ())
+    uterms = [(image[lv - 1], d) for lv, d in b.uterms[:-1]]
+    if c:
+        uterms.append((image[k - 1], CtblOrd(c)))
+    uterms.append((sigma(k - 1) + 1, ONE))
+    return UOrd(tuple(uterms), ZERO)
+
+
+def _result(f, *args):
+    """f(*args), or the class and values of its error."""
+    try:
+        return f(*args)
+    except (NotALimit, LevelOutOfRange, IndexError) as e:
+        return type(e), e.args
+
+
+def test_cofinality_level_agrees_with_the_routes_it_replaced():
+    """cf_l, shift_is_continuous and apply_shift_sup against their old
+    copies on seeded ordinals, qualifying betas and edge values, each
+    against every index map {1..n} -> {1..n2} with n2 <= 6."""
+    rng = random.Random(25)
+    values = [uord(t) for t in ("0", "u1 + 3", "u1*w", "w*2")]
+    values += [rand_uord(rng, 6) for _ in range(40)]
+    for _ in range(24):
+        top = rng.randrange(1, 7)
+        values.append(rand_qualifying_beta(rng, top, rng.randrange(1, top + 1)))
+    maps = [IndexMap(n, n2, image) for n2 in range(7) for n in range(n2 + 1)
+            for image in itertools.combinations(range(1, n2 + 1), n)]
+    assert len(maps) == 127
+    seen = set()
+    for b in values:
+        assert cf_l(b) == _old_cf_l(b), b
+        seen.add(cf_l(b).kind)
+        for sigma in maps:
+            for new, old in ((shift_is_continuous, _old_shift_is_continuous),
+                             (apply_shift_sup, _old_apply_shift_sup)):
+                got = _result(new, sigma, b)
+                assert got == _result(old, sigma, b), (new.__name__, sigma, b)
+                seen.add(got[0] if isinstance(got, tuple) else type(got))
+    assert seen == {"zero", "successor", "omega", "u", bool, UOrd,
+                    NotALimit, LevelOutOfRange, IndexError}
 
 
 # -- parsing and printing ----------------------------------------------------------------

@@ -255,33 +255,108 @@ def test_a_value_takes_its_fields_and_nothing_else(cls):
 
 
 def _sets_a_parameter(stmt, params) -> bool:
-    """stmt is set_field(self, "x", x) or self.x = x for a parameter x."""
+    """stmt is set_field(self, "x", x) or self.x = x for a parameter x, or
+    it empties a cache: set_field(self, "_x", None) or self._x = None."""
+    def plain(name, value):
+        if isinstance(value, ast.Name):
+            return name == value.id in params
+        return name.startswith("_") and isinstance(value, ast.Constant) and value.value is None
+
     if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
         call = stmt.value
         return (isinstance(call.func, ast.Name) and call.func.id == "set_field"
                 and len(call.args) == 3 and isinstance(call.args[1], ast.Constant)
-                and isinstance(call.args[2], ast.Name)
-                and call.args[1].value == call.args[2].id in params)
+                and plain(call.args[1].value, call.args[2]))
     if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
         target = stmt.targets[0]
-        return (isinstance(target, ast.Attribute) and isinstance(stmt.value, ast.Name)
-                and target.attr == stmt.value.id in params)
+        return isinstance(target, ast.Attribute) and plain(target.attr, stmt.value)
     return False
 
 
-def test_no_constructor_only_sets_its_fields():
-    """Value builds that constructor itself; a class writes its own only to
-    build a cache or check its fields."""
+def _constructors_that_only_set_fields(source):
     hits = []
-    for path in sorted(SRC.glob("*.py")):
-        for cls in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for fn in cls.body:
-                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
-                    params = {a.arg for a in fn.args.args[1:]}
-                    body = [s for s in fn.body if not isinstance(s, ast.Expr)
-                            or not isinstance(s.value, ast.Constant)]
-                    if all(_sets_a_parameter(s, params) for s in body):
-                        hits.append(f"{path.stem}.{cls.name}")
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                params = {a.arg for a in fn.args.args[1:]}
+                body = [s for s in fn.body if not isinstance(s, ast.Expr)
+                        or not isinstance(s.value, ast.Constant)]
+                if all(_sets_a_parameter(s, params) for s in body):
+                    hits.append(cls.name)
+    return hits
+
+
+def test_no_constructor_only_sets_its_fields():
+    """Value builds that constructor itself, cache slots emptied; a class
+    writes its own only to build a cache or check its fields."""
+    hits = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+            for name in _constructors_that_only_set_fields(path.read_text())]
     assert hits == []
+
+
+def test_emptying_a_cache_counts_as_only_setting_fields():
+    source = """
+class Fields:
+    def __init__(self, a, b):
+        set_field(self, "a", a)
+        self.b = b
+        set_field(self, "_key", None)
+        self._images = None
+
+class Cache:
+    def __init__(self, a):
+        set_field(self, "a", a)
+        set_field(self, "_images", dict(a))
+
+class Named:
+    def __init__(self, a):
+        set_field(self, "key", None)
+"""
+    assert _constructors_that_only_set_fields(source) == ["Fields"]
+
+
+def _compiled_constructor(cls) -> bool:
+    return cls.__init__.__code__.co_filename == f"<uctk.value {cls.__qualname__}.__init__>"
+
+
+def _caches(cls):
+    return [name for c in cls.__mro__ for name in c.__dict__.get("__slots__", ())
+            if name.startswith("_")]
+
+
+def test_every_compiled_constructor_empties_each_cache_slot():
+    class Cached(value.Value):
+        __slots__ = ("a", "_b")
+
+    class Below(Cached):
+        __slots__ = ("c", "_d")
+
+    assert (Cached(1)._b, Below(1, 2)._b, Below(1, 2)._d) == (None, None, None)
+    classes = {type(v) for v in VALUES if _compiled_constructor(type(v))}
+    assert {ordinals.CtblOrd, ordinals.UOrd} <= classes
+    for v in VALUES:
+        cls = type(v)
+        if cls in classes:
+            fresh = cls(*v._values(v))
+            assert all(getattr(fresh, name) is None for name in _caches(cls)), repr(v)
+            assert fresh._values(fresh) == v._values(v)
+
+
+def test_pickling_round_trips_every_value_at_once():
+    """One pickle of every sampled value: equal values, their caches built
+    again from the fields."""
+    keys = [v.key for v in VALUES if isinstance(v, ordinals._Ordered)]
+    copies = pickle.loads(pickle.dumps(VALUES))
+    assert [type(c) for c in copies] == [type(v) for v in VALUES] and copies == VALUES
+    ordered = [c for c in copies if isinstance(c, ordinals._Ordered)]
+    assert len(ordered) > 20 and all(c._key is None for c in ordered)
+    assert [c.key for c in ordered] == keys
+
+
+def test_compiled_methods_name_their_class():
+    files = {cls.__init__.__code__.co_filename for cls in (ordinals.CtblOrd, ordinals.UOrd)}
+    assert files == {"<uctk.value CtblOrd.__init__>", "<uctk.value UOrd.__init__>"}
+    assert ordinals.IndexMap.__eq__.__code__.co_filename == "<uctk.value IndexMap.__eq__>"
+    assert level2.Level2Tree.__hash__.__code__.co_filename == "<uctk.value TreeOfTrees.__hash__>"
