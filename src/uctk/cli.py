@@ -300,7 +300,7 @@ def cmd_eval_desc(args, *, at=None, extended=False):
     le2 = grammar.parse_le2(args[0])
     t = _tuple2_from_args(le2, args[1:])
     desc = level2.description(le2.t2, grammar.parse_domseq(at), extended)
-    val = level2.evaluate_description(le2, t, (2, desc))
+    val = level2.evaluate_description(le2, t, (2, desc), check=True)
     return Report("eval-desc", at=str(desc), result=grammar.format_uord(val))
 
 

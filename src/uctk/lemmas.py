@@ -83,9 +83,10 @@ class SuiteResult(Value):
 # -- independent oracles ---------------------------------------------------------
 
 def order_type_oracle(tree: Level1Tree) -> CtblOrd:
-    """Accumulate omega+1 per node along the Brouwer-Kleene walk."""
+    """Accumulate omega+1 per node; the sum does not depend on the order
+    the nodes come in, so the oracle reads no Brouwer-Kleene order."""
     acc = ZERO
-    for _ in tree.bk_sorted():
+    for _ in tree.nodes:
         acc = (acc + OMEGA) + ONE
     return acc
 

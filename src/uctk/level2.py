@@ -72,11 +72,17 @@ def respects_partial_le1(pt: PartialLevel1Tree, alpha) -> Verdict:
     if pt.node == MINUS_ONE:
         if MINUS_ONE not in alpha:
             return Verdict(False, "missing-value", "-1")
-        v = as_uord(alpha[MINUS_ONE])
-        if not (v.is_countable() and v.tail.is_natural()):
-            return Verdict(False, "natural", f"-1 = {v}")
-        return respects_level1(pt.base, alpha)
+        return respects_degree0(alpha[MINUS_ONE]) and respects_level1(pt.base, alpha)
     return respects_level1(pt.completion(), alpha)
+
+
+def respects_degree0(value) -> Verdict:
+    """The value at a degree-0 pending element, -1 at level 2 and (0, -1)
+    at level 3: a countable ordinal with a natural tail."""
+    v = as_uord(value)
+    if v.is_countable() and v.tail.is_natural():
+        return ACCEPTED
+    return Verdict(False, "natural", f"-1 = {v}")
 
 
 class PartialTowerLe1(Value):
@@ -179,7 +185,8 @@ def check_tree_of_trees(dom):
 class TreeOfTrees(Value):
     """A tree of level-1 trees with a label on every element: level-2 trees
     label theirs with partial level <=1 trees, level-3 trees with partial
-    level <=2 trees.  Equality and hashing go by ``entries``, the canonically
+    level <=2 trees.  Each level reads a label through its ``tree``, ``node``
+    and ``partial``.  Equality and hashing go by ``entries``, the canonically
     sorted ((key, label), ...) tuple; lookups go through a dict."""
 
     __slots__ = ("entries", "_labels")
@@ -210,10 +217,20 @@ class TreeOfTrees(Value):
     def is_subtree_of(self, other) -> bool:
         return all(k in other and other.label(k) == v for k, v in self.entries)
 
-    def interleave(self, q, values) -> tuple:
-        """A representation point: each entry of q written after the value
-        at ``node`` of that entry's prefix, when the prefix is in the domain.
-        A level-2 tree holds the root, a level-3 tree does not."""
+    def point(self, q, values, respects_partial, respects_tree) -> tuple:
+        """The representation point values (+) q: each entry of q written
+        after the value at ``node`` of that entry's prefix, when the prefix
+        is in the domain.  A level-2 tree holds the root, a level-3 tree does
+        not.  InvalidElement(q) unless q, less a trailing -1, is in the
+        domain and the values respect the partial label there (q ends in -1)
+        or the tree at q."""
+        continuous = bool(q) and q[-1] == MINUS_ONE
+        base = q[:-1] if continuous else q
+        if base not in self:
+            raise InvalidElement(q)
+        if not (respects_partial(self.partial(base), values) if continuous
+                else respects_tree(self.tree(q), values)):
+            raise InvalidElement(q)
         out = []
         for i, entry in enumerate(q):
             if q[:i] in self:
@@ -221,10 +238,11 @@ class TreeOfTrees(Value):
             out.append(entry)
         return tuple(out)
 
-    def deinterleave(self, payload):
-        """(q, values) read back from ``interleave``; InvalidElement unless
-        the payload has the layout's parity and q, less a trailing -1, is in
-        the domain."""
+    def read_point(self, payload, forced, respects_partial, respects_tree) -> tuple:
+        """The point ``payload`` spells, built again by ``point`` with the
+        ``forced`` values the layout leaves out; InvalidElement unless the
+        payload has the layout's parity, q less a trailing -1 is in the
+        domain, and ``point`` gives the payload back."""
         start = int(() in self)
         if len(payload) % 2 == start:
             raise InvalidElement(list(payload))
@@ -234,7 +252,10 @@ class TreeOfTrees(Value):
             raise InvalidElement(list(payload))
         values = {self.node(q[:i]): payload[start + 2 * i - 1]
                   for i in range(len(q)) if q[:i] in self}
-        return q, values
+        point = self.point(q, {**forced, **values}, respects_partial, respects_tree)
+        if point != tuple(payload):
+            raise InvalidElement(list(payload))
+        return point
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}<{self}>"
@@ -259,7 +280,7 @@ class Level2Tree(TreeOfTrees):
         return format_l2(self)
 
 
-def child_labels(parent, leaf: bool = True):
+def child_labels(parent, leaf: bool):
     """The labels a child of an element labelled ``parent`` = (P, p) may
     take, in order: (P+, a) for each a in ``regular_nodes`` of P+, P grown by
     its addable p, then (P+, -1) at a leaf.  None under a degree-0 parent."""
@@ -284,7 +305,7 @@ def validate_level2(entries) -> Level2Tree:
         raise RootNotCanonical(PartialLevel1Tree(*items[()]))
     order = check_tree_of_trees(items)
     for q in order[1:]:
-        if items[q] not in child_labels(items[q[:-1]]):
+        if items[q] not in child_labels(items[q[:-1]], leaf=True):
             raise TowerViolation(q)
     return Level2Tree(tuple((q, items[q]) for q in order))
 
@@ -377,7 +398,7 @@ def q_set_minus(t2: Level2Tree, q: DomSeq):
     return out
 
 
-def description(t2: Level2Tree, q: DomSeq, extended: bool = False) -> QDescription:
+def description(t2: Level2Tree, q: DomSeq, extended: bool) -> QDescription:
     """The Q-description at q, continuous when q ends in -1; ``extended``
     gives the continuous one at q++(-1) with the -1 dropped."""
     pot = q_potential(t2, q + (MINUS_ONE,) if extended else q)
@@ -391,7 +412,7 @@ def q_descriptions(le2: LevelLe2Tree):
     for q in dom_star(le2.t2):
         if q and q[-1] == MINUS_ONE and le2.t2.node(q[:-1]) == MINUS_ONE:
             continue  # a degree-0 stage has no completion, hence no description
-        out.append((2, description(le2.t2, q)))
+        out.append((2, description(le2.t2, q, extended=False)))
     return out
 
 
@@ -431,29 +452,14 @@ def make_rep2(le2: LevelLe2Tree, q: DomSeq, alphas) -> Rep2Element:
 
     ``alphas`` assigns countable ordinals to the nodes of the tree at q (and
     to the pending node, or -1, for the q++(-1) form)."""
-    t2 = le2.t2
-    continuous = bool(q) and q[-1] == MINUS_ONE
-    base = q[:-1] if continuous else q
-    if base not in t2:
-        raise InvalidElement(q)
-    if continuous:
-        pt = t2.partial(base)
-        if pt.node not in alphas:
-            raise InvalidElement(q, "missing pending value")
-        if not respects_partial_le1(pt, alphas):
-            raise InvalidElement(q)
-    elif not respects_level1(t2.tree(q), alphas):
-        raise InvalidElement(q)
-    return Rep2Element(2, t2.interleave(q, alphas))
+    return Rep2Element(2, le2.t2.point(q, alphas, respects_partial_le1, respects_level1))
 
 
 def rep2_from_payload(le2: LevelLe2Tree, payload) -> Rep2Element:
     """Reconstruct and validate a level-2 representation point from its
     interleaved sequence."""
-    elt = make_rep2(le2, *le2.t2.deinterleave(payload))
-    if elt.payload != tuple(payload):
-        raise InvalidElement(list(payload))
-    return elt
+    return Rep2Element(2, le2.t2.read_point(payload, {}, respects_partial_le1,
+                                            respects_level1))
 
 
 def rep2_compare(le2: LevelLe2Tree, x: Rep2Element, y: Rep2Element) -> int:
@@ -561,7 +567,7 @@ def weakly_respects_le2(le2: LevelLe2Tree, t) -> Verdict:
 
 # -- description evaluation ------------------------------------------------------
 
-def evaluate_description(le2: LevelLe2Tree, t, item, check: bool = True) -> UOrd:
+def evaluate_description(le2: LevelLe2Tree, t, item, check: bool) -> UOrd:
     """Value of a description under a respecting tuple.
 
     A level-2 description must be the one ``description`` builds at its q.

@@ -11,13 +11,14 @@ from __future__ import annotations
 from bisect import bisect
 
 from . import bk
-from .errors import (ArityError, CaseViolation, DegreeZero, EmptyKeyPresent,
-                     InvalidElement, NotRegular, TowerViolation)
+from .errors import (ArityError, CaseViolation, DegreeZero, EmptyKeyPresent, NotRegular,
+                     TowerViolation)
 from .level1 import EMPTY_TREE, Level1Tree, addable_nodes
 from .level2 import (CONSTANT_DESC, MINUS_ONE, Level2Tree, LevelLe2Tree,
                      TreeOfTrees, _dom_sort_key, as_domseq, check_tree_of_trees,
-                     child_labels, description, new_key, q_set_plus, respects_le2)
-from .ordinals import U1, as_uord
+                     child_labels, description, new_key, q_set_plus, respects_degree0,
+                     respects_le2)
+from .ordinals import U1
 from .value import ACCEPTED, Value, Verdict, format_l3, format_pl2, format_rep3
 
 RSeq = tuple  # tuple of nodes indexing dom(R)
@@ -79,9 +80,7 @@ def respects_partial_le2(pt: PartialLevelLe2Tree, t) -> Verdict:
     if key not in t:
         return Verdict(False, "missing-value", f"new entry of degree {pt.d}")
     if pt.d == 0:
-        v = as_uord(t[key])
-        return ACCEPTED if v.is_countable() and v.tail.is_natural() else \
-            Verdict(False, "natural", f"-1 = {v}")
+        return respects_degree0(t[key])
     comps = completion_le2(pt)
     if any(respects_le2(comp, t) for comp in comps):
         return ACCEPTED
@@ -125,7 +124,7 @@ def completion_le2(pt: PartialLevelLe2Tree):
         return [LevelLe2Tree(Level1Tree(pt.base.t1.nodes | {pt.q}), pt.base.t2)]
     entries = pt.base.t2.entries
     at = bisect(entries, _dom_sort_key(pt.q), key=lambda e: _dom_sort_key(e[0]))
-    labels = child_labels(pt.base.t2.label(pt.q[:-1]))
+    labels = child_labels(pt.base.t2.label(pt.q[:-1]), leaf=True)
     return [LevelLe2Tree(pt.base.t1,
                          Level2Tree(entries[:at] + ((pt.q, label),) + entries[at:]))
             for label in labels[-1:] + labels[:-1]]
@@ -146,6 +145,9 @@ class Level3Tree(TreeOfTrees):
     def node(self, r):
         lab = self.label(r)
         return (lab.d, lab.q)
+
+    def partial(self, r) -> PartialLevelLe2Tree:
+        return self.label(r)
 
     def __str__(self) -> str:
         return format_l3(self)
@@ -191,27 +193,14 @@ class Rep3Element(Value):
 def make_rep3(tree: Level3Tree, r, values) -> Rep3Element:
     """Build and validate beta (+) r; ``values`` maps dom(R_tree(r)) keys,
     plus the pending key for the r++(-1) form, to their ordinals."""
-    continuous = bool(r) and r[-1] == MINUS_ONE
-    base = r[:-1] if continuous else r
-    if base not in tree:
-        raise InvalidElement(r)
-    if continuous:
-        pt = tree.label(base)
-        if not respects_partial_le2(pt, values):
-            raise InvalidElement(r)
-    elif not respects_le2(tree.tree(r), values):
-        raise InvalidElement(r)
-    return Rep3Element(tree.interleave(r, values))
+    return Rep3Element(tree.point(r, values, respects_partial_le2, respects_le2))
 
 
 def rep3_from_payload(tree: Level3Tree, payload) -> Rep3Element:
-    """Reconstruct and validate beta (+) r from its interleaved sequence."""
-    r, values = tree.deinterleave(payload)
-    # the root entry is forced and not interleaved
-    elt = make_rep3(tree, r, {(2, ()): U1, **values})
-    if elt.payload != tuple(payload):
-        raise InvalidElement(list(payload))
-    return elt
+    """Reconstruct and validate beta (+) r from its interleaved sequence;
+    the root entry is forced to u_1 and not interleaved."""
+    return Rep3Element(tree.read_point(payload, {(2, ()): U1}, respects_partial_le2,
+                                       respects_le2))
 
 
 def rep3_compare(tree: Level3Tree, x: Rep3Element, y: Rep3Element) -> int:

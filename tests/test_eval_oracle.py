@@ -101,7 +101,8 @@ def test_oracle_never_enters_the_analysis():
 def test_order_type_and_cofinality_oracles_never_enter_the_closed_forms():
     trees = [parse_l1(w) for w in ("{}", "{(0)}", "{(0) (1) (0 0)}")]
     values = [parse_uord(b) for b in ("0", "5", "w", "u2 + u1*3", "u3*w", "u1*(w+1)")]
-    assert not _entered([level1.rep_order_type],
+    assert not _entered([level1.rep_order_type, level1.Level1Tree.bk_sorted,
+                         level1._bk_order.__wrapped__],
                         lambda: [order_type_oracle(t) for t in trees])
     assert not _entered([ordinals.cf_l], lambda: [cf_oracle(b) for b in values])
 

@@ -59,7 +59,7 @@ def _completion_le2_by_revalidation(pt):
     """The degree-2 branch of ``completion_le2`` as it was: each completion
     built by validating the whole grown level-2 tree."""
     entries = dict(pt.base.t2.entries)
-    labels = child_labels(pt.base.t2.label(pt.q[:-1]))
+    labels = child_labels(pt.base.t2.label(pt.q[:-1]), leaf=True)
     return [LevelLe2Tree(pt.base.t1, validate_level2({**entries, pt.q: label}))
             for label in labels[-1:] + labels[:-1]]
 
@@ -117,7 +117,7 @@ def test_grown_trees_are_the_validated_trees():
         for node in regular_nodes(base):
             grown = _completion_by_revalidation(base, node)
             assert validate_partial_le1(base, node).completion() == grown
-            assert {tree for tree, _ in child_labels((base, node))} == {grown}
+            assert {tree for tree, _ in child_labels((base, node), leaf=True)} == {grown}
             pt = validate_partial_le2(LevelLe2Tree(base, CARD1_L2), 1, node, EMPTY_TREE)
             assert [comp.t1 for comp in completion_le2(pt)] == [grown]
             cases += 1
@@ -141,7 +141,7 @@ def test_growth_never_enters_whole_set_validation():
                 except CaseViolation:
                     assert node == (5,)
             for q in t2.dom():
-                child_labels(t2.label(q))
+                child_labels(t2.label(q), leaf=True)
                 p = EMPTY_TREE if t2.node(q) == MINUS_ONE else t2.partial(q).completion()
                 for a in addable_nodes(t2.children(q)) + [(5,)]:
                     try:

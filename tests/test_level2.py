@@ -243,31 +243,32 @@ class TestEvaluate:
     def test_continuous_value(self):
         pot = q_potential(Q21.t2, KEY + (MINUS_ONE,))
         d = QDescription(KEY + (MINUS_ONE,), pot.tree, pot.pvec, False)
-        assert evaluate_description(Q21, q21_tuple(), (2, d)) == u("u2 + u1")
+        assert evaluate_description(Q21, q21_tuple(), (2, d), check=True) == u("u2 + u1")
 
     def test_discontinuous_lookup(self):
         pot = q_potential(Q21.t2, KEY)
         d = QDescription(KEY, pot.tree, pot.pvec, False)
-        assert evaluate_description(Q21, q21_tuple(), (2, d)) == u("u1*2")
+        assert evaluate_description(Q21, q21_tuple(), (2, d), check=True) == u("u1*2")
 
     def test_constant_description(self):
         d = QDescription((), EMPTY_TREE, ((0,),), False)
-        assert evaluate_description(Q21, q21_tuple(), (2, d)) == U1
+        assert evaluate_description(Q21, q21_tuple(), (2, d), check=True) == U1
 
     def test_extended_embeds(self):
         ext = QDescription(KEY, parse_l1("{(0) (0 0)}"), ((0,), (0, 0)),
                            extended=True)
-        assert evaluate_description(Q21, q21_tuple(), (2, ext)) == u("u2*2")
+        assert evaluate_description(Q21, q21_tuple(), (2, ext), check=True) == u("u2*2")
 
     def test_not_respecting_rejected(self):
         d = QDescription((), EMPTY_TREE, ((0,),), False)
         with pytest.raises(NotRespecting):
-            evaluate_description(Q21, q21_tuple("u2"), (2, d))
+            evaluate_description(Q21, q21_tuple("u2"), (2, d), check=True)
 
     def test_bad_description(self):
         with pytest.raises(BadDescription):
             evaluate_description(Q21, q21_tuple(),
-                                 (2, QDescription(((1,),), EMPTY_TREE, (), False)))
+                                 (2, QDescription(((1,),), EMPTY_TREE, (), False)),
+                                 check=True)
 
     @pytest.mark.parametrize("desc", [
         # discontinuous at ((0)) with the wrong tree
@@ -278,7 +279,7 @@ class TestEvaluate:
     ])
     def test_only_the_built_description_evaluates(self, desc):
         with pytest.raises(BadDescription):
-            evaluate_description(Q21, q21_tuple(), (2, desc))
+            evaluate_description(Q21, q21_tuple(), (2, desc), check=True)
 
 
 class TestRecover:
@@ -543,7 +544,7 @@ class TestDeepBranch:
         q = ((0,), (0,), MINUS_ONE)
         pot = q_potential(tree.t2, q)
         d = QDescription(q, pot.tree, pot.pvec, False)
-        assert evaluate_description(tree, self._good(), (2, d)) == \
+        assert evaluate_description(tree, self._good(), (2, d), check=True) == \
             u("u3 + u2*2 + u1")
 
     def test_recover_at_depth_three(self):

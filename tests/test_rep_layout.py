@@ -1,14 +1,25 @@
-"""The representation-point layout and the tower step, each stated once
-(``TreeOfTrees.interleave``/``deinterleave`` and ``level2.new_key``) and
-called from both levels, against the per-level code they replaced, kept
-here as the reference: the same value, or the same error class and detail."""
+"""The representation-point route and the tower step, each stated once
+(``TreeOfTrees.point``/``read_point`` and ``level2.new_key``) and called
+from both levels, against the per-level code they replaced, kept here as
+the reference: the same value, or the same error class and detail.
 
+The one change: a continuous level-2 point whose pending value is missing
+is an InvalidElement naming q alone, where the replaced code added "missing
+pending value"; the error class is compared there.  The degree-0 clause,
+stated once in ``level2.respects_degree0``, is compared through both
+partial respect checks against their earlier copies, and an ``ast`` test
+keeps each of the four entry points one ``return`` into that route."""
+
+import ast
 import functools
+import inspect
 import random
 
 from uctk.bk import bk_sorted
+from uctk import level2, level3
 from uctk.errors import (ArityError, InvalidElement, InvalidTower, KernelError,
                          LengthMismatch, NotRegular)
+from uctk.grammar import parse_uord
 from uctk.level1 import EMPTY_TREE, respects_level1
 from uctk.level2 import (MINUS_ONE, LevelLe2Tree, Rep2Element, dom_star,
                          enumerate_le2_trees, generate_respecting_tuple,
@@ -20,10 +31,38 @@ from uctk.level3 import (Rep3Element, completion_le2,
                          is_regular_level3, make_rep3, rep3_from_payload,
                          respects_partial_le2, s3_structural_member,
                          validate_level3)
-from uctk.ordinals import OMEGA, U1, CtblOrd, UOrd
+from uctk.ordinals import OMEGA, U1, CtblOrd, UOrd, as_uord
 from uctk.value import ACCEPTED, Verdict
 
 # -- the replaced code -------------------------------------------------------------
+
+def _old_respects_partial_le1(pt, alpha):
+    if pt.node == MINUS_ONE:
+        if MINUS_ONE not in alpha:
+            return Verdict(False, "missing-value", "-1")
+        v = as_uord(alpha[MINUS_ONE])
+        if not (v.is_countable() and v.tail.is_natural()):
+            return Verdict(False, "natural", f"-1 = {v}")
+        return respects_level1(pt.base, alpha)
+    return respects_level1(pt.completion(), alpha)
+
+
+def _old_respects_partial_le2(pt, t):
+    base_keys = set(pt.base.dom())
+    verdict = respects_le2(pt.base, {k: v for k, v in t.items() if k in base_keys})
+    if not verdict:
+        return verdict
+    key = (pt.d, pt.q)
+    if key not in t:
+        return Verdict(False, "missing-value", f"new entry of degree {pt.d}")
+    if pt.d == 0:
+        v = as_uord(t[key])
+        return ACCEPTED if v.is_countable() and v.tail.is_natural() else \
+            Verdict(False, "natural", f"-1 = {v}")
+    comps = completion_le2(pt)
+    if any(respects_le2(comp, t) for comp in comps):
+        return ACCEPTED
+    return Verdict(False, "completion", f"none of {len(comps)} respected")
 
 
 def _old_make_rep2(le2, q, alphas):
@@ -36,7 +75,7 @@ def _old_make_rep2(le2, q, alphas):
         pt = t2.partial(base)
         if pt.node not in alphas:
             raise InvalidElement(q, "missing pending value")
-        if not respects_partial_le1(pt, alphas):
+        if not _old_respects_partial_le1(pt, alphas):
             raise InvalidElement(q)
     elif not respects_level1(t2.tree(q), alphas):
         raise InvalidElement(q)
@@ -74,7 +113,7 @@ def _old_make_rep3(tree, r, values):
         raise InvalidElement(r)
     if continuous:
         pt = tree.label(base)
-        if not respects_partial_le2(pt, values):
+        if not _old_respects_partial_le2(pt, values):
             raise InvalidElement(r)
     elif not respects_le2(tree.tree(r), values):
         raise InvalidElement(r)
@@ -165,6 +204,19 @@ def _outcome(fn, *args):
         return type(e), e.detail
 
 
+# the pending values tried at a continuous point: naturals, countable values
+# with no natural tail, an uncountable one, and None for a missing value
+_PENDING = (*map(parse_uord, ("0", "3", "w", "w+1", "u1")), None)
+
+
+def _with_pending(values, key, value):
+    """values with ``value`` at key, or without key when value is None."""
+    out = {k: v for k, v in values.items() if k != key}
+    if value is not None:
+        out[key] = value
+    return out
+
+
 def _limits(nodes):
     """Countable limits rising with the Brouwer-Kleene order of the nodes."""
     return {p: UOrd.from_ctbl(OMEGA * CtblOrd.natural(k + 1))
@@ -243,7 +295,7 @@ def _variants(rng, tower, pool):
 
 def test_rep2_layout_agrees_with_the_per_level_rule():
     rng = random.Random(0)
-    cases, kinds = 0, set()
+    cases, kinds, clauses = 0, set(), set()
     for t2 in _realizable_level2():
         le2 = LevelLe2Tree(EMPTY_TREE, t2)
         for q in dom_star(t2):
@@ -262,12 +314,25 @@ def test_rep2_layout_agrees_with_the_per_level_rule():
                 assert got == _outcome(_old_rep2_from_payload, le2, p), (str(t2), p)
                 kinds.add(type(got) is tuple and got[0])
                 cases += 1
+            for value in _PENDING if continuous else ():
+                a = _with_pending(alphas, node, value)
+                pt = t2.partial(base)
+                verdict = _outcome(respects_partial_le1, pt, a)
+                assert verdict == _outcome(_old_respects_partial_le1, pt, a), (str(t2), q, a)
+                clauses.add((node == MINUS_ONE, getattr(verdict, "clause", verdict)))
+                got, want = _outcome(make_rep2, le2, q, a), _outcome(_old_make_rep2, le2, q, a)
+                if value is None:
+                    assert got == (InvalidElement, (q,)) and want[0] is InvalidElement
+                else:
+                    assert got == want, (str(t2), q, a)
     assert kinds == {False, InvalidElement} and cases > 20000, (kinds, cases)
+    assert {(True, ""), (True, "natural"), (True, "missing-value"),
+            (False, ""), (False, "missing-value")} <= clauses, clauses
 
 
 def test_rep3_layout_agrees_with_the_per_level_rule():
     rng = random.Random(1)
-    cases, kinds = 0, set()
+    cases, kinds, clauses = 0, set(), set()
     for tree in _level3_trees():
         for r in tree.dom():
             pt = tree.label(r)
@@ -287,7 +352,35 @@ def test_rep3_layout_agrees_with_the_per_level_rule():
                     assert got == _outcome(_old_rep3_from_payload, tree, p), (str(tree), p)
                     kinds.add(type(got) is tuple and got[0])
                     cases += 1
+                for value in _PENDING if form != r else ():
+                    v = _with_pending(values, (pt.d, pt.q), value)
+                    verdict = _outcome(respects_partial_le2, pt, v)
+                    assert verdict == _outcome(_old_respects_partial_le2, pt, v), \
+                        (str(tree), form, v)
+                    clauses.add((pt.d == 0, getattr(verdict, "clause", verdict)))
+                    got = _outcome(make_rep3, tree, form, v)
+                    assert got == _outcome(_old_make_rep3, tree, form, v), (str(tree), form, v)
     assert kinds == {False, InvalidElement} and cases > 2000, (kinds, cases)
+    assert {(True, ""), (True, "natural"), (True, "missing-value"),
+            (False, ""), (False, "missing-value")} <= clauses, clauses
+
+
+def _body(fn):
+    """The statements of fn, less its docstring."""
+    node = ast.parse(inspect.getsource(fn)).body[0]
+    return node.body[1:] if ast.get_docstring(node) is not None else node.body
+
+
+def test_each_rep_point_entry_is_one_return_into_the_shared_route():
+    hits = []
+    for fn, method in ((level2.make_rep2, "point"), (level2.rep2_from_payload, "read_point"),
+                       (level3.make_rep3, "point"), (level3.rep3_from_payload, "read_point")):
+        body = _body(fn)
+        calls = [n.func.attr for n in ast.walk(body[0]) if isinstance(n, ast.Call)
+                 and isinstance(n.func, ast.Attribute)] if body else []
+        if len(body) != 1 or not isinstance(body[0], ast.Return) or method not in calls:
+            hits.append(fn.__name__)
+    assert hits == []
 
 
 def test_s2_tower_step_agrees_with_the_loop_it_replaced():

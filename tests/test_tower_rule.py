@@ -67,7 +67,7 @@ def test_child_labels_agree_with_the_rule_they_replaced():
         entries = dict(t2.entries)
         order = check_tree_of_trees(entries)
         inner = {q[:-1] for q in entries if q}
-        pool = {label for parent in entries.values() for label in child_labels(parent)}
+        pool = {label for parent in entries.values() for label in child_labels(parent, leaf=True)}
         for q, (tree, node) in entries.items():
             if not q:
                 continue
