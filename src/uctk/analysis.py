@@ -96,7 +96,7 @@ def analyze(b: UOrd, tree: Level1Tree) -> OrdAnalysis:
     m = len(b.uterms)
     # signature: nodes of W whose seeds are the u-levels of b, top down
     signature = tuple(descs[k - 1] for k, _ in b.uterms)
-    seeds = tuple(UOrd.u(k) for k, _ in b.uterms)
+    seeds = tuple(UOrd.u(k, ONE) for k, _ in b.uterms)
 
     coeffs = [c for _, c in b.uterms]
     continuous = b.tail.is_zero() and coeffs[-1] == ONE  # normal forms: equal iff the same

@@ -41,7 +41,7 @@ def _quote(value) -> str:
 
 
 class Report:
-    def __init__(self, command: str, status: str = "ok", **fields):
+    def __init__(self, command: str, status: str, **fields):
         self.command = command
         self.status = status
         self.fields = fields
@@ -72,7 +72,7 @@ def _verdict(command: str, verdict, **fields) -> Report:
     """The report of a membership or respect check; a rejection carries
     the clause it failed and its detail."""
     if verdict:
-        return Report(command, verdict="accepted", **fields)
+        return Report(command, "ok", verdict="accepted", **fields)
     return Report(command, "rejected", verdict="rejected", clause=verdict.clause,
                   detail=verdict.detail, **fields)
 
@@ -118,7 +118,7 @@ def cmd_validate(args):
     if parser is None:
         raise ArityError(f"unknown kind {kind!r}")
     obj = parser(text)
-    return Report("validate", kind=kind, result=str(obj))
+    return Report("validate", "ok", kind=kind, result=str(obj))
 
 
 def cmd_regular(args):
@@ -146,18 +146,16 @@ def cmd_compare(args, *, rep1=None, rep2=None, rep3=None):
     elif rep2 is not None:
         _need(args, 2, "compare --rep2 LE2 (d, [entries]) x2")
         le2 = grammar.parse_le2(rep2)
-        elts = [_rep2_elt(le2, t) for t in args]
-        c = level2.rep2_compare(le2, *elts)
+        c = level2.rep2_compare(le2, *map(_rep2_elt, args))
     elif rep3 is not None:
         _need(args, 2, "compare --rep3 L3 [entries] x2")
         tree = grammar.parse_l3(rep3)
-        elts = [level3.rep3_from_payload(tree, grammar.parse_rep_seq(t))
-                for t in args]
+        elts = [level3.Rep3Element(grammar.parse_rep_seq(t)) for t in args]
         c = level3.rep3_compare(tree, *elts)
     else:
         _need(args, 2, "compare SEQ SEQ")
         c = bk.bk(grammar.parse_rep_seq(args[0]), grammar.parse_rep_seq(args[1]))
-    return Report("compare", result=_ORDERINGS[c])
+    return Report("compare", "ok", result=_ORDERINGS[c])
 
 
 def _rep1_elt(seq, text):
@@ -177,20 +175,17 @@ def _rep1_elt(seq, text):
     raise ParseError(f"not a representation point: {text}", 1, 1)
 
 
-def _rep2_elt(le2, text):
+def _rep2_elt(text):
+    """The level <=2 point that text spells, unchecked against the tree:
+    ``level2.rep2_compare`` checks it."""
     d, seq = grammar.parse_rep2_point(text)
-    if d == 1:
-        elt = _rep1_elt(seq, text)
-        if elt.node not in le2.t1.nodes:
-            raise InvalidElement(elt, "level-1 node outside the tree")
-        return level2.Rep2Element(1, elt)
-    return level2.rep2_from_payload(le2, seq)
+    return level2.Rep2Element(d, _rep1_elt(seq, text) if d == 1 else seq)
 
 
 def cmd_order_type(args):
     _need(args, 1, "order-type <level-1 tree>")
     tree = grammar.parse_l1(args[0])
-    return Report("order-type", result=grammar.format_ctbl(level1.rep_order_type(tree)))
+    return Report("order-type", "ok", result=grammar.format_ctbl(level1.rep_order_type(tree)))
 
 
 def cmd_descriptions(args):
@@ -199,7 +194,7 @@ def cmd_descriptions(args):
     if text.lstrip().startswith("{"):
         tree = grammar.parse_l1(text)
         descs = [grammar.format_node(d) for d in level1.descriptions(tree)]
-        return Report("descriptions", count=len(descs), result=" ".join(descs))
+        return Report("descriptions", "ok", count=len(descs), result=" ".join(descs))
     le2 = grammar.parse_le2(text)
     items = level2.extended_descriptions(le2)
     parts = []
@@ -211,14 +206,14 @@ def cmd_descriptions(args):
                 ("cont" if desc.is_continuous() else "disc")
             reg = "reg" if level2.is_regular_description((d, desc)) else "irr"
             parts.append(f"(2, {desc}, {kind}, {reg})")
-    return Report("descriptions", count=len(parts), result="; ".join(parts))
+    return Report("descriptions", "ok", count=len(parts), result="; ".join(parts))
 
 
 def cmd_seed(args):
     _need(args, 2, "seed <level-1 tree> <node or ()>")
     tree = grammar.parse_l1(args[0])
     d = grammar.parse_node(args[1])
-    return Report("seed", result=grammar.format_uord(level1.seed(tree, d)))
+    return Report("seed", "ok", result=grammar.format_uord(level1.seed(tree, d)))
 
 
 def cmd_factorings(args):
@@ -226,7 +221,7 @@ def cmd_factorings(args):
     p = grammar.parse_l1(args[0])
     w = grammar.parse_l1(args[1])
     maps = level1.factorings(p, w)
-    return Report("factorings", count=len(maps),
+    return Report("factorings", "ok", count=len(maps),
                   exists=str(level1.factor_exists(p, w)).lower(),
                   strict=str(level1.strict_factor_exists(p, w)).lower(),
                   result="; ".join(str(m) for m in maps))
@@ -237,7 +232,7 @@ def cmd_tower(args):
     trees = grammar.parse_tower(args[0])
     tower = level1.validate_tower(trees)
     flagstr = " ".join("regular" if f else "non-regular" for f in tower.regular_flags)
-    return Report("tower", length=len(tower), result=flagstr or "empty")
+    return Report("tower", "ok", length=len(tower), result=flagstr or "empty")
 
 
 def cmd_s1(args):
@@ -257,7 +252,7 @@ def cmd_analyze(args):
     tree = grammar.parse_l1(args[1])
     an = analysis.analyze(b, tree)
     return Report(
-        "analyze",
+        "analyze", "ok",
         signature=" ".join(grammar.format_node(w) for w in an.signature),
         seeds=" ".join(grammar.format_uord(s) for s in an.signature_seeds),
         continuous=str(an.essentially_continuous).lower(),
@@ -272,18 +267,18 @@ def cmd_analyze(args):
 
 def cmd_cfl(args):
     _need(args, 1, "cfl <ordinal>")
-    return Report("cfl", result=str(ordinals.cf_l(grammar.parse_uord(args[0]))))
+    return Report("cfl", "ok", result=str(ordinals.cf_l(grammar.parse_uord(args[0]))))
 
 
-def cmd_shift(args, sup=False):
+def cmd_shift(args, sup):
     _need(args, 2, "shift <index map> <ordinal>")
     sigma = grammar.parse_index_map(args[0])
     b = grammar.parse_uord(args[1])
     out = ordinals.apply_shift_sup(sigma, b) if sup else ordinals.apply_shift(sigma, b)
-    return Report("shift-sup" if sup else "shift", result=grammar.format_uord(out))
+    return Report("shift-sup" if sup else "shift", "ok", result=grammar.format_uord(out))
 
 
-def cmd_respects(args, weak=False):
+def cmd_respects(args, weak):
     if len(args) < 1:
         raise ArityError("respects <le2 tree> <ordinals in canonical dom order...>")
     le2 = grammar.parse_le2(args[0])
@@ -301,7 +296,7 @@ def cmd_eval_desc(args, *, at=None, extended=False):
     t = _tuple2_from_args(le2, args[1:])
     desc = level2.description(le2.t2, grammar.parse_domseq(at), extended)
     val = level2.evaluate_description(le2, t, (2, desc), check=True)
-    return Report("eval-desc", at=str(desc), result=grammar.format_uord(val))
+    return Report("eval-desc", "ok", at=str(desc), result=grammar.format_uord(val))
 
 
 def cmd_recover(args):
@@ -315,7 +310,7 @@ def cmd_recover(args):
         raise ArityError(f"domain has {len(ordered)} entries")
     t = {k: grammar.parse_uord(x) for k, x in zip(ordered, texts)}
     tree = level2.recover_tree(t1, shape, t)
-    return Report("recover", result=str(tree))
+    return Report("recover", "ok", result=str(tree))
 
 
 def cmd_s2(args, *, variant="respects"):
@@ -331,24 +326,24 @@ def cmd_ucf(args):
     pt = grammar.parse_pl2(args[0])
     value = level3.ucf(pt)
     if value == (0, MINUS_ONE):
-        return Report("ucf", result="(0, -1)")
+        return Report("ucf", "ok", result="(0, -1)")
     d, desc = value
     if d == 1:
-        return Report("ucf", result=f"(1, {grammar.format_node(desc)})")
-    return Report("ucf", result=f"(2, {desc})",
+        return Report("ucf", "ok", result=f"(1, {grammar.format_node(desc)})")
+    return Report("ucf", "ok", result=f"(2, {desc})",
                   extended=str(desc.extended).lower())
 
 
 def cmd_cf3(args):
     _need(args, 1, "cf3 <partial le2 tree>")
-    return Report("cf3", result=str(level3.cf3(grammar.parse_pl2(args[0]))))
+    return Report("cf3", "ok", result=str(level3.cf3(grammar.parse_pl2(args[0]))))
 
 
 def cmd_complete(args):
     _need(args, 1, "complete <partial le2 tree>")
     pt = grammar.parse_pl2(args[0])
     comps = level3.completion_le2(pt)
-    return Report("complete", count=len(comps),
+    return Report("complete", "ok", count=len(comps),
                   result="; ".join(str(c) for c in comps))
 
 
@@ -371,7 +366,7 @@ def cmd_enumerate(args, *, bound=3, regular=False):
         raise ArityError("enumerate le2 takes no --regular")
     else:
         trees = level2.enumerate_le2_trees(bound)
-    return Report("enumerate", kind=kind, count=len(trees),
+    return Report("enumerate", "ok", kind=kind, count=len(trees),
                   result="; ".join(str(t) for t in trees))
 
 
@@ -465,7 +460,7 @@ def _read_words(words, batch_line: bool):
 
 
 @functools.cache
-def _build_parser(batch_line: bool = False):
+def _build_parser(batch_line: bool):
     """The argument parser for the words ``_read_words`` leaves to it, built
     once per process: building it costs more than most commands.  A batch
     line's parser raises ArityError on a usage error, where an argv's exits,
@@ -571,7 +566,8 @@ def _parse_line(line):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    ns = _read_words(argv, batch_line=False) or _build_parser().parse_intermixed_args(argv)
+    ns = (_read_words(argv, batch_line=False)
+          or _build_parser(batch_line=False).parse_intermixed_args(argv))
     if ns.pretty and ns.format is not None:
         print(Report(ns.command, "error", code="ARITY_ERROR",
                      detail="--pretty and --format exclude each other").line())

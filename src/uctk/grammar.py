@@ -27,7 +27,7 @@ from itertools import islice
 from .errors import ParseError
 from .level1 import Level1Tree, validate_level1
 from .level2 import LevelLe2Tree, validate_level2
-from .level3 import validate_level3, validate_partial_le2
+from .level3 import check_degree, validate_level3, validate_partial_le2
 from .ordinals import CtblOrd, IndexMap, UOrd
 from .value import MINUS_ONE
 # The printers are re-exported as they are: the CLI, the README's API and
@@ -133,9 +133,9 @@ def _parse_with(text, fn):
 
 # -- nodes, trees, sequences ---------------------------------------------------
 
-def _items(toks, close, item, sep=None) -> list:
+def _items(toks, close, item, sep) -> list:
     """Items read by ``item`` up to the token ``close``, which is left
-    unread; each item may be followed by one ``sep``."""
+    unread; each item may be followed by one ``sep`` (None: no separator)."""
     out = []
     while toks.peek() != close:
         out.append(item(toks))
@@ -168,7 +168,7 @@ def _natural(toks) -> int:
 
 
 def _node(toks) -> tuple:
-    return tuple(_bracketed(toks, "(", ")", _items, _natural))
+    return tuple(_bracketed(toks, "(", ")", _items, _natural, None))
 
 
 def parse_node(text: str) -> tuple:
@@ -176,7 +176,7 @@ def parse_node(text: str) -> tuple:
 
 
 def _l1(toks) -> Level1Tree:
-    return validate_level1(_bracketed(toks, "{", "}", _items, _node))
+    return validate_level1(_bracketed(toks, "{", "}", _items, _node, None))
 
 
 def parse_l1(text: str) -> Level1Tree:
@@ -184,7 +184,7 @@ def parse_l1(text: str) -> Level1Tree:
 
 
 def _tower(toks):
-    return _bracketed(toks, "[", "]", _items, _l1)
+    return _bracketed(toks, "[", "]", _items, _l1, None)
 
 
 def parse_tower(text: str):
@@ -215,9 +215,9 @@ def parse_domseq(text: str) -> tuple:
     return _parse_with(text, _domseq)
 
 
-def _keyed(toks, close, label=None) -> dict:
+def _keyed(toks, close, label) -> dict:
     """``q -> label`` entries separated by ';' up to ``close``, as a dict;
-    without ``label``, bare domain sequences, each mapped to None.  Once all
+    with ``label`` None, bare domain sequences, each mapped to None.  Once all
     are read, a sequence listed twice is a parse error at its second entry."""
     def entry(toks):
         at = toks.i
@@ -237,7 +237,7 @@ def _keyed(toks, close, label=None) -> dict:
 
 def parse_shape(text: str) -> list:
     """A domain shape ``{q ...}``: its domain sequences, each listed once."""
-    return _parse_with(text, lambda t: list(_bracketed(t, "{", "}", _keyed)))
+    return _parse_with(text, lambda t: list(_bracketed(t, "{", "}", _keyed, None)))
 
 
 # -- level-2 / level <=2 trees ---------------------------------------------------
@@ -277,7 +277,7 @@ def _pl2(toks):
     base = _le2(toks)
     toks.expect("@")
     toks.expect("(")
-    d = _integer(toks, "the degree")
+    d = check_degree(_integer(toks, "the degree"))
     toks.expect(",")
     if d == 0:
         if toks.next() != "-1":
@@ -309,7 +309,7 @@ def parse_l3(text: str):
 def _towers(toks, entries):
     """A bracketed list of bracketed trees, each read by ``entries``."""
     return _bracketed(toks, "[", "]", _items,
-                      lambda t: _bracketed(t, "[", "]", entries))
+                      lambda t: _bracketed(t, "[", "]", entries), None)
 
 
 def parse_l2_tower(text: str):

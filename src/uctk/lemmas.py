@@ -136,7 +136,7 @@ class EvalOracle:
             v = self._pools[j] = CtblOrd.omega_power(self.mu * CtblOrd.natural(j))
         return v
 
-    def assignments(self, nodes, extra: int = 2):
+    def assignments(self, nodes, extra: int):
         """Order-respecting pool assignments to the given nodes."""
         order = bk.bk_sorted(nodes)
         n = len(order)
@@ -189,7 +189,7 @@ class EvalOracle:
         if set(claimed) - set(self.tree.nodes):
             return False
         points = sorted((tuple([x[w].key for w in claimed]), self.evaluate(x).key)
-                        for x in self.assignments(self.tree.nodes))
+                        for x in self.assignments(self.tree.nodes, 2))
         for (px, fx), (py, fy) in zip(points, points[1:]):
             if px == py:
                 if fx != fy:
@@ -215,7 +215,7 @@ class EvalOracle:
     def essentially_continuous(self) -> bool:
         if not self.sig_nodes:
             return False
-        for assignment in self.assignments(self.tree.nodes, extra=1):
+        for assignment in self.assignments(self.tree.nodes, 1):
             if self.evaluate(assignment).compare(
                     self.sup_strictly_below(assignment)) != 0:
                 return False
@@ -291,7 +291,7 @@ def _add_term(terms: list, exp: CtblOrd, coeff: int) -> None:
     terms.append((exp, coeff))
 
 
-def rand_ctbl(rng: random.Random, depth: int = 1) -> CtblOrd:
+def rand_ctbl(rng: random.Random, depth: int) -> CtblOrd:
     kind = _below(rng, 4)
     if kind == 0 or depth <= 0:
         return _NATURALS[_below(rng, 6)]
@@ -312,11 +312,11 @@ def rand_uord(rng: random.Random, max_level: int) -> UOrd:
                     reverse=True)
     uterms = []
     for k in levels:
-        coeff = rand_ctbl(rng)
+        coeff = rand_ctbl(rng, 1)
         if coeff.is_zero():
             coeff = ONE
         uterms.append((k, coeff))
-    tail = rand_ctbl(rng) if rng.random() < 0.6 else ZERO
+    tail = rand_ctbl(rng, 1) if rng.random() < 0.6 else ZERO
     return UOrd(tuple(uterms), tail)
 
 
@@ -340,9 +340,9 @@ def rand_qualifying_beta(rng: random.Random, max_level: int, k: int) -> UOrd:
                   reverse=True)
     uterms = []
     for lv in pick:
-        coeff = rand_ctbl(rng)
+        coeff = rand_ctbl(rng, 1)
         uterms.append((lv, coeff if not coeff.is_zero() else ONE))
-    last = list(rand_ctbl(rng).terms)
+    last = list(rand_ctbl(rng, 1).terms)
     _add_term(last, ZERO, _below(rng, 3) + 1)
     uterms.append((k, CtblOrd(tuple(last))))
     return UOrd(tuple(uterms), ZERO)
@@ -366,7 +366,7 @@ def _pred_in_tree(tree: Level1Tree, node):
 
 def suite_order_type(max_nodes: int) -> SuiteResult:
     res = SuiteResult("order-type law: o.t.(<^P) = w*card(P)+1 vs rank oracle")
-    for tree in enumerate_level1_up_to(max_nodes):
+    for tree in enumerate_level1_up_to(max_nodes, regular_only=False):
         if not len(tree):
             res.check(rep_order_type(tree) == ZERO == order_type_oracle(tree),
                       "empty tree")
@@ -381,7 +381,7 @@ def suite_order_type(max_nodes: int) -> SuiteResult:
 
 def suite_factor_order(max_nodes: int) -> SuiteResult:
     res = SuiteResult("factoring existence vs order-type comparison")
-    trees = enumerate_level1_up_to(max_nodes)
+    trees = enumerate_level1_up_to(max_nodes, regular_only=False)
     for p in trees:
         for w in trees:
             c = order_type_oracle(p).compare(order_type_oracle(w))
@@ -414,7 +414,7 @@ def suite_shift(pairs: int, seed: int, max_level: int) -> SuiteResult:
 def suite_analysis(count: int, seed: int) -> SuiteResult:
     res = SuiteResult("analysis coherence against the a.e.-evaluation oracle")
     rng = random.Random(seed)
-    pool_trees = [t for t in enumerate_level1_up_to(5) if len(t) >= 1]
+    pool_trees = [t for t in enumerate_level1_up_to(5, regular_only=False) if len(t) >= 1]
     produced = 0
     while produced < count:
         tree = pool_trees[_below(rng, len(pool_trees))]
@@ -448,7 +448,7 @@ def _degree1_configs(max_partial_nodes: int, max_w: int):
     """The degree-1 configurations both level-2 ucf lemmas walk: (P, p, P+,
     k, j, W, sigma) for sigma factoring the completion P+ into W, with u_k
     the L-cofinality of the betas and j = j^{P,P+}."""
-    ws = enumerate_level1_up_to(max_w)
+    ws = enumerate_level1_up_to(max_w, regular_only=False)
     for base, p in enumerate_partial_le1(max_partial_nodes):
         if len(p) < 2:
             continue  # the qualifying cofinality would exceed the bound
@@ -511,7 +511,7 @@ def suite_lemma_level2_ucf_another(max_partial_nodes: int, max_w: int, betas: in
     for base in enumerate_level1_up_to(max_partial_nodes - 1, regular_only=True):
         if not len(base):
             continue
-        for w in enumerate_level1_up_to(max_w):
+        for w in enumerate_level1_up_to(max_w, regular_only=False):
             for fm in factorings(base, w):
                 s = factor_to_shift(fm)
                 for _ in range(max(betas // 10, 5)):
@@ -760,7 +760,7 @@ def enumerate_partial_le2(base: LevelLe2Tree):
     return out
 
 
-def check_lemmas(bound: int = 4, seed: int = 0):
+def check_lemmas(bound: int, seed: int):
     """Run every invariant suite at a size bound; returns SuiteResults, each
     with its wall time in ``seconds``."""
     suites = [

@@ -99,7 +99,7 @@ def regular_nodes(tree: Level1Tree):
     return [a for a in addable_nodes(tree) if a != (1,)]
 
 
-def enumerate_level1(size: int, regular_only: bool = False):
+def enumerate_level1(size: int, regular_only: bool):
     """All level-1 trees with exactly ``size`` nodes, deterministically."""
     layer = {frozenset()}
     for _ in range(size):
@@ -112,7 +112,7 @@ def enumerate_level1(size: int, regular_only: bool = False):
     return sorted((Level1Tree(n) for n in layer), key=lambda t: sorted(t.nodes))
 
 
-def enumerate_level1_up_to(max_size: int, regular_only: bool = False):
+def enumerate_level1_up_to(max_size: int, regular_only: bool):
     out = []
     for size in range(max_size + 1):
         out.extend(enumerate_level1(size, regular_only))
@@ -176,7 +176,7 @@ def desc_rank(tree: Level1Tree, d: Node) -> int:
 
 def seed(tree: Level1Tree, d: Node) -> UOrd:
     """seed of a description: u_{rank+1}; the constant gives u_{card+1}."""
-    return UOrd.u(desc_rank(tree, d) + 1)
+    return UOrd.u(desc_rank(tree, d) + 1, ONE)
 
 
 class FactorMap1(Value):

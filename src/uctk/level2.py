@@ -468,7 +468,7 @@ def rep2_compare(le2: LevelLe2Tree, x: Rep2Element, y: Rep2Element) -> int:
     for e in (x, y):
         if e.side == 1:
             if e.payload.node not in le2.t1.nodes:
-                raise InvalidElement(e)
+                raise InvalidElement(e.payload, "level-1 node outside the tree")
         elif e.side == 2:
             rep2_from_payload(le2, e.payload)
         else:
@@ -636,7 +636,7 @@ def enumerate_le2_trees(max_dom: int):
     """All level <=2 trees with at most ``max_dom`` domain elements: by
     the shape of the level-2 part, then its labels, then the level-1 part by
     size."""
-    level1_trees = enumerate_level1_up_to(max_dom - 1)
+    level1_trees = enumerate_level1_up_to(max_dom - 1, regular_only=False)
     out = []
     for shape in enumerate_dom_shapes(max_dom):
         t1s = [t1 for t1 in level1_trees if len(t1) <= max_dom - len(shape)]

@@ -38,8 +38,15 @@ class PartialLevelLe2Tree(Value):
         return format_pl2(self)
 
 
+def check_degree(d: int) -> int:
+    """d, if it is the degree of a pending extension: 0, 1 or 2."""
+    if d not in (0, 1, 2):
+        raise CaseViolation("degree must be 0, 1 or 2", d)
+    return d
+
+
 def validate_partial_le2(base: LevelLe2Tree, d: int, q, p) -> PartialLevelLe2Tree:
-    if d == 0:
+    if check_degree(d) == 0:
         if q != MINUS_ONE or len(p):
             raise CaseViolation("degree 0 must be (0, -1, {})")
         return PartialLevelLe2Tree(base, 0, MINUS_ONE, EMPTY_TREE)
@@ -52,20 +59,18 @@ def validate_partial_le2(base: LevelLe2Tree, d: int, q, p) -> PartialLevelLe2Tre
         if len(p):
             raise CaseViolation("degree 1 carries no tree component")
         return PartialLevelLe2Tree(base, 1, q, EMPTY_TREE)
-    if d == 2:
-        q = as_domseq(q)
-        t2 = base.t2
-        if q in t2 or not q:
-            raise CaseViolation("sequence not a fresh extension", q)
-        if q[:-1] not in t2 or q[-1] not in addable_nodes(t2.children(q[:-1])):
-            raise CaseViolation("domain extension is not a tree of trees", q)
-        parent = t2.partial(q[:-1])
-        if parent.degree() == 0:
-            raise CaseViolation("predecessor stage has degree 0", q)
-        if p != parent.completion():
-            raise CaseViolation("tree component must be the completion", q)
-        return PartialLevelLe2Tree(base, 2, q, p)
-    raise CaseViolation("degree must be 0, 1 or 2", d)
+    q = as_domseq(q)
+    t2 = base.t2
+    if q in t2 or not q:
+        raise CaseViolation("sequence not a fresh extension", q)
+    if q[:-1] not in t2 or q[-1] not in addable_nodes(t2.children(q[:-1])):
+        raise CaseViolation("domain extension is not a tree of trees", q)
+    parent = t2.partial(q[:-1])
+    if parent.degree() == 0:
+        raise CaseViolation("predecessor stage has degree 0", q)
+    if p != parent.completion():
+        raise CaseViolation("tree component must be the completion", q)
+    return PartialLevelLe2Tree(base, 2, q, p)
 
 
 def respects_partial_le2(pt: PartialLevelLe2Tree, t) -> Verdict:

@@ -156,7 +156,7 @@ class UOrd(_Ordered, Value):
                  "tail", "_key")
 
     @staticmethod
-    def u(level: int, coeff: CtblOrd = ONE) -> "UOrd":
+    def u(level: int, coeff: CtblOrd) -> "UOrd":
         if level < 1:
             raise ValueError("u-levels start at 1")
         if coeff.is_zero():
@@ -212,7 +212,7 @@ class UOrd(_Ordered, Value):
         return f"UOrd<{self}>"
 
 
-U1 = UOrd.u(1)
+U1 = UOrd.u(1, ONE)
 
 
 def as_uord(v) -> UOrd:
@@ -398,6 +398,6 @@ def shift_sup_by_decomposition(sigma: IndexMap, b: UOrd) -> UOrd:
     k = cf_l(b).level
     if all(sigma(i) == i for i in range(1, k)):
         delta, _ = _strip_one_u(b)
-        return apply_shift(sigma, delta) + UOrd.u(k)
+        return apply_shift(sigma, delta) + UOrd.u(k, ONE)
     sigma_k, tau_k = decompose_shift(sigma, k)
     return apply_shift(sigma_k, shift_sup_by_decomposition(tau_k, b))

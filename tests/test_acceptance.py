@@ -31,7 +31,7 @@ def _report(n, text):
 
 
 def test_criterion_01_order_type_law():
-    trees = [t for t in enumerate_level1_up_to(6) if len(t) >= 1]
+    trees = [t for t in enumerate_level1_up_to(6, regular_only=False) if len(t) >= 1]
     assert len(trees) > 100
     for tree in trees:
         closed = OMEGA * CtblOrd.natural(len(tree)) + ONE
@@ -40,7 +40,7 @@ def test_criterion_01_order_type_law():
 
 
 def test_criterion_02_factoring_iff_order_type():
-    trees = enumerate_level1_up_to(4)
+    trees = enumerate_level1_up_to(4, regular_only=False)
     pairs = 0
     for p in trees:
         for w in trees:
@@ -148,7 +148,7 @@ def test_criterion_11_cli_determinism_and_roundtrip():
     assert runs[0].stdout and runs[0].stdout == runs[1].stdout
     assert runs[0].stderr == runs[1].stderr == ""
     rng = random.Random(0)
-    trees = enumerate_level1_up_to(5)
+    trees = enumerate_level1_up_to(5, regular_only=False)
     for _ in range(1000):
         b = rand_uord(rng, 6)
         assert parse_uord(format_uord(b)) == b

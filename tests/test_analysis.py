@@ -152,7 +152,7 @@ def _old_analyze(b, tree):
     descs = descriptions(tree)
     m = len(b.uterms)
     signature = tuple(descs[k - 1] for k, _ in b.uterms)
-    seeds = tuple(UOrd.u(k) for k, _ in b.uterms)
+    seeds = tuple(UOrd.u(k, ONE) for k, _ in b.uterms)
     coeffs = [c for _, c in b.uterms]
     continuous = b.tail.is_zero() and coeffs[-1].compare(ONE) == 0
     towers = [_chain_tree(i) for i in range(m + 1)]
@@ -190,7 +190,7 @@ def test_analyze_agrees_with_the_route_it_replaced():
     meet the countable, successor and out-of-range rejections."""
     rng = random.Random(24)
     outcomes = set()
-    for tree in enumerate_level1_up_to(5):
+    for tree in enumerate_level1_up_to(5, regular_only=False):
         betas = [rand_uord(rng, len(tree) + 1) for _ in range(6)]
         betas += [rand_qualifying_beta(rng, len(tree), k)
                   for k in range(1, len(tree) + 1) for _ in range(2)]

@@ -72,7 +72,8 @@ def test_incomparable_entries_raise():
 
 def test_key_agrees_with_compare():
     # bk_key is the fast path; bk (through bk_compare) stays the definition
-    pool = [()] + sorted({n for t in enumerate_level1_up_to(6) for n in t.nodes})
+    pool = [()] + sorted({n for t in enumerate_level1_up_to(6, regular_only=False)
+                          for n in t.nodes})
     rng = random.Random(0)
 
     def domseq():

@@ -76,6 +76,44 @@ def test_compare_rep3():
     assert code == 0 and "result=less" in out
 
 
+# two-point compares and how many of their points lie on side 2 of a level <=2
+# tree or in a level-3 tree
+REP_COMPARES = [
+    (("compare", "--rep2", "({(0) (0 0)} ; () -> ({}, (0)))", "(1, [(0 0)])", "(1, [(0), 3])"),
+     0),
+    (("compare", "--rep2", "({(0) (0 0)} ; () -> ({}, (0)))", "(1, [(0)])", "(2, [])"), 1),
+    (("compare", "--rep2", "({} ; () -> ({}, (0)); ((0)) -> ({(0)}, -1))", "(2, [])",
+      "(2, [w, (0), 3, -1])"), 2),
+    (("compare", "--rep3", "((0)) -> (({} ; () -> ({}, (0))) @ (0, -1, {}))", "[(0), 3, -1]",
+      "[(0)]"), 2),
+]
+
+
+def test_compare_checks_each_point_once(monkeypatch):
+    """The compare functions check the points; the CLI only reads them."""
+    reads = []
+    for module, name in ((level2, "rep2_from_payload"), (level3, "rep3_from_payload")):
+        read = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, read=read: reads.append(a) or read(*a))
+    for argv, points in REP_COMPARES:
+        reads.clear()
+        code, out = run(*argv)
+        assert (code, len(reads)) == (0, points), argv
+
+
+@pytest.mark.parametrize("command", [("ucf",), ("cf3",), ("complete",), ("validate", "pl2")],
+                         ids=" ".join)
+@pytest.mark.parametrize("degree", [5, 3, -2])
+@pytest.mark.parametrize("rest", ["-1, {}", "(0), {}", "((0)), {(0)}"],
+                         ids=["minus-one", "node", "domseq"])
+def test_a_degree_outside_0_to_2_is_a_case_violation(command, degree, rest):
+    code, out = run(*command, f"(({{}} ; () -> ({{}}, (0))) @ ({degree}, {rest}))")
+    assert code == 1 and out.count("\n") == 1
+    assert out.endswith(f' code=CASE_VIOLATION detail="CASE_VIOLATION: degree must be '
+                        f'0, 1 or 2, {degree}"\n')
+
+
 def test_pretty_output():
     code, out = run("cfl", "u3", "--pretty")
     assert code == 0 and "[cfl] ok" in out and "result: u3" in out
@@ -276,6 +314,12 @@ MALFORMED = [
     # an error raised without values reads as its bare code, unquoted
     (("validate", "l1", "{()}"), 1, "CONTAINS_EMPTY"),
     (("recover", "{}", "{() ((0))}", "u1", "u2"), 1, "NO_TREE_FOUND"),
+    # both points are read before either is checked: an unreadable second
+    # point is reported over an invalid first one
+    (("compare", "--rep2", "({(0)} ; () -> ({}, (0)))", "(1, [(0 0)])", "(2, ["), 2,
+     "PARSE_ERROR: unexpected end of input, line 1, col 6"),
+    (("compare", "--rep3", "((0)) -> (({} ; () -> ({}, (0))) @ (0, -1, {}))", "[u1]", "[u1"), 2,
+     "PARSE_ERROR: unexpected end of input, line 1, col 4"),
 ]
 
 
@@ -403,7 +447,7 @@ def test_usage_is_formatted_once_per_parser(monkeypatch, capsys):
     assert exit_.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(_build_parser().format_usage())
+    assert captured.err.startswith(_build_parser(batch_line=False).format_usage())
     assert captured.err.endswith("uctk: error: unrecognized arguments: --bogus\n")
 
 
@@ -413,7 +457,7 @@ def test_argv_usage_error_exits_as_argparse_does(argv, capsys):
         main(list(argv))
     captured = capsys.readouterr()
     assert exit_.value.code == 2 and captured.out == ""
-    assert captured.err.startswith(_build_parser().format_usage())
+    assert captured.err.startswith(_build_parser(batch_line=False).format_usage())
     assert "uctk: error: " in captured.err
 
 
@@ -522,7 +566,8 @@ def test_quote_leaves_bare_only_plain_values():
 
 @pytest.mark.parametrize("text", ['a"b c', 'a"b', 'a\\b', "\\", '"', 'u1 + "', "", "x=y"])
 def test_structured_line_splits_back_into_its_fields(text):
-    report = cli.run_command("cfl", [text], _build_parser().parse_intermixed_args(["cfl"]))
+    flags = _build_parser(batch_line=False).parse_intermixed_args(["cfl"])
+    report = cli.run_command("cfl", [text], flags)
     code, out = run("cfl", text)
     assert out == report.line() + "\n"
     assert [tok.split("=", 1) for tok in shlex.split(out)] == [
@@ -534,10 +579,10 @@ def test_pretty_and_text_output_escape_control_characters():
     code, out = run("cfl", 'u3\x1b[2J\x00 "\\', "--pretty")
     assert code == 2 and all(line.isprintable() for line in out.splitlines())
     assert out.splitlines()[1] == '  input: u3\\x1b[2J\\x00 "\\'
-    flags = _build_parser().parse_intermixed_args(["cfl", "--format", "text"])
+    flags = _build_parser(batch_line=False).parse_intermixed_args(["cfl", "--format", "text"])
     buf = io.StringIO()
     with redirect_stdout(buf):
-        cli._emit(cli.Report("cfl", result='u3\x1b[2J\x00 "\\'), flags)
+        cli._emit(cli.Report("cfl", "ok", result='u3\x1b[2J\x00 "\\'), flags)
     assert buf.getvalue() == 'u3\\x1b[2J\\x00 "\\\n'
 
 

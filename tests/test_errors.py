@@ -12,7 +12,7 @@ from uctk.bk import MINUS_ONE
 from uctk.errors import (ClosureViolation, KernelError, NoTreeFound,
                          NotAFactoring, NotALimit, ParseError)
 from uctk.level1 import EMPTY_TREE, FactorMap1, validate_level1
-from uctk.ordinals import U1, CtblOrd, IndexMap, UOrd
+from uctk.ordinals import ONE, U1, CtblOrd, IndexMap, UOrd
 from uctk.value import format_detail
 
 # every printer of the grammar's forms, the detail writer among them
@@ -74,7 +74,7 @@ def test_an_error_raised_without_values_reads_as_its_bare_code():
         if cls not in (ClosureViolation, ParseError):  # each is raised with its values
             assert str(cls()) == cls.code, cls
     with pytest.raises(NoTreeFound) as e:
-        level2.recover_tree(EMPTY_TREE, [(), ((0,),)], {(2, ()): U1, (2, ((0,),)): UOrd.u(2)})
+        level2.recover_tree(EMPTY_TREE, [(), ((0,),)], {(2, ()): U1, (2, ((0,),)): UOrd.u(2, ONE)})
     assert (str(e.value), e.value.detail) == ("NO_TREE_FOUND", ())
     with pytest.raises(errors.ContainsEmpty) as e:
         validate_level1({()})
@@ -125,7 +125,7 @@ def test_a_recover_miss_writes_no_error_message():
     # analysing u2 at ((0)) raises OUT_OF_RANGE, which the walk catches; the
     # candidate then fails, so recover_tree raises NoTreeFound without
     # reading any error's message (its rejection verdict is still written)
-    t = {(2, ()): U1, (2, ((0,),)): UOrd.u(2)}
+    t = {(2, ()): U1, (2, ((0,),)): UOrd.u(2, ONE)}
     writers = [KernelError.__str__, ClosureViolation.__str__, ParseError.__str__]
 
     def run():

@@ -71,7 +71,7 @@ def test_parse_errors_carry_location():
 
 
 def test_round_trip_enumerated_trees():
-    for t in enumerate_level1_up_to(4):
+    for t in enumerate_level1_up_to(4, regular_only=False):
         assert parse_l1(format_l1(t)) == t
     for t in enumerate_le2_trees(3):
         from uctk.grammar import format_le2 as fmt

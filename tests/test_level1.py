@@ -71,7 +71,7 @@ class TestRep:
         assert str(rep_order_type(parse_l1("{(0) (0 0)}"))) == "w*2+1"
 
     def test_order_type_matches_rank_oracle(self):
-        for t in enumerate_level1_up_to(5):
+        for t in enumerate_level1_up_to(5, regular_only=False):
             assert rep_order_type(t) == order_type_oracle(t)
 
 
@@ -100,7 +100,7 @@ class TestDescriptions:
 
     def test_desc_rank_matches_the_sorted_descriptions(self):
         # the cached order and ranks against a fresh comparator sort
-        for t in enumerate_level1_up_to(5):
+        for t in enumerate_level1_up_to(5, regular_only=False):
             descs = descriptions(t)
             assert descs == sorted(t.nodes, key=functools.cmp_to_key(bk)) + [()]
             for d in descs:
@@ -108,7 +108,7 @@ class TestDescriptions:
                 assert desc_rank(t, list(d)) == descs.index(d)
 
     def test_one_cached_bk_order_serves_every_reader(self):
-        for t in enumerate_level1_up_to(5):
+        for t in enumerate_level1_up_to(5, regular_only=False):
             order = t.bk_sorted()
             assert order == tuple(bk_sorted(t.nodes))
             assert descriptions(t) == [*order, ()]
@@ -163,7 +163,8 @@ class TestFactorings:
 
 class TestEnumeration:
     def test_counts_are_catalan(self):
-        assert [len(enumerate_level1(n)) for n in range(6)] == [1, 1, 2, 5, 14, 42]
+        counts = [len(enumerate_level1(n, regular_only=False)) for n in range(6)]
+        assert counts == [1, 1, 2, 5, 14, 42]
 
     def test_addable_nodes_one_per_parent(self):
         t = parse_l1("{(0) (0 0)}")

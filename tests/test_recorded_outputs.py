@@ -19,7 +19,7 @@ import pytest
 from uctk import cli, lemmas, level2, level3
 from uctk.bk import bk_sorted
 from uctk.errors import KernelError
-from uctk.ordinals import OMEGA, U1, CtblOrd, UOrd
+from uctk.ordinals import OMEGA, ONE, U1, CtblOrd, UOrd
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -74,7 +74,7 @@ def _limits(nodes):
 
 
 _POOL = [UOrd.from_nat(3), UOrd.from_ctbl(OMEGA), UOrd.from_ctbl(OMEGA * CtblOrd.natural(7)),
-         U1, UOrd.u(2), level2.MINUS_ONE, (0,), (0, 0), (1,), (5,)]
+         U1, UOrd.u(2, ONE), level2.MINUS_ONE, (0,), (0, 0), (1,), (5,)]
 
 
 def _corruptions(rng, payload):

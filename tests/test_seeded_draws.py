@@ -25,7 +25,7 @@ def _tail_free_uord(rng, max_level):
     the groups after them start from the RNG state they leave."""
     levels = sorted(lemmas._sample(rng, 1, max_level, lemmas._below(rng, max_level + 1)),
                     reverse=True)
-    coeffs = [lemmas.rand_ctbl(rng) for _ in levels]
+    coeffs = [lemmas.rand_ctbl(rng, 1) for _ in levels]
     return UOrd(tuple((k, ONE if c.is_zero() else c) for k, c in zip(levels, coeffs)), ZERO)
 
 

@@ -67,7 +67,7 @@ def seeded_values(seed):
         n2 = rng.randrange(1, 7)
         out += [lemmas.rand_ctbl(rng, 2), lemmas.rand_uord(rng, 6),
                 lemmas.rand_index_map(rng, rng.randrange(n2 + 1), n2)]
-    trees = level1.enumerate_level1_up_to(4)[1:]
+    trees = level1.enumerate_level1_up_to(4, regular_only=False)[1:]
     for _ in range(4):
         w = rng.choice(trees)
         b = lemmas.rand_qualifying_beta(rng, len(w), rng.randrange(1, len(w) + 1))
