@@ -246,11 +246,15 @@ class EvalOracle:
 
 # The generators build each normal form directly, with the draws of summing
 # its terms by ordinal addition (tests/test_seeded_draws.py holds them to
-# recorded draws).  They and the suite bodies draw through random(), _below
-# and _sample; the last two make the getrandbits calls of the stdlib's
-# randrange, choice and sample in the same order, so the cases depend only
-# on the generator's word stream, not on how a Python release implements
-# randrange, choice or sample.
+# recorded draws).  Every draw is a random() or a getrandbits() call: _below
+# and _sample make the getrandbits calls of the stdlib's randrange, choice
+# and sample in the same order, so the cases depend only on the generator's
+# word stream, not on how a Python release implements those three.
+# The suites draw only at depth 1 (_terms1, _uterms).  There _below's loop
+# is written out in place with each bound's width, 3 bits below 4 and 6 and
+# 2 below 2 and 3, and terms merge on their exponents' int values, naturals
+# 0..5, with one CtblOrd built at the end.  Only the deeper draws,
+# which only tests make, merge CtblOrd exponents by ``key`` (_add_term).
 _NATURALS = tuple(CtblOrd.natural(n) for n in range(6))
 _SMALL_EXPONENTS = _NATURALS[1:4]
 
@@ -270,10 +274,14 @@ def _sample(rng: random.Random, lo: int, hi: int, k: int) -> list:
     n = hi - lo + 1
     if not 0 <= k <= n <= 21:
         raise ValueError(f"sample of {k} from {n} elements, not 0 <= k <= n <= 21")
+    bits = rng.getrandbits
     pool = list(range(lo, hi + 1))
     result = []
     for i in range(n, n - k, -1):
-        j = _below(rng, i)
+        width = i.bit_length()
+        j = bits(width)
+        while j >= i:
+            j = bits(width)
         result.append(pool[j])
         pool[j] = pool[i - 1]
     return result
@@ -291,7 +299,97 @@ def _add_term(terms: list, exp: CtblOrd, coeff: int) -> None:
     terms.append((exp, coeff))
 
 
+def _add_natural(terms: list, n: int) -> None:
+    """terms := terms + n for n >= 1, where every exponent is one of
+    _NATURALS, so that exponent 0 is ZERO itself."""
+    if terms and terms[-1][0] is ZERO:
+        n += terms.pop()[1]
+    terms.append((ZERO, n))
+
+
+def _terms1(rng: random.Random) -> list:
+    """The terms of rand_ctbl(rng, 1), each exponent one of _NATURALS.
+    Terms merge on the exponents' int values, kept in ``exps``."""
+    bits = rng.getrandbits
+    kind = bits(3)
+    while kind >= 4:
+        kind = bits(3)
+    if not kind:
+        n = bits(3)
+        while n >= 6:
+            n = bits(3)
+        return [(ZERO, n)] if n else []
+    rand = rng.random
+    terms, exps = [], []
+    count = bits(2)
+    while count >= 2:
+        count = bits(2)
+    for _ in range(count + 1):
+        if rand() < 0.4:  # rand_ctbl(rng, 0): a kind it drops, a natural
+            while bits(3) >= 4:
+                pass
+            exp = bits(3)
+            while exp >= 6:
+                exp = bits(3)
+        else:  # one of _SMALL_EXPONENTS
+            exp = bits(2)
+            while exp >= 3:
+                exp = bits(2)
+            exp += 1
+        coeff = bits(2)
+        while coeff >= 3:
+            coeff = bits(2)
+        coeff += 1
+        while exps and exps[-1] < exp:  # terms := terms + w^exp*coeff
+            exps.pop()
+            terms.pop()
+        if exps and exps[-1] == exp:
+            exps.pop()
+            coeff += terms.pop()[1]
+        exps.append(exp)
+        terms.append((_NATURALS[exp], coeff))
+    if rand() < 0.5:
+        n = bits(3)
+        while n >= 4:
+            n = bits(3)
+        if n:
+            _add_natural(terms, n)
+    return terms
+
+
+def _uterms(rng: random.Random, lo: int, hi: int) -> list:
+    """u-terms at sorted(_sample(rng, lo, hi, _below(rng, hi - lo + 2)),
+    reverse=True), a random set of the levels lo..hi, highest first, each
+    with the coefficient rand_ctbl(rng, 1), or ONE where that is zero.
+    Raises ValueError before any draw unless 0 <= hi - lo + 1 <= 21, the
+    populations _sample takes."""
+    n = hi - lo + 1
+    if not 0 <= n <= 21:
+        raise ValueError(f"levels {lo}..{hi}: {n} levels, not 0 <= n <= 21")
+    width = (n + 1).bit_length()
+    k = rng.getrandbits(width)
+    while k > n:
+        k = rng.getrandbits(width)
+    if not k:
+        return []
+    levels = _sample(rng, lo, hi, k)
+    levels.sort(reverse=True)
+    uterms = []
+    for level in levels:
+        terms = _terms1(rng)
+        uterms.append((level, CtblOrd(tuple(terms)) if terms else ONE))
+    return uterms
+
+
 def rand_ctbl(rng: random.Random, depth: int) -> CtblOrd:
+    """A countable ordinal.  With odds 1/4, and always at depth 0 or below,
+    a natural 0..5.  Else the sum of one or two terms w^e*c, with c in 1..3
+    and e either rand_ctbl(rng, depth - 1) (odds 0.4) or one of
+    _SMALL_EXPONENTS (1..3), then with odds 1/2 a natural 1..3 more.  At
+    depth 1, then, every exponent is a natural 0..5, drawn from
+    _SMALL_EXPONENTS or from rand_ctbl(rng, 0); _terms1 makes that draw."""
+    if depth == 1:
+        return CtblOrd(tuple(_terms1(rng)))
     kind = _below(rng, 4)
     if kind == 0 or depth <= 0:
         return _NATURALS[_below(rng, 6)]
@@ -308,14 +406,7 @@ def rand_ctbl(rng: random.Random, depth: int) -> CtblOrd:
 
 
 def rand_uord(rng: random.Random, max_level: int) -> UOrd:
-    levels = sorted(_sample(rng, 1, max_level, _below(rng, max_level + 1)),
-                    reverse=True)
-    uterms = []
-    for k in levels:
-        coeff = rand_ctbl(rng, 1)
-        if coeff.is_zero():
-            coeff = ONE
-        uterms.append((k, coeff))
+    uterms = _uterms(rng, 1, max_level)
     tail = rand_ctbl(rng, 1) if rng.random() < 0.6 else ZERO
     return UOrd(tuple(uterms), tail)
 
@@ -336,14 +427,12 @@ def rand_qualifying_beta(rng: random.Random, max_level: int, k: int) -> UOrd:
     coefficient is a random countable ordinal plus 1, 2 or 3."""
     if not 1 <= k <= max_level:
         raise ValueError(f"level {k} outside 1..{max_level}")
-    pick = sorted(_sample(rng, k + 1, max_level, _below(rng, max_level - k + 1)),
-                  reverse=True)
-    uterms = []
-    for lv in pick:
-        coeff = rand_ctbl(rng, 1)
-        uterms.append((lv, coeff if not coeff.is_zero() else ONE))
-    last = list(rand_ctbl(rng, 1).terms)
-    _add_term(last, ZERO, _below(rng, 3) + 1)
+    uterms = _uterms(rng, k + 1, max_level)
+    last = _terms1(rng)
+    plus = rng.getrandbits(2)
+    while plus >= 3:
+        plus = rng.getrandbits(2)
+    _add_natural(last, plus + 1)
     uterms.append((k, CtblOrd(tuple(last))))
     return UOrd(tuple(uterms), ZERO)
 

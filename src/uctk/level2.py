@@ -16,8 +16,8 @@ from .bk import MINUS_ONE
 from .errors import (ArityError, BadDescription, BadFirstEntry,
                      CaseViolation, DegreeZeroHasNoCompletion, DomainNotTree,
                      InvalidElement, InvalidTower, KernelError, LengthMismatch,
-                     MissingEntry, NoTreeFound, NotCompletionAt, NotRespecting,
-                     RootNotCanonical, TowerViolation)
+                     MissingEntry, NoTreeFound, NotCompletionAt, NotInRep,
+                     NotRespecting, RootNotCanonical, TowerViolation)
 from .level1 import (EMPTY_TREE, Level1Tree, Node, addable_nodes,
                      enumerate_level1_up_to, is_level1, is_regular,
                      regular_nodes, rep_compare, respects_level1,
@@ -464,11 +464,15 @@ def rep2_from_payload(le2: LevelLe2Tree, payload) -> Rep2Element:
 
 def rep2_compare(le2: LevelLe2Tree, x: Rep2Element, y: Rep2Element) -> int:
     """The level-1 part sits below the level-2 part; within a part the order
-    is Brouwer-Kleene on the validated sequences."""
+    is Brouwer-Kleene on the validated sequences.  A level-1 point with a
+    negative index is NOT_IN_REP, as in level1.rep_compare, whichever side
+    the other point is on."""
     for e in (x, y):
         if e.side == 1:
             if e.payload.node not in le2.t1.nodes:
                 raise InvalidElement(e.payload, "level-1 node outside the tree")
+            if e.payload.index is not None and e.payload.index < 0:
+                raise NotInRep(e.payload)
         elif e.side == 2:
             rep2_from_payload(le2, e.payload)
         else:

@@ -70,6 +70,17 @@ def test_compare_rep2_level1_side():
     assert code == 0 and "result=less" in out
 
 
+@pytest.mark.parametrize("x, y", [("(1, [(0), -1])", "(2, [])"),
+                                  ("(2, [])", "(1, [(0), -1])"),
+                                  ("(1, [(0), -1])", "(1, [(0)])")])
+def test_compare_rep2_negative_level1_index_is_not_in_rep(x, y):
+    """A level-1 point with index -1 is refused whichever side the other
+    point is on, as level1.rep_compare refuses it."""
+    code, out = run("compare", "--rep2", "({(0)} ; () -> ({}, (0)))", x, y)
+    assert code == 1
+    assert out.strip().endswith('code=NOT_IN_REP detail="NOT_IN_REP: [(0), -1]"')
+
+
 def test_compare_rep3():
     l3 = "((0)) -> (({} ; () -> ({}, (0))) @ (0, -1, {}))"
     code, out = run("compare", "--rep3", l3, "[(0), 3, -1]", "[(0)]")

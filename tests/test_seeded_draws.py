@@ -4,16 +4,19 @@ in the same order, so the generator that follows sees the same state.
 tests/data/seeded_draws.json holds the draws recorded from the generators
 that built each value by ordinal addition.  The draw helpers they use,
 ``_below`` and ``_sample``, are held to the stdlib calls they replace:
-``randrange`` with one and two arguments, ``choice`` and ``sample``."""
+``randrange`` with one and two arguments, ``choice`` and ``sample``.  The
+depth-1 draws, which merge terms on int exponents, are held to the route
+they replace, kept here: terms merged on CtblOrd exponents by ``key``."""
 
 import json
 import random
 from pathlib import Path
 
 import pytest
+from conftest import _entered
 
 from uctk import lemmas
-from uctk.ordinals import ONE, ZERO, UOrd
+from uctk.ordinals import ONE, ZERO, CtblOrd, UOrd, _Ordered
 
 RECORDED = Path(__file__).parent / "data" / "seeded_draws.json"
 SEEDS = range(6)
@@ -23,10 +26,7 @@ def _tail_free_uord(rng, max_level):
     """rand_uord's u-terms with no tail and no draw for one.  The recorded
     stream holds such draws, made when rand_uord could leave its tail out;
     the groups after them start from the RNG state they leave."""
-    levels = sorted(lemmas._sample(rng, 1, max_level, lemmas._below(rng, max_level + 1)),
-                    reverse=True)
-    coeffs = [lemmas.rand_ctbl(rng, 1) for _ in levels]
-    return UOrd(tuple((k, ONE if c.is_zero() else c) for k, c in zip(levels, coeffs)), ZERO)
+    return UOrd(tuple(lemmas._uterms(rng, 1, max_level)), ZERO)
 
 
 def draws(seed):
@@ -120,6 +120,18 @@ def test_index_map_larger_than_its_range_is_a_value_error():
         lemmas.rand_index_map(random.Random(0), 3, 2)
 
 
+@pytest.mark.parametrize("max_level", [-1, -3, 22])
+def test_uord_rejects_a_level_count_outside_zero_to_21(max_level):
+    # getrandbits(0) is always 0, so a count below 0 would be redrawn
+    # forever; more than 21 levels is more than _sample takes
+    for draw in (lemmas.rand_uord, lemmas.rand_limit_uord):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            draw(rng, max_level)
+        assert rng.getstate() == state
+
+
 @pytest.mark.parametrize("max_level, k", [(2, 0), (2, 3), (1, -1), (0, 0), (4, 5)])
 def test_qualifying_beta_rejects_a_level_outside_one_to_max_level(max_level, k):
     rng = random.Random(0)
@@ -127,3 +139,106 @@ def test_qualifying_beta_rejects_a_level_outside_one_to_max_level(max_level, k):
     with pytest.raises(ValueError):
         lemmas.rand_qualifying_beta(rng, max_level, k)
     assert rng.getstate() == state
+
+
+# -- the key-merging route the depth-1 draws replace ------------------------------
+
+def _add_term_by_key(terms, exp, coeff):
+    if terms:
+        key = exp.key
+        while terms and terms[-1][0].key < key:
+            terms.pop()
+        if terms and terms[-1][0].key == key:
+            coeff += terms.pop()[1]
+    terms.append((exp, coeff))
+
+
+def _ref_ctbl(rng, depth):
+    below = lemmas._below
+    if below(rng, 4) == 0 or depth <= 0:
+        return lemmas._NATURALS[below(rng, 6)]
+    terms = []
+    for _ in range(below(rng, 2) + 1):
+        exp = _ref_ctbl(rng, depth - 1) if rng.random() < 0.4 else \
+            lemmas._SMALL_EXPONENTS[below(rng, 3)]
+        _add_term_by_key(terms, exp, below(rng, 3) + 1)
+    if rng.random() < 0.5:
+        n = below(rng, 4)
+        if n:
+            _add_term_by_key(terms, ZERO, n)
+    return CtblOrd(tuple(terms))
+
+
+def _ref_uterms(rng, lo, hi):
+    levels = sorted(lemmas._sample(rng, lo, hi, lemmas._below(rng, hi - lo + 2)),
+                    reverse=True)
+    uterms = []
+    for level in levels:
+        coeff = _ref_ctbl(rng, 1)
+        uterms.append((level, ONE if coeff.is_zero() else coeff))
+    return uterms
+
+
+def _ref_uord(rng, max_level):
+    uterms = _ref_uterms(rng, 1, max_level)
+    tail = _ref_ctbl(rng, 1) if rng.random() < 0.6 else ZERO
+    return UOrd(tuple(uterms), tail)
+
+
+def _ref_limit_uord(rng, max_level):
+    while True:
+        b = _ref_uord(rng, max_level)
+        if b.is_limit():
+            return b
+
+
+def _ref_qualifying_beta(rng, max_level, k):
+    uterms = _ref_uterms(rng, k + 1, max_level)
+    last = list(_ref_ctbl(rng, 1).terms)
+    _add_term_by_key(last, ZERO, lemmas._below(rng, 3) + 1)
+    uterms.append((k, CtblOrd(tuple(last))))
+    return UOrd(tuple(uterms), ZERO)
+
+
+def _draw_pairs():
+    """(generator, its reference) for every draw the suites make: rand_ctbl
+    at depth 1, and the ordinals below u_7 for every level m <= 6 and
+    every 1 <= k <= m."""
+    pairs = [(lambda r: lemmas.rand_ctbl(r, 1), lambda r: _ref_ctbl(r, 1))]
+    for m in range(7):
+        pairs.append((lambda r, m=m: lemmas.rand_uord(r, m),
+                      lambda r, m=m: _ref_uord(r, m)))
+    for m in range(1, 7):
+        pairs.append((lambda r, m=m: lemmas.rand_limit_uord(r, m),
+                      lambda r, m=m: _ref_limit_uord(r, m)))
+        for k in range(1, m + 1):
+            pairs.append((lambda r, m=m, k=k: lemmas.rand_qualifying_beta(r, m, k),
+                          lambda r, m=m, k=k: _ref_qualifying_beta(r, m, k)))
+    return pairs
+
+
+def test_depth1_draws_are_the_key_merging_draws():
+    pairs = _draw_pairs()
+    assert len(pairs) == 1 + 7 + 6 + 21
+    for seed in range(2000):
+        rng, ref = _twins(seed)
+        for i, (draw, ref_draw) in enumerate(pairs):
+            got, want = draw(rng), ref_draw(ref)
+            assert got == want and str(got) == str(want), (seed, i, str(got), str(want))
+            assert rng.getstate() == ref.getstate(), (seed, i)
+
+
+def test_suite_draws_build_no_key():
+    """A key built or read to merge two terms is used once; the depth-1
+    draws compare int exponents instead."""
+    def run():
+        rng = random.Random(7)
+        for _ in range(50):
+            for m in range(1, 7):
+                lemmas.rand_uord(rng, m)
+                lemmas.rand_limit_uord(rng, m)
+                for k in range(1, m + 1):
+                    lemmas.rand_qualifying_beta(rng, m, k)
+
+    watched = (_Ordered.key.fget, CtblOrd._make_key, UOrd._make_key)
+    assert _entered(watched, run) == set()
