@@ -28,7 +28,7 @@ from .errors import ParseError
 from .level1 import Level1Tree, validate_level1
 from .level2 import LevelLe2Tree, validate_level2
 from .level3 import check_degree, validate_level3, validate_partial_le2
-from .ordinals import CtblOrd, IndexMap, UOrd
+from .ordinals import ONE, CtblOrd, IndexMap, UOrd
 from .value import MINUS_ONE
 # The printers are re-exported as they are: the CLI, the README's API and
 # the benchmark's tracer name them grammar.format_*, and the tracer wraps
@@ -55,8 +55,15 @@ class _Tokens:
     sentinel.  The tokens come from one ``findall``; since no token holds
     whitespace, they miss a character exactly when their concatenation
     differs from the text's non-space characters, and only then is the text
-    scanned again, to report the stray character.  A token's position is
-    found by ``pos``, which only error reports call."""
+    scanned again, to report the stray character.
+
+    The readers read ``items[i]`` and advance ``i`` themselves, so a valid
+    parse calls no method here.  A reader that meets a token it cannot take
+    hands the cursor, at that token, to ``next`` or ``expect``, which raise;
+    ``too_deep`` raises at an ordinal nested too deep.  A token's position
+    is found by ``pos``, which only error reports call."""
+
+    __slots__ = ("text", "items", "i", "depth")
 
     def __init__(self, text: str):
         self.text = text
@@ -67,9 +74,6 @@ class _Tokens:
         self.items.append(None)
         self.i = 0
         self.depth = 0  # open parentheses and exponents in an ordinal
-
-    def peek(self):
-        return self.items[self.i]
 
     def next(self):
         tok = self.items[self.i]
@@ -82,15 +86,11 @@ class _Tokens:
         got = self.next()
         if got != want:
             raise ParseError(f"expected {want!r}, got {got!r}", *self.loc_back())
-        return got
 
-    def nest(self):
-        """Open one ordinal nesting level; the caller closes it with
-        ``depth -= 1`` (a parse error abandons the whole parse)."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"ordinal nested deeper than {MAX_NESTING}",
-                             *self.loc_back())
+    def too_deep(self):
+        """The ``(`` or ``^`` last read opened one ordinal nesting level
+        more than ``MAX_NESTING``."""
+        raise ParseError(f"ordinal nested deeper than {MAX_NESTING}", *self.loc_back())
 
     def pos(self, i: int) -> int:
         """Where token i starts in the text."""
@@ -99,11 +99,6 @@ class _Tokens:
     def loc_back(self):
         """Line and column of the token last read."""
         return _loc(self.text, self.pos(self.i - 1))
-
-    def done(self):
-        if self.peek() is not None:
-            raise ParseError(f"trailing input {self.peek()!r}",
-                             *_loc(self.text, self.pos(self.i)))
 
 
 def _positions(text: str):
@@ -127,48 +122,74 @@ def _loc(text: str, pos: int):
 def _parse_with(text, fn):
     toks = _Tokens(text)
     out = fn(toks)
-    toks.done()
+    tok = toks.items[toks.i]
+    if tok is not None:
+        raise ParseError(f"trailing input {tok!r}", *_loc(text, toks.pos(toks.i)))
     return out
 
 
 # -- nodes, trees, sequences ---------------------------------------------------
 
-def _items(toks, close, item, sep) -> list:
-    """Items read by ``item`` up to the token ``close``, which is left
-    unread; each item may be followed by one ``sep`` (None: no separator)."""
-    out = []
-    while toks.peek() != close:
-        out.append(item(toks))
-        if sep is not None and toks.peek() == sep:
-            toks.next()
-    return out
+def _skip(toks, want: str):
+    """Step over the token ``want``; at any other token ``expect`` raises.
+    The readers that run once per node, tree entry or ordinal term write
+    this step out in place."""
+    if toks.items[toks.i] != want:
+        toks.expect(want)
+    toks.i += 1
 
 
-def _bracketed(toks, open_, close, read, *args):
-    """``read(toks, close, *args)`` between the tokens open_ and close."""
-    toks.expect(open_)
-    out = read(toks, close, *args)
-    toks.expect(close)
-    return out
+def _numeral(toks, digits: str) -> int:
+    """``digits``, of the token last read, as an int.  Python converts at
+    most ``sys.get_int_max_str_digits()`` digits; a longer numeral is a
+    parse error at its token."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("number too long", *toks.loc_back()) from None
 
 
 def _integer(toks, what: str) -> int:
     """The next token as an integer; any other token is a parse error."""
-    tok = toks.next()
-    if not _INTEGER(tok):
+    tok = toks.items[toks.i]
+    if tok is None or not _INTEGER(tok):
+        tok = toks.next()
         raise ParseError(f"{what} is a number, got {tok!r}", *toks.loc_back())
-    return int(tok)
+    toks.i += 1
+    return _numeral(toks, tok)
 
 
 def _natural(toks) -> int:
     tok = toks.next()
     if not _NATURAL(tok):
         raise ParseError(f"node entries are naturals, got {tok!r}", *toks.loc_back())
-    return int(tok)
+    return _numeral(toks, tok)
 
 
 def _node(toks) -> tuple:
-    return tuple(_bracketed(toks, "(", ")", _items, _natural, None))
+    """A parenthesized node, its entries found by one loop and converted
+    together.  If one is not a natural, or too long to convert, the entries
+    are read again one by one by ``_natural``, which raises at it."""
+    items = toks.items
+    i = toks.i
+    if items[i] != "(":
+        toks.expect("(")
+    start = i = i + 1
+    tok = items[i]
+    while tok is not None and _NATURAL(tok):
+        i += 1
+        tok = items[i]
+    if tok == ")":
+        try:
+            node = tuple(map(int, items[start:i]))
+        except ValueError:
+            pass
+        else:
+            toks.i = i + 1
+            return node
+    toks.i = start
+    while True:
+        _natural(toks)
 
 
 def parse_node(text: str) -> tuple:
@@ -176,7 +197,15 @@ def parse_node(text: str) -> tuple:
 
 
 def _l1(toks) -> Level1Tree:
-    return validate_level1(_bracketed(toks, "{", "}", _items, _node, None))
+    items = toks.items
+    if items[toks.i] != "{":
+        toks.expect("{")
+    toks.i += 1
+    nodes = []
+    while items[toks.i] != "}":
+        nodes.append(_node(toks))
+    toks.i += 1
+    return validate_level1(nodes)
 
 
 def parse_l1(text: str) -> Level1Tree:
@@ -184,7 +213,13 @@ def parse_l1(text: str) -> Level1Tree:
 
 
 def _tower(toks):
-    return _bracketed(toks, "[", "]", _items, _l1, None)
+    items = toks.items
+    _skip(toks, "[")
+    trees = []
+    while items[toks.i] != "]":
+        trees.append(_l1(toks))
+    toks.i += 1
+    return trees
 
 
 def parse_tower(text: str):
@@ -192,8 +227,8 @@ def parse_tower(text: str):
 
 
 def _node_or_minus(toks):
-    if toks.peek() == "-1":
-        toks.next()
+    if toks.items[toks.i] == "-1":
+        toks.i += 1
         return MINUS_ONE
     return _node(toks)
 
@@ -201,13 +236,22 @@ def _node_or_minus(toks):
 def _domseq(toks) -> tuple:
     """A parenthesized sequence of nodes, optionally ending in -1: after a
     -1 only the closing parenthesis may come."""
-    toks.expect("(")
+    items = toks.items
+    if items[toks.i] != "(":
+        toks.expect("(")
+    toks.i += 1
     out = []
-    while toks.peek() != ")":
-        out.append(_node_or_minus(toks))
-        if out[-1] == MINUS_ONE:
+    tok = items[toks.i]
+    while tok != ")":
+        if tok == "-1":
+            toks.i += 1
+            out.append(MINUS_ONE)
+            if items[toks.i] != ")":
+                toks.expect(")")
             break
-    toks.expect(")")
+        out.append(_node(toks))
+        tok = items[toks.i]
+    toks.i += 1
     return tuple(out)
 
 
@@ -216,18 +260,26 @@ def parse_domseq(text: str) -> tuple:
 
 
 def _keyed(toks, close, label) -> dict:
-    """``q -> label`` entries separated by ';' up to ``close``, as a dict;
-    with ``label`` None, bare domain sequences, each mapped to None.  Once all
-    are read, a sequence listed twice is a parse error at its second entry."""
-    def entry(toks):
+    """``q -> label`` entries up to ``close``, each followed by at most one
+    ';', as a dict; with ``label`` None, bare domain sequences, each mapped
+    to None.  Once all are read, a sequence listed twice is a parse error
+    at its second entry."""
+    items = toks.items
+    entries = []
+    while items[toks.i] != close:
         at = toks.i
         q = _domseq(toks)
+        value = None
         if label:
-            toks.expect("->")
-        return q, at, label(toks) if label else None
-
+            if items[toks.i] != "->":
+                toks.expect("->")
+            toks.i += 1
+            value = label(toks)
+            if items[toks.i] == ";":
+                toks.i += 1
+        entries.append((q, at, value))
     out = {}
-    for q, at, value in _items(toks, close, entry, ";" if label else None):
+    for q, at, value in entries:
         if q in out:
             raise ParseError(f"domain sequence {format_domseq(q)} listed twice",
                              *_loc(toks.text, toks.pos(at)))
@@ -235,19 +287,33 @@ def _keyed(toks, close, label) -> dict:
     return out
 
 
+def _shape(toks) -> list:
+    _skip(toks, "{")
+    keys = list(_keyed(toks, "}", None))
+    _skip(toks, "}")
+    return keys
+
+
 def parse_shape(text: str) -> list:
     """A domain shape ``{q ...}``: its domain sequences, each listed once."""
-    return _parse_with(text, lambda t: list(_bracketed(t, "{", "}", _keyed, None)))
+    return _parse_with(text, _shape)
 
 
 # -- level-2 / level <=2 trees ---------------------------------------------------
 
 def _l2_label(toks):
-    toks.expect("(")
+    items = toks.items
+    if items[toks.i] != "(":
+        toks.expect("(")
+    toks.i += 1
     tree = _l1(toks)
-    toks.expect(",")
+    if items[toks.i] != ",":
+        toks.expect(",")
+    toks.i += 1
     node = _node_or_minus(toks)
-    toks.expect(")")
+    if items[toks.i] != ")":
+        toks.expect(")")
+    toks.i += 1
     return tree, node
 
 
@@ -260,11 +326,11 @@ def parse_l2(text: str):
 
 
 def _le2(toks):
-    toks.expect("(")
+    _skip(toks, "(")
     t1 = _l1(toks)
-    toks.expect(";")
+    _skip(toks, ";")
     t2 = _l2_entries(toks, ")")
-    toks.expect(")")
+    _skip(toks, ")")
     return LevelLe2Tree(t1, t2)
 
 
@@ -273,24 +339,27 @@ def parse_le2(text: str):
 
 
 def _pl2(toks):
-    toks.expect("(")
+    items = toks.items
+    _skip(toks, "(")
     base = _le2(toks)
-    toks.expect("@")
-    toks.expect("(")
+    _skip(toks, "@")
+    _skip(toks, "(")
     d = check_degree(_integer(toks, "the degree"))
-    toks.expect(",")
+    _skip(toks, ",")
     if d == 0:
-        if toks.next() != "-1":
+        if items[toks.i] != "-1":
+            toks.next()
             raise ParseError("degree 0 extension is -1", *toks.loc_back())
+        toks.i += 1
         q = MINUS_ONE
     elif d == 1:
         q = _node(toks)
     else:
         q = _domseq(toks)
-    toks.expect(",")
+    _skip(toks, ",")
     p = _l1(toks)
-    toks.expect(")")
-    toks.expect(")")
+    _skip(toks, ")")
+    _skip(toks, ")")
     return validate_partial_le2(base, d, q, p)
 
 
@@ -308,8 +377,15 @@ def parse_l3(text: str):
 
 def _towers(toks, entries):
     """A bracketed list of bracketed trees, each read by ``entries``."""
-    return _bracketed(toks, "[", "]", _items,
-                      lambda t: _bracketed(t, "[", "]", entries), None)
+    items = toks.items
+    _skip(toks, "[")
+    trees = []
+    while items[toks.i] != "]":
+        _skip(toks, "[")
+        trees.append(entries(toks, "]"))
+        _skip(toks, "]")
+    toks.i += 1
+    return trees
 
 
 def parse_l2_tower(text: str):
@@ -322,14 +398,17 @@ def parse_l3_tower(text: str):
 
 # -- index maps --------------------------------------------------------------------
 
-def _index_pair(toks):
-    i = _integer(toks, "an index")
-    toks.expect("->")
-    return i, _integer(toks, "an index")
-
-
 def _index_map(toks) -> IndexMap:
-    pairs = _bracketed(toks, "{", "}", _items, _index_pair, ",")
+    items = toks.items
+    _skip(toks, "{")
+    pairs = []
+    while items[toks.i] != "}":
+        i = _integer(toks, "an index")
+        _skip(toks, "->")
+        pairs.append((i, _integer(toks, "an index")))
+        if items[toks.i] == ",":
+            toks.i += 1
+    toks.i += 1
     if [i for i, _ in pairs] != list(range(1, len(pairs) + 1)):
         raise ParseError("index map domain must be 1..n in order", *toks.loc_back())
     image = tuple(v for _, v in pairs)
@@ -344,41 +423,54 @@ def parse_index_map(text: str) -> IndexMap:
 # -- ordinals ------------------------------------------------------------------------
 
 def _ctbl_atom(toks) -> CtblOrd:
-    tok = toks.peek()
+    """A natural, ``w``, ``w^`` an atom, or a parenthesized expression.  A
+    ``(`` or ``^`` opens one nesting level, closed once what it opens is
+    read; a parse error abandons the whole parse."""
+    items = toks.items
+    tok = items[toks.i]
     if tok == "(":
-        toks.next()
-        toks.nest()
+        toks.i += 1
+        toks.depth += 1
+        if toks.depth > MAX_NESTING:
+            toks.too_deep()
         out = _ctbl_expr(toks)
-        toks.expect(")")
+        if items[toks.i] != ")":
+            toks.expect(")")
+        toks.i += 1
         toks.depth -= 1
         return out
     if tok == "w":
-        toks.next()
-        exp = CtblOrd.natural(1)
-        if toks.peek() == "^":
-            toks.next()
-            toks.nest()
+        toks.i += 1
+        exp = ONE
+        if items[toks.i] == "^":
+            toks.i += 1
+            toks.depth += 1
+            if toks.depth > MAX_NESTING:
+                toks.too_deep()
             exp = _ctbl_atom(toks)
             toks.depth -= 1
         return CtblOrd.omega_power(exp)
-    tok = toks.next()
-    if tok and _NATURAL(tok):
-        return CtblOrd.natural(int(tok))
-    raise ParseError(f"expected a countable ordinal, got {tok!r}", *toks.loc_back())
+    if tok is None or not _NATURAL(tok):
+        tok = toks.next()
+        raise ParseError(f"expected a countable ordinal, got {tok!r}", *toks.loc_back())
+    toks.i += 1
+    return CtblOrd.natural(_numeral(toks, tok))
 
 
 def _ctbl_product(toks) -> CtblOrd:
+    items = toks.items
     out = _ctbl_atom(toks)
-    while toks.peek() == "*":
-        toks.next()
+    while items[toks.i] == "*":
+        toks.i += 1
         out = out * _ctbl_atom(toks)
     return out
 
 
 def _ctbl_expr(toks) -> CtblOrd:
+    items = toks.items
     out = _ctbl_product(toks)
-    while toks.peek() == "+":
-        toks.next()
+    while items[toks.i] == "+":
+        toks.i += 1
         out = out + _ctbl_product(toks)
     return out
 
@@ -388,15 +480,16 @@ def parse_ctbl(text: str) -> CtblOrd:
 
 
 def _uord_term(toks) -> UOrd:
-    tok = toks.peek()
+    items = toks.items
+    tok = items[toks.i]
     if tok and _ULEVEL(tok):
-        toks.next()
-        level = int(tok[1:])
+        toks.i += 1
+        level = _numeral(toks, tok[1:])
         if level < 1:
             raise ParseError("u-levels start at 1", *toks.loc_back())
-        coeff = CtblOrd.natural(1)
-        if toks.peek() == "*":
-            toks.next()
+        coeff = ONE
+        if items[toks.i] == "*":
+            toks.i += 1
             coeff = _ctbl_product(toks)
         if coeff.is_zero():
             raise ParseError("zero coefficient on a u-term", *toks.loc_back())
@@ -405,9 +498,10 @@ def _uord_term(toks) -> UOrd:
 
 
 def _uord_expr(toks) -> UOrd:
+    items = toks.items
     out = _uord_term(toks)
-    while toks.peek() == "+":
-        toks.next()
+    while items[toks.i] == "+":
+        toks.i += 1
         out = out + _uord_term(toks)
     return out
 
@@ -416,14 +510,19 @@ def parse_uord(text: str) -> UOrd:
     return _parse_with(text, _uord_expr)
 
 
-def _rep_item(toks):
-    if toks.peek() in ("(", "-1"):
-        return _node_or_minus(toks)
-    return _uord_expr(toks)
-
-
 def _rep_seq(toks) -> tuple:
-    return tuple(_bracketed(toks, "[", "]", _items, _rep_item, ","))
+    items = toks.items
+    _skip(toks, "[")
+    out = []
+    while items[toks.i] != "]":
+        if items[toks.i] in ("(", "-1"):
+            out.append(_node_or_minus(toks))
+        else:
+            out.append(_uord_expr(toks))
+        if items[toks.i] == ",":
+            toks.i += 1
+    toks.i += 1
+    return tuple(out)
 
 
 def parse_rep_seq(text: str):
@@ -432,13 +531,16 @@ def parse_rep_seq(text: str):
 
 
 def _rep2_point(toks):
-    toks.expect("(")
-    side = toks.next()
-    if side not in ("1", "2"):
+    items = toks.items
+    _skip(toks, "(")
+    side = items[toks.i]
+    if side != "1" and side != "2":
+        side = toks.next()
         raise ParseError(f"rep2 element side is 1 or 2, got {side!r}", *toks.loc_back())
-    toks.expect(",")
+    toks.i += 1
+    _skip(toks, ",")
     entries = _rep_seq(toks)
-    toks.expect(")")
+    _skip(toks, ")")
     return int(side), entries
 
 

@@ -394,6 +394,36 @@ def test_batch_goes_on_after_unparsable_lines(tmp_path):
     assert lines[4].endswith("result=u1")
 
 
+# Longer than the 4 300 digits Python converts to an int by default: a node
+# entry, a natural, a u-level, an index and a degree, each a parse error at
+# the numeral's token.
+LONG = "1" * 5000
+PL2_DEGREE = "(({} ; () -> ({}, (0))) @ (%s, -1, {}))"
+
+
+@pytest.mark.parametrize("argv, col", [
+    (("validate", "l1", "{(0 %s)}" % LONG), 5),
+    (("cfl", LONG), 1),
+    (("cfl", "u" + LONG), 1),
+    (("shift-sup", "{1->%s}" % LONG, "u1"), 5),
+    (("validate", "pl2", PL2_DEGREE % LONG), 28),
+], ids=["node-entry", "natural", "u-level", "index", "degree"])
+def test_a_numeral_too_long_is_a_parse_error(argv, col):
+    code, out = run(*argv)
+    assert code == 2 and out.count("\n") == 1
+    assert out.endswith(f' code=PARSE_ERROR detail="PARSE_ERROR: number too long, line 1, col {col}"\n')
+
+
+def test_batch_goes_on_after_a_numeral_too_long(tmp_path):
+    batch = tmp_path / "long_numeral.batch"
+    batch.write_text(f'validate l1 "{{({LONG})}}"\ncfl "u2 + u1*2"\n')
+    code, out = run("batch", str(batch))
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 2
+    assert "code=PARSE_ERROR" in lines[0] and "number too long" in lines[0]
+    assert lines[1].endswith("result=u1")
+
+
 def test_check_lemmas_timings_are_opt_in():
     _, plain = run("check-lemmas", "--bound", "1")
     code, timed = run("check-lemmas", "--bound", "1", "--timings")

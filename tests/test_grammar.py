@@ -1,8 +1,11 @@
+import hashlib
+import inspect
 import random
 import shlex
 from pathlib import Path
 
 import pytest
+from conftest import _entered
 
 from uctk import grammar
 from uctk.errors import KernelError, ParseError
@@ -228,3 +231,62 @@ def test_a_valid_parse_scans_once(monkeypatch):
             assert scan.calls == placed, (parse.__name__, text)
             counts["placed"] += placed
     assert counts["parsed"] > 100 and counts["placed"] > 100
+
+
+def test_a_valid_parse_calls_no_token_method():
+    """The descent reads ``toks.items`` by index and moves ``toks.i``
+    itself: a valid parse builds its ``_Tokens`` and enters none of its
+    other methods, which only an error reaches.  Checked on every golden
+    argument with every parser that accepts it."""
+    golden = _golden_arguments()
+    valid = []
+    for text in golden:
+        for parse in PARSERS:
+            try:
+                parse(text)
+            except KernelError:
+                continue
+            valid.append((parse, text))
+    methods = [f for name, f in vars(grammar._Tokens).items()
+               if inspect.isfunction(f) and name != "__init__"]
+
+    def run():
+        for parse, text in valid:
+            parse(text)
+
+    assert len(valid) > 100 and len(methods) >= 4
+    assert _entered(methods, run) == set()
+
+
+# -- the descent's outcomes ------------------------------------------------------
+
+def _outcome(parse, text) -> str:
+    """One line: the parser and the text, then ``ok`` with the value's type
+    and str, the ParseError's detail, line and column, or another kernel
+    error's code and text."""
+    head = f"{parse.__name__} {text!r}"
+    try:
+        value = parse(text)
+    except ParseError as e:
+        return f"{head} ParseError {e.detail[0]!r} {e.line} {e.col}"
+    except KernelError as e:
+        return f"{head} {e.code} {e}"
+    return f"{head} ok {type(value).__name__} {value}"
+
+
+# Recorded with the descent that read each token through a ``_Tokens``
+# method call; the descent that reads ``toks.items`` by index must agree.
+PARSE_OUTCOMES = "1509c1ef4ebf24bd24f39f22145fcdd46ad2f534c7cf6160aaa45d35cdb96f3b"
+
+
+def test_every_parse_outcome_matches_the_recorded_hash():
+    """Every parser on every golden argument, its mutations and the edge
+    texts: 16 parsers by 2 809 texts."""
+    golden = _golden_arguments()
+    texts = golden + _mutations(golden, per_text=20) + EDGE_TEXTS
+    h = hashlib.sha256()
+    for parse in PARSERS:
+        for text in texts:
+            h.update(_outcome(parse, text).encode("utf-8", "surrogateescape") + b"\n")
+    assert len(PARSERS) * len(texts) == 44944
+    assert h.hexdigest() == PARSE_OUTCOMES
