@@ -21,16 +21,17 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from functools import partial
+from functools import cmp_to_key, partial
 
 from . import bk
 from .analysis import (analyze, factor_to_shift, inclusion_shift,
                        recover_from_analysis)
 from .errors import MultipleTreesFound, NoTreeFound, NotAFactoring
-from .level1 import (EMPTY_TREE, FactorMap1, Level1Tree, addable_nodes,
-                     check_factor_map, descriptions, enumerate_level1_up_to,
-                     factor_exists, factorings, regular_nodes, rep_order_type,
-                     s1_member, strict_factor_exists)
+from .level1 import (EMPTY_DESC, EMPTY_TREE, FactorMap1, Level1Tree,
+                     addable_nodes, check_factor_map, descriptions,
+                     enumerate_level1_up_to, factor_exists, factorings,
+                     regular_nodes, rep_order_type, s1_member,
+                     strict_factor_exists)
 from .level2 import (MINUS_ONE, LevelLe2Tree, as_domseq, enumerate_le2_trees,
                      enumerate_level2_with_dom, evaluate_description,
                      extended_descriptions, generate_respecting_tuple,
@@ -118,7 +119,9 @@ class EvalOracle:
     def __init__(self, b: UOrd, tree: Level1Tree):
         self.b = b
         self.tree = tree
-        self.descs = descriptions(tree)
+        # the Brouwer-Kleene order by its definition, not the kernel's key
+        self.order = sorted(tree.nodes, key=cmp_to_key(bk.bk))
+        self.descs = [*self.order, EMPTY_DESC]
         self.sig_nodes = tuple(self.descs[k - 1] for k, _ in b.uterms)
         self.coeffs = [c for _, c in b.uterms]
         self.tail = b.tail
@@ -136,13 +139,12 @@ class EvalOracle:
             v = self._pools[j] = CtblOrd.omega_power(self.mu * CtblOrd.natural(j))
         return v
 
-    def assignments(self, nodes, extra: int):
-        """Order-respecting pool assignments to the given nodes."""
-        order = bk.bk_sorted(nodes)
-        n = len(order)
+    def assignments(self, extra: int):
+        """Order-respecting pool assignments to the tree's nodes."""
+        n = len(self.order)
         out = []
         for combo in itertools.combinations(range(1, n + extra + 1), n):
-            out.append({p: self.pool(j) for p, j in zip(order, combo)})
+            out.append({p: self.pool(j) for p, j in zip(self.order, combo)})
         return out
 
     def evaluate(self, assignment) -> CtblOrd:
@@ -189,7 +191,7 @@ class EvalOracle:
         if set(claimed) - set(self.tree.nodes):
             return False
         points = sorted((tuple([x[w].key for w in claimed]), self.evaluate(x).key)
-                        for x in self.assignments(self.tree.nodes, 2))
+                        for x in self.assignments(2))
         for (px, fx), (py, fy) in zip(points, points[1:]):
             if px == py:
                 if fx != fy:
@@ -215,7 +217,7 @@ class EvalOracle:
     def essentially_continuous(self) -> bool:
         if not self.sig_nodes:
             return False
-        for assignment in self.assignments(self.tree.nodes, 1):
+        for assignment in self.assignments(1):
             if self.evaluate(assignment).compare(
                     self.sup_strictly_below(assignment)) != 0:
                 return False
@@ -250,13 +252,11 @@ class EvalOracle:
 # and _sample make the getrandbits calls of the stdlib's randrange, choice
 # and sample in the same order, so the cases depend only on the generator's
 # word stream, not on how a Python release implements those three.
-# The suites draw only at depth 1 (_terms1, _uterms).  There _below's loop
-# is written out in place with each bound's width, 3 bits below 4 and 6 and
-# 2 below 2 and 3, and terms merge on their exponents' int values, naturals
-# 0..5, with one CtblOrd built at the end.  Only the deeper draws,
-# which only tests make, merge CtblOrd exponents by ``key`` (_add_term).
+# In _terms1, which draws every countable ordinal the suites use, _below's
+# loop is written out in place with each bound's width, 3 bits below 4 and
+# 6 and 2 below 2 and 3, and terms merge on their exponents' int values,
+# naturals 0..5, with one CtblOrd built at the end.
 _NATURALS = tuple(CtblOrd.natural(n) for n in range(6))
-_SMALL_EXPONENTS = _NATURALS[1:4]
 
 
 def _below(rng: random.Random, n: int) -> int:
@@ -287,18 +287,6 @@ def _sample(rng: random.Random, lo: int, hi: int, k: int) -> list:
     return result
 
 
-def _add_term(terms: list, exp: CtblOrd, coeff: int) -> None:
-    """terms := terms + w^exp*coeff: the terms below exp are absorbed and a
-    term at exp takes on the coefficient."""
-    if terms:
-        key = exp.key
-        while terms and terms[-1][0].key < key:
-            terms.pop()
-        if terms and terms[-1][0].key == key:
-            coeff += terms.pop()[1]
-    terms.append((exp, coeff))
-
-
 def _add_natural(terms: list, n: int) -> None:
     """terms := terms + n for n >= 1, where every exponent is one of
     _NATURALS, so that exponent 0 is ZERO itself."""
@@ -308,7 +296,7 @@ def _add_natural(terms: list, n: int) -> None:
 
 
 def _terms1(rng: random.Random) -> list:
-    """The terms of rand_ctbl(rng, 1), each exponent one of _NATURALS.
+    """The terms of rand_ctbl(rng), each exponent one of _NATURALS.
     Terms merge on the exponents' int values, kept in ``exps``."""
     bits = rng.getrandbits
     kind = bits(3)
@@ -325,13 +313,13 @@ def _terms1(rng: random.Random) -> list:
     while count >= 2:
         count = bits(2)
     for _ in range(count + 1):
-        if rand() < 0.4:  # rand_ctbl(rng, 0): a kind it drops, a natural
+        if rand() < 0.4:  # a draw below 4 that is dropped, then 0..5
             while bits(3) >= 4:
                 pass
             exp = bits(3)
             while exp >= 6:
                 exp = bits(3)
-        else:  # one of _SMALL_EXPONENTS
+        else:  # 1..3
             exp = bits(2)
             while exp >= 3:
                 exp = bits(2)
@@ -360,7 +348,7 @@ def _terms1(rng: random.Random) -> list:
 def _uterms(rng: random.Random, lo: int, hi: int) -> list:
     """u-terms at sorted(_sample(rng, lo, hi, _below(rng, hi - lo + 2)),
     reverse=True), a random set of the levels lo..hi, highest first, each
-    with the coefficient rand_ctbl(rng, 1), or ONE where that is zero.
+    with the coefficient rand_ctbl(rng), or ONE where that is zero.
     Raises ValueError before any draw unless 0 <= hi - lo + 1 <= 21, the
     populations _sample takes."""
     n = hi - lo + 1
@@ -381,33 +369,17 @@ def _uterms(rng: random.Random, lo: int, hi: int) -> list:
     return uterms
 
 
-def rand_ctbl(rng: random.Random, depth: int) -> CtblOrd:
-    """A countable ordinal.  With odds 1/4, and always at depth 0 or below,
-    a natural 0..5.  Else the sum of one or two terms w^e*c, with c in 1..3
-    and e either rand_ctbl(rng, depth - 1) (odds 0.4) or one of
-    _SMALL_EXPONENTS (1..3), then with odds 1/2 a natural 1..3 more.  At
-    depth 1, then, every exponent is a natural 0..5, drawn from
-    _SMALL_EXPONENTS or from rand_ctbl(rng, 0); _terms1 makes that draw."""
-    if depth == 1:
-        return CtblOrd(tuple(_terms1(rng)))
-    kind = _below(rng, 4)
-    if kind == 0 or depth <= 0:
-        return _NATURALS[_below(rng, 6)]
-    terms = []
-    for _ in range(_below(rng, 2) + 1):
-        exp = rand_ctbl(rng, depth - 1) if rng.random() < 0.4 else \
-            _SMALL_EXPONENTS[_below(rng, 3)]
-        _add_term(terms, exp, _below(rng, 3) + 1)
-    if rng.random() < 0.5:
-        n = _below(rng, 4)
-        if n:
-            _add_term(terms, ZERO, n)
-    return CtblOrd(tuple(terms))
+def rand_ctbl(rng: random.Random) -> CtblOrd:
+    """A countable ordinal.  With odds 1/4 a natural 0..5.  Else the sum of
+    one or two terms w^e*c, with c in 1..3 and e a natural: with odds 0.4
+    one in 0..5, drawn after a draw below 4 that is dropped, else one in
+    1..3; then with odds 1/2 a natural 1..3 more."""
+    return CtblOrd(tuple(_terms1(rng)))
 
 
 def rand_uord(rng: random.Random, max_level: int) -> UOrd:
     uterms = _uterms(rng, 1, max_level)
-    tail = rand_ctbl(rng, 1) if rng.random() < 0.6 else ZERO
+    tail = rand_ctbl(rng) if rng.random() < 0.6 else ZERO
     return UOrd(tuple(uterms), tail)
 
 
@@ -482,11 +454,12 @@ def suite_factor_order(max_nodes: int) -> SuiteResult:
     return res
 
 
-def suite_shift(pairs: int, seed: int, max_level: int) -> SuiteResult:
+def suite_shift(pairs: int, seed: int) -> SuiteResult:
+    """Seeded limits below u_7 and index maps from their levels."""
     res = SuiteResult("shift continuity criterion and decomposition recursion")
     rng = random.Random(seed)
     for _ in range(pairs):
-        b = rand_limit_uord(rng, max_level)
+        b = rand_limit_uord(rng, 6)
         n = max(b.max_level(), 1)
         n2 = n + _below(rng, 4)
         sigma = rand_index_map(rng, n, n2)
@@ -855,12 +828,13 @@ def check_lemmas(bound: int, seed: int):
     suites = [
         partial(suite_order_type, max_nodes=max(bound, 3)),
         partial(suite_factor_order, max_nodes=min(bound, 4)),
-        partial(suite_shift, pairs=200 * bound, seed=seed, max_level=6),
+        partial(suite_shift, pairs=200 * bound, seed=seed),
         partial(suite_analysis, count=50 * bound, seed=seed),
-        partial(suite_lemma_level2_ucf, max_partial_nodes=min(bound, 4),
-                max_w=min(bound + 1, 5), betas=10, seed=seed),
-        partial(suite_lemma_level2_ucf_another, max_partial_nodes=min(bound, 4),
-                max_w=min(bound + 1, 5), betas=10, seed=seed),
+        # below 2 partial nodes and 3 nodes of W the sup swap has no case
+        partial(suite_lemma_level2_ucf, max_partial_nodes=min(max(bound, 2), 4),
+                max_w=min(max(bound + 1, 3), 5), betas=10, seed=seed),
+        partial(suite_lemma_level2_ucf_another, max_partial_nodes=min(max(bound, 2), 4),
+                max_w=min(max(bound + 1, 3), 5), betas=10, seed=seed),
         partial(suite_uniqueness, max_dom=min(bound, 4)),
         partial(suite_desc_eval, max_dom=min(bound, 4)),
         partial(suite_respect_hierarchy, max_dom=min(bound, 4)),

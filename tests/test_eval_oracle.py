@@ -5,7 +5,8 @@ and against the code it checks.
 projections and compares neighbours; ``_pairwise_signature_holds`` is the
 rule it replaced, every pair of points compared in the Brouwer-Kleene
 order.  The oracle must also stay an independent route: it never enters the
-analysis it is run against, and neither do the order-type and
+analysis it is run against, nor the sort key behind the analysis's
+Brouwer-Kleene order, and neither do the order-type and
 cofinality oracles enter the closed forms they check, and the sup shift's
 closed form and decomposition recursion share none of their own code."""
 
@@ -29,7 +30,7 @@ def _pairwise_signature_holds(oracle, claimed) -> bool:
     if set(claimed) - set(oracle.tree.nodes):
         return False
     points = [(tuple(x[w] for w in claimed), oracle.evaluate(x))
-              for x in oracle.assignments(oracle.tree.nodes, 2)]
+              for x in oracle.assignments(2)]
     for px, fx in points:
         for py, fy in points:
             if px == py:
@@ -74,9 +75,13 @@ def test_sorted_signature_check_agrees_with_pairwise():
     assert 0 < accepted < cases
 
 
+# the analysis, and the Brouwer-Kleene order it reads through the kernel's
+# sort key; the oracle orders the nodes by bk.bk, the definition
 _PRODUCTION = (analysis.analyze, analysis.factor_to_shift,
                analysis.inclusion_shift, analysis.recover_from_analysis,
-               analysis.chain_node)
+               analysis.chain_node, level1.descriptions,
+               level1.Level1Tree.bk_sorted, level1._bk_order.__wrapped__,
+               bk.bk_key, bk.bk_sorted)
 
 
 def test_oracle_never_enters_the_analysis():

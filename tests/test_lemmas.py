@@ -1,6 +1,8 @@
 import inspect
 import random
 
+import pytest
+
 from uctk import lemmas
 from uctk.analysis import tree_embed, tree_embed_sup
 from uctk.lemmas import SuiteResult
@@ -85,3 +87,9 @@ def test_no_suite_has_a_size_default():
     for suite in suites:
         params = inspect.signature(suite).parameters.values()
         assert all(p.default is p.empty for p in params), suite.__name__
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_every_suite_checks_a_case_at_small_bounds(bound):
+    # a suite that counts no case passes without checking anything
+    assert [r.name for r in lemmas.check_lemmas(bound, 0) if not r.cases] == []

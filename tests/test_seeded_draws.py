@@ -5,15 +5,18 @@ tests/data/seeded_draws.json holds the draws recorded from the generators
 that built each value by ordinal addition.  The draw helpers they use,
 ``_below`` and ``_sample``, are held to the stdlib calls they replace:
 ``randrange`` with one and two arguments, ``choice`` and ``sample``.  The
-depth-1 draws, which merge terms on int exponents, are held to the route
-they replace, kept here: terms merged on CtblOrd exponents by ``key``."""
+suites' draws, which merge terms on int exponents, are held to the route
+they replace: terms merged on CtblOrd exponents by ``key``, kept in
+conftest.py as ``_ref_ctbl`` and built up here to the ordinals below u_7.
+``_ref_ctbl`` also makes the recorded depth-0 and depth-2 draws, which no
+kernel generator makes."""
 
 import json
 import random
 from pathlib import Path
 
 import pytest
-from conftest import _entered
+from conftest import _add_term_by_key, _entered, _ref_ctbl
 
 from uctk import lemmas
 from uctk.ordinals import ONE, ZERO, CtblOrd, UOrd, _Ordered
@@ -38,8 +41,9 @@ def draws(seed):
     def group(name, make, count=20):
         groups[name] = [str(make()) for _ in range(count)] + [repr(rng.random())]
 
-    for depth in range(3):
-        group(f"rand_ctbl depth {depth}", lambda: lemmas.rand_ctbl(rng, depth))
+    group("rand_ctbl depth 0", lambda: _ref_ctbl(rng, 0))
+    group("rand_ctbl depth 1", lambda: lemmas.rand_ctbl(rng))
+    group("rand_ctbl depth 2", lambda: _ref_ctbl(rng, 2))
     group("rand_uord", lambda: lemmas.rand_uord(rng, 6))
     group("rand_uord 3 no tail", lambda: _tail_free_uord(rng, 3))
     for max_level in (1, 3, 5):
@@ -141,33 +145,7 @@ def test_qualifying_beta_rejects_a_level_outside_one_to_max_level(max_level, k):
     assert rng.getstate() == state
 
 
-# -- the key-merging route the depth-1 draws replace ------------------------------
-
-def _add_term_by_key(terms, exp, coeff):
-    if terms:
-        key = exp.key
-        while terms and terms[-1][0].key < key:
-            terms.pop()
-        if terms and terms[-1][0].key == key:
-            coeff += terms.pop()[1]
-    terms.append((exp, coeff))
-
-
-def _ref_ctbl(rng, depth):
-    below = lemmas._below
-    if below(rng, 4) == 0 or depth <= 0:
-        return lemmas._NATURALS[below(rng, 6)]
-    terms = []
-    for _ in range(below(rng, 2) + 1):
-        exp = _ref_ctbl(rng, depth - 1) if rng.random() < 0.4 else \
-            lemmas._SMALL_EXPONENTS[below(rng, 3)]
-        _add_term_by_key(terms, exp, below(rng, 3) + 1)
-    if rng.random() < 0.5:
-        n = below(rng, 4)
-        if n:
-            _add_term_by_key(terms, ZERO, n)
-    return CtblOrd(tuple(terms))
-
+# -- the ordinals below u_7 by the key-merging route ----------------------------
 
 def _ref_uterms(rng, lo, hi):
     levels = sorted(lemmas._sample(rng, lo, hi, lemmas._below(rng, hi - lo + 2)),
@@ -202,9 +180,9 @@ def _ref_qualifying_beta(rng, max_level, k):
 
 def _draw_pairs():
     """(generator, its reference) for every draw the suites make: rand_ctbl
-    at depth 1, and the ordinals below u_7 for every level m <= 6 and
-    every 1 <= k <= m."""
-    pairs = [(lambda r: lemmas.rand_ctbl(r, 1), lambda r: _ref_ctbl(r, 1))]
+    (the reference at depth 1), and the ordinals below u_7 for every level
+    m <= 6 and every 1 <= k <= m."""
+    pairs = [(lemmas.rand_ctbl, lambda r: _ref_ctbl(r, 1))]
     for m in range(7):
         pairs.append((lambda r, m=m: lemmas.rand_uord(r, m),
                       lambda r, m=m: _ref_uord(r, m)))
@@ -234,6 +212,7 @@ def test_suite_draws_build_no_key():
     def run():
         rng = random.Random(7)
         for _ in range(50):
+            lemmas.rand_ctbl(rng)
             for m in range(1, 7):
                 lemmas.rand_uord(rng, m)
                 lemmas.rand_limit_uord(rng, m)

@@ -13,6 +13,7 @@ import random
 from pathlib import Path
 
 import pytest
+from conftest import _ref_ctbl
 
 import uctk
 from uctk import analysis, grammar, lemmas, level1, level2, level3, ordinals, value
@@ -65,7 +66,7 @@ def seeded_values(seed):
     out = []
     for _ in range(6):
         n2 = rng.randrange(1, 7)
-        out += [lemmas.rand_ctbl(rng, 2), lemmas.rand_uord(rng, 6),
+        out += [_ref_ctbl(rng, 2), lemmas.rand_uord(rng, 6),
                 lemmas.rand_index_map(rng, rng.randrange(n2 + 1), n2)]
     trees = level1.enumerate_level1_up_to(4, regular_only=False)[1:]
     for _ in range(4):
