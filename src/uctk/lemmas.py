@@ -26,7 +26,7 @@ from functools import cmp_to_key, partial
 from . import bk
 from .analysis import (analyze, factor_to_shift, inclusion_shift,
                        recover_from_analysis)
-from .errors import MultipleTreesFound, NoTreeFound, NotAFactoring
+from .errors import KernelError, MultipleTreesFound, NoTreeFound, NotAFactoring
 from .level1 import (EMPTY_DESC, EMPTY_TREE, FactorMap1, Level1Tree,
                      addable_nodes, check_factor_map, descriptions,
                      enumerate_level1_up_to, factor_exists, factorings,
@@ -425,8 +425,26 @@ def _pred_in_tree(tree: Level1Tree, node):
 
 # -- suites ---------------------------------------------------------------------------
 
+# Each suite's name in the report, by the short name ``check_lemmas`` lists
+# the suite under: the suite's own result carries it, and so does the
+# failing result ``check_lemmas`` records for a suite that raises.
+SUITE_NAMES = {
+    "order_type": "order-type law: o.t.(<^P) = w*card(P)+1 vs rank oracle",
+    "factor_order": "factoring existence vs order-type comparison",
+    "shift": "shift continuity criterion and decomposition recursion",
+    "analysis": "analysis coherence against the a.e.-evaluation oracle",
+    "lemma_level2_ucf": "level-2 uniform cofinality lemma (sup swap)",
+    "lemma_level2_ucf_another": "level-2 uniform cofinality lemma (completion route)",
+    "uniqueness": "uniqueness of the representing level <=2 tree",
+    "desc_eval": "description evaluation: continuous values and monotonicity",
+    "respect_hierarchy": "respects implies weakly respects; typical discriminators",
+    "tree_property": "S1/S2 accept every initial segment of an accepted node",
+    "ucf_cf3": "ucf totality/regularity and case coverage; cf3 cases",
+}
+
+
 def suite_order_type(max_nodes: int) -> SuiteResult:
-    res = SuiteResult("order-type law: o.t.(<^P) = w*card(P)+1 vs rank oracle")
+    res = SuiteResult(SUITE_NAMES["order_type"])
     for tree in enumerate_level1_up_to(max_nodes, regular_only=False):
         if not len(tree):
             res.check(rep_order_type(tree) == ZERO == order_type_oracle(tree),
@@ -441,7 +459,7 @@ def suite_order_type(max_nodes: int) -> SuiteResult:
 
 
 def suite_factor_order(max_nodes: int) -> SuiteResult:
-    res = SuiteResult("factoring existence vs order-type comparison")
+    res = SuiteResult(SUITE_NAMES["factor_order"])
     trees = enumerate_level1_up_to(max_nodes, regular_only=False)
     for p in trees:
         for w in trees:
@@ -456,7 +474,7 @@ def suite_factor_order(max_nodes: int) -> SuiteResult:
 
 def suite_shift(pairs: int, seed: int) -> SuiteResult:
     """Seeded limits below u_7 and index maps from their levels."""
-    res = SuiteResult("shift continuity criterion and decomposition recursion")
+    res = SuiteResult(SUITE_NAMES["shift"])
     rng = random.Random(seed)
     for _ in range(pairs):
         b = rand_limit_uord(rng, 6)
@@ -474,7 +492,7 @@ def suite_shift(pairs: int, seed: int) -> SuiteResult:
 
 
 def suite_analysis(count: int, seed: int) -> SuiteResult:
-    res = SuiteResult("analysis coherence against the a.e.-evaluation oracle")
+    res = SuiteResult(SUITE_NAMES["analysis"])
     rng = random.Random(seed)
     pool_trees = [t for t in enumerate_level1_up_to(5, regular_only=False) if len(t) >= 1]
     produced = 0
@@ -541,7 +559,7 @@ def _lemma_a_configs(max_partial_nodes: int, max_w: int):
 def suite_lemma_level2_ucf(max_partial_nodes: int, max_w: int, betas: int,
                            seed: int) -> SuiteResult:
     """sigma^W o j^{P-,P}_sup = (sigma')^W_sup o j^{P-,P} on qualifying betas."""
-    res = SuiteResult("level-2 uniform cofinality lemma (sup swap)")
+    res = SuiteResult(SUITE_NAMES["lemma_level2_ucf"])
     rng = random.Random(seed)
     for base, p, completion, k, j, w, fm, fm2 in _lemma_a_configs(max_partial_nodes, max_w):
         s1 = factor_to_shift(fm)
@@ -567,7 +585,7 @@ def _completion_configs(max_partial_nodes: int, max_w: int):
 def suite_lemma_level2_ucf_another(max_partial_nodes: int, max_w: int, betas: int,
                                    seed: int) -> SuiteResult:
     """sigma^W = (sigma')^W_sup o j^{P,P+} in both displayed cases."""
-    res = SuiteResult("level-2 uniform cofinality lemma (completion route)")
+    res = SuiteResult(SUITE_NAMES["lemma_level2_ucf_another"])
     rng = random.Random(seed)
     # case 1: degree-0 pending, omega-cofinal beta, sigma' = sigma
     for base in enumerate_level1_up_to(max_partial_nodes - 1, regular_only=True):
@@ -631,7 +649,7 @@ def recover_tree_by_search(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
 def suite_uniqueness(max_dom: int) -> SuiteResult:
     """The search oracle finds exactly the generating tree, and the direct
     recovery reads the same tree off the tuple."""
-    res = SuiteResult("uniqueness of the representing level <=2 tree")
+    res = SuiteResult(SUITE_NAMES["uniqueness"])
     realizable = 0
     for tree, t in _realizable(max_dom):
         realizable += 1
@@ -661,7 +679,7 @@ def suite_desc_eval(max_dom: int) -> SuiteResult:
     predecessor (checked against the decomposition oracle), and evaluation
     is monotone in the (length, lexicographic) description order; the
     constant description and the root's -1 form share the value u_1."""
-    res = SuiteResult("description evaluation: continuous values and monotonicity")
+    res = SuiteResult(SUITE_NAMES["desc_eval"])
     for tree, t in _realizable(max_dom):
         if not respects_le2(tree, t):
             continue
@@ -699,7 +717,7 @@ def suite_desc_eval(max_dom: int) -> SuiteResult:
 
 
 def suite_respect_hierarchy(max_dom: int) -> SuiteResult:
-    res = SuiteResult("respects implies weakly respects; typical discriminators")
+    res = SuiteResult(SUITE_NAMES["respect_hierarchy"])
     for tree, t in _realizable(max_dom):
         if respects_le2(tree, t):
             weak = weakly_respects_le2(tree, t)
@@ -729,7 +747,7 @@ def _l2_tower_from_tree(tree) -> list:
 
 
 def suite_tree_property(max_dom: int, seed: int) -> SuiteResult:
-    res = SuiteResult("S1/S2 accept every initial segment of an accepted node")
+    res = SuiteResult(SUITE_NAMES["tree_property"])
     rng = random.Random(seed)
     # S1: random regular towers with order-respecting ordinals
     for _ in range(50):
@@ -771,7 +789,7 @@ def suite_tree_property(max_dom: int, seed: int) -> SuiteResult:
 
 
 def suite_ucf_cf3(max_base_dom: int) -> SuiteResult:
-    res = SuiteResult("ucf totality/regularity and case coverage; cf3 cases")
+    res = SuiteResult(SUITE_NAMES["ucf_cf3"])
     ucf_cases = {i: 0 for i in range(1, 6)}
     cf_cases = {0: 0, 1: 0, 2: 0}
     for base in enumerate_le2_trees(max_base_dom):
@@ -824,28 +842,38 @@ def enumerate_partial_le2(base: LevelLe2Tree):
 
 def check_lemmas(bound: int, seed: int):
     """Run every invariant suite at a size bound; returns SuiteResults, each
-    with its wall time in ``seconds``."""
+    with its wall time in ``seconds``.  A suite that raises a KernelError
+    fails with 0 cases and the error as its counterexample, and the suites
+    after it still run; any other exception propagates."""
     suites = [
-        partial(suite_order_type, max_nodes=max(bound, 3)),
-        partial(suite_factor_order, max_nodes=min(bound, 4)),
-        partial(suite_shift, pairs=200 * bound, seed=seed),
-        partial(suite_analysis, count=50 * bound, seed=seed),
+        ("order_type", partial(suite_order_type, max_nodes=max(bound, 3))),
+        ("factor_order", partial(suite_factor_order, max_nodes=min(bound, 4))),
+        ("shift", partial(suite_shift, pairs=200 * bound, seed=seed)),
+        ("analysis", partial(suite_analysis, count=50 * bound, seed=seed)),
         # below 2 partial nodes and 3 nodes of W the sup swap has no case
-        partial(suite_lemma_level2_ucf, max_partial_nodes=min(max(bound, 2), 4),
-                max_w=min(max(bound + 1, 3), 5), betas=10, seed=seed),
-        partial(suite_lemma_level2_ucf_another, max_partial_nodes=min(max(bound, 2), 4),
-                max_w=min(max(bound + 1, 3), 5), betas=10, seed=seed),
-        partial(suite_uniqueness, max_dom=min(bound, 4)),
-        partial(suite_desc_eval, max_dom=min(bound, 4)),
-        partial(suite_respect_hierarchy, max_dom=min(bound, 4)),
-        partial(suite_tree_property, max_dom=min(bound, 4), seed=seed),
+        ("lemma_level2_ucf",
+         partial(suite_lemma_level2_ucf, max_partial_nodes=min(max(bound, 2), 4),
+                 max_w=min(max(bound + 1, 3), 5), betas=10, seed=seed)),
+        ("lemma_level2_ucf_another",
+         partial(suite_lemma_level2_ucf_another, max_partial_nodes=min(max(bound, 2), 4),
+                 max_w=min(max(bound + 1, 3), 5), betas=10, seed=seed)),
+        ("uniqueness", partial(suite_uniqueness, max_dom=min(bound, 4))),
+        ("desc_eval", partial(suite_desc_eval, max_dom=min(bound, 4))),
+        ("respect_hierarchy", partial(suite_respect_hierarchy, max_dom=min(bound, 4))),
+        ("tree_property", partial(suite_tree_property, max_dom=min(bound, 4), seed=seed)),
         # the 5 ucf cases need bases of at least 2 domain nodes to all occur
-        partial(suite_ucf_cf3, max_base_dom=min(max(bound, 2), 3)),
+        ("ucf_cf3", partial(suite_ucf_cf3, max_base_dom=min(max(bound, 2), 3))),
     ]
     results = []
-    for suite in suites:
+    for name, suite in suites:
         start = time.perf_counter()
-        res = suite()
+        try:
+            res = suite()
+        except KernelError as e:
+            # a kernel fault is the suite's counterexample; the cases it
+            # checked before raising are not counted
+            res = SuiteResult(SUITE_NAMES[name])
+            res.failures.append(str(e))
         res.seconds = time.perf_counter() - start
         results.append(res)
     return results

@@ -53,22 +53,40 @@ EMPTY_TREE = Level1Tree(frozenset())
 
 
 def validate_level1(nodes) -> Level1Tree:
-    """Check both tree clauses; raises naming the first violating node."""
-    nodeset = frozenset(tuple(n) for n in nodes)
-    if () in nodeset:
+    """Check both tree clauses on nodes given as any sequences of ints;
+    raises naming the first violating node."""
+    return check_level1(frozenset(tuple(n) for n in nodes))
+
+
+def check_level1(nodes: frozenset) -> Level1Tree:
+    """``validate_level1`` on its canonical form, a frozenset of int
+    tuples.  The set is closed when each node's parent and left sibling
+    are in it, which one lookup each decides; only a set that is not
+    closed is sorted, to name the first violating node."""
+    if () in nodes:
         raise ContainsEmpty()
-    for node in sorted(nodeset):
-        if len(node) > 1 and node[:-1] not in nodeset:
+    for node in nodes:
+        parent, last = node[:-1], node[-1]
+        if (parent and parent not in nodes) or (last > 0 and parent + (last - 1,) not in nodes):
+            _raise_first_violation(nodes)
+    return Level1Tree(nodes)
+
+
+def _raise_first_violation(nodes: frozenset):
+    """ClosureViolation at the least node, in sorted order, that misses its
+    parent or a left sibling, naming the first node it misses."""
+    for node in sorted(nodes):
+        if len(node) > 1 and node[:-1] not in nodes:
             raise ClosureViolation(node, node[:-1])
         for j in range(node[-1]):
-            if node[:-1] + (j,) not in nodeset:
+            if node[:-1] + (j,) not in nodes:
                 raise ClosureViolation(node, node[:-1] + (j,))
-    return Level1Tree(nodeset)
 
 
 def is_level1(nodes) -> bool:
+    """Whether the int tuples ``nodes`` form a level-1 tree."""
     try:
-        validate_level1(nodes)
+        check_level1(frozenset(nodes))
         return True
     except (ContainsEmpty, ClosureViolation):
         return False
@@ -92,6 +110,22 @@ def addable_nodes(tree: Level1Tree):
             j += 1
         out.append(parent + (j,))
     return sorted(out)
+
+
+def is_addable(tree: Level1Tree, node: Node) -> bool:
+    """Whether ``node`` is one of ``addable_nodes(tree)``, decided without
+    listing them: a new node whose parent (or the root) and left sibling,
+    if it has one, are in the tree.  In a closed tree the left sibling
+    stands for every lower one."""
+    nodes = tree.nodes
+    if not node or node in nodes:
+        return False
+    parent, last = node[:-1], node[-1]
+    try:
+        return (not parent or parent in nodes) and \
+            (last == 0 or parent + (last - 1,) in nodes)
+    except TypeError:  # a last entry with no left sibling, such as a string
+        return False
 
 
 def regular_nodes(tree: Level1Tree):

@@ -19,7 +19,7 @@ from .errors import (ArityError, BadDescription, BadFirstEntry,
                      MissingEntry, NoTreeFound, NotCompletionAt, NotInRep,
                      NotRespecting, RootNotCanonical, TowerViolation)
 from .level1 import (EMPTY_TREE, Level1Tree, Node, addable_nodes,
-                     enumerate_level1_up_to, is_level1, is_regular,
+                     enumerate_level1_up_to, is_addable, is_level1, is_regular,
                      regular_nodes, rep_compare, respects_level1,
                      validate_level1)
 from .ordinals import OMEGA, U1, CtblOrd, UOrd, as_uord
@@ -294,18 +294,44 @@ def child_labels(parent, leaf: bool):
     return out
 
 
+def is_child_label(parent, label) -> bool:
+    """Whether ``label`` is one of ``child_labels(parent, True)``, decided
+    without listing them: the parent has degree 1, the label's tree is the
+    parent's tree grown by the parent's node, and the label's node is -1 or
+    an addable node of that tree other than (1).  The parent's node is -1
+    or addable to its tree, as in every label of a level-2 tree, so the
+    grown tree is closed, as ``is_addable`` needs."""
+    tree, node = parent
+    if node == MINUS_ONE:
+        return False
+    label_tree, label_node = label
+    return label_tree == Level1Tree(tree.nodes | {node}) and \
+        (label_node == MINUS_ONE or label_node != (1,) and is_addable(label_tree, label_node))
+
+
 def validate_level2(entries) -> Level2Tree:
     """The root labelled ({}, (0)) and every other element one of the
     ``child_labels`` of its parent's label, else TowerViolation at it."""
-    items = {as_domseq(q): (t, (p if p == MINUS_ONE else tuple(p)))
-             for q, (t, p) in dict(entries).items()}
+    return check_level2({as_domseq(q): (t, (p if p == MINUS_ONE else tuple(p)))
+                         for q, (t, p) in dict(entries).items()})
+
+
+def check_level2(items: dict) -> Level2Tree:
+    """``validate_level2`` on its canonical form, a dict from domain
+    sequences (tuples of int tuples, possibly ending in -1) to (Level1Tree,
+    node or -1) labels: the same checks in the same order, a key ending in
+    -1 first, in listing order, and each label decided by
+    ``is_child_label``."""
+    for q in items:
+        if q and q[-1] == MINUS_ONE:
+            raise DomainNotTree(q)
     if () not in items:
         raise RootNotCanonical("missing root")
     if items[()] != (EMPTY_TREE, ROOT_NODE):
         raise RootNotCanonical(PartialLevel1Tree(*items[()]))
     order = check_tree_of_trees(items)
     for q in order[1:]:
-        if items[q] not in child_labels(items[q[:-1]], leaf=True):
+        if not is_child_label(items[q[:-1]], items[q]):
             raise TowerViolation(q)
     return Level2Tree(tuple((q, items[q]) for q in order))
 

@@ -13,7 +13,7 @@ from bisect import bisect
 from . import bk
 from .errors import (ArityError, CaseViolation, DegreeZero, EmptyKeyPresent, NotRegular,
                      TowerViolation)
-from .level1 import EMPTY_TREE, Level1Tree, addable_nodes
+from .level1 import EMPTY_TREE, Level1Tree, is_addable
 from .level2 import (CONSTANT_DESC, MINUS_ONE, Level2Tree, LevelLe2Tree,
                      TreeOfTrees, _dom_sort_key, as_domseq, check_tree_of_trees,
                      child_labels, description, new_key, q_set_plus, respects_degree0,
@@ -54,7 +54,7 @@ def validate_partial_le2(base: LevelLe2Tree, d: int, q, p) -> PartialLevelLe2Tre
         q = tuple(q)
         if q in base.t1.nodes:
             raise CaseViolation("node already present", q)
-        if q not in addable_nodes(base.t1):
+        if not is_addable(base.t1, q):
             raise CaseViolation("extension is not a level-1 tree", q)
         if len(p):
             raise CaseViolation("degree 1 carries no tree component")
@@ -63,7 +63,7 @@ def validate_partial_le2(base: LevelLe2Tree, d: int, q, p) -> PartialLevelLe2Tre
     t2 = base.t2
     if q in t2 or not q:
         raise CaseViolation("sequence not a fresh extension", q)
-    if q[:-1] not in t2 or q[-1] not in addable_nodes(t2.children(q[:-1])):
+    if q[:-1] not in t2 or not is_addable(t2.children(q[:-1]), q[-1]):
         raise CaseViolation("domain extension is not a tree of trees", q)
     parent = t2.partial(q[:-1])
     if parent.degree() == 0:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from conftest import _entered
 
-from uctk import grammar
+from uctk import grammar, level1, level2
 from uctk.errors import KernelError, ParseError
 from uctk.grammar import (format_domseq, format_index_map, format_l1,
                           format_l2, format_l3, format_le2, format_node,
@@ -256,6 +256,34 @@ def test_a_valid_parse_calls_no_token_method():
 
     assert len(valid) > 100 and len(methods) >= 4
     assert _entered(methods, run) == set()
+
+
+def test_a_valid_tree_parse_enters_no_normalising_pass():
+    """The grammar builds level-1 and level-2 trees in the checking cores'
+    canonical form and hands them to ``check_level1`` and ``check_level2``:
+    parsing a valid level-1 tree or tower, level-2 tree or tower, or level
+    <=2 tree enters neither normalising entry, ``as_domseq`` nor a routine
+    that lists nodes or labels.  Checked on every golden argument with
+    every such parser that accepts it."""
+    parsers = [grammar.parse_l1, grammar.parse_tower, grammar.parse_l2,
+               grammar.parse_l2_tower, grammar.parse_le2]
+    valid = []
+    for text in _golden_arguments():
+        for parse in parsers:
+            try:
+                parse(text)
+            except KernelError:
+                continue
+            valid.append((parse, text))
+    normalising = [level1.validate_level1, level2.validate_level2, level2.as_domseq,
+                   level2.child_labels, level1.regular_nodes, level1.addable_nodes]
+
+    def run():
+        for parse, text in valid:
+            parse(text)
+
+    assert {parse for parse, _ in valid} == set(parsers) and len(valid) > 40
+    assert _entered(normalising, run) == set()
 
 
 # -- the descent's outcomes ------------------------------------------------------

@@ -1,10 +1,14 @@
 import inspect
+import io
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
 from uctk import lemmas
 from uctk.analysis import tree_embed, tree_embed_sup
+from uctk.cli import main
+from uctk.errors import NotAFactoring
 from uctk.lemmas import SuiteResult
 from uctk.ordinals import apply_shift, apply_shift_sup
 
@@ -93,3 +97,48 @@ def test_no_suite_has_a_size_default():
 def test_every_suite_checks_a_case_at_small_bounds(bound):
     # a suite that counts no case passes without checking anything
     assert [r.name for r in lemmas.check_lemmas(bound, 0) if not r.cases] == []
+
+
+def test_each_suite_reports_under_its_listed_name():
+    results = lemmas.check_lemmas(1, 0)
+    assert [r.name for r in results] == list(lemmas.SUITE_NAMES.values())
+
+
+def _faulty_shift(error):
+    """A stand-in for ``shift_is_continuous``, which only the shift suite
+    calls: it raises ``error``."""
+    def shift_is_continuous(sigma, b):
+        raise error
+    return shift_is_continuous
+
+
+def test_a_kernel_error_in_a_suite_is_its_counterexample(monkeypatch):
+    monkeypatch.setattr(lemmas, "shift_is_continuous",
+                        _faulty_shift(NotAFactoring("a probe")))
+    results = lemmas.check_lemmas(1, 0)
+    assert [r.name for r in results] == list(lemmas.SUITE_NAMES.values())
+    assert [r.passed for r in results] == [True, True, False] + [True] * 8
+    shift = results[2]
+    assert shift.line() == (f"FAIL {lemmas.SUITE_NAMES['shift']}: 0 cases; "
+                            "first counterexample: NOT_A_FACTORING: a probe")
+    assert all(r.cases for r in results[3:])
+
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["check-lemmas", "--bound", "1"])
+    line = buf.getvalue()
+    assert code == 1 and line.startswith("status=rejected command=check-lemmas suites=11 ")
+    assert all(f"suite{i}=" in line for i in range(11))
+    assert '"FAIL shift continuity criterion and decomposition recursion: 0 cases; ' \
+        'first counterexample: NOT_A_FACTORING: a probe"' in line
+
+
+def test_any_other_exception_in_a_suite_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(lemmas, "shift_is_continuous", _faulty_shift(ZeroDivisionError()))
+    with pytest.raises(ZeroDivisionError):
+        lemmas.check_lemmas(1, 0)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["check-lemmas", "--bound", "1"])
+    assert code == 3 and buf.getvalue().startswith(
+        "status=error command=check-lemmas code=INTERNAL_ERROR detail=\"ZeroDivisionError")

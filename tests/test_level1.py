@@ -1,17 +1,20 @@
 import functools
+import itertools
 
 import pytest
 
 from uctk.bk import bk, bk_sorted
 from uctk.errors import (CardinalityMismatch, ClosureViolation, ContainsEmpty,
-                         LengthMismatch, NotADescription, NotInRep, NotRegular)
+                         KernelError, LengthMismatch, NotADescription, NotInRep,
+                         NotRegular)
 from uctk.grammar import parse_l1, parse_uord
 from uctk.lemmas import order_type_oracle
-from uctk.level1 import (EMPTY_TREE, FactorMap1, Rep1Element, addable_nodes,
-                         check_factor_map, desc_rank, descriptions, enumerate_level1,
-                         enumerate_level1_up_to, factor_exists, factorings, is_regular,
-                         rep_compare, rep_order_type, respects_level1, s1_member, seed,
-                         strict_factor_exists, validate_level1, validate_tower)
+from uctk.level1 import (EMPTY_TREE, FactorMap1, Level1Tree, Rep1Element, addable_nodes,
+                         check_factor_map, check_level1, desc_rank, descriptions,
+                         enumerate_level1, enumerate_level1_up_to, factor_exists,
+                         factorings, is_addable, is_regular, rep_compare, rep_order_type,
+                         respects_level1, s1_member, seed, strict_factor_exists,
+                         validate_level1, validate_tower)
 from uctk.ordinals import OMEGA, CtblOrd
 
 
@@ -40,6 +43,69 @@ class TestValidate:
     def test_empty_node_rejected(self):
         with pytest.raises(ContainsEmpty):
             validate_level1([(), (0,)])
+
+
+# every node of length at most 3 with entries 0-3, and the empty node
+NODES = [()] + [n for k in (1, 2, 3) for n in itertools.product(range(4), repeat=k)]
+# nodes with entries that are not naturals, as an API caller may pass
+ODD_NODES = {("a",), (0, "a"), ("a", 0), (0.5,), (1.0,), (-1,), (0, -1)}
+
+
+def _sorted_validate_level1(nodes) -> Level1Tree:
+    """validate_level1 as it was, kept as the reference of check_level1:
+    every node rebuilt, the set sorted and each node's parent and lower
+    siblings looked up in that order."""
+    nodeset = frozenset(tuple(n) for n in nodes)
+    if () in nodeset:
+        raise ContainsEmpty()
+    for node in sorted(nodeset):
+        if len(node) > 1 and node[:-1] not in nodeset:
+            raise ClosureViolation(node, node[:-1])
+        for j in range(node[-1]):
+            if node[:-1] + (j,) not in nodeset:
+                raise ClosureViolation(node, node[:-1] + (j,))
+    return Level1Tree(nodeset)
+
+
+def _outcome(check, arg):
+    """The value, or the error's class, code and detail."""
+    try:
+        return check(arg)
+    except KernelError as e:
+        return type(e), e.code, e.detail
+
+
+class TestCheckingCore:
+    """check_level1 decides closure by one lookup per node and sorts only
+    to name a violation: against the normalising entry and the sorted scan
+    it replaced, on every level-1 tree of at most 6 nodes, each with one
+    node dropped and each with one node added that is not addable."""
+
+    def test_core_agrees_with_the_entry_and_the_sorted_scan(self):
+        sets = []
+        for tree in enumerate_level1_up_to(6, regular_only=False):
+            nodes = tree.nodes
+            addable = set(addable_nodes(tree))
+            sets.append(nodes)
+            sets += [nodes - {n} for n in nodes]
+            sets += [nodes | {n} for n in NODES if n not in nodes and n not in addable]
+        outcomes = set()
+        for nodes in sets:
+            got = _outcome(check_level1, nodes)
+            assert got == _outcome(validate_level1, list(nodes)), sorted(nodes)
+            assert got == _outcome(_sorted_validate_level1, nodes), sorted(nodes)
+            outcomes.add(got[0] if isinstance(got, tuple) else type(got))
+        assert outcomes == {Level1Tree, ClosureViolation, ContainsEmpty}
+        assert len(sets) > 7000
+
+    def test_addable_predicate_is_membership_in_addable_nodes(self):
+        cases = 0
+        for tree in enumerate_level1_up_to(5, regular_only=False):
+            addable = addable_nodes(tree)
+            for node in set(NODES) | set(addable) | tree.nodes | ODD_NODES:
+                assert is_addable(tree, node) == (node in addable), (str(tree), node)
+                cases += 1
+        assert cases > 5000
 
 
 class TestRegular:

@@ -1,4 +1,5 @@
 import gc
+import itertools
 
 import pytest
 from conftest import _entered
@@ -11,13 +12,15 @@ from uctk.errors import (BadDescription, BadFirstEntry,
                          NotRespecting, RootNotCanonical, TowerViolation)
 from uctk.grammar import parse_l1, parse_l2, parse_uord
 from uctk.lemmas import recover_tree_by_search
-from uctk.level1 import EMPTY_TREE, Level1Tree, is_level1, respects_level1
+from uctk.level1 import (EMPTY_TREE, Level1Tree, addable_nodes, enumerate_level1_up_to,
+                         is_level1, respects_level1)
 from uctk.level2 import (CARD1_L2, MINUS_ONE, ROOT_NODE, Level2Tree,
                          LevelLe2Tree, QDescription, Rep2Element, as_domseq,
-                         check_tree_of_trees, child_labels, enumerate_dom_shapes,
-                         enumerate_le2_trees, evaluate_description,
+                         check_level2, check_tree_of_trees, child_labels,
+                         enumerate_dom_shapes, enumerate_le2_trees,
+                         enumerate_level2_with_dom, evaluate_description,
                          expand_potential, generate_respecting_tuple,
-                         is_regular_description, make_rep2, q_descriptions,
+                         is_child_label, is_regular_description, make_rep2, q_descriptions,
                          q_potential, recover_tree, rep2_compare,
                          rep2_from_payload, respects_le2, s2_member,
                          typical_trees, validate_level2,
@@ -115,6 +118,95 @@ class TestValidateLevel2:
         assert Q0.t1 == EMPTY_TREE and Q0.t2.dom() == [()]
         assert Q20.t2.label(KEY) == (parse_l1("{(0)}"), MINUS_ONE)
         assert Q21.t2.label(KEY) == (parse_l1("{(0)}"), (0, 0))
+
+
+def _listing_validate_level2(entries) -> Level2Tree:
+    """validate_level2 as it was, kept as the reference of check_level2:
+    every key and node rebuilt, and each label looked for in the list of
+    its parent's ``child_labels``."""
+    items = {as_domseq(q): (t, (p if p == MINUS_ONE else tuple(p)))
+             for q, (t, p) in dict(entries).items()}
+    if () not in items:
+        raise RootNotCanonical("missing root")
+    if items[()] != (EMPTY_TREE, ROOT_NODE):
+        raise RootNotCanonical(level2.PartialLevel1Tree(*items[()]))
+    order = check_tree_of_trees(items)
+    for q in order[1:]:
+        if items[q] not in child_labels(items[q[:-1]], leaf=True):
+            raise TowerViolation(q)
+    return Level2Tree(tuple((q, items[q]) for q in order))
+
+
+def _result(check, arg):
+    """The value, or the error's class, code and detail."""
+    try:
+        return check(arg)
+    except KernelError as e:
+        return type(e), e.code, e.detail
+
+
+def _damaged_level2(t2):
+    """The entries of t2 with each label swapped for another of its
+    parent's child labels, for its parent's tree, or for its own tree with
+    (1); the root relabelled or dropped; and a key ending in -1 after each
+    element, listed in reverse order, so the first one is the deepest."""
+    entries = dict(t2.entries)
+    out = [entries, {q: lab for q, lab in entries.items() if q},
+           {**entries, (): (parse_l1("{(0)}"), (0, 0))},
+           {**entries, **{q + (MINUS_ONE,): entries[q] for q in reversed(t2.dom())}}]
+    for q in t2.dom()[1:]:
+        parent, (tree, node) = entries[q[:-1]], entries[q]
+        siblings = [lab for lab in child_labels(parent, True) if lab != entries[q]]
+        for label in siblings[:1] + [(parent[0], node), (tree, (1,))]:
+            out.append({**entries, q: label})
+    return out
+
+
+class TestCheckingCore:
+    """check_level2 makes no normalising pass and decides each label by
+    ``is_child_label``: against the normalising entry and the listing
+    route it replaced, on every level-2 tree of at most 5 elements and on
+    its damaged copies."""
+
+    def test_core_agrees_with_the_entry_and_the_listing_route(self):
+        outcomes, cases = set(), 0
+        for shape in enumerate_dom_shapes(5):
+            for t2 in enumerate_level2_with_dom(shape):
+                for entries in _damaged_level2(t2):
+                    got = _result(check_level2, entries)
+                    assert got == _result(validate_level2, entries), str(t2)
+                    assert got == _result(_listing_validate_level2, entries), str(t2)
+                    outcomes.add(got[0] if isinstance(got, tuple) else type(got))
+                    cases += 1
+                assert check_level2(dict(t2.entries)) == t2
+        assert outcomes == {Level2Tree, RootNotCanonical, DomainNotTree, TowerViolation}
+        assert cases > 14000
+
+    def test_a_minus_one_key_is_named_in_listing_order(self):
+        entries = {(): (EMPTY_TREE, ROOT_NODE), ((0,), MINUS_ONE): (EMPTY_TREE, ROOT_NODE),
+                   (MINUS_ONE,): (EMPTY_TREE, ROOT_NODE)}
+        with pytest.raises(DomainNotTree) as e:
+            check_level2(entries)
+        assert e.value.detail == (((0,), MINUS_ONE),)
+        # before the root checks
+        with pytest.raises(DomainNotTree):
+            check_level2({(MINUS_ONE,): (EMPTY_TREE, ROOT_NODE)})
+
+    def test_child_label_predicate_is_membership_in_child_labels(self):
+        nodes = [()] + [n for k in (1, 2, 3) for n in itertools.product(range(3), repeat=k)]
+        cases = 0
+        for tree in enumerate_level1_up_to(5, regular_only=False):
+            for node in addable_nodes(tree) + [MINUS_ONE]:
+                parent = (tree, node)
+                labels = child_labels(parent, True)
+                grown = tree if node == MINUS_ONE else Level1Tree(tree.nodes | {node})
+                candidates = set(nodes) | set(addable_nodes(grown)) | {MINUS_ONE}
+                for t in (grown, tree):
+                    for a in candidates:
+                        assert is_child_label(parent, (t, a)) == ((t, a) in labels), \
+                            (str(tree), node, str(t), a)
+                        cases += 1
+        assert cases > 20000
 
 
 class TestDescriptions:

@@ -195,15 +195,57 @@ def _draw_pairs():
     return pairs
 
 
+_GETRANDBITS, _RANDOM = random.Random.getrandbits, random.Random.random
+
+
+class _LoggedRandom(random.Random):
+    """A generator that logs each ``getrandbits(k)`` and ``random()`` call,
+    with its argument and result, in ``log``."""
+
+    def __init__(self, seed):
+        self.log = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        r = _GETRANDBITS(self, k)
+        self.log.append((k, r))
+        return r
+
+    def random(self):
+        r = _RANDOM(self)
+        self.log.append(r)
+        return r
+
+
 def test_depth1_draws_are_the_key_merging_draws():
+    """After each draw the two generators have made the same calls, with
+    the same arguments and results, in the same order; twins seeded alike
+    that make the same calls are in the same state, and the states are
+    compared once per seed to catch a call the log does not see."""
     pairs = _draw_pairs()
     assert len(pairs) == 1 + 7 + 6 + 21
     for seed in range(2000):
-        rng, ref = _twins(seed)
+        rng, ref = _LoggedRandom(seed), _LoggedRandom(seed)
         for i, (draw, ref_draw) in enumerate(pairs):
             got, want = draw(rng), ref_draw(ref)
             assert got == want and str(got) == str(want), (seed, i, str(got), str(want))
-            assert rng.getstate() == ref.getstate(), (seed, i)
+            assert rng.log == ref.log, (seed, i)
+            rng.log.clear()
+            ref.log.clear()
+        assert rng.getstate() == ref.getstate(), seed
+
+
+def test_the_log_sees_every_draw():
+    """Each draw of ``_draw_pairs`` makes only logged calls: replaying its
+    log from the seed leaves a fresh generator in the drawing one's state."""
+    for seed in range(3):
+        for draw, _ in _draw_pairs():
+            rng, replay = _LoggedRandom(seed), random.Random(seed)
+            draw(rng)
+            for call in rng.log:
+                assert (replay.getrandbits(call[0]) == call[1] if isinstance(call, tuple)
+                        else replay.random() == call)
+            assert rng.log and replay.getstate() == rng.getstate()
 
 
 def test_suite_draws_build_no_key():
