@@ -12,7 +12,8 @@ from .bk import MINUS_ONE
 from .errors import BelowOmega1, NotALimit, NotSubtree, OutOfRange
 from .level1 import (FactorMap1, Level1Tree, Level1Tower, check_factor_map,
                      desc_rank, descriptions)
-from .ordinals import ONE, U1, ZERO, IndexMap, UOrd, apply_shift, apply_shift_sup, cf_l
+from .ordinals import (ONE, U1, ZERO, IndexMap, UOrd, apply_shift, apply_shift_sup, cf_l,
+                       cf_level)
 from .value import Value, format_node
 
 
@@ -83,8 +84,19 @@ class OrdAnalysis(Value):
                  "factoring_map", "approximation_sequence", "potential_tower")
 
 
-def analyze(b: UOrd, tree: Level1Tree) -> OrdAnalysis:
-    """Full analysis of a limit ordinal u_1 <= b < u_{card(W)+1} over W."""
+def potential_and_approximation(b: UOrd, tree: Level1Tree) -> tuple:
+    """The two parts of ``analyze`` that respect reads: the pair
+    (potential tower, approximation sequence) of a limit ordinal
+    u_1 <= b < u_{card(W)+1} over W, after the same range checks in the
+    same order.
+
+    ``analyze`` builds these two parts here and adds the rest; the level-2
+    respect criterion and ``recover_tree`` read only this pair.  They skip
+    ``check_factor_map``, which cannot fail once OutOfRange has passed: each
+    level k of b is at most card(W), so ``descriptions(W)[k-1]`` is a node
+    of W, and the levels strictly decrease, so the reversed images of the
+    chain strictly increase in Brouwer-Kleene order.
+    """
     if b.is_countable():
         raise BelowOmega1(b)
     if not b.is_limit():
@@ -92,39 +104,51 @@ def analyze(b: UOrd, tree: Level1Tree) -> OrdAnalysis:
     if b.max_level() > len(tree):
         raise OutOfRange(b, tree)
 
-    descs = descriptions(tree)
     m = len(b.uterms)
-    # signature: nodes of W whose seeds are the u-levels of b, top down
-    signature = tuple(descs[k - 1] for k, _ in b.uterms)
-    seeds = tuple(UOrd.u(k, ONE) for k, _ in b.uterms)
-
     coeffs = [c for _, c in b.uterms]
-    continuous = b.tail.is_zero() and coeffs[-1] == ONE  # normal forms: equal iff the same
-
-    chain = [chain_node(i) for i in range(1, m + 2)]  # (0), (0 0), ..., of lengths 1 to m+1
-    # the chain trees {(0), (0 0), ...} of 0 to m nodes: the shapes realizing decreasing patterns
-    towers = [Level1Tree(frozenset(chain[:i])) for i in range(m + 1)]
-    pvec = tuple(chain[:m])
-    fmap = FactorMap1(towers[m], tree, tuple((chain[i], signature[i]) for i in reversed(range(m))))
-    check_factor_map(fmap)
-
     approx = [U1]
     for i in range(1, m):
         val = UOrd(tuple((i - l, coeffs[l]) for l in range(i)), ZERO) + U1
         approx.append(val)
     approx.append(UOrd(tuple((m - l, coeffs[l]) for l in range(m)), b.tail))  # m >= 1: b >= u_1
 
-    ucf = cf_l(b)
-    if continuous:
-        potential = PotentialTower1(towers[m], pvec)
-    elif ucf.kind == "omega":
-        potential = PotentialTower1(towers[m], pvec + (MINUS_ONE,))
+    pvec = tuple(chain_node(i) for i in range(1, m + 1))  # (0), (0 0), ...: the chain of m nodes
+    chain = Level1Tree(frozenset(pvec))
+    if b.tail.is_zero() and coeffs[-1] == ONE:  # continuous; normal forms: equal iff the same
+        potential = PotentialTower1(chain, pvec)
+    elif not cf_level(b):
+        # cofinality omega: no u-level is the cofinality of this uncountable limit
+        potential = PotentialTower1(chain, pvec + (MINUS_ONE,))
     else:
         # cofinality u_{lowest level}: the pending node extends the chain
-        potential = PotentialTower1(towers[m], pvec + (chain[m],))
+        potential = PotentialTower1(chain, pvec + (chain_node(m + 1),))
+    return potential, tuple(approx)
 
-    return OrdAnalysis(signature, seeds, continuous, ucf,
-                       Level1Tower(tuple(towers)), fmap, tuple(approx), potential)
+
+def analyze(b: UOrd, tree: Level1Tree) -> OrdAnalysis:
+    """Full analysis of a limit ordinal u_1 <= b < u_{card(W)+1} over W.
+
+    The potential tower and approximation sequence come from
+    ``potential_and_approximation``, and continuity is read off the
+    potential tower; the signature, its seeds, uniform cofinality, induced
+    tower and factoring map are built here, for ``uctk analyze`` and the
+    analysis suite, which read every field.
+    """
+    potential, approx = potential_and_approximation(b, tree)
+    descs = descriptions(tree)
+    m = len(b.uterms)
+    # signature: nodes of W whose seeds are the u-levels of b, top down
+    signature = tuple(descs[k - 1] for k, _ in b.uterms)
+    seeds = tuple(UOrd.u(k, ONE) for k, _ in b.uterms)
+
+    chain = potential.pvec[:m]
+    # the chain trees {(0), (0 0), ...} of 0 to m nodes: the shapes realizing decreasing patterns
+    towers = tuple(Level1Tree(frozenset(chain[:i])) for i in range(m)) + (potential.tree,)
+    fmap = FactorMap1(potential.tree, tree, tuple((chain[i], signature[i]) for i in reversed(range(m))))
+    check_factor_map(fmap)
+
+    return OrdAnalysis(signature, seeds, potential.is_continuous(), cf_l(b),
+                       Level1Tower(towers), fmap, approx, potential)
 
 
 def recover_from_analysis(analysis: OrdAnalysis) -> UOrd:

@@ -11,7 +11,8 @@ distinguished element sitting below every node.
 from __future__ import annotations
 
 from . import bk
-from .analysis import PotentialTower1, analyze, tree_embed, tree_embed_sup
+from .analysis import (PotentialTower1, potential_and_approximation, tree_embed,
+                       tree_embed_sup)
 from .bk import MINUS_ONE
 from .errors import (ArityError, BadDescription, BadFirstEntry,
                      CaseViolation, DegreeZeroHasNoCompletion, DomainNotTree,
@@ -519,10 +520,12 @@ def _entry(t, key):
 
 
 def _analysis(t, q, tree):
-    """The analysis of t's level-2 value at q over tree, or the code of the
-    KernelError it raised (a kept error's traceback holds the caller's frame)."""
+    """The pair (potential tower, approximation sequence) of t's level-2
+    value at q over tree, the two fields of ``analyze`` that clause (2)
+    reads, or the code of the KernelError it raised (a kept error's
+    traceback holds the caller's frame)."""
     try:
-        return analyze(_entry(t, (2, q)), tree)
+        return potential_and_approximation(_entry(t, (2, q)), tree)
     except KernelError as e:
         return e.code
 
@@ -555,13 +558,14 @@ def _respects(le2: LevelLe2Tree, t, analysis_at) -> Verdict:
         an = analysis_at(q)
         if isinstance(an, str):
             return Verdict(False, f"potential-tower{format_detail(q)}", an)
+        potential, approx = an
         pot = q_potential(t2, q)
-        if an.potential_tower != pot:
+        if potential != pot:
             return Verdict(False, f"potential-tower{format_detail(q)}",
-                           f"{an.potential_tower} != {pot}")
+                           f"{potential} != {pot}")
         expected = tuple(branch[q[:l]] for l in range(len(q) + 1))
-        if an.approximation_sequence != expected:
-            got, want = (", ".join(map(str, vs)) for vs in (an.approximation_sequence, expected))
+        if approx != expected:
+            got, want = (", ".join(map(str, vs)) for vs in (approx, expected))
             return Verdict(False, f"approximation{format_detail(q)}", f"[{got}] != [{want}]")
     # canonical order lists the children of each q together, in the
     # Brouwer-Kleene order of their last entries, and in the order of their q
@@ -681,13 +685,15 @@ def recover_tree(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
     Clause (2) of ``respects_le2`` fixes the labels top-down: the root's is
     (empty tree, (0)), the tree at q is the completion of its parent's
     label, and the pending node at q is the last entry of the potential
-    tower of t at q analysed over that tree.  Where the tuple fixes no
+    tower of t at q analysed over that tree.  That label is kept when the
+    rule ``is_child_label`` decides allows it: its node is -1 at a leaf, or
+    an addable node of the tree other than (1).  Where the tuple fixes no
     valid label (a missing or invalid value, a failed analysis, a pending
-    node the domain does not allow), any valid label stands in: the
-    candidate fails at q whatever label q holds.  The respect criterion on
-    the candidate decides, so the outcome, a tree or an error, is the one a
-    search over every labelling gives; the walk's analyses decide its clause
-    (2), as every label ``child_labels`` offers at q has the tree the walk
+    node the domain does not allow), the first of ``child_labels`` stands
+    in: the candidate fails at q whatever label q holds.  The respect
+    criterion on the candidate decides, so the outcome, a tree or an error,
+    is the one a search over every labelling gives; the walk's analyses
+    decide its clause (2), as every valid label at q has the tree the walk
     analyses over, so each domain value is analysed once per call.
     Uniqueness is checked against that search, the independent oracle in
     ``lemmas``.  Every label is one of ``child_labels`` of its parent's, so
@@ -698,11 +704,16 @@ def recover_tree(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
     labels = {(): (EMPTY_TREE, ROOT_NODE)}
     found = {}
     for q in order[1:]:
-        choices = child_labels(labels[q[:-1]], q not in inner)
-        tree = choices[0][0]
+        parent = labels[q[:-1]]
+        leaf = q not in inner
+        tree = Level1Tree(parent[0].nodes | {parent[1]})
         an = found[q] = _analysis(t, q, tree)
-        label = None if isinstance(an, str) else (tree, an.potential_tower.pvec[-1])
-        labels[q] = label if label in choices else choices[0]
+        node = None if isinstance(an, str) else an[0].pvec[-1]
+        if node == MINUS_ONE:
+            keep = leaf
+        else:
+            keep = node is not None and node != (1,) and is_addable(tree, node)
+        labels[q] = (tree, node) if keep else child_labels(parent, leaf)[0]
     cand = LevelLe2Tree(t1, Level2Tree(tuple((q, labels[q]) for q in order)))
     if not _respects(cand, t, found.__getitem__):
         raise NoTreeFound()

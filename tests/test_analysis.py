@@ -3,13 +3,13 @@ import random
 import pytest
 
 from uctk.analysis import (OrdAnalysis, PotentialTower1, analyze, chain_node,
-                           factor_to_shift, recover_from_analysis, tree_embed,
-                           tree_embed_sup)
+                           factor_to_shift, potential_and_approximation,
+                           recover_from_analysis, tree_embed, tree_embed_sup)
 from uctk.bk import MINUS_ONE
 from uctk.errors import (BelowOmega1, KernelError, NotALimit, NotSubtree,
                          OutOfRange)
 from uctk.grammar import parse_l1, parse_uord
-from uctk.lemmas import (EvalOracle, cf_oracle, rand_limit_uord,
+from uctk.lemmas import (EvalOracle, _realizable, cf_oracle, rand_limit_uord,
                          rand_qualifying_beta, rand_uord)
 from uctk.level1 import (FactorMap1, Level1Tower, Level1Tree, check_factor_map,
                          descriptions, enumerate_level1_up_to)
@@ -200,5 +200,39 @@ def test_analyze_agrees_with_the_route_it_replaced():
             assert repr(got) == repr(_analysed(_old_analyze, b, tree))
             outcomes.add(got[0] if isinstance(got, tuple) else
                          (got.essentially_continuous, got.uniform_cofinality.kind))
+    assert outcomes >= {BelowOmega1, NotALimit, OutOfRange,
+                        (True, "u"), (False, "u"), (False, "omega")}
+
+
+def test_the_respect_route_reads_the_two_parts_analyze_builds():
+    """potential_and_approximation gives the potential tower and
+    approximation sequence of analyze and of its reference _old_analyze
+    (analyze builds the pair through it, so only the reference can tell a
+    fault in the shared code), or an error of the same class and values,
+    and the factoring map it does not build always checks: on every value of
+    the generated respecting tuples up to 5 domain elements (a level-2
+    value over the tree at its element, a level-1 value over the level-1
+    tree), on those values plus 1, and on seeded draws over every level-1
+    tree of at most 4 nodes."""
+    inputs = []
+    for le2, t in _realizable(5):
+        for (d, key), b in t.items():
+            tree = le2.t2.tree(key) if d == 2 else le2.t1
+            inputs += [(b, tree), (b + UOrd.from_ctbl(ONE), tree)]
+    rng = random.Random(32)
+    for tree in enumerate_level1_up_to(4, regular_only=False):
+        inputs += [(rand_uord(rng, len(tree) + 1), tree) for _ in range(8)]
+    outcomes = set()
+    for b, tree in inputs:
+        got = _analysed(potential_and_approximation, b, tree)
+        full = _analysed(analyze, b, tree)
+        assert full == _analysed(_old_analyze, b, tree), (str(b), str(tree))
+        if isinstance(full, OrdAnalysis):
+            assert got == (full.potential_tower, full.approximation_sequence), (str(b), str(tree))
+            check_factor_map(full.factoring_map)
+            outcomes.add((full.essentially_continuous, full.uniform_cofinality.kind))
+        else:
+            assert got == full, (str(b), str(tree))
+            outcomes.add(got[0])
     assert outcomes >= {BelowOmega1, NotALimit, OutOfRange,
                         (True, "u"), (False, "u"), (False, "omega")}

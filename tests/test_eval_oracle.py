@@ -77,7 +77,8 @@ def test_sorted_signature_check_agrees_with_pairwise():
 
 # the analysis, and the Brouwer-Kleene order it reads through the kernel's
 # sort key; the oracle orders the nodes by bk.bk, the definition
-_PRODUCTION = (analysis.analyze, analysis.factor_to_shift,
+_PRODUCTION = (analysis.analyze, analysis.potential_and_approximation,
+               analysis.factor_to_shift,
                analysis.inclusion_shift, analysis.recover_from_analysis,
                analysis.chain_node, level1.descriptions,
                level1.Level1Tree.bk_sorted, level1._bk_order.__wrapped__,

@@ -4,8 +4,8 @@ import itertools
 import pytest
 from conftest import _entered
 
-from uctk import level2
-from uctk.analysis import PotentialTower1, analyze
+from uctk import analysis, level2
+from uctk.analysis import PotentialTower1, analyze, potential_and_approximation
 from uctk.errors import (BadDescription, BadFirstEntry,
                          DegreeZeroHasNoCompletion, DomainNotTree, InvalidElement, KernelError,
                          MissingEntry, NoTreeFound, NotCompletionAt,
@@ -499,8 +499,9 @@ def test_recover_agrees_with_the_replaced_route_up_to_five_elements():
 
 
 class TestRecoverAnalysesOnce:
-    """recover_tree analyses each value once: its respect check reads the
-    walk's analyses."""
+    """recover_tree analyses each value once, through the two-part
+    ``potential_and_approximation``: its respect check reads the walk's
+    analyses."""
 
     @staticmethod
     def _cases():
@@ -516,16 +517,16 @@ class TestRecoverAnalysesOnce:
 
         def counted(b, tree):
             calls.append(b)
-            return analyze(b, tree)
+            return potential_and_approximation(b, tree)
 
-        monkeypatch.setattr(level2, "analyze", counted)
+        monkeypatch.setattr(level2, "potential_and_approximation", counted)
         trees = 0
         for tree, t, last in self._cases():
             n = len(tree.t2.dom()) - 1
             t, outcome, analysed = {
                 "hit": (t, tree, n),
                 "miss": (_bumped(t, last), (NoTreeFound, "NO_TREE_FOUND"), n),
-                # the dropped value is missed when it is read, before analyze
+                # the dropped value is missed when it is read, before its analysis
                 "dropped": ({k: v for k, v in t.items() if k != last},
                             (MissingEntry, "MISSING_ENTRY"), n - 1),
             }[case]
@@ -534,6 +535,17 @@ class TestRecoverAnalysesOnce:
             assert len(calls) == analysed, str(tree)
             trees += 1
         assert trees >= 5
+
+    def test_a_hit_builds_no_full_analysis_and_lists_no_labels(self):
+        # each label is decided by the is_child_label rule; child_labels
+        # only gives the stand-in label of a value that fixes none
+        cases = list(self._cases())
+
+        def run():
+            for tree, t, _ in cases:
+                assert recover_tree(tree.t1, tree.t2.dom(), t) == tree
+
+        assert not _entered([analysis.analyze, level2.child_labels], run)
 
     def test_a_miss_leaves_no_cyclic_garbage(self):
         # a stored KernelError would keep its traceback, which holds the
@@ -690,7 +702,10 @@ def _old_respects_le2(le2, t):
         if not q:
             continue
         branch[q] = level2._entry(t, (2, q))
-        an = level2._analysis(t, q, t2.tree(q))
+        try:
+            an = analyze(branch[q], t2.tree(q))
+        except KernelError as e:
+            an = e.code
         if isinstance(an, str):
             return Verdict(False, f"potential-tower{format_detail(q)}", an)
         pot = q_potential(t2, q)
