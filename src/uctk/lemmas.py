@@ -28,7 +28,7 @@ from .analysis import (analyze, factor_to_shift, inclusion_shift,
                        recover_from_analysis)
 from .errors import KernelError, MultipleTreesFound, NoTreeFound, NotAFactoring
 from .level1 import (EMPTY_DESC, EMPTY_TREE, FactorMap1, Level1Tree,
-                     addable_nodes, check_factor_map, descriptions,
+                     addable_nodes, check_factor_map, desc_rank,
                      enumerate_level1_up_to, factor_exists, factorings,
                      regular_nodes, rep_order_type, s1_member,
                      strict_factor_exists)
@@ -36,8 +36,9 @@ from .level2 import (MINUS_ONE, LevelLe2Tree, as_domseq, enumerate_le2_trees,
                      enumerate_level2_with_dom, evaluate_description,
                      extended_descriptions, generate_respecting_tuple,
                      is_regular_description, q_descriptions, q_set_plus,
-                     recover_tree, respects_le2, s2_member, typical_trees,
-                     validate_level2, weakly_respects_le2)
+                     recover_tree, respects_le2, respects_partial_le1, s2_member,
+                     typical_trees, validate_level2, validate_partial_le1,
+                     weakly_respects_le2)
 from .level3 import PartialLevelLe2Tree, cf3, ucf, validate_partial_le2
 from .ordinals import (ONE, OMEGA, U1, ZERO, Cofinality, CtblOrd, IndexMap,
                        UOrd, apply_shift, apply_shift_sup, cf_l,
@@ -418,9 +419,8 @@ def enumerate_partial_le1(max_completion: int):
 
 
 def _pred_in_tree(tree: Level1Tree, node):
-    order = tree.bk_sorted()
-    i = order.index(node)
-    return order[i - 1] if i else None
+    i = desc_rank(tree, node)
+    return tree.bk_sorted()[i - 1] if i else None
 
 
 # -- suites ---------------------------------------------------------------------------
@@ -533,7 +533,7 @@ def _degree1_configs(max_partial_nodes: int, max_w: int):
         if len(p) < 2:
             continue  # the qualifying cofinality would exceed the bound
         completion = Level1Tree(base.nodes | {p})
-        k = descriptions(base).index(p[:-1]) + 1
+        k = desc_rank(base, p[:-1]) + 1
         j = inclusion_shift(base, completion)
         for w in ws:
             for fm in factorings(completion, w):
@@ -660,6 +660,15 @@ def suite_uniqueness(max_dom: int) -> SuiteResult:
         found = recover_tree_by_search(tree.t1, shape, t)
         res.check(got == tree and found == tree,
                   lambda: f"{tree}: recovered {got}, search found {found}")
+    # Q^20 and Q^21 as validate_level2 builds them, not from child_labels
+    _, _, q20, q21 = typical_trees()
+    for tree, value in ((q20, UOrd.u(1, OMEGA)), (q21, UOrd.u(1, CtblOrd.natural(2)))):
+        t = {(2, ()): U1, (2, ((0,),)): value}
+        shape = tree.t2.dom()
+        got = recover_tree(tree.t1, shape, t)
+        found = recover_tree_by_search(tree.t1, shape, t)
+        res.check(got == tree and found == tree,
+                  lambda: f"{tree} on (u1, {value}): recovered {got}, search found {found}")
     res.check(realizable >= (10 if max_dom >= 4 else 1),
               lambda: f"only {realizable} realizable trees")
     return res
@@ -729,6 +738,11 @@ def suite_respect_hierarchy(max_dom: int) -> SuiteResult:
                                        ("Q20", q20, lim, True), ("Q21", q21, lim, False)):
         v = respects_le2(tree, {(2, ()): U1, (2, ((0,),)): value})
         res.check(bool(v) == accepts, lambda: f"{name} on (u1, {value}): {v.clause or 'accepted'}")
+    # degree 0: the value at -1 is countable with a natural tail
+    pt = validate_partial_le1(Level1Tree(frozenset({(0,)})), MINUS_ONE)
+    for value, accepts in ((CtblOrd.natural(3), True), (OMEGA, False)):
+        v = respects_partial_le1(pt, {MINUS_ONE: value, (0,): OMEGA})
+        res.check(bool(v) == accepts, lambda: f"{pt} with -1 = {value}: {v.clause or 'accepted'}")
     return res
 
 
@@ -757,12 +771,11 @@ def suite_tree_property(max_dom: int, seed: int) -> SuiteResult:
             nodes = regular_nodes(cur)
             cur = Level1Tree(cur.nodes | {nodes[_below(rng, len(nodes))]})
             trees.append(cur)
-        ranks = {p: i for i, p in enumerate(trees[-1].bk_sorted())}
         alphas = []
         prev = EMPTY_TREE
         for t in trees:
             node = next(iter(t.nodes - prev.nodes))
-            alphas.append(UOrd.from_ctbl(OMEGA * CtblOrd.natural(ranks[node] + 1)))
+            alphas.append(UOrd.from_ctbl(OMEGA * CtblOrd.natural(desc_rank(trees[-1], node) + 1)))
             prev = t
         if s1_member(trees, [a.tail for a in alphas]):
             for cut in range(len(trees)):

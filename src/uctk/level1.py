@@ -104,7 +104,7 @@ def addable_nodes(tree: Level1Tree):
     Brouwer-Kleene predecessor of its parent.
     """
     out = []
-    for parent in [EMPTY_DESC] + sorted(tree.nodes):
+    for parent in [EMPTY_DESC, *tree.nodes]:
         j = 0
         while parent + (j,) in tree.nodes:
             j += 1
@@ -242,12 +242,11 @@ class FactorMap1(Value):
 
 def check_factor_map(fm: FactorMap1) -> None:
     img = fm.image()
-    for w in img:
-        if w not in fm.target.nodes:
-            raise NotAFactoring(fm)
-    for a, b in zip(img, img[1:]):
-        if bk.bk(a, b) >= 0:
-            raise NotAFactoring(fm)
+    if not all(w in fm.target.nodes for w in img):
+        raise NotAFactoring(fm)
+    ranks = [desc_rank(fm.target, w) for w in img]
+    if any(a >= b for a, b in zip(ranks, ranks[1:])):
+        raise NotAFactoring(fm)
 
 
 def factorings(source: Level1Tree, target: Level1Tree):
@@ -264,13 +263,12 @@ def factor_exists(source: Level1Tree, target: Level1Tree) -> bool:
 
 
 def strict_factor_exists(source: Level1Tree, target: Level1Tree) -> bool:
-    """Some factoring map plus a node of the target above its whole image."""
-    for fm in factorings(source, target):
-        img = fm.image()
-        for w in target.bk_sorted():
-            if all(bk.bk(v, w) < 0 for v in img):
-                return True
-    return False
+    """Some factoring map plus a node of the target above its whole image:
+    the target's last node in Brouwer-Kleene order is above every other
+    node, so it is such a node exactly when the image misses it."""
+    order = target.bk_sorted()
+    return bool(order) and any(order[-1] not in fm.image()
+                               for fm in factorings(source, target))
 
 
 # -- towers and S1 ------------------------------------------------------------

@@ -19,7 +19,7 @@ from .errors import (ArityError, BadDescription, BadFirstEntry,
                      InvalidElement, InvalidTower, KernelError, LengthMismatch,
                      MissingEntry, NoTreeFound, NotCompletionAt, NotInRep,
                      NotRespecting, RootNotCanonical, TowerViolation)
-from .level1 import (EMPTY_TREE, Level1Tree, Node, addable_nodes,
+from .level1 import (EMPTY_TREE, Level1Tree, Node, addable_nodes, desc_rank,
                      enumerate_level1_up_to, is_addable, is_level1, is_regular,
                      regular_nodes, rep_compare, respects_level1,
                      validate_level1)
@@ -64,7 +64,7 @@ def validate_partial_le1(base: Level1Tree, node) -> PartialLevel1Tree:
     node = tuple(node)
     if node in base.nodes:
         raise CaseViolation("pending node already present", node)
-    if node not in regular_nodes(base):
+    if node == (1,) or not is_addable(base, node):
         raise CaseViolation("completion is not a regular level-1 tree", node)
     return PartialLevel1Tree(base, node)
 
@@ -743,7 +743,7 @@ def generate_respecting_tuple(le2: LevelLe2Tree):
             return None
         if t2.node(q) not in (MINUS_ONE, (0,) * (n + 1)):
             return None
-        rank = t2.children(q[:-1]).bk_sorted().index(q[-1])
+        rank = desc_rank(t2.children(q[:-1]), q[-1])
         parent = coeffs[q[:-1]]
         head = parent[:-1] + (CtblOrd.natural(parent[-1].natural_value() - 1),) if parent else ()
         coeffs[q] = head + (CtblOrd.natural(3 * rank + 2),)

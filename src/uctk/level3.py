@@ -21,8 +21,6 @@ from .level2 import (CONSTANT_DESC, MINUS_ONE, Level2Tree, LevelLe2Tree,
 from .ordinals import U1
 from .value import ACCEPTED, Value, Verdict, format_l3, format_pl2, format_rep3
 
-RSeq = tuple  # tuple of nodes indexing dom(R)
-
 
 # -- partial level <= 2 trees ---------------------------------------------------
 
@@ -114,8 +112,7 @@ def cf3(pt: PartialLevelLe2Tree) -> int:
     if pt.d == 0:
         return 0
     if pt.d == 1:
-        extended = set(pt.base.t1.nodes) | {pt.q}
-        if bk.bk_sorted(extended)[0] == pt.q:
+        if Level1Tree(pt.base.t1.nodes | {pt.q}).bk_sorted()[0] == pt.q:
             return 1
     return 2
 
