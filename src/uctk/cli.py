@@ -374,13 +374,17 @@ def cmd_check_lemmas(args, *, bound=4, seed=0, timings=False):
     _need(args, 0, "check-lemmas [--bound N] [--seed S] [--timings]")
     from . import lemmas  # only this command runs the suites; others start faster
 
-    results = lemmas.check_lemmas(bound=_bound(bound, "check-lemmas"), seed=seed)
+    bound = _bound(bound, "check-lemmas")
+    results = lemmas.check_lemmas(bound=bound, seed=seed)
     all_ok = all(r.passed for r in results)
     fields = {}
-    for i, r in enumerate(results):
+    for i, (r, suite) in enumerate(zip(results, lemmas.SUITES.values())):
         fields[f"suite{i}"] = r.line()
         if timings:
             fields[f"suite{i}_seconds"] = f"{r.seconds:.3f}"
+            for name, size in suite.size(bound, seed).items():
+                if name != "seed":
+                    fields[f"suite{i}_{name}"] = size
     return Report("check-lemmas", "ok" if all_ok else "rejected",
                   suites=len(results),
                   cases=sum(r.cases for r in results), **fields)
@@ -564,8 +568,23 @@ def _parse_line(line):
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    """Run one argv; its exit status.  If stdout's reader has gone, no more
+    reports are written: stdout is pointed at os.devnull, so that the
+    interpreter's last flush cannot fail again, and the status is 4."""
+    try:
+        try:
+            return _main(sys.argv[1:] if argv is None else argv)
+        finally:
+            if sys.stdout is not None:  # None when the process started without one
+                sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 4
+
+
+def _main(argv) -> int:
     ns = (_read_words(argv, batch_line=False)
           or _build_parser(batch_line=False).parse_intermixed_args(argv))
     if ns.pretty and ns.format is not None:

@@ -21,7 +21,8 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from functools import cmp_to_key, partial
+from collections import namedtuple
+from functools import cmp_to_key
 
 from . import bk
 from .analysis import (analyze, factor_to_shift, inclusion_shift,
@@ -425,26 +426,8 @@ def _pred_in_tree(tree: Level1Tree, node):
 
 # -- suites ---------------------------------------------------------------------------
 
-# Each suite's name in the report, by the short name ``check_lemmas`` lists
-# the suite under: the suite's own result carries it, and so does the
-# failing result ``check_lemmas`` records for a suite that raises.
-SUITE_NAMES = {
-    "order_type": "order-type law: o.t.(<^P) = w*card(P)+1 vs rank oracle",
-    "factor_order": "factoring existence vs order-type comparison",
-    "shift": "shift continuity criterion and decomposition recursion",
-    "analysis": "analysis coherence against the a.e.-evaluation oracle",
-    "lemma_level2_ucf": "level-2 uniform cofinality lemma (sup swap)",
-    "lemma_level2_ucf_another": "level-2 uniform cofinality lemma (completion route)",
-    "uniqueness": "uniqueness of the representing level <=2 tree",
-    "desc_eval": "description evaluation: continuous values and monotonicity",
-    "respect_hierarchy": "respects implies weakly respects; typical discriminators",
-    "tree_property": "S1/S2 accept every initial segment of an accepted node",
-    "ucf_cf3": "ucf totality/regularity and case coverage; cf3 cases",
-}
-
-
 def suite_order_type(max_nodes: int) -> SuiteResult:
-    res = SuiteResult(SUITE_NAMES["order_type"])
+    res = SuiteResult(SUITES["order_type"].report)
     for tree in enumerate_level1_up_to(max_nodes, regular_only=False):
         if not len(tree):
             res.check(rep_order_type(tree) == ZERO == order_type_oracle(tree),
@@ -459,7 +442,7 @@ def suite_order_type(max_nodes: int) -> SuiteResult:
 
 
 def suite_factor_order(max_nodes: int) -> SuiteResult:
-    res = SuiteResult(SUITE_NAMES["factor_order"])
+    res = SuiteResult(SUITES["factor_order"].report)
     trees = enumerate_level1_up_to(max_nodes, regular_only=False)
     for p in trees:
         for w in trees:
@@ -474,7 +457,7 @@ def suite_factor_order(max_nodes: int) -> SuiteResult:
 
 def suite_shift(pairs: int, seed: int) -> SuiteResult:
     """Seeded limits below u_7 and index maps from their levels."""
-    res = SuiteResult(SUITE_NAMES["shift"])
+    res = SuiteResult(SUITES["shift"].report)
     rng = random.Random(seed)
     for _ in range(pairs):
         b = rand_limit_uord(rng, 6)
@@ -492,7 +475,7 @@ def suite_shift(pairs: int, seed: int) -> SuiteResult:
 
 
 def suite_analysis(count: int, seed: int) -> SuiteResult:
-    res = SuiteResult(SUITE_NAMES["analysis"])
+    res = SuiteResult(SUITES["analysis"].report)
     rng = random.Random(seed)
     pool_trees = [t for t in enumerate_level1_up_to(5, regular_only=False) if len(t) >= 1]
     produced = 0
@@ -559,7 +542,7 @@ def _lemma_a_configs(max_partial_nodes: int, max_w: int):
 def suite_lemma_level2_ucf(max_partial_nodes: int, max_w: int, betas: int,
                            seed: int) -> SuiteResult:
     """sigma^W o j^{P-,P}_sup = (sigma')^W_sup o j^{P-,P} on qualifying betas."""
-    res = SuiteResult(SUITE_NAMES["lemma_level2_ucf"])
+    res = SuiteResult(SUITES["lemma_level2_ucf"].report)
     rng = random.Random(seed)
     for base, p, completion, k, j, w, fm, fm2 in _lemma_a_configs(max_partial_nodes, max_w):
         s1 = factor_to_shift(fm)
@@ -585,7 +568,7 @@ def _completion_configs(max_partial_nodes: int, max_w: int):
 def suite_lemma_level2_ucf_another(max_partial_nodes: int, max_w: int, betas: int,
                                    seed: int) -> SuiteResult:
     """sigma^W = (sigma')^W_sup o j^{P,P+} in both displayed cases."""
-    res = SuiteResult(SUITE_NAMES["lemma_level2_ucf_another"])
+    res = SuiteResult(SUITES["lemma_level2_ucf_another"].report)
     rng = random.Random(seed)
     # case 1: degree-0 pending, omega-cofinal beta, sigma' = sigma
     for base in enumerate_level1_up_to(max_partial_nodes - 1, regular_only=True):
@@ -649,7 +632,7 @@ def recover_tree_by_search(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
 def suite_uniqueness(max_dom: int) -> SuiteResult:
     """The search oracle finds exactly the generating tree, and the direct
     recovery reads the same tree off the tuple."""
-    res = SuiteResult(SUITE_NAMES["uniqueness"])
+    res = SuiteResult(SUITES["uniqueness"].report)
     realizable = 0
     for tree, t in _realizable(max_dom):
         realizable += 1
@@ -688,7 +671,7 @@ def suite_desc_eval(max_dom: int) -> SuiteResult:
     predecessor (checked against the decomposition oracle), and evaluation
     is monotone in the (length, lexicographic) description order; the
     constant description and the root's -1 form share the value u_1."""
-    res = SuiteResult(SUITE_NAMES["desc_eval"])
+    res = SuiteResult(SUITES["desc_eval"].report)
     for tree, t in _realizable(max_dom):
         if not respects_le2(tree, t):
             continue
@@ -726,7 +709,7 @@ def suite_desc_eval(max_dom: int) -> SuiteResult:
 
 
 def suite_respect_hierarchy(max_dom: int) -> SuiteResult:
-    res = SuiteResult(SUITE_NAMES["respect_hierarchy"])
+    res = SuiteResult(SUITES["respect_hierarchy"].report)
     for tree, t in _realizable(max_dom):
         if respects_le2(tree, t):
             weak = weakly_respects_le2(tree, t)
@@ -761,7 +744,7 @@ def _l2_tower_from_tree(tree) -> list:
 
 
 def suite_tree_property(max_dom: int, seed: int) -> SuiteResult:
-    res = SuiteResult(SUITE_NAMES["tree_property"])
+    res = SuiteResult(SUITES["tree_property"].report)
     rng = random.Random(seed)
     # S1: random regular towers with order-respecting ordinals
     for _ in range(50):
@@ -802,7 +785,7 @@ def suite_tree_property(max_dom: int, seed: int) -> SuiteResult:
 
 
 def suite_ucf_cf3(max_base_dom: int) -> SuiteResult:
-    res = SuiteResult(SUITE_NAMES["ucf_cf3"])
+    res = SuiteResult(SUITES["ucf_cf3"].report)
     ucf_cases = {i: 0 for i in range(1, 6)}
     cf_cases = {0: 0, 1: 0, 2: 0}
     for base in enumerate_le2_trees(max_base_dom):
@@ -853,40 +836,56 @@ def enumerate_partial_le2(base: LevelLe2Tree):
     return out
 
 
+def _ucf2_size(bound: int, seed: int) -> dict:
+    # both level-2 ucf suites; below 2 partial nodes and 3 nodes of W the sup swap has no case
+    return {"max_partial_nodes": min(max(bound, 2), 4), "max_w": min(max(bound + 1, 3), 5),
+            "betas": 10, "seed": seed}
+
+
+# The suites check_lemmas runs, in order, by the short name the benchmark and --timings use.
+Suite = namedtuple("Suite", "function size report")
+SUITES = {
+    "order_type": Suite(suite_order_type, lambda bound, seed: {"max_nodes": max(bound, 3)},
+                        "order-type law: o.t.(<^P) = w*card(P)+1 vs rank oracle"),
+    "factor_order": Suite(suite_factor_order, lambda bound, seed: {"max_nodes": min(bound, 4)},
+                          "factoring existence vs order-type comparison"),
+    "shift": Suite(suite_shift, lambda bound, seed: {"pairs": 200 * bound, "seed": seed},
+                   "shift continuity criterion and decomposition recursion"),
+    "analysis": Suite(suite_analysis, lambda bound, seed: {"count": 50 * bound, "seed": seed},
+                      "analysis coherence against the a.e.-evaluation oracle"),
+    "lemma_level2_ucf": Suite(suite_lemma_level2_ucf, _ucf2_size,
+                              "level-2 uniform cofinality lemma (sup swap)"),
+    "lemma_level2_ucf_another": Suite(suite_lemma_level2_ucf_another, _ucf2_size,
+                                      "level-2 uniform cofinality lemma (completion route)"),
+    "uniqueness": Suite(suite_uniqueness, lambda bound, seed: {"max_dom": min(bound, 4)},
+                        "uniqueness of the representing level <=2 tree"),
+    "desc_eval": Suite(suite_desc_eval, lambda bound, seed: {"max_dom": min(bound, 4)},
+                       "description evaluation: continuous values and monotonicity"),
+    "respect_hierarchy": Suite(suite_respect_hierarchy,
+                               lambda bound, seed: {"max_dom": min(bound, 4)},
+                               "respects implies weakly respects; typical discriminators"),
+    "tree_property": Suite(suite_tree_property,
+                           lambda bound, seed: {"max_dom": min(bound, 4), "seed": seed},
+                           "S1/S2 accept every initial segment of an accepted node"),
+    # the 5 ucf cases need bases of at least 2 domain nodes to all occur
+    "ucf_cf3": Suite(suite_ucf_cf3, lambda bound, seed: {"max_base_dom": min(max(bound, 2), 3)},
+                     "ucf totality/regularity and case coverage; cf3 cases"),
+}
+
+
 def check_lemmas(bound: int, seed: int):
-    """Run every invariant suite at a size bound; returns SuiteResults, each
-    with its wall time in ``seconds``.  A suite that raises a KernelError
+    """Run the SUITES in order at a size bound, each by the module's current
+    binding of its name (the benchmark wraps them there); returns SuiteResults
+    with their wall times in ``seconds``.  A suite that raises a KernelError
     fails with 0 cases and the error as its counterexample, and the suites
     after it still run; any other exception propagates."""
-    suites = [
-        ("order_type", partial(suite_order_type, max_nodes=max(bound, 3))),
-        ("factor_order", partial(suite_factor_order, max_nodes=min(bound, 4))),
-        ("shift", partial(suite_shift, pairs=200 * bound, seed=seed)),
-        ("analysis", partial(suite_analysis, count=50 * bound, seed=seed)),
-        # below 2 partial nodes and 3 nodes of W the sup swap has no case
-        ("lemma_level2_ucf",
-         partial(suite_lemma_level2_ucf, max_partial_nodes=min(max(bound, 2), 4),
-                 max_w=min(max(bound + 1, 3), 5), betas=10, seed=seed)),
-        ("lemma_level2_ucf_another",
-         partial(suite_lemma_level2_ucf_another, max_partial_nodes=min(max(bound, 2), 4),
-                 max_w=min(max(bound + 1, 3), 5), betas=10, seed=seed)),
-        ("uniqueness", partial(suite_uniqueness, max_dom=min(bound, 4))),
-        ("desc_eval", partial(suite_desc_eval, max_dom=min(bound, 4))),
-        ("respect_hierarchy", partial(suite_respect_hierarchy, max_dom=min(bound, 4))),
-        ("tree_property", partial(suite_tree_property, max_dom=min(bound, 4), seed=seed)),
-        # the 5 ucf cases need bases of at least 2 domain nodes to all occur
-        ("ucf_cf3", partial(suite_ucf_cf3, max_base_dom=min(max(bound, 2), 3))),
-    ]
     results = []
-    for name, suite in suites:
+    for suite in SUITES.values():
         start = time.perf_counter()
         try:
-            res = suite()
-        except KernelError as e:
-            # a kernel fault is the suite's counterexample; the cases it
-            # checked before raising are not counted
-            res = SuiteResult(SUITE_NAMES[name])
-            res.failures.append(str(e))
+            res = globals()[suite.function.__name__](**suite.size(bound, seed))
+        except KernelError as e:  # the cases checked before it are not counted
+            res = SuiteResult(suite.report, 0, [str(e)])
         res.seconds = time.perf_counter() - start
         results.append(res)
     return results

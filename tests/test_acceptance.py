@@ -83,21 +83,21 @@ def test_criterion_05_level2_uniform_cofinality_lemmas():
 
 
 def test_criterion_06_uniqueness_of_representing_tree():
-    res = suite_uniqueness(max_dom=4)
+    res = suite_uniqueness(max_dom=5)
     assert res.passed, res.failures[:3]
-    _report(6, f"recover_tree exact and unique over level <=2 trees with <=4 "
+    _report(6, f"recover_tree exact and unique over level <=2 trees with <=5 "
                f"domain nodes ({res.cases} checks)")
 
 
 def test_criterion_07_continuous_description_evaluation():
-    res = suite_desc_eval(max_dom=4)
+    res = suite_desc_eval(max_dom=5)
     assert res.passed, res.failures[:3]
     _report(7, f"continuous values = sup-embedding of predecessor; evaluation "
                f"monotone ({res.cases} checks)")
 
 
 def test_criterion_08_respect_hierarchy():
-    res = suite_respect_hierarchy(max_dom=4)
+    res = suite_respect_hierarchy(max_dom=5)
     assert res.passed, res.failures[:3]
     q0, q1, q20, q21 = typical_trees()
     key = ((0,),)
@@ -111,7 +111,7 @@ def test_criterion_08_respect_hierarchy():
 
 
 def test_criterion_09_s1_s2_tree_property():
-    res = suite_tree_property(max_dom=4, seed=0)
+    res = suite_tree_property(max_dom=5, seed=0)
     assert res.passed, res.failures[:3]
     # the worked membership examples
     w, w2 = UOrd.from_ctbl(OMEGA).tail, UOrd.from_ctbl(OMEGA * CtblOrd.natural(2)).tail

@@ -2,6 +2,7 @@ import argparse
 import ast
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -428,9 +429,18 @@ def test_check_lemmas_timings_are_opt_in():
     _, plain = run("check-lemmas", "--bound", "1")
     code, timed = run("check-lemmas", "--bound", "1", "--timings")
     seconds = re.compile(r" suite(\d+)_seconds=\d+\.\d{3}(?=\s)")
+    sizes = re.compile(r" suite(\d+)_([a-z_]+)=(\d+)(?=\s)")
     assert code == 0
     assert [int(i) for i in seconds.findall(timed)] == list(range(11))
-    assert seconds.sub("", timed) == plain
+    # each suite's keyword arguments at --bound 1, less its seed
+    ucf2 = [("max_partial_nodes", "2"), ("max_w", "3"), ("betas", "10")]
+    assert [(int(i), name, size) for i, name, size in sizes.findall(timed)] == [
+        (i, name, size) for i, args in enumerate(
+            [[("max_nodes", "3")], [("max_nodes", "1")], [("pairs", "200")],
+             [("count", "50")], ucf2, ucf2, [("max_dom", "1")], [("max_dom", "1")],
+             [("max_dom", "1")], [("max_dom", "1")], [("max_base_dom", "2")]])
+        for name, size in args]
+    assert sizes.sub("", seconds.sub("", timed)) == plain
 
 
 def test_check_lemmas_small():
@@ -446,6 +456,20 @@ def test_batch_runs_and_is_deterministic():
     assert first.stdout == second.stdout
     assert first.stdout.count("\n") >= 60
     assert "status=error code=PARSE_ERROR" not in first.stdout
+
+
+@pytest.mark.parametrize("argv", [["cfl", "u3"], ["enumerate", "l1", "--bound", "9"],
+                                  ["check-lemmas", "--bound", "1"], ["batch", str(BATCH)]])
+def test_a_closed_stdout_ends_quietly_with_status_4(argv):
+    # the pipe's read end is closed before uctk starts, so every write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "uctk.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (4, "")
 
 
 def test_batch_expected_lines():
