@@ -2,7 +2,8 @@
 
 One structured report per line by default (key=value pairs, deterministic
 field order); --pretty switches to a human-readable block.  Exit status: 0
-ok, 1 domain rejection, 2 usage or parse error, 3 internal error.
+ok, 1 domain rejection, 2 usage or parse error, 3 internal error, 4 no
+report written: stdout is closed, or its reader has gone.
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ def cmd_recover(args):
     if len(args) < 2:
         raise ArityError("recover <level-1 tree> <domain shape> <ordinals...>")
     t1 = grammar.parse_l1(args[0])
-    shape = sorted(grammar.parse_shape(args[1]), key=level2._dom_sort_key)
+    shape = sorted(grammar.parse_shape(args[1]), key=level2.dom_sort_key)
     ordered = [(1, p) for p in t1.bk_sorted()] + [(2, q) for q in shape]
     texts = args[2:]
     if len(texts) != len(ordered):
@@ -474,11 +475,17 @@ def _build_parser(batch_line: bool):
     its output."""
     import argparse  # only this fallback needs it; a well-formed argv starts faster
 
-    class _Parser(argparse.ArgumentParser):
+    class _ArgvParser(argparse.ArgumentParser):
+        def print_help(self):
+            # -h calls this; argparse's own writer drops an OSError, and
+            # main must see a broken pipe
+            sys.stdout.write(self.format_help())
+
+    class _LineParser(argparse.ArgumentParser):
         def error(self, message):
             raise ArityError(message)
 
-    p = (_Parser if batch_line else argparse.ArgumentParser)(
+    p = (_LineParser if batch_line else _ArgvParser)(
         prog="uctk", add_help=not batch_line, description=__doc__)
     p.add_argument("command", choices=sorted(HANDLERS) + ["batch"])
     p.add_argument("args", nargs="*")
@@ -568,15 +575,18 @@ def _parse_line(line):
 
 
 def main(argv=None) -> int:
-    """Run one argv; its exit status.  If stdout's reader has gone, no more
+    """Run one argv; its exit status.  Where no report can be written, the
+    status is 4: a process started without stdout (fd 1 closed) runs
+    nothing, and once stdout's reader has gone, help included, no more
     reports are written: stdout is pointed at os.devnull, so that the
-    interpreter's last flush cannot fail again, and the status is 4."""
+    interpreter's last flush cannot fail again."""
+    if sys.stdout is None:  # what Python makes of a closed fd 1
+        return 4
     try:
         try:
             return _main(sys.argv[1:] if argv is None else argv)
         finally:
-            if sys.stdout is not None:  # None when the process started without one
-                sys.stdout.flush()
+            sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

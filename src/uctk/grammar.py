@@ -25,8 +25,8 @@ import re
 from itertools import islice
 
 from .errors import ParseError
-from .level1 import Level1Tree, check_level1
-from .level2 import LevelLe2Tree, check_level2
+from .level1 import Level1Tree, validate_level1
+from .level2 import LevelLe2Tree, validate_level2
 from .level3 import check_degree, validate_level3, validate_partial_le2
 from .ordinals import ONE, CtblOrd, IndexMap, UOrd
 from .value import MINUS_ONE
@@ -205,7 +205,7 @@ def _l1(toks) -> Level1Tree:
     while items[toks.i] != "}":
         nodes.append(_node(toks))
     toks.i += 1
-    return check_level1(frozenset(nodes))
+    return validate_level1(nodes)
 
 
 def parse_l1(text: str) -> Level1Tree:
@@ -318,7 +318,7 @@ def _l2_label(toks):
 
 
 def _l2_entries(toks, close):
-    return check_level2(_keyed(toks, close, _l2_label))
+    return validate_level2(_keyed(toks, close, _l2_label))
 
 
 def parse_l2(text: str):

@@ -53,16 +53,11 @@ EMPTY_TREE = Level1Tree(frozenset())
 
 
 def validate_level1(nodes) -> Level1Tree:
-    """Check both tree clauses on nodes given as any sequences of ints;
-    raises naming the first violating node."""
-    return check_level1(frozenset(tuple(n) for n in nodes))
-
-
-def check_level1(nodes: frozenset) -> Level1Tree:
-    """``validate_level1`` on its canonical form, a frozenset of int
-    tuples.  The set is closed when each node's parent and left sibling
-    are in it, which one lookup each decides; only a set that is not
-    closed is sorted, to name the first violating node."""
+    """Check both tree clauses on a collection of int tuples; raises naming
+    the first violating node.  The set is closed when each node's parent and
+    left sibling are in it, which one lookup each decides; only a set that
+    is not closed is sorted, to name the first violating node."""
+    nodes = frozenset(nodes)
     if () in nodes:
         raise ContainsEmpty()
     for node in nodes:
@@ -86,7 +81,7 @@ def _raise_first_violation(nodes: frozenset):
 def is_level1(nodes) -> bool:
     """Whether the int tuples ``nodes`` form a level-1 tree."""
     try:
-        check_level1(frozenset(nodes))
+        validate_level1(nodes)
         return True
     except (ContainsEmpty, ClosureViolation):
         return False

@@ -61,7 +61,6 @@ def validate_partial_le1(base: Level1Tree, node) -> PartialLevel1Tree:
         if not len(base):
             raise CaseViolation("degree 0 needs a nonempty base")
         return PartialLevel1Tree(base, MINUS_ONE)
-    node = tuple(node)
     if node in base.nodes:
         raise CaseViolation("pending node already present", node)
     if node == (1,) or not is_addable(base, node):
@@ -142,15 +141,17 @@ def expand_potential(potential) -> PartialTowerLe1:
 # -- trees of level-1 trees ------------------------------------------------------
 
 def as_domseq(q) -> DomSeq:
-    """q as a domain sequence, a tuple of nodes.  An entry that is not a
+    """q, a domain sequence: a tuple of nodes.  An entry that is not a
     node, such as the -1 that ends a continuous description, raises
     DomainNotTree."""
-    if any(not isinstance(n, (tuple, list)) for n in q):
+    if any(not isinstance(n, tuple) for n in q):
         raise DomainNotTree(q)
-    return tuple(tuple(n) for n in q)
+    return q
 
 
-def _dom_sort_key(q):
+def dom_sort_key(q):
+    """The canonical order of domain sequences: by length, then
+    Brouwer-Kleene."""
     return (len(q), bk.bk_key(q))
 
 
@@ -165,16 +166,17 @@ def check_tree_of_trees(dom):
     is a tree of level-1 trees and return it in canonical order.
 
     Raises RootNotCanonical on an empty set, DomainNotTree naming the first
-    element whose predecessor is missing or whose last entry is -1, else
-    the first whose children do not form a level-1 tree.  The pass that
-    checks predecessors gathers the children's indices."""
+    element whose predecessor is missing or whose last entry is not a node
+    (such as -1), else the first whose children do not form a level-1
+    tree.  The pass that checks predecessors gathers the children's
+    indices."""
     if not dom:
         raise RootNotCanonical("missing root")
-    order = sorted(dom, key=_dom_sort_key)
+    order = sorted(dom, key=dom_sort_key)
     children = {}
     for q in order:
         if q:
-            if q[:-1] not in dom or q[-1] == MINUS_ONE:
+            if q[:-1] not in dom or type(q[-1]) is not tuple:
                 raise DomainNotTree(q)
             children.setdefault(q[:-1], []).append(q[-1])
     for q in order:
@@ -311,18 +313,13 @@ def is_child_label(parent, label) -> bool:
 
 
 def validate_level2(entries) -> Level2Tree:
-    """The root labelled ({}, (0)) and every other element one of the
-    ``child_labels`` of its parent's label, else TowerViolation at it."""
-    return check_level2({as_domseq(q): (t, (p if p == MINUS_ONE else tuple(p)))
-                         for q, (t, p) in dict(entries).items()})
-
-
-def check_level2(items: dict) -> Level2Tree:
-    """``validate_level2`` on its canonical form, a dict from domain
-    sequences (tuples of int tuples, possibly ending in -1) to (Level1Tree,
-    node or -1) labels: the same checks in the same order, a key ending in
-    -1 first, in listing order, and each label decided by
-    ``is_child_label``."""
+    """Check a level-2 tree given as a dict or pairs from domain sequences
+    (tuples of int tuples) to (Level1Tree, node or -1) labels.  A key
+    ending in -1 raises DomainNotTree first, in listing order; then the
+    root must be labelled ({}, (0)), the keys must form a tree of level-1
+    trees, and each other label must be one of the ``child_labels`` of its
+    parent's, decided by ``is_child_label``, else TowerViolation at it."""
+    items = dict(entries)
     for q in items:
         if q and q[-1] == MINUS_ONE:
             raise DomainNotTree(q)
@@ -402,7 +399,7 @@ def dom_star(t2: Level2Tree):
     out = list(t2.dom())
     for q in t2.dom():
         out.append(q + (MINUS_ONE,))
-    return sorted(out, key=_dom_sort_key)
+    return sorted(out, key=dom_sort_key)
 
 
 def q_set_plus(t2: Level2Tree, q: DomSeq):
@@ -643,7 +640,7 @@ def enumerate_dom_shapes(max_nodes: int):
             for q in shape:
                 for a in addable_nodes(_children_of(shape, q)):
                     nxt.add(shape | {q + (a,)})
-        frontier = sorted(nxt, key=lambda s: sorted(map(_dom_sort_key, s)))
+        frontier = sorted(nxt, key=lambda s: sorted(map(dom_sort_key, s)))
         shapes.extend(frontier)
     return shapes
 

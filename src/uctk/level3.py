@@ -15,8 +15,8 @@ from .errors import (ArityError, CaseViolation, DegreeZero, EmptyKeyPresent, Not
                      TowerViolation)
 from .level1 import EMPTY_TREE, Level1Tree, is_addable
 from .level2 import (CONSTANT_DESC, MINUS_ONE, Level2Tree, LevelLe2Tree,
-                     TreeOfTrees, _dom_sort_key, as_domseq, check_tree_of_trees,
-                     child_labels, description, new_key, q_set_plus, respects_degree0,
+                     TreeOfTrees, as_domseq, check_tree_of_trees, child_labels,
+                     description, dom_sort_key, new_key, q_set_plus, respects_degree0,
                      respects_le2)
 from .ordinals import U1
 from .value import ACCEPTED, Value, Verdict, format_l3, format_pl2, format_rep3
@@ -49,7 +49,6 @@ def validate_partial_le2(base: LevelLe2Tree, d: int, q, p) -> PartialLevelLe2Tre
             raise CaseViolation("degree 0 must be (0, -1, {})")
         return PartialLevelLe2Tree(base, 0, MINUS_ONE, EMPTY_TREE)
     if d == 1:
-        q = tuple(q)
         if q in base.t1.nodes:
             raise CaseViolation("node already present", q)
         if not is_addable(base.t1, q):
@@ -125,7 +124,7 @@ def completion_le2(pt: PartialLevelLe2Tree):
     if pt.d == 1:
         return [LevelLe2Tree(Level1Tree(pt.base.t1.nodes | {pt.q}), pt.base.t2)]
     entries = pt.base.t2.entries
-    at = bisect(entries, _dom_sort_key(pt.q), key=lambda e: _dom_sort_key(e[0]))
+    at = bisect(entries, dom_sort_key(pt.q), key=lambda e: dom_sort_key(e[0]))
     labels = child_labels(pt.base.t2.label(pt.q[:-1]), leaf=True)
     return [LevelLe2Tree(pt.base.t1,
                          Level2Tree(entries[:at] + ((pt.q, label),) + entries[at:]))

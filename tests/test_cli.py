@@ -459,7 +459,8 @@ def test_batch_runs_and_is_deterministic():
 
 
 @pytest.mark.parametrize("argv", [["cfl", "u3"], ["enumerate", "l1", "--bound", "9"],
-                                  ["check-lemmas", "--bound", "1"], ["batch", str(BATCH)]])
+                                  ["check-lemmas", "--bound", "1"], ["batch", str(BATCH)],
+                                  ["--help"], ["cfl", "u3", "-h"]])
 def test_a_closed_stdout_ends_quietly_with_status_4(argv):
     # the pipe's read end is closed before uctk starts, so every write fails
     read, write = os.pipe()
@@ -469,6 +470,15 @@ def test_a_closed_stdout_ends_quietly_with_status_4(argv):
                               stderr=subprocess.PIPE, text=True)
     finally:
         os.close(write)
+    assert (proc.returncode, proc.stderr) == (4, "")
+
+
+@pytest.mark.parametrize("argv", [["cfl", "u3"], ["--help"], ["batch", str(BATCH)]])
+def test_a_process_started_without_stdout_ends_quietly_with_status_4(argv):
+    # fd 1 is closed before uctk's interpreter starts, which then has no sys.stdout
+    launch = "import os, sys; os.close(1); os.execv(sys.executable, sys.argv[1:])"
+    proc = subprocess.run([sys.executable, "-c", launch, sys.executable, "-m", "uctk.cli",
+                           *argv], stderr=subprocess.PIPE, text=True)
     assert (proc.returncode, proc.stderr) == (4, "")
 
 

@@ -259,12 +259,12 @@ def test_a_valid_parse_calls_no_token_method():
 
 
 def test_a_valid_tree_parse_enters_no_normalising_pass():
-    """The grammar builds level-1 and level-2 trees in the checking cores'
-    canonical form and hands them to ``check_level1`` and ``check_level2``:
-    parsing a valid level-1 tree or tower, level-2 tree or tower, or level
-    <=2 tree enters neither normalising entry, ``as_domseq`` nor a routine
-    that lists nodes or labels.  Checked on every golden argument with
-    every such parser that accepts it."""
+    """The grammar builds level-1 and level-2 trees as int tuples and hands
+    them to ``validate_level1`` and ``validate_level2``: parsing a valid
+    level-1 tree or tower, level-2 tree or tower, or level <=2 tree enters
+    neither ``as_domseq`` nor a routine that lists nodes or labels.
+    Checked on every golden argument with every such parser that accepts
+    it."""
     parsers = [grammar.parse_l1, grammar.parse_tower, grammar.parse_l2,
                grammar.parse_l2_tower, grammar.parse_le2]
     valid = []
@@ -275,8 +275,8 @@ def test_a_valid_tree_parse_enters_no_normalising_pass():
             except KernelError:
                 continue
             valid.append((parse, text))
-    normalising = [level1.validate_level1, level2.validate_level2, level2.as_domseq,
-                   level2.child_labels, level1.regular_nodes, level1.addable_nodes]
+    normalising = [level2.as_domseq, level2.child_labels, level1.regular_nodes,
+                   level1.addable_nodes]
 
     def run():
         for parse, text in valid:

@@ -10,7 +10,7 @@ from uctk.errors import (CardinalityMismatch, ClosureViolation, ContainsEmpty,
 from uctk.grammar import parse_l1, parse_uord
 from uctk.lemmas import order_type_oracle
 from uctk.level1 import (EMPTY_TREE, FactorMap1, Level1Tree, Rep1Element, addable_nodes,
-                         check_factor_map, check_level1, desc_rank, descriptions,
+                         check_factor_map, desc_rank, descriptions,
                          enumerate_level1, enumerate_level1_up_to, factor_exists,
                          factorings, is_addable, is_regular, rep_compare, rep_order_type,
                          respects_level1, s1_member, seed, strict_factor_exists,
@@ -52,9 +52,9 @@ ODD_NODES = {("a",), (0, "a"), ("a", 0), (0.5,), (1.0,), (-1,), (0, -1)}
 
 
 def _sorted_validate_level1(nodes) -> Level1Tree:
-    """validate_level1 as it was, kept as the reference of check_level1:
-    every node rebuilt, the set sorted and each node's parent and lower
-    siblings looked up in that order."""
+    """validate_level1 as it was before its one-lookup closure check, kept
+    as its reference: every node rebuilt, the set sorted and each node's
+    parent and lower siblings looked up in that order."""
     nodeset = frozenset(tuple(n) for n in nodes)
     if () in nodeset:
         raise ContainsEmpty()
@@ -76,12 +76,12 @@ def _outcome(check, arg):
 
 
 class TestCheckingCore:
-    """check_level1 decides closure by one lookup per node and sorts only
-    to name a violation: against the normalising entry and the sorted scan
-    it replaced, on every level-1 tree of at most 6 nodes, each with one
-    node dropped and each with one node added that is not addable."""
+    """validate_level1 decides closure by one lookup per node and sorts
+    only to name a violation: against the sorted scan it replaced, on every
+    level-1 tree of at most 6 nodes, each with one node dropped and each
+    with one node added that is not addable."""
 
-    def test_core_agrees_with_the_entry_and_the_sorted_scan(self):
+    def test_validator_agrees_with_the_sorted_scan(self):
         sets = []
         for tree in enumerate_level1_up_to(6, regular_only=False):
             nodes = tree.nodes
@@ -91,8 +91,7 @@ class TestCheckingCore:
             sets += [nodes | {n} for n in NODES if n not in nodes and n not in addable]
         outcomes = set()
         for nodes in sets:
-            got = _outcome(check_level1, nodes)
-            assert got == _outcome(validate_level1, list(nodes)), sorted(nodes)
+            got = _outcome(validate_level1, nodes)
             assert got == _outcome(_sorted_validate_level1, nodes), sorted(nodes)
             outcomes.add(got[0] if isinstance(got, tuple) else type(got))
         assert outcomes == {Level1Tree, ClosureViolation, ContainsEmpty}

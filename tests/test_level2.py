@@ -16,7 +16,7 @@ from uctk.level1 import (EMPTY_TREE, Level1Tree, addable_nodes, enumerate_level1
                          is_level1, respects_level1)
 from uctk.level2 import (CARD1_L2, MINUS_ONE, ROOT_NODE, Level2Tree,
                          LevelLe2Tree, QDescription, Rep2Element, as_domseq,
-                         check_level2, check_tree_of_trees, child_labels,
+                         check_tree_of_trees, child_labels,
                          enumerate_dom_shapes, enumerate_le2_trees,
                          enumerate_level2_with_dom, evaluate_description,
                          expand_potential, generate_respecting_tuple,
@@ -121,7 +121,7 @@ class TestValidateLevel2:
 
 
 def _listing_validate_level2(entries) -> Level2Tree:
-    """validate_level2 as it was, kept as the reference of check_level2:
+    """validate_level2 as it was, kept as its reference:
     every key and node rebuilt, and each label looked for in the list of
     its parent's ``child_labels``."""
     items = {as_domseq(q): (t, (p if p == MINUS_ONE else tuple(p)))
@@ -163,22 +163,20 @@ def _damaged_level2(t2):
 
 
 class TestCheckingCore:
-    """check_level2 makes no normalising pass and decides each label by
-    ``is_child_label``: against the normalising entry and the listing
-    route it replaced, on every level-2 tree of at most 5 elements and on
-    its damaged copies."""
+    """validate_level2 makes no normalising pass and decides each label by
+    ``is_child_label``: against the listing route it replaced, on every
+    level-2 tree of at most 5 elements and on its damaged copies."""
 
-    def test_core_agrees_with_the_entry_and_the_listing_route(self):
+    def test_validator_agrees_with_the_listing_route(self):
         outcomes, cases = set(), 0
         for shape in enumerate_dom_shapes(5):
             for t2 in enumerate_level2_with_dom(shape):
                 for entries in _damaged_level2(t2):
-                    got = _result(check_level2, entries)
-                    assert got == _result(validate_level2, entries), str(t2)
+                    got = _result(validate_level2, entries)
                     assert got == _result(_listing_validate_level2, entries), str(t2)
                     outcomes.add(got[0] if isinstance(got, tuple) else type(got))
                     cases += 1
-                assert check_level2(dict(t2.entries)) == t2
+                assert validate_level2(t2.entries) == t2
         assert outcomes == {Level2Tree, RootNotCanonical, DomainNotTree, TowerViolation}
         assert cases > 14000
 
@@ -186,11 +184,11 @@ class TestCheckingCore:
         entries = {(): (EMPTY_TREE, ROOT_NODE), ((0,), MINUS_ONE): (EMPTY_TREE, ROOT_NODE),
                    (MINUS_ONE,): (EMPTY_TREE, ROOT_NODE)}
         with pytest.raises(DomainNotTree) as e:
-            check_level2(entries)
+            validate_level2(entries)
         assert e.value.detail == (((0,), MINUS_ONE),)
         # before the root checks
         with pytest.raises(DomainNotTree):
-            check_level2({(MINUS_ONE,): (EMPTY_TREE, ROOT_NODE)})
+            validate_level2({(MINUS_ONE,): (EMPTY_TREE, ROOT_NODE)})
 
     def test_child_label_predicate_is_membership_in_child_labels(self):
         nodes = [()] + [n for k in (1, 2, 3) for n in itertools.product(range(3), repeat=k)]
@@ -207,6 +205,13 @@ class TestCheckingCore:
                             (str(tree), node, str(t), a)
                         cases += 1
         assert cases > 20000
+
+    def test_a_domain_sequence_is_checked_not_rebuilt(self):
+        for q in [(), KEY, ((0,), (0, 0), (1,))]:
+            assert as_domseq(q) is q
+        for q in [((0,), MINUS_ONE), ((0,), [0]), ((0,), 5)]:
+            with pytest.raises(DomainNotTree):
+                as_domseq(q)
 
 
 class TestDescriptions:
@@ -676,7 +681,7 @@ def _old_check_tree_of_trees(dom):
     each element found by a scan of the whole domain."""
     if not dom:
         raise RootNotCanonical("missing root")
-    order = sorted(dom, key=level2._dom_sort_key)
+    order = sorted(dom, key=level2.dom_sort_key)
     for q in order:
         if q and q[:-1] not in dom:
             raise DomainNotTree(q)
