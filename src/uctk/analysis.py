@@ -147,8 +147,8 @@ def analyze(b: UOrd, tree: Level1Tree) -> OrdAnalysis:
     chain = potential.pvec[:m]
     # the chain trees {(0), (0 0), ...} of 0 to m nodes: the shapes realizing decreasing patterns
     towers = tuple(Level1Tree(frozenset(chain[:i])) for i in range(m)) + (potential.tree,)
+    # a factoring, as ``potential_and_approximation`` shows
     fmap = FactorMap1(potential.tree, tree, tuple((chain[i], signature[i]) for i in reversed(range(m))))
-    check_factor_map(fmap)
 
     return OrdAnalysis(signature, seeds, potential.is_continuous(), cf_l(b),
                        Level1Tower(towers), fmap, approx, potential)

@@ -3,7 +3,8 @@
 One structured report per line by default (key=value pairs, deterministic
 field order); --pretty switches to a human-readable block.  Exit status: 0
 ok, 1 domain rejection, 2 usage or parse error, 3 internal error, 4 no
-report written: stdout is closed, or its reader has gone.
+report written: stdout is closed, its reader has gone, or its device is
+full.
 """
 
 from __future__ import annotations
@@ -600,8 +601,8 @@ def main(argv=None) -> int:
     nothing, and once a write to stdout has failed, help included, because
     its reader has gone or its device is full, no more reports are written:
     stdout is pointed at os.devnull, so that the interpreter's last flush
-    cannot fail again.  Any other OSError, such as a batch file that fails
-    while it is read, is not caught here."""
+    cannot fail again.  A batch file that cannot be opened or read is a
+    report, not an OSError."""
     if sys.stdout is None:  # what Python makes of a closed fd 1
         return 4
     try:
@@ -631,27 +632,26 @@ def _main(argv) -> int:
         except ArityError as e:
             _emit(Report("batch", "error", code=e.code, detail=e.detail[0]), ns)
             return 2
+        worst = 0
         try:
-            fh = open(ns.args[0], encoding="utf-8", errors="surrogateescape")
-        except OSError as e:
+            with open(ns.args[0], encoding="utf-8", errors="surrogateescape") as fh:
+                for raw in fh:
+                    line = raw.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    try:
+                        sub = _parse_line(line)
+                    except KernelError as e:
+                        report = Report("batch", "error", input=_printable(line), code=e.code,
+                                        detail=str(e))
+                    else:
+                        report = run_command(sub.command, sub.args, sub)
+                    _emit(report, ns)
+                    worst = max(worst, report.exit_code)
+        except OSError as e:  # the open or a read; a failed write raises _StdoutFailed
             _emit(Report("batch", "error", input=_printable(ns.args[0]), code="ARITY_ERROR",
                          detail=f"cannot read batch file: {e.strerror}"), ns)
-            return 2
-        worst = 0
-        with fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    sub = _parse_line(line)
-                except KernelError as e:
-                    report = Report("batch", "error", input=_printable(line), code=e.code,
-                                    detail=str(e))
-                else:
-                    report = run_command(sub.command, sub.args, sub)
-                _emit(report, ns)
-                worst = max(worst, report.exit_code)
+            return max(worst, 2)
         return worst
     report = run_command(ns.command, ns.args, ns)
     _emit(report, ns)

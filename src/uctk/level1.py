@@ -14,7 +14,7 @@ import itertools
 
 from . import bk
 from .errors import (CardinalityMismatch, ClosureViolation, ContainsEmpty,
-                     InvalidTower, LengthMismatch, NotADescription,
+                     InvalidElement, InvalidTower, LengthMismatch, NotADescription,
                      NotAFactoring, NotInRep, NotRegular, NotSubtree)
 from .ordinals import ONE, OMEGA, ZERO, CtblOrd, UOrd, as_uord
 from .value import (ACCEPTED, Value, Verdict, format_detail, format_l1, format_node,
@@ -54,13 +54,20 @@ EMPTY_TREE = Level1Tree(frozenset())
 
 def validate_level1(nodes) -> Level1Tree:
     """Check both tree clauses on a collection of int tuples; raises naming
-    the first violating node.  The set is closed when each node's parent and
-    left sibling are in it, which one lookup each decides; only a set that
+    the first violating node, and InvalidElement at a node that is not a
+    tuple of naturals.  The set is closed when each node's parent and left
+    sibling are in it, which one lookup each decides, so checking each
+    node's last entry checks every entry of a closed set; only a set that
     is not closed is sorted, to name the first violating node."""
-    nodes = frozenset(nodes)
+    try:
+        nodes = frozenset(nodes)
+    except TypeError:  # a node that cannot be hashed, such as a list
+        raise InvalidElement(nodes) from None
     if () in nodes:
         raise ContainsEmpty()
     for node in nodes:
+        if type(node) is not tuple or type(node[-1]) is not int or node[-1] < 0:
+            raise InvalidElement(node)
         parent, last = node[:-1], node[-1]
         if (parent and parent not in nodes) or (last > 0 and parent + (last - 1,) not in nodes):
             _raise_first_violation(nodes)
@@ -68,8 +75,12 @@ def validate_level1(nodes) -> Level1Tree:
 
 
 def _raise_first_violation(nodes: frozenset):
-    """ClosureViolation at the least node, in sorted order, that misses its
+    """InvalidElement at a node with an entry that is not a natural, else
+    ClosureViolation at the least node, in sorted order, that misses its
     parent or a left sibling, naming the first node it misses."""
+    for node in nodes:
+        if type(node) is not tuple or any(type(i) is not int or i < 0 for i in node):
+            raise InvalidElement(node)
     for node in sorted(nodes):
         if len(node) > 1 and node[:-1] not in nodes:
             raise ClosureViolation(node, node[:-1])
@@ -79,11 +90,11 @@ def _raise_first_violation(nodes: frozenset):
 
 
 def is_level1(nodes) -> bool:
-    """Whether the int tuples ``nodes`` form a level-1 tree."""
+    """Whether ``nodes`` form a level-1 tree."""
     try:
         validate_level1(nodes)
         return True
-    except (ContainsEmpty, ClosureViolation):
+    except (ContainsEmpty, ClosureViolation, InvalidElement):
         return False
 
 
@@ -196,11 +207,10 @@ def descriptions(tree: Level1Tree):
 
 
 def desc_rank(tree: Level1Tree, d: Node) -> int:
-    key = tuple(d)
     try:
-        return _bk_order(tree.nodes)[1][key]
-    except (KeyError, TypeError):  # TypeError: an unhashable entry
-        raise NotADescription(key, tree) from None
+        return _bk_order(tree.nodes)[1][d]
+    except (KeyError, TypeError):  # TypeError: an unhashable d, such as a list
+        raise NotADescription(d, tree) from None
 
 
 def seed(tree: Level1Tree, d: Node) -> UOrd:

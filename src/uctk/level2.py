@@ -63,9 +63,15 @@ def validate_partial_le1(base: Level1Tree, node) -> PartialLevel1Tree:
         return PartialLevel1Tree(base, MINUS_ONE)
     if node in base.nodes:
         raise CaseViolation("pending node already present", node)
-    if node == (1,) or not is_addable(base, node):
+    if not _is_pending(base, node):
         raise CaseViolation("completion is not a regular level-1 tree", node)
     return PartialLevel1Tree(base, node)
+
+
+def _is_pending(tree: Level1Tree, node) -> bool:
+    """A label's pending node over a regular tree: -1, or an addable node
+    other than (1), so that the completion stays regular."""
+    return node == MINUS_ONE or node != (1,) and is_addable(tree, node)
 
 
 def respects_partial_le1(pt: PartialLevel1Tree, alpha) -> Verdict:
@@ -300,28 +306,30 @@ def child_labels(parent, leaf: bool):
 def is_child_label(parent, label) -> bool:
     """Whether ``label`` is one of ``child_labels(parent, True)``, decided
     without listing them: the parent has degree 1, the label's tree is the
-    parent's tree grown by the parent's node, and the label's node is -1 or
-    an addable node of that tree other than (1).  The parent's node is -1
-    or addable to its tree, as in every label of a level-2 tree, so the
-    grown tree is closed, as ``is_addable`` needs."""
+    parent's tree grown by the parent's node, and the label's node is
+    ``_is_pending`` over that tree.  The parent's node is -1 or addable to
+    its tree, as in every level-2 label, so the grown tree is closed."""
     tree, node = parent
     if node == MINUS_ONE:
         return False
     label_tree, label_node = label
-    return label_tree == Level1Tree(tree.nodes | {node}) and \
-        (label_node == MINUS_ONE or label_node != (1,) and is_addable(label_tree, label_node))
+    return label_tree == Level1Tree(tree.nodes | {node}) and _is_pending(label_tree, label_node)
 
 
 def validate_level2(entries) -> Level2Tree:
     """Check a level-2 tree given as a dict or pairs from domain sequences
-    (tuples of int tuples) to (Level1Tree, node or -1) labels.  A key
-    ending in -1 raises DomainNotTree first, in listing order; then the
-    root must be labelled ({}, (0)), the keys must form a tree of level-1
-    trees, and each other label must be one of the ``child_labels`` of its
-    parent's, decided by ``is_child_label``, else TowerViolation at it."""
-    items = dict(entries)
+    (tuples of int tuples) to (Level1Tree, node or -1) labels.  A key that
+    is not a tuple or ends in -1 raises DomainNotTree first, in listing
+    order; then the root must be labelled ({}, (0)), the keys must form a
+    tree of level-1 trees, and each other label must be one of the
+    ``child_labels`` of its parent's, decided by ``is_child_label``, else
+    TowerViolation at it."""
+    try:
+        items = dict(entries)
+    except TypeError:  # a key that cannot be hashed, such as a list
+        raise DomainNotTree(entries) from None
     for q in items:
-        if q and q[-1] == MINUS_ONE:
+        if type(q) is not tuple or q and q[-1] == MINUS_ONE:
             raise DomainNotTree(q)
     if () not in items:
         raise RootNotCanonical("missing root")
@@ -683,8 +691,8 @@ def recover_tree(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
     (empty tree, (0)), the tree at q is the completion of its parent's
     label, and the pending node at q is the last entry of the potential
     tower of t at q analysed over that tree.  That label is kept when the
-    rule ``is_child_label`` decides allows it: its node is -1 at a leaf, or
-    an addable node of the tree other than (1).  Where the tuple fixes no
+    rule ``is_child_label`` decides allows it: its node is ``_is_pending``
+    over the tree, and is -1 only at a leaf.  Where the tuple fixes no
     valid label (a missing or invalid value, a failed analysis, a pending
     node the domain does not allow), the first of ``child_labels`` stands
     in: the candidate fails at q whatever label q holds.  The respect
@@ -706,10 +714,7 @@ def recover_tree(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
         tree = Level1Tree(parent[0].nodes | {parent[1]})
         an = found[q] = _analysis(t, q, tree)
         node = None if isinstance(an, str) else an[0].pvec[-1]
-        if node == MINUS_ONE:
-            keep = leaf
-        else:
-            keep = node is not None and node != (1,) and is_addable(tree, node)
+        keep = (leaf or node != MINUS_ONE) and _is_pending(tree, node)
         labels[q] = (tree, node) if keep else child_labels(parent, leaf)[0]
     cand = LevelLe2Tree(t1, Level2Tree(tuple((q, labels[q]) for q in order)))
     if not _respects(cand, t, found.__getitem__):

@@ -74,8 +74,7 @@ def respects_partial_le2(pt: PartialLevelLe2Tree, t) -> Verdict:
     """Restriction respects the base (its verdict is passed on); the new
     entry is a natural (degree 0) or extends to a respecting tuple of some
     completion."""
-    base_keys = set(pt.base.dom())
-    verdict = respects_le2(pt.base, {k: v for k, v in t.items() if k in base_keys})
+    verdict = respects_le2(pt.base, t)  # reads only the base's keys
     if not verdict:
         return verdict
     key = (pt.d, pt.q)

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import errno
 import io
 import json
 import os
@@ -617,6 +618,34 @@ def test_unreadable_batch_file_is_one_report(tmp_path, name, reason):
     code, out = run("batch", str(path))
     assert code == 2 and out == (f"status=error command=batch input={path} code=ARITY_ERROR "
                                  f'detail="cannot read batch file: {reason}"\n')
+
+
+class _FailingFile(io.StringIO):
+    """A batch file whose read fails with EIO after its first line."""
+
+    def __iter__(self):
+        yield self.readline()
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+def test_batch_file_whose_read_fails_ends_in_one_report(monkeypatch):
+    monkeypatch.setattr(cli, "open", lambda *a, **k: _FailingFile("cfl u3\ncfl u2\n"),
+                        raising=False)
+    code, out = run("batch", "eio.batch")
+    assert code == 2 and out.splitlines() == [
+        "status=ok command=cfl input=u3 result=u3",
+        'status=error command=batch input=eio.batch code=ARITY_ERROR '
+        'detail="cannot read batch file: Input/output error"']
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc/self/mem")
+def test_reading_proc_self_mem_as_a_batch_file_is_one_report():
+    # the file opens, and its first read, at offset 0 of an unmapped page, fails with EIO
+    proc = subprocess.run([sys.executable, "-m", "uctk.cli", "batch", "/proc/self/mem"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert proc.stdout == ("status=error command=batch input=/proc/self/mem code=ARITY_ERROR "
+                           'detail="cannot read batch file: Input/output error"\n')
 
 
 def test_batch_line_that_is_not_utf8_is_a_parse_error(tmp_path):

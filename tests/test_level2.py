@@ -732,7 +732,7 @@ def _checked(check, dom):
     """The canonical order, or the class and values of the error."""
     try:
         return check(dom)
-    except (KernelError, TypeError) as e:  # the old route: a -1 entry reaches is_level1
+    except KernelError as e:
         return type(e), e.args
 
 
@@ -749,20 +749,21 @@ class TestReplacedRoutesAgree:
 
     def test_tree_of_trees_first_error_on_damaged_sets(self):
         """The same order or first error as the old route, except where a -1
-        entry made it raise a bare TypeError: that is a DomainNotTree naming
-        the element that ends in -1."""
-        outcomes, type_errors = set(), 0
+        entry is among q's children: the old route names q, whose children
+        are not a level-1 tree, and the new one the element that ends in -1."""
+        outcomes, minus_ones = set(), 0
         for shape in enumerate_dom_shapes(5):
             for q in shape:
                 # dropping q loses a parent or a left sibling, or leaves a tree
                 for damaged in (shape - {q}, shape | {q + (MINUS_ONE,)}):
                     got = _checked(check_tree_of_trees, damaged)
                     want = _checked(_old_check_tree_of_trees, damaged)
-                    if isinstance(want, tuple) and want[0] is TypeError:
-                        want, type_errors = (DomainNotTree, (q + (MINUS_ONE,),)), type_errors + 1
+                    if q + (MINUS_ONE,) in damaged:
+                        assert want == (DomainNotTree, (q,)), sorted(damaged)
+                        want, minus_ones = (DomainNotTree, (q + (MINUS_ONE,),)), minus_ones + 1
                     assert got == want, sorted(damaged)
                     outcomes.add(got[0] if isinstance(got, tuple) else list)
-        assert outcomes == {list, RootNotCanonical, DomainNotTree} and type_errors > 100
+        assert outcomes == {list, RootNotCanonical, DomainNotTree} and minus_ones > 100
 
     @pytest.mark.parametrize("dom", [{(), (MINUS_ONE,)}, {(), ((0,),), ((0,), MINUS_ONE)},
                                      {(), ((0,),), ((1,),), ((0,), MINUS_ONE)}])

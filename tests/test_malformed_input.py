@@ -1,10 +1,12 @@
 """Malformed input to the API's tree checks raises a KernelError, never a
 bare exception, with the code and the element recorded here.  The inputs
 are keys that are not domain sequences, given as a level-2 key, a level-3
-key, a ``recover_tree`` shape and a degree-2 extension, and labels that
-are not level-2 labels."""
+key, a ``recover_tree`` shape and a degree-2 extension, labels that are
+not level-2 labels, and level-1 nodes that are not tuples of naturals."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uctk.errors import KernelError
 from uctk.level1 import EMPTY_TREE, validate_level1
@@ -64,6 +66,15 @@ CASES += [
      "CASE_VIOLATION: completion is not a regular level-1 tree, a"),
     ("degree-1 string node", lambda node: validate_partial_le2(Q0, 1, node, EMPTY_TREE), "a",
      "CASE_VIOLATION: extension is not a level-1 tree, a"),
+    ("level-1 node (-1)", validate_level1, {(-1,)}, "INVALID_ELEMENT: (-1)"),
+    ("level-1 node ending in -1", validate_level1, {(0,), (0, -1)}, "INVALID_ELEMENT: (0 -1)"),
+    ("level-1 float node 0.0", validate_level1, {(0.0,)}, "INVALID_ELEMENT: (0.0)"),
+    ("level-1 string node", validate_level1, {("a",)}, "INVALID_ELEMENT: (a)"),
+    ("level-1 float node 0.5", validate_level1, {(0.5,)}, "INVALID_ELEMENT: (0.5)"),
+    ("level-1 list node", validate_level1, [[0]], "INVALID_ELEMENT: [[0]]"),
+    ("level-1 string entry in an unclosed set", validate_level1, {(0, "a", 0), (0, 1, 0)},
+     "INVALID_ELEMENT: (0 a 0)"),
+    ("level-2 int key", validate_level2, {5: None}, "DOMAIN_NOT_TREE: 5"),
 ]
 
 
@@ -73,3 +84,31 @@ def test_malformed_input_raises_the_recorded_kernel_error(call, arg, expected):
     with pytest.raises(KernelError) as e:
         call(arg)
     assert str(e.value) == expected
+
+
+# entries of the wrong kind: strings, floats, bools, None, negative ints and
+# lists, beside naturals so that some nodes and keys are well formed
+NATURALS = st.integers(0, 2)
+WRONG = st.one_of(st.text(max_size=2), st.floats(), st.booleans(), st.none(),
+                  st.integers(max_value=-1), st.lists(NATURALS, max_size=2))
+ENTRIES = st.one_of(NATURALS, WRONG, st.tuples(NATURALS))  # a tuple entry: bad nesting
+NODES = st.one_of(st.lists(ENTRIES, max_size=3).map(tuple), WRONG)
+KEYS = st.one_of(st.lists(st.one_of(NODES, NATURALS), max_size=3).map(tuple), WRONG)
+
+
+def _returns_or_raises_a_kernel_error(call, arg):
+    try:
+        call(arg)
+    except KernelError:
+        pass
+
+
+@given(st.lists(NODES, max_size=5))
+def test_level1_nodes_of_the_wrong_kind_raise_a_kernel_error(nodes):
+    _returns_or_raises_a_kernel_error(validate_level1, nodes)
+
+
+@given(st.lists(KEYS, max_size=4), st.booleans())
+def test_level2_keys_of_the_wrong_kind_raise_a_kernel_error(keys, with_root):
+    pairs = [*ROOT.items()] * with_root + [(k, (ONE, MINUS_ONE)) for k in keys]
+    _returns_or_raises_a_kernel_error(validate_level2, pairs)

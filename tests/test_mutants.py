@@ -36,7 +36,7 @@ MUTANTS = [
     ("respects_degree0 accepts everything", level2.respects_degree0,
      "if v.is_countable() and v.tail.is_natural():", "if True:", 2, "respect_hierarchy"),
     ("desc_rank off by one", level1.desc_rank,
-     "return _bk_order(tree.nodes)[1][key]", "return _bk_order(tree.nodes)[1][key] + 1",
+     "return _bk_order(tree.nodes)[1][d]", "return _bk_order(tree.nodes)[1][d] + 1",
      2, "analysis"),
     # two equal ranks first occur in the sup swap's sigma' over a W of 4 nodes
     ("check_factor_map accepts equal ranks", level1.check_factor_map, "a >= b", "a > b",
