@@ -43,6 +43,7 @@ _TOKEN = re.compile(r"->|[(){}\[\];,@]|\^|\*|\+|-?\d+|u\d+|w|[A-Za-z_]+")
 _SCAN = re.compile(r"\s*(?:(" + _TOKEN.pattern + r")|(\S))")
 _INTEGER = re.compile(r"-?\d+").fullmatch
 _NATURAL = re.compile(r"\d+").fullmatch
+_SIDE = re.compile(r"[12]").fullmatch
 _ULEVEL = re.compile(r"u\d+").fullmatch
 
 # Countable ordinals are the one recursive part of the grammar: parentheses
@@ -131,9 +132,7 @@ def _parse_with(text, fn):
 # -- nodes, trees, sequences ---------------------------------------------------
 
 def _skip(toks, want: str):
-    """Step over the token ``want``; at any other token ``expect`` raises.
-    The readers that run once per node, tree entry or ordinal term write
-    this step out in place."""
+    """Step over the token ``want``; at any other token ``expect`` raises."""
     if toks.items[toks.i] != want:
         toks.expect(want)
     toks.i += 1
@@ -149,47 +148,25 @@ def _numeral(toks, digits: str) -> int:
         raise ParseError("number too long", *toks.loc_back()) from None
 
 
-def _integer(toks, what: str) -> int:
-    """The next token as an integer; any other token is a parse error."""
+def _number(toks, match, what: str) -> int:
+    """The next token as an int, if ``match`` takes it; any other token is
+    the parse error ``<what>, got <token>``."""
     tok = toks.items[toks.i]
-    if tok is None or not _INTEGER(tok):
+    if tok is None or not match(tok):
         tok = toks.next()
-        raise ParseError(f"{what} is a number, got {tok!r}", *toks.loc_back())
+        raise ParseError(f"{what}, got {tok!r}", *toks.loc_back())
     toks.i += 1
     return _numeral(toks, tok)
 
 
-def _natural(toks) -> int:
-    tok = toks.next()
-    if not _NATURAL(tok):
-        raise ParseError(f"node entries are naturals, got {tok!r}", *toks.loc_back())
-    return _numeral(toks, tok)
-
-
 def _node(toks) -> tuple:
-    """A parenthesized node, its entries found by one loop and converted
-    together.  If one is not a natural, or too long to convert, the entries
-    are read again one by one by ``_natural``, which raises at it."""
     items = toks.items
-    i = toks.i
-    if items[i] != "(":
-        toks.expect("(")
-    start = i = i + 1
-    tok = items[i]
-    while tok is not None and _NATURAL(tok):
-        i += 1
-        tok = items[i]
-    if tok == ")":
-        try:
-            node = tuple(map(int, items[start:i]))
-        except ValueError:
-            pass
-        else:
-            toks.i = i + 1
-            return node
-    toks.i = start
-    while True:
-        _natural(toks)
+    _skip(toks, "(")
+    entries = []
+    while items[toks.i] != ")":
+        entries.append(_number(toks, _NATURAL, "node entries are naturals"))
+    toks.i += 1
+    return tuple(entries)
 
 
 def parse_node(text: str) -> tuple:
@@ -198,9 +175,7 @@ def parse_node(text: str) -> tuple:
 
 def _l1(toks) -> Level1Tree:
     items = toks.items
-    if items[toks.i] != "{":
-        toks.expect("{")
-    toks.i += 1
+    _skip(toks, "{")
     nodes = []
     while items[toks.i] != "}":
         nodes.append(_node(toks))
@@ -237,21 +212,14 @@ def _domseq(toks) -> tuple:
     """A parenthesized sequence of nodes, optionally ending in -1: after a
     -1 only the closing parenthesis may come."""
     items = toks.items
-    if items[toks.i] != "(":
-        toks.expect("(")
-    toks.i += 1
+    _skip(toks, "(")
     out = []
-    tok = items[toks.i]
-    while tok != ")":
-        if tok == "-1":
-            toks.i += 1
-            out.append(MINUS_ONE)
-            if items[toks.i] != ")":
-                toks.expect(")")
-            break
+    while items[toks.i] not in (")", "-1"):
         out.append(_node(toks))
-        tok = items[toks.i]
-    toks.i += 1
+    if items[toks.i] == "-1":
+        toks.i += 1
+        out.append(MINUS_ONE)
+    _skip(toks, ")")
     return tuple(out)
 
 
@@ -271,9 +239,7 @@ def _keyed(toks, close, label) -> dict:
         q = _domseq(toks)
         value = None
         if label:
-            if items[toks.i] != "->":
-                toks.expect("->")
-            toks.i += 1
+            _skip(toks, "->")
             value = label(toks)
             if items[toks.i] == ";":
                 toks.i += 1
@@ -302,18 +268,11 @@ def parse_shape(text: str) -> list:
 # -- level-2 / level <=2 trees ---------------------------------------------------
 
 def _l2_label(toks):
-    items = toks.items
-    if items[toks.i] != "(":
-        toks.expect("(")
-    toks.i += 1
+    _skip(toks, "(")
     tree = _l1(toks)
-    if items[toks.i] != ",":
-        toks.expect(",")
-    toks.i += 1
+    _skip(toks, ",")
     node = _node_or_minus(toks)
-    if items[toks.i] != ")":
-        toks.expect(")")
-    toks.i += 1
+    _skip(toks, ")")
     return tree, node
 
 
@@ -344,7 +303,7 @@ def _pl2(toks):
     base = _le2(toks)
     _skip(toks, "@")
     _skip(toks, "(")
-    d = check_degree(_integer(toks, "the degree"))
+    d = check_degree(_number(toks, _INTEGER, "the degree is a number"))
     _skip(toks, ",")
     if d == 0:
         if items[toks.i] != "-1":
@@ -403,9 +362,9 @@ def _index_map(toks) -> IndexMap:
     _skip(toks, "{")
     pairs = []
     while items[toks.i] != "}":
-        i = _integer(toks, "an index")
+        i = _number(toks, _INTEGER, "an index is a number")
         _skip(toks, "->")
-        pairs.append((i, _integer(toks, "an index")))
+        pairs.append((i, _number(toks, _INTEGER, "an index is a number")))
         if items[toks.i] == ",":
             toks.i += 1
     toks.i += 1
@@ -434,9 +393,7 @@ def _ctbl_atom(toks) -> CtblOrd:
         if toks.depth > MAX_NESTING:
             toks.too_deep()
         out = _ctbl_expr(toks)
-        if items[toks.i] != ")":
-            toks.expect(")")
-        toks.i += 1
+        _skip(toks, ")")
         toks.depth -= 1
         return out
     if tok == "w":
@@ -450,11 +407,7 @@ def _ctbl_atom(toks) -> CtblOrd:
             exp = _ctbl_atom(toks)
             toks.depth -= 1
         return CtblOrd.omega_power(exp)
-    if tok is None or not _NATURAL(tok):
-        tok = toks.next()
-        raise ParseError(f"expected a countable ordinal, got {tok!r}", *toks.loc_back())
-    toks.i += 1
-    return CtblOrd.natural(_numeral(toks, tok))
+    return CtblOrd.natural(_number(toks, _NATURAL, "expected a countable ordinal"))
 
 
 def _ctbl_product(toks) -> CtblOrd:
@@ -531,17 +484,12 @@ def parse_rep_seq(text: str):
 
 
 def _rep2_point(toks):
-    items = toks.items
     _skip(toks, "(")
-    side = items[toks.i]
-    if side != "1" and side != "2":
-        side = toks.next()
-        raise ParseError(f"rep2 element side is 1 or 2, got {side!r}", *toks.loc_back())
-    toks.i += 1
+    side = _number(toks, _SIDE, "rep2 element side is 1 or 2")
     _skip(toks, ",")
     entries = _rep_seq(toks)
     _skip(toks, ")")
-    return int(side), entries
+    return side, entries
 
 
 def parse_rep2_point(text: str):

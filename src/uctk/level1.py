@@ -122,15 +122,16 @@ def is_addable(tree: Level1Tree, node: Node) -> bool:
     """Whether ``node`` is one of ``addable_nodes(tree)``, decided without
     listing them: a new node whose parent (or the root) and left sibling,
     if it has one, are in the tree.  In a closed tree the left sibling
-    stands for every lower one."""
+    stands for every lower one.  A node that cannot be hashed, such as a
+    list, is not addable."""
     nodes = tree.nodes
-    if not node or node in nodes:
-        return False
-    parent, last = node[:-1], node[-1]
     try:
+        if not node or node in nodes:
+            return False
+        parent, last = node[:-1], node[-1]
         return (not parent or parent in nodes) and \
             (last == 0 or parent + (last - 1,) in nodes)
-    except TypeError:  # a last entry with no left sibling, such as a string
+    except TypeError:  # an unhashable node, or a last entry with no left sibling
         return False
 
 

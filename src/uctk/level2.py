@@ -61,7 +61,11 @@ def validate_partial_le1(base: Level1Tree, node) -> PartialLevel1Tree:
         if not len(base):
             raise CaseViolation("degree 0 needs a nonempty base")
         return PartialLevel1Tree(base, MINUS_ONE)
-    if node in base.nodes:
+    try:
+        present = node in base.nodes
+    except TypeError:  # a node that cannot be hashed, such as a list
+        present = False
+    if present:
         raise CaseViolation("pending node already present", node)
     if not _is_pending(base, node):
         raise CaseViolation("completion is not a regular level-1 tree", node)
@@ -147,10 +151,10 @@ def expand_potential(potential) -> PartialTowerLe1:
 # -- trees of level-1 trees ------------------------------------------------------
 
 def as_domseq(q) -> DomSeq:
-    """q, a domain sequence: a tuple of nodes.  An entry that is not a
-    node, such as the -1 that ends a continuous description, raises
-    DomainNotTree."""
-    if any(not isinstance(n, tuple) for n in q):
+    """q, a domain sequence: a tuple of nodes.  A q that is not a tuple,
+    or an entry that is not a node, such as the -1 that ends a continuous
+    description, raises DomainNotTree."""
+    if not isinstance(q, tuple) or any(not isinstance(n, tuple) for n in q):
         raise DomainNotTree(q)
     return q
 
@@ -308,11 +312,15 @@ def is_child_label(parent, label) -> bool:
     without listing them: the parent has degree 1, the label's tree is the
     parent's tree grown by the parent's node, and the label's node is
     ``_is_pending`` over that tree.  The parent's node is -1 or addable to
-    its tree, as in every level-2 label, so the grown tree is closed."""
+    its tree, as in every level-2 label, so the grown tree is closed.  A
+    label that is not a pair is not a child label."""
     tree, node = parent
     if node == MINUS_ONE:
         return False
-    label_tree, label_node = label
+    try:
+        label_tree, label_node = label
+    except (TypeError, ValueError):  # not a pair, such as None or a triple
+        return False
     return label_tree == Level1Tree(tree.nodes | {node}) and _is_pending(label_tree, label_node)
 
 
@@ -333,8 +341,13 @@ def validate_level2(entries) -> Level2Tree:
             raise DomainNotTree(q)
     if () not in items:
         raise RootNotCanonical("missing root")
-    if items[()] != (EMPTY_TREE, ROOT_NODE):
-        raise RootNotCanonical(PartialLevel1Tree(*items[()]))
+    root = items[()]
+    if root != (EMPTY_TREE, ROOT_NODE):
+        try:
+            root = PartialLevel1Tree(*root)
+        except TypeError:  # not a pair, such as None or a triple
+            pass
+        raise RootNotCanonical(root)
     order = check_tree_of_trees(items)
     for q in order[1:]:
         if not is_child_label(items[q[:-1]], items[q]):
@@ -704,7 +717,11 @@ def recover_tree(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
     ``lemmas``.  Every label is one of ``child_labels`` of its parent's, so
     the candidate is a level-2 tree by construction and is not validated.
     """
-    order = check_tree_of_trees(frozenset(as_domseq(q) for q in dom_shape))
+    try:
+        dom = frozenset(as_domseq(q) for q in dom_shape)
+    except TypeError:  # a key that cannot be hashed, such as a tuple holding a list
+        raise DomainNotTree(dom_shape) from None
+    order = check_tree_of_trees(dom)
     inner = {q[:-1] for q in order if q}
     labels = {(): (EMPTY_TREE, ROOT_NODE)}
     found = {}

@@ -11,8 +11,8 @@ from __future__ import annotations
 from bisect import bisect
 
 from . import bk
-from .errors import (ArityError, CaseViolation, DegreeZero, EmptyKeyPresent, NotRegular,
-                     TowerViolation)
+from .errors import (ArityError, CaseViolation, DegreeZero, DomainNotTree, EmptyKeyPresent,
+                     NotRegular, TowerViolation)
 from .level1 import EMPTY_TREE, Level1Tree, is_addable
 from .level2 import (CONSTANT_DESC, MINUS_ONE, Level2Tree, LevelLe2Tree,
                      TreeOfTrees, as_domseq, check_tree_of_trees, child_labels,
@@ -49,7 +49,11 @@ def validate_partial_le2(base: LevelLe2Tree, d: int, q, p) -> PartialLevelLe2Tre
             raise CaseViolation("degree 0 must be (0, -1, {})")
         return PartialLevelLe2Tree(base, 0, MINUS_ONE, EMPTY_TREE)
     if d == 1:
-        if q in base.t1.nodes:
+        try:
+            present = q in base.t1.nodes
+        except TypeError:  # a node that cannot be hashed, such as a list
+            present = False
+        if present:
             raise CaseViolation("node already present", q)
         if not is_addable(base.t1, q):
             raise CaseViolation("extension is not a level-1 tree", q)
@@ -159,16 +163,21 @@ def is_regular_level3(tree: Level3Tree) -> Verdict:
 
 def validate_level3(entries) -> Level3Tree:
     """Domain a tree of level-1 trees without the empty sequence; every
-    branch a partial level <=2 tower of discontinuous type."""
-    items = {}
-    for r, pt in dict(entries).items():
-        r = as_domseq(r)
-        if r == ():
+    branch a partial level <=2 tower of discontinuous type.  A key that is
+    not a domain sequence raises DomainNotTree, a label that is not a
+    partial level <=2 tree TowerViolation at its key."""
+    try:
+        items = dict(entries)
+    except TypeError:  # a key that cannot be hashed, such as a list
+        raise DomainNotTree(entries) from None
+    for r in items:
+        if as_domseq(r) == ():
             raise EmptyKeyPresent()
-        items[r] = pt
     order = check_tree_of_trees(set(items) | {()})[1:]
     for r in order:
         pt = items[r]
+        if not isinstance(pt, PartialLevelLe2Tree):
+            raise TowerViolation(r)
         if len(r) == 1:
             if pt.base.cardinality() != 1:
                 raise TowerViolation(r)

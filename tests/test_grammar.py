@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import inspect
 import random
@@ -11,10 +12,11 @@ from uctk import grammar, level1, level2
 from uctk.errors import KernelError, ParseError
 from uctk.grammar import (format_domseq, format_index_map, format_l1,
                           format_l2, format_l3, format_le2, format_node,
-                          format_pl2, format_tower, format_uord, parse_domseq,
-                          parse_index_map, parse_l1, parse_l2, parse_l3,
-                          parse_le2, parse_node, parse_pl2, parse_rep_seq,
-                          parse_shape, parse_tower, parse_uord)
+                          format_pl2, format_tower, format_uord, parse_ctbl,
+                          parse_domseq, parse_index_map, parse_l1, parse_l2,
+                          parse_l3, parse_le2, parse_node, parse_pl2,
+                          parse_rep2_point, parse_rep_seq, parse_shape,
+                          parse_tower, parse_uord)
 from uctk.lemmas import rand_uord
 from uctk.level1 import enumerate_level1_up_to
 from uctk.level2 import enumerate_le2_trees
@@ -110,9 +112,17 @@ def test_shape_lists_each_domain_sequence_once():
     (parse_domseq, "((0) -1 (0))", "expected ')', got '('", 9),
     (parse_l2, "() -> ({}, (0)); (-1 (0)) -> ({(0)}, (0 0))", "expected ')', got '('", 22),
     (parse_shape, "{() ((0) -1 -1)}", "expected ')', got '-1'", 13),
+    (parse_node, "(0 x)", "node entries are naturals, got 'x'", 4),
+    (parse_node, "(0 " + "9" * 5000 + ")", "number too long", 4),
+    (parse_pl2, "(({} ; () -> ({}, (0))) @ (x, -1, {}))", "the degree is a number, got 'x'", 28),
+    (parse_index_map, "{1->2, 2->y}", "an index is a number, got 'y'", 11),
+    (parse_ctbl, "w + x", "expected a countable ordinal, got 'x'", 5),
+    (parse_rep2_point, "(3, [])", "rep2 element side is 1 or 2, got '3'", 2),
 ], ids=["trailing-node", "trailing-tree", "stray", "stray-second-line",
         "minus-one-twice", "node-after-minus-one", "l2-key-minus-one-first",
-        "shape-minus-one-twice"])
+        "shape-minus-one-twice", "node-entry-not-natural", "node-entry-too-long",
+        "degree-not-a-number", "index-not-a-number", "not-a-countable-ordinal",
+        "rep2-side"])
 def test_errors_point_at_the_offending_token(parse, text, message, col):
     with pytest.raises(ParseError) as e:
         parse(text)
@@ -256,6 +266,41 @@ def test_a_valid_parse_calls_no_token_method():
 
     assert len(valid) > 100 and len(methods) >= 4
     assert _entered(methods, run) == set()
+
+
+NUMERAL_PATTERNS = {"_NATURAL", "_INTEGER", "_SIDE"}
+
+
+def _calls_by_function(tree):
+    """(name of the innermost enclosing function, call) for every call."""
+    out = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                out.append((fn, child))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else fn)
+
+    visit(tree, None)
+    return out
+
+
+def test_tokens_are_stepped_over_and_numerals_read_by_one_routine_each():
+    """Every reader steps over a fixed token with ``_skip``, the one caller
+    of ``toks.expect``, and reads a numeral with ``_number``: a numeral
+    pattern is never called, only handed to ``_number``."""
+    tree = ast.parse(inspect.getsource(grammar))
+    calls = _calls_by_function(tree)
+    expects = [fn for fn, call in calls
+               if isinstance(call.func, ast.Attribute) and call.func.attr == "expect"]
+    handed = {id(arg) for _, call in calls
+              if isinstance(call.func, ast.Name) and call.func.id == "_number"
+              for arg in call.args}
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and node.id in NUMERAL_PATTERNS and isinstance(node.ctx, ast.Load)]
+    assert expects == ["_skip"]
+    assert [use.id for use in uses if id(use) not in handed] == []
+    assert {"_NATURAL", "_INTEGER"} <= {use.id for use in uses}
 
 
 def test_a_valid_tree_parse_enters_no_normalising_pass():

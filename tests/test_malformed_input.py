@@ -2,14 +2,15 @@
 bare exception, with the code and the element recorded here.  The inputs
 are keys that are not domain sequences, given as a level-2 key, a level-3
 key, a ``recover_tree`` shape and a degree-2 extension, labels that are
-not level-2 labels, and level-1 nodes that are not tuples of naturals."""
+not level-2 or level-3 labels, pending nodes that are not nodes, and
+level-1 nodes that are not tuples of naturals."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from uctk.errors import KernelError
-from uctk.level1 import EMPTY_TREE, validate_level1
+from uctk.level1 import EMPTY_TREE, is_addable, validate_level1
 from uctk.level2 import (MINUS_ONE, ROOT_NODE, recover_tree, typical_trees, validate_level2,
                          validate_partial_le1)
 from uctk.level3 import validate_level3, validate_partial_le2
@@ -76,6 +77,25 @@ CASES += [
      "INVALID_ELEMENT: (0 a 0)"),
     ("level-2 int key", validate_level2, {5: None}, "DOMAIN_NOT_TREE: 5"),
 ]
+CASES += [(f"{use} bare int", USES[use], 5, "DOMAIN_NOT_TREE: 5")
+          for use in ("level-3 key", "recover shape", "degree-2 q")]
+CASES += [
+    ("recover shape None", USES["recover shape"], None, "DOMAIN_NOT_TREE: None"),
+    ("root label None", validate_level2, {(): None}, "ROOT_NOT_CANONICAL: None"),
+    ("root label triple", validate_level2, {(): (EMPTY_TREE, ROOT_NODE, 1)},
+     "ROOT_NOT_CANONICAL: ({} (0) 1)"),
+    ("label list node", validate_level2, {**ROOT, ((0,),): (ONE, [0])}, "TOWER_VIOLATION: ((0))"),
+    ("label triple", validate_level2, {**ROOT, ((0,),): (ONE, (0, 0), 1)},
+     "TOWER_VIOLATION: ((0))"),
+    ("partial level <=1 list node", lambda node: validate_partial_le1(ONE, node), [0],
+     "CASE_VIOLATION: completion is not a regular level-1 tree, [0]"),
+    ("degree-1 list node", lambda node: validate_partial_le2(Q0, 1, node, EMPTY_TREE), [0],
+     "CASE_VIOLATION: extension is not a level-1 tree, [0]"),
+    ("level-3 label None", validate_level3, {((0,),): None}, "TOWER_VIOLATION: ((0))"),
+    ("level-3 label level <=2 tree", validate_level3, {((0,),): Q0}, "TOWER_VIOLATION: ((0))"),
+    ("level-3 string label at an inner key", validate_level3,
+     {((0,),): LABEL3, ((0,), (0,)): "a"}, "TOWER_VIOLATION: ((0) (0))"),
+]
 
 
 @pytest.mark.parametrize("call, arg, expected", [c[1:] for c in CASES],
@@ -96,6 +116,10 @@ NODES = st.one_of(st.lists(ENTRIES, max_size=3).map(tuple), WRONG)
 KEYS = st.one_of(st.lists(st.one_of(NODES, NATURALS), max_size=3).map(tuple), WRONG)
 
 
+def test_an_unhashable_node_is_not_addable():
+    assert is_addable(ONE, [0]) is False
+
+
 def _returns_or_raises_a_kernel_error(call, arg):
     try:
         call(arg)
@@ -112,3 +136,29 @@ def test_level1_nodes_of_the_wrong_kind_raise_a_kernel_error(nodes):
 def test_level2_keys_of_the_wrong_kind_raise_a_kernel_error(keys, with_root):
     pairs = [*ROOT.items()] * with_root + [(k, (ONE, MINUS_ONE)) for k in keys]
     _returns_or_raises_a_kernel_error(validate_level2, pairs)
+
+
+PENDING = st.one_of(NODES, st.just(MINUS_ONE))
+TREES = st.one_of(st.sampled_from([EMPTY_TREE, ONE, TWO]), WRONG)
+# pairs, the shape of a level-2 label, and tuples of other lengths
+LABELS = st.one_of(WRONG, st.tuples(TREES, PENDING),
+                   st.lists(st.one_of(TREES, PENDING), max_size=3).map(tuple))
+
+
+@given(LABELS, st.booleans())
+def test_level2_labels_of_the_wrong_kind_raise_a_kernel_error(label, at_root):
+    entries = {(): label} if at_root else {**ROOT, ((0,),): label}
+    _returns_or_raises_a_kernel_error(validate_level2, entries)
+
+
+@given(PENDING)
+def test_pending_nodes_of_the_wrong_kind_raise_a_kernel_error(node):
+    _returns_or_raises_a_kernel_error(lambda n: validate_partial_le1(ONE, n), node)
+    _returns_or_raises_a_kernel_error(lambda n: validate_partial_le2(Q0, 1, n, EMPTY_TREE), node)
+    assert is_addable(ONE, node) in (False, True)
+
+
+@given(st.lists(KEYS, max_size=4))
+def test_shape_and_level3_keys_of_the_wrong_kind_raise_a_kernel_error(keys):
+    _returns_or_raises_a_kernel_error(lambda ks: recover_tree(EMPTY_TREE, [(), *ks], {}), keys)
+    _returns_or_raises_a_kernel_error(validate_level3, [(k, LABEL3) for k in keys])
