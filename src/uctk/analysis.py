@@ -111,8 +111,9 @@ def potential_and_approximation(b: UOrd, tree: Level1Tree) -> tuple:
     coeffs = [c for _, c in b.uterms]
     approx = [U1]
     for i in range(1, m):
-        val = UOrd(tuple((i - l, coeffs[l]) for l in range(i)), ZERO) + U1
-        approx.append(val)
+        # u_i*c_0 + ... + u_1*c_{i-1}, plus u_1: the u_1 merges onto the last term
+        head = tuple((i - l, coeffs[l]) for l in range(i - 1))
+        approx.append(UOrd(head + ((1, coeffs[i - 1] + ONE),), ZERO))
     approx.append(UOrd(tuple((m - l, coeffs[l]) for l in range(m)), b.tail))  # m >= 1: b >= u_1
 
     pvec = tuple(chain_node(i) for i in range(1, m + 1))  # (0), (0 0), ...: the chain of m nodes

@@ -123,15 +123,16 @@ def is_addable(tree: Level1Tree, node: Node) -> bool:
     listing them: a new node whose parent (or the root) and left sibling,
     if it has one, are in the tree.  In a closed tree the left sibling
     stands for every lower one.  A node that cannot be hashed, such as a
-    list, is not addable."""
+    list, is not addable, nor is one whose last entry is not an int, such
+    as 0.0 or False, which compare equal to naturals."""
     nodes = tree.nodes
     try:
         if not node or node in nodes:
             return False
         parent, last = node[:-1], node[-1]
-        return (not parent or parent in nodes) and \
+        return type(last) is int and (not parent or parent in nodes) and \
             (last == 0 or parent + (last - 1,) in nodes)
-    except TypeError:  # an unhashable node, or a last entry with no left sibling
+    except TypeError:  # an unhashable node, or one that is not a tuple, such as 5
         return False
 
 

@@ -55,6 +55,8 @@ class PartialLevel1Tree(Value):
 
 
 def validate_partial_le1(base: Level1Tree, node) -> PartialLevel1Tree:
+    if not isinstance(base, Level1Tree):
+        raise CaseViolation("base not a level-1 tree", base)
     if not is_regular(base):
         raise CaseViolation("base not regular", base)
     if node == MINUS_ONE:
@@ -154,8 +156,11 @@ def as_domseq(q) -> DomSeq:
     """q, a domain sequence: a tuple of nodes.  A q that is not a tuple,
     or an entry that is not a node, such as the -1 that ends a continuous
     description, raises DomainNotTree."""
-    if not isinstance(q, tuple) or any(not isinstance(n, tuple) for n in q):
+    if not isinstance(q, tuple):
         raise DomainNotTree(q)
+    for n in q:
+        if not isinstance(n, tuple):
+            raise DomainNotTree(q)
     return q
 
 
@@ -344,10 +349,12 @@ def validate_level2(entries) -> Level2Tree:
     root = items[()]
     if root != (EMPTY_TREE, ROOT_NODE):
         try:
-            root = PartialLevel1Tree(*root)
-        except TypeError:  # not a pair, such as None or a triple
-            pass
-        raise RootNotCanonical(root)
+            tree, node = root
+        except (TypeError, ValueError):  # not a pair, such as None or a triple
+            raise RootNotCanonical(root) from None
+        # a pair is named as a partial tree when its node prints as one
+        named = node == MINUS_ONE or hasattr(node, "__iter__")
+        raise RootNotCanonical(PartialLevel1Tree(tree, node) if named else root)
     order = check_tree_of_trees(items)
     for q in order[1:]:
         if not is_child_label(items[q[:-1]], items[q]):
@@ -560,36 +567,44 @@ def respects_le2(le2: LevelLe2Tree, t) -> Verdict:
 
 
 def _respects(le2: LevelLe2Tree, t, analysis_at) -> Verdict:
-    """``respects_le2``, with ``analysis_at(q)`` giving ``_analysis`` of t at q."""
+    """``respects_le2``, with ``analysis_at(q)`` giving ``_analysis`` of t at q.
+
+    Canonical order puts every parent before its children, so the walk
+    extends each element's potential vector, the nodes of its branch (Q[q]
+    of ``q_potential``), and its value path, the values of its branch, from
+    its parent's."""
     t1_vals = {p: _entry(t, (1, p)) for p in le2.t1.nodes}
     v = respects_level1(le2.t1, t1_vals)
     if not v:
         return Verdict(False, "level1-part", f"{v.clause}: {v.detail}")
     t2 = le2.t2
-    branch = {(): _entry(t, (2, ()))}
-    if branch[()].compare(U1) != 0:
-        return Verdict(False, "root-value", str(branch[()]))
-    for q in t2.dom():
+    root = _entry(t, (2, ()))
+    if root.compare(U1) != 0:
+        return Verdict(False, "root-value", str(root))
+    pvecs = {(): (t2.node(()),)}
+    paths = {(): (root,)}
+    for q, (tree, node) in t2.entries:
         if not q:
             continue
-        branch[q] = _entry(t, (2, q))  # a missing value raises here, before its analysis is read
+        val = _entry(t, (2, q))  # a missing value raises here, before its analysis is read
+        pvec = pvecs[q] = pvecs[q[:-1]] + (node,)
+        path = paths[q] = paths[q[:-1]] + (val,)
         an = analysis_at(q)
         if isinstance(an, str):
             return Verdict(False, f"potential-tower{format_detail(q)}", an)
         potential, approx = an
-        pot = q_potential(t2, q)
-        if potential != pot:
+        if potential.pvec != pvec or potential.tree != tree:
             return Verdict(False, f"potential-tower{format_detail(q)}",
-                           f"{potential} != {pot}")
-        expected = tuple(branch[q[:l]] for l in range(len(q) + 1))
-        if approx != expected:
-            got, want = (", ".join(map(str, vs)) for vs in (approx, expected))
+                           f"{potential} != {PotentialTower1(tree, pvec)}")
+        if approx != path:
+            got, want = (", ".join(map(str, vs)) for vs in (approx, path))
             return Verdict(False, f"approximation{format_detail(q)}", f"[{got}] != [{want}]")
     # canonical order lists the children of each q together, in the
     # Brouwer-Kleene order of their last entries, and in the order of their q
     last = {}
-    for q, val in branch.items():
+    for q, path in paths.items():
         if q:
+            val = path[-1]
             prev = last.get(q[:-1])
             if prev is not None and prev.compare(val) >= 0:
                 return Verdict(False, f"sibling-order{format_detail(q[:-1])}", "")

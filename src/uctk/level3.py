@@ -44,6 +44,8 @@ def check_degree(d: int) -> int:
 
 
 def validate_partial_le2(base: LevelLe2Tree, d: int, q, p) -> PartialLevelLe2Tree:
+    if not isinstance(base, LevelLe2Tree):
+        raise CaseViolation("base not a level <=2 tree", base)
     if check_degree(d) == 0:
         if q != MINUS_ONE or len(p):
             raise CaseViolation("degree 0 must be (0, -1, {})")

@@ -790,6 +790,32 @@ class TestReplacedRoutesAgree:
             trees += 1
         assert trees >= 700 and sibling_order >= 500
 
+    def test_respects_le2_on_every_labelling_of_a_realizable_domain(self):
+        """Each realizable tuple against every level-2 tree over its domain:
+        the walk's potential vectors and value paths give the verdicts that
+        q_potential and the sliced branch gave."""
+        candidates, clauses = 0, set()
+        for tree, t in _realizable(4):
+            for t2 in enumerate_level2_with_dom(frozenset(tree.t2.dom())):
+                cand = LevelLe2Tree(tree.t1, t2)
+                got, want = respects_le2(cand, t), _old_respects_le2(cand, t)
+                assert (got.ok, got.clause, got.detail) == (want.ok, want.clause, want.detail), \
+                    (str(cand), {k: str(v) for k, v in t.items()})
+                candidates += 1
+                clauses.add(got.clause.partition("(")[0])
+        assert candidates == 605 and clauses == {"", "potential-tower"}
+
+    def test_respects_le2_compares_the_tree_of_an_unvalidated_label(self):
+        # in a validated tree equal potential vectors give equal trees; a
+        # Level2Tree built directly can label q with another tree, and only
+        # the tree comparison rejects it
+        two = Level1Tree(frozenset({(0,), (0, 0)}))
+        t2 = Level2Tree((((), (EMPTY_TREE, ROOT_NODE)), (KEY, (two, (0, 0)))))
+        cand = LevelLe2Tree(EMPTY_TREE, t2)
+        got, want = respects_le2(cand, q21_tuple()), _old_respects_le2(cand, q21_tuple())
+        assert got == want == Verdict(False, "potential-tower((0))",
+                                      "({(0)}, ((0) (0 0))) != ({(0) (0 0)}, ((0) (0 0)))")
+
 
 def test_recover_never_scans_the_domain_for_children():
     """recover_tree reads every element's children off canonical order, on a
@@ -804,6 +830,25 @@ def test_recover_never_scans_the_domain_for_children():
 
     assert len(cases) >= 5
     assert _entered([level2._children_of, level2.TreeOfTrees.children], run) == set()
+
+
+def test_respect_extends_each_branch_from_its_parent():
+    """respects_le2 and recover_tree build each element's potential vector
+    and value path from its parent's, and potential_and_approximation writes
+    each approximation directly: on a hit and on a miss neither rebuilds a
+    potential tower with q_potential nor adds ordinals."""
+    cases = [(tree, t, _bumped(t, (2, tree.t2.dom()[-1]))) for tree, t in _realizable(4)]
+
+    def run():
+        for tree, t, miss in cases:
+            assert respects_le2(tree, t)
+            assert not respects_le2(tree, miss)
+            assert recover_tree(tree.t1, tree.t2.dom(), t) == tree
+            with pytest.raises(NoTreeFound):
+                recover_tree(tree.t1, tree.t2.dom(), miss)
+
+    assert len(cases) >= 100
+    assert _entered([level2.q_potential, UOrd.__add__], run) == set()
 
 
 class TestTreeOfTrees:

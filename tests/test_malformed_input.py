@@ -96,6 +96,32 @@ CASES += [
     ("level-3 string label at an inner key", validate_level3,
      {((0,),): LABEL3, ((0,), (0,)): "a"}, "TOWER_VIOLATION: ((0) (0))"),
 ]
+# pending nodes whose last entry compares equal to a natural, a root label
+# whose node does not print as a node, and tree arguments of another kind
+CASES += [
+    ("partial level <=1 float pending node", lambda node: validate_partial_le1(ONE, node),
+     (0, 0.0), "CASE_VIOLATION: completion is not a regular level-1 tree, (0 0.0)"),
+    ("partial level <=1 bool pending node", lambda node: validate_partial_le1(ONE, node),
+     (0, False), "CASE_VIOLATION: completion is not a regular level-1 tree, (0 False)"),
+    ("degree-1 float node", lambda node: validate_partial_le2(Q0, 1, node, EMPTY_TREE), (0.0,),
+     "CASE_VIOLATION: extension is not a level-1 tree, (0.0)"),
+    ("label float node", validate_level2, {**ROOT, ((0,),): (ONE, (0, 0.0))},
+     "TOWER_VIOLATION: ((0))"),
+    ("label bool node", validate_level2, {**ROOT, ((0,),): (ONE, (0, False))},
+     "TOWER_VIOLATION: ((0))"),
+    ("root label int node", validate_level2, {(): (EMPTY_TREE, 5)},
+     "ROOT_NOT_CANONICAL: ({} 5)"),
+    ("root label None node", validate_level2, {(): (EMPTY_TREE, None)},
+     "ROOT_NOT_CANONICAL: ({} None)"),
+    ("partial level <=1 set base", lambda base: validate_partial_le1(base, (0, 0)), {(0,)},
+     "CASE_VIOLATION: base not a level-1 tree, {(0,)}"),
+    ("partial level <=1 level-2 base", lambda base: validate_partial_le1(base, (0, 0)), Q0.t2,
+     "CASE_VIOLATION: base not a level-1 tree, () -> ({}, (0))"),
+    ("degree-1 set base", lambda base: validate_partial_le2(base, 1, (0,), EMPTY_TREE), {(0,)},
+     "CASE_VIOLATION: base not a level <=2 tree, {(0,)}"),
+    ("degree-2 None base", lambda base: validate_partial_le2(base, 2, ((0,),), ONE), None,
+     "CASE_VIOLATION: base not a level <=2 tree, None"),
+]
 
 
 @pytest.mark.parametrize("call, arg, expected", [c[1:] for c in CASES],
@@ -120,11 +146,20 @@ def test_an_unhashable_node_is_not_addable():
     assert is_addable(ONE, [0]) is False
 
 
+@pytest.mark.parametrize("tree, node", [(ONE, (0, 0.0)), (ONE, (0, False)), (EMPTY_TREE, (0.0,)),
+                                        (ONE, (True,)), (TWO, (0, 1.0))])
+def test_a_last_entry_that_is_not_an_int_is_not_addable(tree, node):
+    # each node compares equal to the addable node of naturals it stands for
+    assert is_addable(tree, tuple(map(int, node))) is True
+    assert is_addable(tree, node) is False
+
+
 def _returns_or_raises_a_kernel_error(call, arg):
+    """call(arg) returns, or raises a KernelError whose text can be read."""
     try:
         call(arg)
-    except KernelError:
-        pass
+    except KernelError as e:
+        str(e)
 
 
 @given(st.lists(NODES, max_size=5))
@@ -156,6 +191,19 @@ def test_pending_nodes_of_the_wrong_kind_raise_a_kernel_error(node):
     _returns_or_raises_a_kernel_error(lambda n: validate_partial_le1(ONE, n), node)
     _returns_or_raises_a_kernel_error(lambda n: validate_partial_le2(Q0, 1, n, EMPTY_TREE), node)
     assert is_addable(ONE, node) in (False, True)
+
+
+# tree arguments of another kind: collections of nodes, None, and a level-2
+# tree where a level-1 or level <=2 tree belongs
+SMALL_NODES = st.lists(NATURALS, min_size=1, max_size=2).map(tuple)
+BASES = st.one_of(st.sets(SMALL_NODES, max_size=2), st.frozensets(SMALL_NODES, max_size=2),
+                  st.lists(SMALL_NODES, max_size=2), st.none(), st.just(Q21.t2))
+
+
+@given(BASES, PENDING, st.integers(0, 2))
+def test_bases_of_the_wrong_kind_raise_a_kernel_error(base, node, d):
+    _returns_or_raises_a_kernel_error(lambda n: validate_partial_le1(base, n), node)
+    _returns_or_raises_a_kernel_error(lambda n: validate_partial_le2(base, d, n, EMPTY_TREE), node)
 
 
 @given(st.lists(KEYS, max_size=4))
