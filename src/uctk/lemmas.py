@@ -29,7 +29,7 @@ from .analysis import (analyze, factor_to_shift, inclusion_shift,
                        recover_from_analysis)
 from .errors import KernelError, MultipleTreesFound, NoTreeFound, NotAFactoring
 from .level1 import (EMPTY_DESC, EMPTY_TREE, FactorMap1, Level1Tree,
-                     addable_nodes, check_factor_map, desc_rank,
+                     addable_nodes, desc_rank,
                      enumerate_level1_up_to, factor_exists, factorings,
                      regular_nodes, rep_order_type, s1_member,
                      strict_factor_exists)
@@ -532,19 +532,19 @@ def _degree1_configs(max_partial_nodes: int, max_w: int):
 
 
 def _lemma_a_configs(max_partial_nodes: int, max_w: int):
-    """The sup swap's configurations: (P-, p, P, k, j, W, sigma, sigma'),
-    where sigma' sends p to the predecessor of sigma(p)."""
+    """The sup swap's configurations: (P-, p, P, k, j, W, sigma, the shift
+    of sigma'), where sigma' sends p to the predecessor of sigma(p) and is a
+    factoring."""
     for base, p, completion, k, j, w, fm in _degree1_configs(max_partial_nodes, max_w):
         pred = _pred_in_tree(w, fm(p))
         if pred is None:
             continue
         try:
             mapping = tuple((x, pred if x == p else fm(x)) for x, _ in fm.mapping)
-            fm2 = FactorMap1(completion, w, mapping)
-            check_factor_map(fm2)
+            s2 = factor_to_shift(FactorMap1(completion, w, mapping))
         except NotAFactoring:
             continue
-        yield base, p, completion, k, j, w, fm, fm2
+        yield base, p, completion, k, j, w, fm, s2
 
 
 def suite_lemma_level2_ucf(max_partial_nodes: int, max_w: int, betas: int,
@@ -552,9 +552,8 @@ def suite_lemma_level2_ucf(max_partial_nodes: int, max_w: int, betas: int,
     """sigma^W o j^{P-,P}_sup = (sigma')^W_sup o j^{P-,P} on qualifying betas."""
     res = SuiteResult(SUITES["lemma_level2_ucf"].report)
     rng = random.Random(seed)
-    for base, p, completion, k, j, w, fm, fm2 in _lemma_a_configs(max_partial_nodes, max_w):
+    for base, p, _, k, j, w, fm, s2 in _lemma_a_configs(max_partial_nodes, max_w):
         s1 = factor_to_shift(fm)
-        s2 = factor_to_shift(fm2)
         for _ in range(betas):
             beta = rand_qualifying_beta(rng, len(base), k)
             lhs = apply_shift(s1, apply_shift_sup(j, beta))

@@ -56,9 +56,11 @@ def validate_level1(nodes) -> Level1Tree:
     """Check both tree clauses on a collection of int tuples; raises naming
     the first violating node, and InvalidElement at a node that is not a
     tuple of naturals.  The set is closed when each node's parent and left
-    sibling are in it, which one lookup each decides, so checking each
-    node's last entry checks every entry of a closed set; only a set that
-    is not closed is sorted, to name the first violating node."""
+    sibling are in it, which one lookup each decides; only a set that is
+    not closed is sorted, to name the first violating node.  Only each
+    node's last entry is checked for its type, so a non-last entry that is
+    not an int but equals a natural, such as 0.0 or False, passes when the
+    node it equals is present: {(0), (0.0 0)} is accepted."""
     try:
         nodes = frozenset(nodes)
     except TypeError:  # a node that cannot be hashed, such as a list
@@ -124,15 +126,16 @@ def is_addable(tree: Level1Tree, node: Node) -> bool:
     if it has one, are in the tree.  In a closed tree the left sibling
     stands for every lower one.  A node that cannot be hashed, such as a
     list, is not addable, nor is one whose last entry is not an int, such
-    as 0.0 or False, which compare equal to naturals."""
-    nodes = tree.nodes
+    as 0.0 or False, which compare equal to naturals, nor any node of a
+    tree that is not a Level1Tree."""
     try:
+        nodes = tree.nodes
         if not node or node in nodes:
             return False
         parent, last = node[:-1], node[-1]
         return type(last) is int and (not parent or parent in nodes) and \
             (last == 0 or parent + (last - 1,) in nodes)
-    except TypeError:  # an unhashable node, or one that is not a tuple, such as 5
+    except (TypeError, AttributeError):  # a node or a tree of another kind
         return False
 
 

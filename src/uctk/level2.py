@@ -339,7 +339,7 @@ def validate_level2(entries) -> Level2Tree:
     TowerViolation at it."""
     try:
         items = dict(entries)
-    except TypeError:  # a key that cannot be hashed, such as a list
+    except (TypeError, ValueError):  # an unhashable key, or an entry that is not a pair
         raise DomainNotTree(entries) from None
     for q in items:
         if type(q) is not tuple or q and q[-1] == MINUS_ONE:
@@ -563,36 +563,53 @@ def respects_le2(le2: LevelLe2Tree, t) -> Verdict:
     values, the root value being u_1; (3) sibling values follow the
     Brouwer-Kleene order of their indices.
     """
-    return _respects(le2, t, lambda q: _analysis(t, q, le2.t2.tree(q)))
+    return _respects(le2.t1, le2.t2.dom(), t, le2.t2._labels)
 
 
-def _respects(le2: LevelLe2Tree, t, analysis_at) -> Verdict:
-    """``respects_le2``, with ``analysis_at(q)`` giving ``_analysis`` of t at q.
+def _respects(t1: Level1Tree, order, t, labels) -> Verdict:
+    """``respects_le2`` on the level-1 tree t1 and the level-2 elements in
+    canonical ``order`` labelled by ``labels``.  An element with no label
+    gets, in ``labels``, the one clause (2) fixes: its parent's tree grown
+    by its parent's node, and the last node of its value's potential tower
+    over that tree, which must be ``_is_pending`` and -1 only at a leaf.
 
     Canonical order puts every parent before its children, so the walk
     extends each element's potential vector, the nodes of its branch (Q[q]
     of ``q_potential``), and its value path, the values of its branch, from
     its parent's."""
-    t1_vals = {p: _entry(t, (1, p)) for p in le2.t1.nodes}
-    v = respects_level1(le2.t1, t1_vals)
+    t1_vals = {p: _entry(t, (1, p)) for p in t1.nodes}
+    v = respects_level1(t1, t1_vals)
     if not v:
         return Verdict(False, "level1-part", f"{v.clause}: {v.detail}")
-    t2 = le2.t2
     root = _entry(t, (2, ()))
     if root.compare(U1) != 0:
         return Verdict(False, "root-value", str(root))
-    pvecs = {(): (t2.node(()),)}
+    if () not in labels:  # a Level2Tree built without its root
+        raise MissingEntry(())
+    pvecs = {(): (labels[()][1],)}
     paths = {(): (root,)}
-    for q, (tree, node) in t2.entries:
+    for q in order:
         if not q:
             continue
-        val = _entry(t, (2, q))  # a missing value raises here, before its analysis is read
-        pvec = pvecs[q] = pvecs[q[:-1]] + (node,)
+        val = _entry(t, (2, q))  # a missing value raises here, before its analysis
         path = paths[q] = paths[q[:-1]] + (val,)
-        an = analysis_at(q)
+        given = q in labels
+        if given:
+            tree, node = labels[q]
+        else:
+            parent_tree, parent_node = labels[q[:-1]]
+            tree = Level1Tree(parent_tree.nodes | {parent_node})
+        an = _analysis(t, q, tree)
         if isinstance(an, str):
             return Verdict(False, f"potential-tower{format_detail(q)}", an)
         potential, approx = an
+        if not given:
+            node = potential.pvec[-1]
+            if not _is_pending(tree, node) or \
+                    node == MINUS_ONE and any(k[:-1] == q for k in order):
+                return Verdict(False, f"pending-node{format_detail(q)}", format_node(node))
+            labels[q] = (tree, node)
+        pvec = pvecs[q] = pvecs[q[:-1]] + (node,)
         if potential.pvec != pvec or potential.tree != tree:
             return Verdict(False, f"potential-tower{format_detail(q)}",
                            f"{potential} != {PotentialTower1(tree, pvec)}")
@@ -713,45 +730,22 @@ def enumerate_le2_trees(max_dom: int):
 
 
 def recover_tree(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
-    """Read the representing level <=2 tree off the tuple.
-
-    Clause (2) of ``respects_le2`` fixes the labels top-down: the root's is
-    (empty tree, (0)), the tree at q is the completion of its parent's
-    label, and the pending node at q is the last entry of the potential
-    tower of t at q analysed over that tree.  That label is kept when the
-    rule ``is_child_label`` decides allows it: its node is ``_is_pending``
-    over the tree, and is -1 only at a leaf.  Where the tuple fixes no
-    valid label (a missing or invalid value, a failed analysis, a pending
-    node the domain does not allow), the first of ``child_labels`` stands
-    in: the candidate fails at q whatever label q holds.  The respect
-    criterion on the candidate decides, so the outcome, a tree or an error,
-    is the one a search over every labelling gives; the walk's analyses
-    decide its clause (2), as every valid label at q has the tree the walk
-    analyses over, so each domain value is analysed once per call.
-    Uniqueness is checked against that search, the independent oracle in
-    ``lemmas``.  Every label is one of ``child_labels`` of its parent's, so
-    the candidate is a level-2 tree by construction and is not validated.
+    """Read the representing level <=2 tree off the tuple: ``_respects``,
+    given only the root's label (empty tree, (0)), reads every other label
+    off its value as it checks it, and stops at the first element that
+    fails.  The outcome, a tree or an error, is the one a search over every
+    labelling gives, the independent oracle in ``lemmas``.  Every label read
+    is one ``is_child_label`` allows, so the tree is not validated.
     """
     try:
         dom = frozenset(as_domseq(q) for q in dom_shape)
     except TypeError:  # a key that cannot be hashed, such as a tuple holding a list
         raise DomainNotTree(dom_shape) from None
     order = check_tree_of_trees(dom)
-    inner = {q[:-1] for q in order if q}
     labels = {(): (EMPTY_TREE, ROOT_NODE)}
-    found = {}
-    for q in order[1:]:
-        parent = labels[q[:-1]]
-        leaf = q not in inner
-        tree = Level1Tree(parent[0].nodes | {parent[1]})
-        an = found[q] = _analysis(t, q, tree)
-        node = None if isinstance(an, str) else an[0].pvec[-1]
-        keep = (leaf or node != MINUS_ONE) and _is_pending(tree, node)
-        labels[q] = (tree, node) if keep else child_labels(parent, leaf)[0]
-    cand = LevelLe2Tree(t1, Level2Tree(tuple((q, labels[q]) for q in order)))
-    if not _respects(cand, t, found.__getitem__):
+    if not _respects(t1, order, t, labels):
         raise NoTreeFound()
-    return cand
+    return LevelLe2Tree(t1, Level2Tree(tuple((q, labels[q]) for q in order)))
 
 
 # -- respecting tuple generation ----------------------------------------------------

@@ -170,7 +170,7 @@ def validate_level3(entries) -> Level3Tree:
     partial level <=2 tree TowerViolation at its key."""
     try:
         items = dict(entries)
-    except TypeError:  # a key that cannot be hashed, such as a list
+    except (TypeError, ValueError):  # an unhashable key, or an entry that is not a pair
         raise DomainNotTree(entries) from None
     for r in items:
         if as_domseq(r) == ():

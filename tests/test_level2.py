@@ -542,8 +542,8 @@ class TestRecoverAnalysesOnce:
         assert trees >= 5
 
     def test_a_hit_builds_no_full_analysis_and_lists_no_labels(self):
-        # each label is decided by the is_child_label rule; child_labels
-        # only gives the stand-in label of a value that fixes none
+        # each label is read off its value and decided by the rule
+        # is_child_label states, which lists no child_labels
         cases = list(self._cases())
 
         def run():
@@ -551,6 +551,39 @@ class TestRecoverAnalysesOnce:
                 assert recover_tree(tree.t1, tree.t2.dom(), t) == tree
 
         assert not _entered([analysis.analyze, level2.child_labels], run)
+
+    def test_a_miss_at_the_first_element_analyses_one_value(self, monkeypatch):
+        # the walk that reads the labels checks them too, and stops at the
+        # first element that fails
+        calls = []
+
+        def counted(b, tree):
+            calls.append(b)
+            return potential_and_approximation(b, tree)
+
+        monkeypatch.setattr(level2, "potential_and_approximation", counted)
+        trees = 0
+        for tree, t in _realizable(4):
+            dom = tree.t2.dom()
+            if len(dom) != 4:
+                continue
+            calls.clear()
+            with pytest.raises(NoTreeFound):
+                recover_tree(tree.t1, dom, _bumped(t, (2, dom[1])))
+            assert len(calls) == 1, str(tree)
+            trees += 1
+        assert trees == 66
+
+    def test_no_child_labels_are_listed_on_a_hit_or_a_miss(self):
+        cases = [(tree, t, _bumped(t, last)) for tree, t, last in self._cases()]
+
+        def run():
+            for tree, t, miss in cases:
+                assert recover_tree(tree.t1, tree.t2.dom(), t) == tree
+                with pytest.raises(NoTreeFound):
+                    recover_tree(tree.t1, tree.t2.dom(), miss)
+
+        assert _entered([level2.child_labels], run) == set()
 
     def test_a_miss_leaves_no_cyclic_garbage(self):
         # a stored KernelError would keep its traceback, which holds the
@@ -804,6 +837,15 @@ class TestReplacedRoutesAgree:
                 candidates += 1
                 clauses.add(got.clause.partition("(")[0])
         assert candidates == 605 and clauses == {"", "potential-tower"}
+
+    def test_respects_le2_on_a_tree_built_without_its_root(self):
+        # the root's value is checked first, then its label is missing
+        t2 = Level2Tree(((KEY, (Level1Tree(frozenset({(0,)})), MINUS_ONE)),))
+        cand = LevelLe2Tree(EMPTY_TREE, t2)
+        with pytest.raises(MissingEntry) as e:
+            respects_le2(cand, q21_tuple("u1*w"))
+        assert str(e.value) == "MISSING_ENTRY: ()"
+        assert respects_le2(cand, {(2, ()): u("u2")}) == Verdict(False, "root-value", "u2")
 
     def test_respects_le2_compares_the_tree_of_an_unvalidated_label(self):
         # in a validated tree equal potential vectors give equal trees; a

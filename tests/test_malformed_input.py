@@ -1,9 +1,10 @@
 """Malformed input to the API's tree checks raises a KernelError, never a
 bare exception, with the code and the element recorded here.  The inputs
 are keys that are not domain sequences, given as a level-2 key, a level-3
-key, a ``recover_tree`` shape and a degree-2 extension, labels that are
-not level-2 or level-3 labels, pending nodes that are not nodes, and
-level-1 nodes that are not tuples of naturals."""
+key, a ``recover_tree`` shape and a degree-2 extension, entries that are
+not key-label pairs, labels that are not level-2 or level-3 labels,
+pending nodes that are not nodes, and level-1 nodes that are not tuples of
+naturals."""
 
 import pytest
 from hypothesis import given
@@ -122,6 +123,14 @@ CASES += [
     ("degree-2 None base", lambda base: validate_partial_le2(base, 2, ((0,),), ONE), None,
      "CASE_VIOLATION: base not a level <=2 tree, None"),
 ]
+# entries that are not pairs: the input is named as given
+CASES += [
+    ("level-2 entry of length 1", validate_level2, [((),)], "DOMAIN_NOT_TREE: [(())]"),
+    ("level-2 string entries", validate_level2, "ab", "DOMAIN_NOT_TREE: ab"),
+    ("level-2 entry of length 3", validate_level2, [(1, 2, 3)], "DOMAIN_NOT_TREE: [(1 2 3)]"),
+    ("level-3 entry of length 1", validate_level3, [((0,),)], "DOMAIN_NOT_TREE: [((0))]"),
+    ("level-3 string entries", validate_level3, "x", "DOMAIN_NOT_TREE: x"),
+]
 
 
 @pytest.mark.parametrize("call, arg, expected", [c[1:] for c in CASES],
@@ -204,9 +213,21 @@ BASES = st.one_of(st.sets(SMALL_NODES, max_size=2), st.frozensets(SMALL_NODES, m
 def test_bases_of_the_wrong_kind_raise_a_kernel_error(base, node, d):
     _returns_or_raises_a_kernel_error(lambda n: validate_partial_le1(base, n), node)
     _returns_or_raises_a_kernel_error(lambda n: validate_partial_le2(base, d, n, EMPTY_TREE), node)
+    assert is_addable(base, node) is False
 
 
 @given(st.lists(KEYS, max_size=4))
 def test_shape_and_level3_keys_of_the_wrong_kind_raise_a_kernel_error(keys):
     _returns_or_raises_a_kernel_error(lambda ks: recover_tree(EMPTY_TREE, [(), *ks], {}), keys)
     _returns_or_raises_a_kernel_error(validate_level3, [(k, LABEL3) for k in keys])
+
+
+# tuples of length 0 to 3 where key-label pairs belong, with keys, level-2
+# and level-3 labels among their entries
+ENTRY_PARTS = st.one_of(KEYS, st.just(ROOT[()]), st.just((ONE, MINUS_ONE)), st.just(LABEL3))
+
+
+@given(st.lists(st.lists(ENTRY_PARTS, max_size=3).map(tuple), max_size=3))
+def test_entries_that_are_not_pairs_raise_a_kernel_error(entries):
+    _returns_or_raises_a_kernel_error(validate_level2, entries)
+    _returns_or_raises_a_kernel_error(validate_level3, entries)
