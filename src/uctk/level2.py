@@ -16,14 +16,14 @@ from .analysis import (PotentialTower1, potential_and_approximation, tree_embed,
 from .bk import MINUS_ONE
 from .errors import (ArityError, BadDescription, BadFirstEntry,
                      CaseViolation, DegreeZeroHasNoCompletion, DomainNotTree,
-                     InvalidElement, InvalidTower, KernelError, LengthMismatch,
-                     MissingEntry, NoTreeFound, NotCompletionAt, NotInRep,
+                     IncomparableEntries, InvalidElement, InvalidTower, KernelError,
+                     LengthMismatch, MissingEntry, NoTreeFound, NotCompletionAt, NotInRep,
                      NotRespecting, RootNotCanonical, TowerViolation)
 from .level1 import (EMPTY_TREE, Level1Tree, Node, addable_nodes, desc_rank,
                      enumerate_level1_up_to, is_addable, is_level1, is_regular,
                      regular_nodes, rep_compare, respects_level1,
                      validate_level1)
-from .ordinals import OMEGA, U1, CtblOrd, UOrd, as_uord
+from .ordinals import OMEGA, ONE, U1, ZERO, CtblOrd, UOrd, as_uord
 from .value import (ACCEPTED, Value, Verdict, format_desc, format_detail, format_l2,
                     format_le2, format_node, format_rep2, set_field)
 
@@ -183,10 +183,39 @@ def check_tree_of_trees(dom):
     Raises RootNotCanonical on an empty set, DomainNotTree naming the first
     element whose predecessor is missing or whose last entry is not a node
     (such as -1), else the first whose children do not form a level-1
-    tree.  The pass that checks predecessors gathers the children's
-    indices."""
+    tree.  The order is built by walking out from the root and appending
+    each element's children in the ``bk.bk_key`` order of their last node:
+    the children of the elements of one length then follow in the order of
+    those elements, as ``dom_sort_key`` has them.  Only a set that fails is
+    sorted by ``dom_sort_key``, in ``_check_in_sorted_order``, to name the
+    first bad element."""
     if not dom:
         raise RootNotCanonical("missing root")
+    children = {}
+    for q in dom:
+        if q != ():
+            if type(q) is not tuple or q[:-1] not in dom or type(q[-1]) is not tuple:
+                return _check_in_sorted_order(dom)
+            children.setdefault(q[:-1], []).append(q)
+    order = [()]
+    for q in order:  # the loop reads the children it appends
+        kids = children.get(q)
+        if kids:
+            try:
+                kids.sort(key=lambda k: bk.bk_key(k[-1]))
+            except IncomparableEntries:  # an entry that is not a natural
+                return _check_in_sorted_order(dom)
+            if not is_level1([k[-1] for k in kids]):
+                return _check_in_sorted_order(dom)
+            order += kids
+    return order
+
+
+def _check_in_sorted_order(dom):
+    """``check_tree_of_trees`` on dom sorted into canonical order: the
+    sort raises IncomparableEntries at an entry that is not a natural, and
+    the two passes over the order name the first bad element.  The pass
+    that checks predecessors gathers the children's indices."""
     order = sorted(dom, key=dom_sort_key)
     children = {}
     for q in order:
@@ -544,15 +573,56 @@ def _entry(t, key):
     return as_uord(t[key])
 
 
-def _analysis(t, q, tree):
-    """The pair (potential tower, approximation sequence) of t's level-2
-    value at q over tree, the two fields of ``analyze`` that clause (2)
+def _analysis(b, tree):
+    """The pair (potential tower, approximation sequence) of the level-2
+    value b over tree, the two fields of ``analyze`` that clause (2)
     reads, or the code of the KernelError it raised (a kept error's
     traceback holds the caller's frame)."""
     try:
-        return potential_and_approximation(_entry(t, (2, q)), tree)
+        return potential_and_approximation(b, tree)
     except KernelError as e:
         return e.code
+
+
+def _passing_node(b: UOrd, tree: Level1Tree, parent_pvec, parent_val: UOrd):
+    """The node at q when b, the value at a non-root q labelled with tree,
+    passes clause (2) given that q's parent passed it, else None;
+    ``parent_pvec`` and ``parent_val`` are the parent's potential vector
+    and value.
+
+    Proof.  Let m = len(q) = len(parent_pvec).  ``potential_and_approximation``
+    gives b = u_k0*c_0 + ... + tail, with j u-terms, the approximation
+    sequence u_1, A_1, ..., A_{j-1}, b', where A_i = u_i*c_0 + ... +
+    u_2*c_{i-2} + u_1*(c_{i-1}+1) and b' puts c_0, ..., c_{j-1} on the
+    levels j, ..., 1 over b's tail.  The parent passed, so the path before
+    b is the parent's approximation sequence, which ends in its value.  The
+    two agree iff b's levels are m, ..., 1 (so b' = b) and, for m >= 2, the
+    parent's value is A_{m-1}: its coefficients are then c_0, ..., c_{m-3},
+    c_{m-2}+1, which give A_1, ..., A_{m-2} again.  The potential tower is
+    then the chain of m nodes with the vector (0), ..., (0)^m and, unless b
+    is continuous (zero tail, last coefficient 1), one node more: -1 at
+    cofinality omega, (0)^{m+1} at u_1.  The parent's vector is (0), ...,
+    (0)^{m-1} and then its node, so the branch's vector agrees iff b is not
+    continuous, the parent's node is (0)^m and q's node is the one
+    returned; the tree at q must then be the chain, the parent's vector as
+    a set.  Such a b is an uncountable limit of level m, so the analysis
+    raises nothing."""
+    m = len(parent_pvec)
+    terms, head = b.uterms, parent_val.uterms
+    if len(terms) != m or len(tree) != m or parent_pvec[-1] != (0,) * m or \
+            not tree.nodes.issuperset(parent_pvec):
+        return None
+    for i, (k, c) in enumerate(terms):
+        if k != m - i or i < m - 2 and head[i][1] != c:
+            return None
+    if m > 1 and (parent_val.tail != ZERO or head[-1][1] != terms[-2][1] + ONE):
+        return None
+    if b.tail.terms:
+        return MINUS_ONE if b.tail.is_limit() else None
+    last = terms[-1][1]
+    if last == ONE:
+        return None
+    return MINUS_ONE if last.is_limit() else (0,) * (m + 1)
 
 
 def respects_le2(le2: LevelLe2Tree, t) -> Verdict:
@@ -561,7 +631,9 @@ def respects_le2(le2: LevelLe2Tree, t) -> Verdict:
     (1) the level-1 part respects the level-1 tree; (2) each stored level-2
     value has potential tower Q[q] and approximation sequence the branch
     values, the root value being u_1; (3) sibling values follow the
-    Brouwer-Kleene order of their indices.
+    Brouwer-Kleene order of their indices.  Clause (2) is decided at each
+    element from its parent's value and vector by ``_passing_node``; the
+    analysis runs only to write a rejection.
     """
     return _respects(le2.t1, le2.t2.dom(), t, le2.t2._labels)
 
@@ -576,7 +648,11 @@ def _respects(t1: Level1Tree, order, t, labels) -> Verdict:
     Canonical order puts every parent before its children, so the walk
     extends each element's potential vector, the nodes of its branch (Q[q]
     of ``q_potential``), and its value path, the values of its branch, from
-    its parent's."""
+    its parent's, and decides clause (2) there by ``_passing_node``, which
+    reads the parent's value and vector.  Only at an element that rule
+    fails does the walk analyse the value and compare the analysis with the
+    vector and the path, which names the failing clause and what failed
+    it."""
     t1_vals = {p: _entry(t, (1, p)) for p in t1.nodes}
     v = respects_level1(t1, t1_vals)
     if not v:
@@ -599,17 +675,22 @@ def _respects(t1: Level1Tree, order, t, labels) -> Verdict:
         else:
             parent_tree, parent_node = labels[q[:-1]]
             tree = Level1Tree(parent_tree.nodes | {parent_node})
-        an = _analysis(t, q, tree)
-        if isinstance(an, str):
-            return Verdict(False, f"potential-tower{format_detail(q)}", an)
-        potential, approx = an
+        passing = _passing_node(val, tree, pvecs[q[:-1]], path[-2])
+        passes = passing is not None and (not given or node == passing)
+        if not passes:
+            an = _analysis(val, tree)
+            if isinstance(an, str):
+                return Verdict(False, f"potential-tower{format_detail(q)}", an)
+            potential, approx = an
         if not given:
-            node = potential.pvec[-1]
+            node = passing if passes else potential.pvec[-1]
             if not _is_pending(tree, node) or \
                     node == MINUS_ONE and any(k[:-1] == q for k in order):
                 return Verdict(False, f"pending-node{format_detail(q)}", format_node(node))
             labels[q] = (tree, node)
         pvec = pvecs[q] = pvecs[q[:-1]] + (node,)
+        if passes:
+            continue
         if potential.pvec != pvec or potential.tree != tree:
             return Verdict(False, f"potential-tower{format_detail(q)}",
                            f"{potential} != {PotentialTower1(tree, pvec)}")

@@ -504,9 +504,10 @@ def test_recover_agrees_with_the_replaced_route_up_to_five_elements():
 
 
 class TestRecoverAnalysesOnce:
-    """recover_tree analyses each value once, through the two-part
-    ``potential_and_approximation``: its respect check reads the walk's
-    analyses."""
+    """recover_tree analyses at most one value, through the two-part
+    ``potential_and_approximation``: the respect walk decides clause (2)
+    at each element from its parent, and analyses only the value at the
+    element that fails, to write the rejection."""
 
     @staticmethod
     def _cases():
@@ -517,7 +518,7 @@ class TestRecoverAnalysesOnce:
                 yield tree, t, (2, tree.t2.dom()[-1])
 
     @pytest.mark.parametrize("case", ["hit", "miss", "dropped"])
-    def test_one_analyze_call_per_non_root_entry(self, case, monkeypatch):
+    def test_only_the_failing_element_is_analysed(self, case, monkeypatch):
         calls = []
 
         def counted(b, tree):
@@ -527,17 +528,18 @@ class TestRecoverAnalysesOnce:
         monkeypatch.setattr(level2, "potential_and_approximation", counted)
         trees = 0
         for tree, t, last in self._cases():
-            n = len(tree.t2.dom()) - 1
+            miss = _bumped(t, last)
             t, outcome, analysed = {
-                "hit": (t, tree, n),
-                "miss": (_bumped(t, last), (NoTreeFound, "NO_TREE_FOUND"), n),
-                # the dropped value is missed when it is read, before its analysis
+                "hit": (t, tree, []),
+                # the bumped last value fails, and only it is analysed
+                "miss": (miss, (NoTreeFound, "NO_TREE_FOUND"), [miss[last]]),
+                # the dropped value is missed when it is read, before any analysis
                 "dropped": ({k: v for k, v in t.items() if k != last},
-                            (MissingEntry, "MISSING_ENTRY"), n - 1),
+                            (MissingEntry, "MISSING_ENTRY"), []),
             }[case]
             calls.clear()
             assert _outcome(recover_tree, tree.t1, tree.t2.dom(), t) == outcome
-            assert len(calls) == analysed, str(tree)
+            assert calls == analysed, str(tree)
             trees += 1
         assert trees >= 5
 
@@ -602,13 +604,12 @@ class TestRecoverAnalysesOnce:
 
 class TestRespectReadsEachValueOnce:
     """The respect walks keep each value they read: respects_le2 reads each
-    level-1 value and the root once and every other level-2 value twice,
-    the second time for its analysis; weakly_respects_le2 reads each level-2
-    value once.  Trees with a non-root level-2 element only: on the others
-    both walks read each value once."""
+    level-1 value and each level-2 value once, and an analysis takes the
+    value the walk read; weakly_respects_le2 reads each level-2 value once.
+    Trees with a non-root level-2 element only."""
 
     @pytest.mark.parametrize("check, reads", [
-        (respects_le2, lambda t1, n: t1 + 1 + 2 * (n - 1)),
+        (respects_le2, lambda t1, n: t1 + n),
         (weakly_respects_le2, lambda t1, n: n),
     ], ids=["respects", "weakly"])
     def test_entry_reads_per_accepted_tree(self, check, reads, monkeypatch):
@@ -627,6 +628,29 @@ class TestRespectReadsEachValueOnce:
             if n == 1 or not check(tree, t):
                 continue
             assert len(calls) == reads(len(tree.t1), n), str(tree)
+            trees += 1
+        assert trees == 94
+
+    def test_a_rejection_reads_no_value_again(self, monkeypatch):
+        # the bumped last value fails clause (2), and its analysis takes
+        # the value the walk read
+        calls = []
+        entry = level2._entry
+
+        def counted(t, key):
+            calls.append(key)
+            return entry(t, key)
+
+        monkeypatch.setattr(level2, "_entry", counted)
+        trees = 0
+        for tree, t in _realizable(4):
+            dom = tree.t2.dom()
+            if len(dom) == 1:
+                continue
+            calls.clear()
+            verdict = respects_le2(tree, _bumped(t, (2, dom[-1])))
+            assert verdict.clause == f"potential-tower{format_detail(dom[-1])}", str(tree)
+            assert len(calls) == len(tree.t1) + len(dom), str(tree)
             trees += 1
         assert trees == 94
 
@@ -857,6 +881,32 @@ class TestReplacedRoutesAgree:
         got, want = respects_le2(cand, q21_tuple()), _old_respects_le2(cand, q21_tuple())
         assert got == want == Verdict(False, "potential-tower((0))",
                                       "({(0)}, ((0) (0 0))) != ({(0) (0 0)}, ((0) (0 0)))")
+
+    def test_respects_le2_compares_an_unvalidated_root_node(self):
+        # the child's tree holds the root's node (1), but its potential
+        # vector starts off the chain
+        one = Level1Tree(frozenset({(1,)}))
+        t2 = Level2Tree((((), (EMPTY_TREE, (1,))), (KEY, (one, (0, 0)))))
+        cand = LevelLe2Tree(EMPTY_TREE, t2)
+        got, want = respects_le2(cand, q21_tuple()), _old_respects_le2(cand, q21_tuple())
+        assert got == want == Verdict(False, "potential-tower((0))",
+                                      "({(0)}, ((0) (0 0))) != ({(1)}, ((1) (0 0)))")
+
+    @pytest.mark.parametrize("values, q", [
+        ({KEY: "u1"}, KEY),
+        ({KEY: "u1*3", (KEY[0], (0,)): "u2*2 + u1"}, (KEY[0], (0,))),
+    ], ids=["depth 1", "depth 2"])
+    def test_a_continuous_value_on_the_path_fails(self, values, q):
+        # its approximation sequence is the path, but its potential tower
+        # has no pending node
+        entries = {(): (EMPTY_TREE, ROOT_NODE)}
+        for k in values:
+            chain = Level1Tree(frozenset((0,) * i for i in range(1, len(k) + 1)))
+            entries[k] = (chain, (0,) * (len(k) + 1))
+        tree = LevelLe2Tree(EMPTY_TREE, validate_level2(entries))
+        t = {(2, ()): U1, **{(2, k): u(v) for k, v in values.items()}}
+        got, want = respects_le2(tree, t), _old_respects_le2(tree, t)
+        assert got == want and got.clause == f"potential-tower{format_detail(q)}"
 
 
 def test_recover_never_scans_the_domain_for_children():

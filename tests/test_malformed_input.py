@@ -1,8 +1,9 @@
 """Malformed input to the API's tree checks raises a KernelError, never a
 bare exception, with the code and the element recorded here.  The inputs
 are keys that are not domain sequences, given as a level-2 key, a level-3
-key, a ``recover_tree`` shape and a degree-2 extension, entries that are
-not key-label pairs, labels that are not level-2 or level-3 labels,
+key, a ``recover_tree`` shape and a degree-2 extension, domain sets whose
+nodes hold entries that are not naturals, entries that are not key-label
+pairs, labels that are not level-2 or level-3 labels,
 pending nodes that are not nodes, and level-1 nodes that are not tuples of
 naturals."""
 
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from uctk.errors import KernelError
 from uctk.level1 import EMPTY_TREE, is_addable, validate_level1
-from uctk.level2 import (MINUS_ONE, ROOT_NODE, recover_tree, typical_trees, validate_level2,
-                         validate_partial_le1)
+from uctk.level2 import (MINUS_ONE, ROOT_NODE, check_tree_of_trees, recover_tree, typical_trees,
+                         validate_level2, validate_partial_le1)
 from uctk.level3 import validate_level3, validate_partial_le2
 
 Q0, Q1, Q20, Q21 = typical_trees()
@@ -122,6 +123,23 @@ CASES += [
      "CASE_VIOLATION: base not a level <=2 tree, {(0,)}"),
     ("degree-2 None base", lambda base: validate_partial_le2(base, 2, ((0,),), ONE), None,
      "CASE_VIOLATION: base not a level <=2 tree, None"),
+]
+# domain sets with a node entry that is not a natural: the entry is named
+# wherever it sits, below a missing parent too, except a bool, which
+# validate_level1 rejects among the children of ((0))
+CASES += [
+    ("domain string node", check_tree_of_trees, {(), (("a",),)}, "INVALID_ELEMENT: a"),
+    ("domain float node", check_tree_of_trees, {(), ((0.5,),)}, "INVALID_ELEMENT: 0.5"),
+    ("domain float node at depth 2", check_tree_of_trees, {(), ((0,),), ((0,), (0.5,))},
+     "INVALID_ELEMENT: 0.5"),
+    ("domain string node below a missing parent", check_tree_of_trees, {(), ((0,), ("a",))},
+     "INVALID_ELEMENT: a"),
+    ("domain string last entry below a missing parent", check_tree_of_trees,
+     {(), ((0,),), ((1,),), ((2,), "a")}, "INVALID_ELEMENT: a"),
+    ("domain float non-last entry", check_tree_of_trees, {(), ((0,),), ((0,), (0.0, 0))},
+     "INVALID_ELEMENT: 0.0"),
+    ("domain bool node", check_tree_of_trees, {(), ((0,),), ((0,), (False,))},
+     "DOMAIN_NOT_TREE: ((0))"),
 ]
 # entries that are not pairs: the input is named as given
 CASES += [

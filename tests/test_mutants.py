@@ -11,6 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
+import test_recorded_outputs as recorded
 from uctk import analysis, bk, lemmas, level1, level2, ordinals
 
 # (name, function, source text, its replacement, bound, the suite that fails)
@@ -45,6 +46,9 @@ MUTANTS = [
      "return bool(order) and", "return True or", 2, "factor_order"),
     ("factor_to_shift reads a rank off by one", analysis.factor_to_shift,
      "image.append(rank_of[p] + 1)", "image.append(rank_of[p] + 2)", 2, "lemma_level2_ucf"),
+    ("_passing_node reads no -1 off a limit coefficient", level2._passing_node,
+     "return MINUS_ONE if last.is_limit() else (0,) * (m + 1)", "return (0,) * (m + 1)",
+     2, "uniqueness"),
 ]
 
 
@@ -90,3 +94,22 @@ def test_reversed_addable_nodes_only_reorders():
         le2_again = [str(t) for t in level2.enumerate_le2_trees(3)]
     assert relisted == [nodes[::-1] for nodes in listed]
     assert le2_again != le2 and sorted(le2_again) == sorted(le2)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("if m > 1 and (parent_val.tail != ZERO or head[-1][1] != terms[-2][1] + ONE):",
+     "if False:"),
+    (" or i < m - 2 and head[i][1] != c", ""),
+], ids=["last coefficient and tail", "leading coefficients"])
+def test_a_dropped_parent_value_comparison_passes_the_suites_not_tier1(old, new, monkeypatch):
+    """``level2._passing_node`` without a part of its comparison of the
+    parent's value with b's last inner approximation accepts tuples whose
+    approximation sequence is not the path.  Every tuple a suite hands the
+    respect walk is a generated one, which passes that comparison, so no
+    suite fails; the respect outcomes recorded in
+    ``test_recorded_outputs.py`` hold such tuples and move."""
+    with _mutated(level2._passing_node, old, new):
+        failed = {r.name for r in lemmas.check_lemmas(2, 0) if not r.passed}
+        outcomes = recorded._respect_outcomes(monkeypatch)
+    assert failed == set()
+    assert recorded._sha256(outcomes) != recorded.RECORDED["respect-outcomes-4"]

@@ -4,7 +4,11 @@ tree's printed form or a CLI report moves one of them.  The cli-batch lines
 are the benchmark's own (bench/textgen.py, seed 1), run through cli.main in
 process; each gives its stdout, its stderr and its exit status.  Those
 lines compare no level-2 or level-3 representation points, so rep-points
-pins the two payload readers on a seeded set of its own."""
+pins the two payload readers on a seeded set of its own.  respect-outcomes-4
+was recorded before the respect walk decided clause (2) from each
+element's parent: every verdict and error of ``respects_le2`` and
+``recover_tree`` on the trees up to 4 domain elements, on respecting
+tuples and on damaged ones."""
 
 import contextlib
 import hashlib
@@ -19,7 +23,7 @@ import pytest
 from uctk import cli, lemmas, level2, level3
 from uctk.bk import bk_sorted
 from uctk.errors import KernelError
-from uctk.ordinals import OMEGA, ONE, U1, CtblOrd, UOrd
+from uctk.ordinals import OMEGA, ONE, U1, ZERO, CtblOrd, UOrd
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -32,6 +36,8 @@ RECORDED = {
         "cf25316ed9dcb7527e4221278402afcececa947c0345fb7629b83db809cb4c38",
     "rep-points":
         "72284b8a5547786a1905bb56d51ccb139377511296c307a97f483c313cb9d67b",
+    "respect-outcomes-4":
+        "0f751acc688ff9caac3af282be3ce240b4bd216b4b8f252c3e083a381134c81a",
 }
 
 
@@ -164,8 +170,50 @@ def _rep_points(monkeypatch):
     return out
 
 
+# u_1*w, u_2, u_2*2 and u_1*2: each put in place of one value in turn
+_REPLACEMENTS = (UOrd(((1, OMEGA),), ZERO), UOrd.u(2, ONE), UOrd.u(2, CtblOrd.natural(2)),
+                 UOrd.u(1, CtblOrd.natural(2)))
+
+
+def _respect_tuples(t):
+    """The tuple, then for each key in turn the tuple with that value
+    bumped by 1, with each of its u-term coefficients in turn raised by 1,
+    replaced by each of ``_REPLACEMENTS``, or dropped."""
+    out = [t]
+    for key, v in t.items():
+        out.append({**t, key: v + UOrd.from_nat(1)})
+        out += [{**t, key: UOrd(v.uterms[:i] + ((k, c + ONE),) + v.uterms[i + 1:], v.tail)}
+                for i, (k, c) in enumerate(v.uterms)]
+        out += [{**t, key: r} for r in _REPLACEMENTS]
+        out.append({k: w for k, w in t.items() if k != key})
+    return out
+
+
+def _respect_outcomes(monkeypatch):
+    """respects_le2 and recover_tree on every realizable tree with at most
+    4 domain elements, under its generated tuple and each damaged form of
+    it, then respects_le2 of every tree with at most 4 domain elements
+    under every generated tuple of a tree with its level-2 domain."""
+    trees = level2.enumerate_le2_trees(4)
+    out, by_dom = [], {}
+    for tree in trees:
+        t = level2.generate_respecting_tuple(tree)
+        if t is None:
+            continue
+        dom = tree.t2.dom()
+        by_dom.setdefault(tuple(dom), []).append(t)
+        for case in _respect_tuples(t):
+            out.append(_outcome(level2.respects_le2, tree, case))
+            out.append(_outcome(level2.recover_tree, tree.t1, dom, case))
+    for tree in trees:
+        for t in by_dom.get(tuple(tree.t2.dom()), []):
+            out.append(_outcome(level2.respects_le2, tree, t))
+    return out
+
+
 PRODUCERS = {"le2-trees-5": _le2_trees, "completions-3": _completions,
-             "cli-batch-seed-1": _cli_batch, "rep-points": _rep_points}
+             "cli-batch-seed-1": _cli_batch, "rep-points": _rep_points,
+             "respect-outcomes-4": _respect_outcomes}
 
 
 def _sha256(lines) -> str:
