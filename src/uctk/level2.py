@@ -188,15 +188,19 @@ def check_tree_of_trees(dom):
     the children of the elements of one length then follow in the order of
     those elements, as ``dom_sort_key`` has them.  Only a set that fails is
     sorted by ``dom_sort_key``, in ``_check_in_sorted_order``, to name the
-    first bad element."""
+    first bad element.  A dom that is not a collection, or an element that
+    is not a tuple, is named first, by DomainNotTree."""
     if not dom:
-        raise RootNotCanonical("missing root")
+        return _check_in_sorted_order(dom)
     children = {}
-    for q in dom:
-        if q != ():
-            if type(q) is not tuple or q[:-1] not in dom or type(q[-1]) is not tuple:
-                return _check_in_sorted_order(dom)
-            children.setdefault(q[:-1], []).append(q)
+    try:
+        for q in dom:
+            if q != ():
+                if type(q) is not tuple or q[:-1] not in dom or type(q[-1]) is not tuple:
+                    return _check_in_sorted_order(dom)
+                children.setdefault(q[:-1], []).append(q)
+    except TypeError:  # dom cannot be iterated
+        return _check_in_sorted_order(dom)
     order = [()]
     for q in order:  # the loop reads the children it appends
         kids = children.get(q)
@@ -215,7 +219,16 @@ def _check_in_sorted_order(dom):
     """``check_tree_of_trees`` on dom sorted into canonical order: the
     sort raises IncomparableEntries at an entry that is not a natural, and
     the two passes over the order name the first bad element.  The pass
-    that checks predecessors gathers the children's indices."""
+    that checks predecessors gathers the children's indices.  Only a
+    collection of tuples is sorted."""
+    try:
+        bad = [q for q in dom if type(q) is not tuple]
+    except TypeError:  # not a collection, such as None or an int
+        raise DomainNotTree(dom) from None
+    if bad:  # named by repr, not by the set's iteration order
+        raise DomainNotTree(min(bad, key=repr))
+    if not dom:
+        raise RootNotCanonical("missing root")
     order = sorted(dom, key=dom_sort_key)
     children = {}
     for q in order:
@@ -573,44 +586,34 @@ def _entry(t, key):
     return as_uord(t[key])
 
 
-def _analysis(b, tree):
-    """The pair (potential tower, approximation sequence) of the level-2
-    value b over tree, the two fields of ``analyze`` that clause (2)
-    reads, or the code of the KernelError it raised (a kept error's
-    traceback holds the caller's frame)."""
-    try:
-        return potential_and_approximation(b, tree)
-    except KernelError as e:
-        return e.code
+def _passing_node(b: UOrd, tree: Level1Tree, m: int, parent, parent_val: UOrd):
+    """The node at q when b, the value at a non-root q of length m labelled
+    with tree, passes clause (2) given that q's parent passed it, else None;
+    ``parent`` and ``parent_val`` are the parent's label and value.
 
-
-def _passing_node(b: UOrd, tree: Level1Tree, parent_pvec, parent_val: UOrd):
-    """The node at q when b, the value at a non-root q labelled with tree,
-    passes clause (2) given that q's parent passed it, else None;
-    ``parent_pvec`` and ``parent_val`` are the parent's potential vector
-    and value.
-
-    Proof.  Let m = len(q) = len(parent_pvec).  ``potential_and_approximation``
-    gives b = u_k0*c_0 + ... + tail, with j u-terms, the approximation
-    sequence u_1, A_1, ..., A_{j-1}, b', where A_i = u_i*c_0 + ... +
-    u_2*c_{i-2} + u_1*(c_{i-1}+1) and b' puts c_0, ..., c_{j-1} on the
-    levels j, ..., 1 over b's tail.  The parent passed, so the path before
-    b is the parent's approximation sequence, which ends in its value.  The
-    two agree iff b's levels are m, ..., 1 (so b' = b) and, for m >= 2, the
-    parent's value is A_{m-1}: its coefficients are then c_0, ..., c_{m-3},
-    c_{m-2}+1, which give A_1, ..., A_{m-2} again.  The potential tower is
-    then the chain of m nodes with the vector (0), ..., (0)^m and, unless b
-    is continuous (zero tail, last coefficient 1), one node more: -1 at
-    cofinality omega, (0)^{m+1} at u_1.  The parent's vector is (0), ...,
-    (0)^{m-1} and then its node, so the branch's vector agrees iff b is not
-    continuous, the parent's node is (0)^m and q's node is the one
-    returned; the tree at q must then be the chain, the parent's vector as
-    a set.  Such a b is an uncountable limit of level m, so the analysis
-    raises nothing."""
-    m = len(parent_pvec)
+    Proof.  ``potential_and_approximation`` gives b = u_k0*c_0 + ... +
+    tail, with j u-terms, the approximation sequence u_1, A_1, ..., A_{j-1},
+    b', where A_i = u_i*c_0 + ... + u_2*c_{i-2} + u_1*(c_{i-1}+1) and b'
+    puts c_0, ..., c_{j-1} on the levels j, ..., 1 over b's tail.  The
+    parent passed, so the path before b is the parent's approximation
+    sequence, which ends in its value.  The two agree iff b's levels are m,
+    ..., 1 (so b' = b) and, for m >= 2, the parent's value is A_{m-1}: its
+    coefficients are then c_0, ..., c_{m-3}, c_{m-2}+1, which give A_1, ...,
+    A_{m-2} again.  The potential tower is then the chain of m nodes with
+    the vector (0), ..., (0)^m and, unless b is continuous (zero tail, last
+    coefficient 1), one node more: -1 at cofinality omega, (0)^{m+1} at
+    u_1.  Each element that passed compared its parent's node with the
+    chain, so the parent's vector is (0), ..., (0)^{m-1} and then its node,
+    and the branch's vector agrees iff b is not continuous, the parent's
+    node is (0)^m and q's node is the one returned.  The tree at q must
+    then be the chain (0), ..., (0)^m: a tree of m nodes is that chain iff it
+    holds the parent's node and, for m >= 2, the parent's tree, the chain of
+    m - 1 nodes since the parent passed (the root's tree is not read).  Such
+    a b is an uncountable limit of level m, so the analysis raises nothing."""
+    parent_tree, parent_node = parent
     terms, head = b.uterms, parent_val.uterms
-    if len(terms) != m or len(tree) != m or parent_pvec[-1] != (0,) * m or \
-            not tree.nodes.issuperset(parent_pvec):
+    if len(terms) != m or len(tree) != m or parent_node != (0,) * m or \
+            parent_node not in tree.nodes or m > 1 and not tree.nodes >= parent_tree.nodes:
         return None
     for i, (k, c) in enumerate(terms):
         if k != m - i or i < m - 2 and head[i][1] != c:
@@ -631,9 +634,9 @@ def respects_le2(le2: LevelLe2Tree, t) -> Verdict:
     (1) the level-1 part respects the level-1 tree; (2) each stored level-2
     value has potential tower Q[q] and approximation sequence the branch
     values, the root value being u_1; (3) sibling values follow the
-    Brouwer-Kleene order of their indices.  Clause (2) is decided at each
-    element from its parent's value and vector by ``_passing_node``; the
-    analysis runs only to write a rejection.
+    Brouwer-Kleene order of their indices.  Clause (2) is accepted at each
+    element by one rule, ``_passing_node``, from its parent's label and
+    value; the analysis runs only in ``_rejection``, to write a rejection.
     """
     return _respects(le2.t1, le2.t2.dom(), t, le2.t2._labels)
 
@@ -642,17 +645,13 @@ def _respects(t1: Level1Tree, order, t, labels) -> Verdict:
     """``respects_le2`` on the level-1 tree t1 and the level-2 elements in
     canonical ``order`` labelled by ``labels``.  An element with no label
     gets, in ``labels``, the one clause (2) fixes: its parent's tree grown
-    by its parent's node, and the last node of its value's potential tower
-    over that tree, which must be ``_is_pending`` and -1 only at a leaf.
+    by its parent's node, and the node ``_passing_node`` returns, which
+    must not be -1 at an inner element.  A label given is never replaced.
 
     Canonical order puts every parent before its children, so the walk
-    extends each element's potential vector, the nodes of its branch (Q[q]
-    of ``q_potential``), and its value path, the values of its branch, from
-    its parent's, and decides clause (2) there by ``_passing_node``, which
-    reads the parent's value and vector.  Only at an element that rule
-    fails does the walk analyse the value and compare the analysis with the
-    vector and the path, which names the failing clause and what failed
-    it."""
+    keeps one value per element and decides clause (2) at each by
+    ``_passing_node``, which reads the parent's label and value.  At the
+    first element that fails it, ``_rejection`` writes the verdict."""
     t1_vals = {p: _entry(t, (1, p)) for p in t1.nodes}
     v = respects_level1(t1, t1_vals)
     if not v:
@@ -662,52 +661,59 @@ def _respects(t1: Level1Tree, order, t, labels) -> Verdict:
         return Verdict(False, "root-value", str(root))
     if () not in labels:  # a Level2Tree built without its root
         raise MissingEntry(())
-    pvecs = {(): (labels[()][1],)}
-    paths = {(): (root,)}
+    values = {(): root}
+    inner = {q[:-1] for q in order if q}
     for q in order:
         if not q:
             continue
-        val = _entry(t, (2, q))  # a missing value raises here, before its analysis
-        path = paths[q] = paths[q[:-1]] + (val,)
+        val = values[q] = _entry(t, (2, q))  # a missing value raises here, before its analysis
+        try:
+            parent = labels[q[:-1]]
+        except KeyError:  # a Level2Tree built without q's parent
+            raise MissingEntry(q[:-1]) from None
         given = q in labels
-        if given:
-            tree, node = labels[q]
-        else:
-            parent_tree, parent_node = labels[q[:-1]]
-            tree = Level1Tree(parent_tree.nodes | {parent_node})
-        passing = _passing_node(val, tree, pvecs[q[:-1]], path[-2])
-        passes = passing is not None and (not given or node == passing)
-        if not passes:
-            an = _analysis(val, tree)
-            if isinstance(an, str):
-                return Verdict(False, f"potential-tower{format_detail(q)}", an)
-            potential, approx = an
+        tree, node = labels[q] if given else (Level1Tree(parent[0].nodes | {parent[1]}), None)
+        passing = _passing_node(val, tree, len(q), parent, values[q[:-1]])
+        if passing is None or (passing != node if given else passing == MINUS_ONE and q in inner):
+            return _rejection(q, tree, labels, values, inner)
         if not given:
-            node = passing if passes else potential.pvec[-1]
-            if not _is_pending(tree, node) or \
-                    node == MINUS_ONE and any(k[:-1] == q for k in order):
-                return Verdict(False, f"pending-node{format_detail(q)}", format_node(node))
-            labels[q] = (tree, node)
-        pvec = pvecs[q] = pvecs[q[:-1]] + (node,)
-        if passes:
-            continue
-        if potential.pvec != pvec or potential.tree != tree:
-            return Verdict(False, f"potential-tower{format_detail(q)}",
-                           f"{potential} != {PotentialTower1(tree, pvec)}")
-        if approx != path:
-            got, want = (", ".join(map(str, vs)) for vs in (approx, path))
-            return Verdict(False, f"approximation{format_detail(q)}", f"[{got}] != [{want}]")
+            labels[q] = (tree, passing)
     # canonical order lists the children of each q together, in the
     # Brouwer-Kleene order of their last entries, and in the order of their q
     last = {}
-    for q, path in paths.items():
+    for q, val in values.items():
         if q:
-            val = path[-1]
             prev = last.get(q[:-1])
             if prev is not None and prev.compare(val) >= 0:
                 return Verdict(False, f"sibling-order{format_detail(q[:-1])}", "")
             last[q[:-1]] = val
     return ACCEPTED
+
+
+def _rejection(q, tree, labels, values, inner) -> Verdict:
+    """The rejection at q, the first element whose value fails clause (2),
+    labelled with tree: the analysis of the value, its potential tower
+    against the branch's vector (the nodes in ``labels``, and at q with no
+    label the analysis's last node, which must be ``_is_pending`` and -1
+    only at a leaf) and its approximation sequence against the branch's
+    values.  ``_passing_node``'s proof shows that one of them differs."""
+    try:
+        potential, approx = potential_and_approximation(values[q], tree)
+    except KernelError as e:
+        return Verdict(False, f"potential-tower{format_detail(q)}", e.code)
+    if q in labels:
+        node = labels[q][1]
+    else:
+        node = potential.pvec[-1]
+        if not _is_pending(tree, node) or node == MINUS_ONE and q in inner:
+            return Verdict(False, f"pending-node{format_detail(q)}", format_node(node))
+    pvec = tuple(labels[q[:i]][1] for i in range(len(q))) + (node,)
+    if potential.pvec != pvec or potential.tree != tree:
+        return Verdict(False, f"potential-tower{format_detail(q)}",
+                       f"{potential} != {PotentialTower1(tree, pvec)}")
+    path = tuple(values[q[:i]] for i in range(len(q) + 1))
+    got, want = (", ".join(map(str, vs)) for vs in (approx, path))
+    return Verdict(False, f"approximation{format_detail(q)}", f"[{got}] != [{want}]")
 
 
 def weakly_respects_le2(le2: LevelLe2Tree, t) -> Verdict:

@@ -892,6 +892,32 @@ class TestReplacedRoutesAgree:
         assert got == want == Verdict(False, "potential-tower((0))",
                                       "({(0)}, ((0) (0 0))) != ({(1)}, ((1) (0 0)))")
 
+    @pytest.mark.parametrize("nodes, values, detail", [
+        ({(1,)}, {KEY: "u1*2"}, "({(0)}, ((0) (0 0))) != ({(1)}, ((0) (0 0)))"),
+        ({(0, 0), (5,)}, {KEY: "u1*3", (KEY[0], (0,)): "u2*2 + u1*2"},
+         "({(0) (0 0)}, ((0) (0 0) (0 0 0))) != ({(0 0) (5)}, ((0) (0 0) (0 0 0)))"),
+    ], ids=["depth 1", "depth 2"])
+    def test_respects_le2_compares_the_whole_chain_of_an_unvalidated_label(
+            self, nodes, values, detail):
+        # the tree at the deepest q has len(q) nodes, but not the chain
+        # (0), ..., (0)^len(q): at depth 1 it lacks the parent's node (0);
+        # at depth 2 it holds the parent's node (0 0) but not (0), so a rule
+        # that tested only the parent's node would accept it.  No label
+        # given is replaced.
+        entries = [((), (EMPTY_TREE, ROOT_NODE))]
+        for k in values:
+            chain = Level1Tree(frozenset((0,) * i for i in range(1, len(k) + 1)))
+            entries.append((k, (chain, (0,) * (len(k) + 1))))
+        q = entries[-1][0]
+        entries[-1] = (q, (Level1Tree(frozenset(nodes)), entries[-1][1][1]))
+        t2 = Level2Tree(tuple(entries))
+        labels = [t2.label(k) for k in t2.dom()]
+        cand = LevelLe2Tree(EMPTY_TREE, t2)
+        t = {(2, ()): U1, **{(2, k): u(v) for k, v in values.items()}}
+        got, want = respects_le2(cand, t), _old_respects_le2(cand, t)
+        assert got == want == Verdict(False, f"potential-tower{format_detail(q)}", detail)
+        assert all(t2.label(k) is label for k, label in zip(t2.dom(), labels))
+
     @pytest.mark.parametrize("values, q", [
         ({KEY: "u1"}, KEY),
         ({KEY: "u1*3", (KEY[0], (0,)): "u2*2 + u1"}, (KEY[0], (0,))),
@@ -925,10 +951,11 @@ def test_recover_never_scans_the_domain_for_children():
 
 
 def test_respect_extends_each_branch_from_its_parent():
-    """respects_le2 and recover_tree build each element's potential vector
-    and value path from its parent's, and potential_and_approximation writes
-    each approximation directly: on a hit and on a miss neither rebuilds a
-    potential tower with q_potential nor adds ordinals."""
+    """respects_le2 and recover_tree decide each element from its parent's
+    label and value, rebuild a branch's vector and path only to write a
+    rejection, and potential_and_approximation writes each approximation
+    directly: on a hit and on a miss neither rebuilds a potential tower
+    with q_potential nor adds ordinals."""
     cases = [(tree, t, _bumped(t, (2, tree.t2.dom()[-1]))) for tree, t in _realizable(4)]
 
     def run():

@@ -4,17 +4,20 @@ are keys that are not domain sequences, given as a level-2 key, a level-3
 key, a ``recover_tree`` shape and a degree-2 extension, domain sets whose
 nodes hold entries that are not naturals, entries that are not key-label
 pairs, labels that are not level-2 or level-3 labels,
-pending nodes that are not nodes, and level-1 nodes that are not tuples of
-naturals."""
+pending nodes that are not nodes, level-1 nodes that are not tuples of
+naturals, domain sets holding elements that are not tuples, and a level-2
+tree built without validation that lacks an element's parent."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from uctk.errors import KernelError
+from uctk.grammar import parse_uord
 from uctk.level1 import EMPTY_TREE, is_addable, validate_level1
-from uctk.level2 import (MINUS_ONE, ROOT_NODE, check_tree_of_trees, recover_tree, typical_trees,
-                         validate_level2, validate_partial_le1)
+from uctk.level2 import (MINUS_ONE, ROOT_NODE, Level2Tree, LevelLe2Tree, check_tree_of_trees,
+                         recover_tree, respects_le2, typical_trees, validate_level2,
+                         validate_partial_le1)
 from uctk.level3 import validate_level3, validate_partial_le2
 
 Q0, Q1, Q20, Q21 = typical_trees()
@@ -141,6 +144,26 @@ CASES += [
     ("domain bool node", check_tree_of_trees, {(), ((0,),), ((0,), (False,))},
      "DOMAIN_NOT_TREE: ((0))"),
 ]
+# domain sets with an element that is not a tuple, and domains that are not
+# collections: the element, or the input, is named
+CASES += [
+    ("domain empty string element", check_tree_of_trees, {(), ""}, "DOMAIN_NOT_TREE: "),
+    ("domain int element", check_tree_of_trees, {(), 0}, "DOMAIN_NOT_TREE: 0"),
+    ("domain None element", check_tree_of_trees, {(), None}, "DOMAIN_NOT_TREE: None"),
+    ("domain two string elements", check_tree_of_trees, {(), "b", "a"}, "DOMAIN_NOT_TREE: a"),
+    ("domain None", check_tree_of_trees, None, "DOMAIN_NOT_TREE: None"),
+    ("domain int", check_tree_of_trees, 5, "DOMAIN_NOT_TREE: 5"),
+]
+# a level-2 tree built without validation whose element ((0) (0)) has no
+# parent: the respect walk names the missing parent, as it names a missing
+# root
+CASES += [
+    ("respect walk below a missing parent",
+     lambda t2: respects_le2(LevelLe2Tree(EMPTY_TREE, t2),
+                             {(2, ()): parse_uord("u1"), (2, ((0,), (0,))): parse_uord("u2")}),
+     Level2Tree((((), (EMPTY_TREE, ROOT_NODE)), (((0,), (0,)), (TWO, (0, 0, 0))))),
+     "MISSING_ENTRY: ((0))"),
+]
 # entries that are not pairs: the input is named as given
 CASES += [
     ("level-2 entry of length 1", validate_level2, [((),)], "DOMAIN_NOT_TREE: [(())]"),
@@ -232,6 +255,11 @@ def test_bases_of_the_wrong_kind_raise_a_kernel_error(base, node, d):
     _returns_or_raises_a_kernel_error(lambda n: validate_partial_le1(base, n), node)
     _returns_or_raises_a_kernel_error(lambda n: validate_partial_le2(base, d, n, EMPTY_TREE), node)
     assert is_addable(base, node) is False
+
+
+@given(st.lists(KEYS, max_size=4))
+def test_domain_elements_of_the_wrong_kind_raise_a_kernel_error(keys):
+    _returns_or_raises_a_kernel_error(check_tree_of_trees, [(), *keys])
 
 
 @given(st.lists(KEYS, max_size=4))
