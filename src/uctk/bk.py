@@ -64,11 +64,14 @@ def bk_key(seq: Sequence) -> tuple:
     sequences: entries map to ``(0, e)`` for a natural or -1 and to
     ``(1, bk_key(e))`` for a node, and a closing ``(2,)`` puts a proper
     lengthening below the sequence it extends.  ``bk`` stays the definition;
-    ordinal entries have no key and go through ``bk``/``bk_compare``."""
-    return (*map(_entry_key, seq), (2,))
+    ordinal entries have no key and go through ``bk``/``bk_compare``.  A
+    natural is keyed inline, in the one loop over the entries."""
+    return (*[(0, e) if type(e) is int else _entry_key(e) for e in seq], (2,))
 
 
 def _entry_key(e) -> tuple:
+    """The key of an entry that is not an ``int``: a node, or a bool, keyed
+    as the natural it equals; any other entry is IncomparableEntries."""
     if isinstance(e, tuple):
         return (1, bk_key(e))
     if isinstance(e, int):

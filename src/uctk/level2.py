@@ -10,6 +10,8 @@ distinguished element sitting below every node.
 
 from __future__ import annotations
 
+from functools import partial
+
 from . import bk
 from .analysis import (PotentialTower1, potential_and_approximation, tree_embed,
                        tree_embed_sup)
@@ -581,9 +583,13 @@ def rep2_compare(le2: LevelLe2Tree, x: Rep2Element, y: Rep2Element) -> int:
 # -- respect ---------------------------------------------------------------------
 
 def _entry(t, key):
-    if key not in t:
-        raise MissingEntry(key)
-    return as_uord(t[key])
+    """The value at ``key`` in the tuple t, as a ``UOrd``, read with one
+    lookup; MissingEntry when t holds no such key or cannot be indexed."""
+    try:
+        v = t[key]
+    except (KeyError, TypeError):
+        raise MissingEntry(key) from None
+    return v if type(v) is UOrd else as_uord(v)
 
 
 def _passing_node(b: UOrd, tree: Level1Tree, m: int, parent, parent_val: UOrd):
@@ -609,8 +615,15 @@ def _passing_node(b: UOrd, tree: Level1Tree, m: int, parent, parent_val: UOrd):
     then be the chain (0), ..., (0)^m: a tree of m nodes is that chain iff it
     holds the parent's node and, for m >= 2, the parent's tree, the chain of
     m - 1 nodes since the parent passed (the root's tree is not read).  Such
-    a b is an uncountable limit of level m, so the analysis raises nothing."""
-    parent_tree, parent_node = parent
+    a b is an uncountable limit of level m, so the analysis raises nothing.
+
+    The walk unpacks every label it is given before its children's, so a
+    parent label that is not a pair is the root's: RootNotCanonical, as in
+    ``validate_level2``."""
+    try:
+        parent_tree, parent_node = parent
+    except (TypeError, ValueError):  # not a pair, such as None or a triple
+        raise RootNotCanonical(parent) from None
     terms, head = b.uterms, parent_val.uterms
     if len(terms) != m or len(tree) != m or parent_node != (0,) * m or \
             parent_node not in tree.nodes or m > 1 and not tree.nodes >= parent_tree.nodes:
@@ -636,17 +649,24 @@ def respects_le2(le2: LevelLe2Tree, t) -> Verdict:
     values, the root value being u_1; (3) sibling values follow the
     Brouwer-Kleene order of their indices.  Clause (2) is accepted at each
     element by one rule, ``_passing_node``, from its parent's label and
-    value; the analysis runs only in ``_rejection``, to write a rejection.
+    value.  The rejection ``Verdict`` is built only on a rejection, and the
+    analysis runs only in ``_rejection``, to write it.
     """
-    return _respects(le2.t1, le2.t2.dom(), t, le2.t2._labels)
+    fail = _respects(le2.t1, le2.t2.dom(), t, le2.t2._labels)
+    return ACCEPTED if fail is None else fail()
 
 
-def _respects(t1: Level1Tree, order, t, labels) -> Verdict:
+def _respects(t1: Level1Tree, order, t, labels):
     """``respects_le2`` on the level-1 tree t1 and the level-2 elements in
-    canonical ``order`` labelled by ``labels``.  An element with no label
-    gets, in ``labels``, the one clause (2) fixes: its parent's tree grown
-    by its parent's node, and the node ``_passing_node`` returns, which
-    must not be -1 at an inner element.  A label given is never replaced.
+    canonical ``order`` labelled by ``labels``: None when the tuple t
+    respects the tree, else a zero-argument callable that builds the
+    rejection ``Verdict``.  The walk stops at the failure, so everything
+    the callable reads is fixed; a caller that only tests the outcome
+    builds no rejection.  An element with no label gets, in ``labels``,
+    the one clause (2) fixes: its parent's tree grown by its parent's node,
+    and the node ``_passing_node`` returns, which must not be -1 at an
+    inner element.  A label given is never replaced.  A given label that
+    is not a pair raises the error ``validate_level2`` gives for it.
 
     Canonical order puts every parent before its children, so the walk
     keeps one value per element and decides clause (2) at each by
@@ -655,10 +675,10 @@ def _respects(t1: Level1Tree, order, t, labels) -> Verdict:
     t1_vals = {p: _entry(t, (1, p)) for p in t1.nodes}
     v = respects_level1(t1, t1_vals)
     if not v:
-        return Verdict(False, "level1-part", f"{v.clause}: {v.detail}")
+        return lambda: Verdict(False, "level1-part", f"{v.clause}: {v.detail}")
     root = _entry(t, (2, ()))
     if root.compare(U1) != 0:
-        return Verdict(False, "root-value", str(root))
+        return lambda: Verdict(False, "root-value", str(root))
     if () not in labels:  # a Level2Tree built without its root
         raise MissingEntry(())
     values = {(): root}
@@ -666,16 +686,24 @@ def _respects(t1: Level1Tree, order, t, labels) -> Verdict:
     for q in order:
         if not q:
             continue
+        up = q[:-1]
         val = values[q] = _entry(t, (2, q))  # a missing value raises here, before its analysis
         try:
-            parent = labels[q[:-1]]
+            parent = labels[up]
         except KeyError:  # a Level2Tree built without q's parent
-            raise MissingEntry(q[:-1]) from None
+            raise MissingEntry(up) from None
         given = q in labels
-        tree, node = labels[q] if given else (Level1Tree(parent[0].nodes | {parent[1]}), None)
-        passing = _passing_node(val, tree, len(q), parent, values[q[:-1]])
+        if given:
+            try:
+                tree, node = labels[q]
+            except (TypeError, ValueError):  # not a pair, such as None or a triple
+                raise TowerViolation(q) from None
+        else:
+            tree = Level1Tree(parent[0].nodes | {parent[1]})
+        passing = _passing_node(val, tree, len(q), parent, values[up])
         if passing is None or (passing != node if given else passing == MINUS_ONE and q in inner):
-            return _rejection(q, tree, labels, values, inner)
+            # a partial: a lambda would make the five names cells of the whole walk
+            return partial(_rejection, q, tree, labels, values, inner)
         if not given:
             labels[q] = (tree, passing)
     # canonical order lists the children of each q together, in the
@@ -683,11 +711,12 @@ def _respects(t1: Level1Tree, order, t, labels) -> Verdict:
     last = {}
     for q, val in values.items():
         if q:
-            prev = last.get(q[:-1])
+            up = q[:-1]
+            prev = last.get(up)
             if prev is not None and prev.compare(val) >= 0:
-                return Verdict(False, f"sibling-order{format_detail(q[:-1])}", "")
-            last[q[:-1]] = val
-    return ACCEPTED
+                return lambda: Verdict(False, f"sibling-order{format_detail(up)}", "")
+            last[up] = val
+    return None
 
 
 def _rejection(q, tree, labels, values, inner) -> Verdict:
@@ -822,7 +851,9 @@ def recover_tree(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
     off its value as it checks it, and stops at the first element that
     fails.  The outcome, a tree or an error, is the one a search over every
     labelling gives, the independent oracle in ``lemmas``.  Every label read
-    is one ``is_child_label`` allows, so the tree is not validated.
+    is one ``is_child_label`` allows, so the tree is not validated.  A miss
+    raises NoTreeFound without building the walk's rejection, so it
+    analyses no value and formats no text.
     """
     try:
         dom = frozenset(as_domseq(q) for q in dom_shape)
@@ -830,7 +861,7 @@ def recover_tree(t1: Level1Tree, dom_shape, t) -> LevelLe2Tree:
         raise DomainNotTree(dom_shape) from None
     order = check_tree_of_trees(dom)
     labels = {(): (EMPTY_TREE, ROOT_NODE)}
-    if not _respects(t1, order, t, labels):
+    if _respects(t1, order, t, labels) is not None:
         raise NoTreeFound()
     return LevelLe2Tree(t1, Level2Tree(tuple((q, labels[q]) for q in order)))
 

@@ -91,3 +91,15 @@ def test_key_rejects_entries_without_a_key():
         bk_key((U1,))
     with pytest.raises(IncomparableEntries):
         bk_key(((0,), "x"))
+
+
+def test_key_reads_a_bool_as_the_natural_it_equals():
+    assert bk_key((True, 0)) == ((0, True), (0, 0), (2,))
+
+
+@pytest.mark.parametrize("entry", [0.0, "x", U1], ids=["float", "string", "UOrd"])
+@pytest.mark.parametrize("nested", [False, True], ids=["top level", "nested"])
+def test_key_rejects_an_entry_that_is_not_a_natural_or_a_node(entry, nested):
+    with pytest.raises(IncomparableEntries) as e:
+        bk_key(((0, entry),) if nested else (0, entry))
+    assert e.value.args == (entry,)

@@ -504,10 +504,11 @@ def test_recover_agrees_with_the_replaced_route_up_to_five_elements():
 
 
 class TestRecoverAnalysesOnce:
-    """recover_tree analyses at most one value, through the two-part
-    ``potential_and_approximation``: the respect walk decides clause (2)
-    at each element from its parent, and analyses only the value at the
-    element that fails, to write the rejection."""
+    """recover_tree analyses no value: the respect walk decides clause (2)
+    at each element from its parent, and on a rejection hands back a
+    callable that would analyse the value at the element that fails, to
+    write the rejection; recover_tree never calls it, so a miss analyses
+    nothing and writes no text."""
 
     @staticmethod
     def _cases():
@@ -531,8 +532,8 @@ class TestRecoverAnalysesOnce:
             miss = _bumped(t, last)
             t, outcome, analysed = {
                 "hit": (t, tree, []),
-                # the bumped last value fails, and only it is analysed
-                "miss": (miss, (NoTreeFound, "NO_TREE_FOUND"), [miss[last]]),
+                # the bumped last value fails, and no rejection is written
+                "miss": (miss, (NoTreeFound, "NO_TREE_FOUND"), []),
                 # the dropped value is missed when it is read, before any analysis
                 "dropped": ({k: v for k, v in t.items() if k != last},
                             (MissingEntry, "MISSING_ENTRY"), []),
@@ -556,7 +557,8 @@ class TestRecoverAnalysesOnce:
 
     def test_a_miss_at_the_first_element_analyses_one_value(self, monkeypatch):
         # the walk that reads the labels checks them too, and stops at the
-        # first element that fails
+        # first element that fails; recover_tree reads no rejection, so not
+        # even that element's value is analysed
         calls = []
 
         def counted(b, tree):
@@ -572,9 +574,28 @@ class TestRecoverAnalysesOnce:
             calls.clear()
             with pytest.raises(NoTreeFound):
                 recover_tree(tree.t1, dom, _bumped(t, (2, dom[1])))
-            assert len(calls) == 1, str(tree)
+            assert calls == [], str(tree)
             trees += 1
         assert trees == 66
+
+    @pytest.mark.parametrize("at", ["last", "first"])
+    def test_a_miss_does_no_unread_work(self, at):
+        # neither the analysis nor a rejection's text: the walk hands back
+        # a callable for the rejection, which recover_tree does not call
+        misses = []
+        for tree, t in _realizable(4):
+            dom = tree.t2.dom()
+            if len(dom) > 1:
+                misses.append((tree, _bumped(t, (2, dom[-1] if at == "last" else dom[1]))))
+
+        def run():
+            for tree, miss in misses:
+                with pytest.raises(NoTreeFound):
+                    recover_tree(tree.t1, tree.t2.dom(), miss)
+
+        assert len(misses) >= 66
+        assert _entered([analysis.potential_and_approximation, level2._rejection,
+                         format_detail, UOrd.__str__], run) == set()
 
     def test_no_child_labels_are_listed_on_a_hit_or_a_miss(self):
         cases = [(tree, t, _bumped(t, last)) for tree, t, last in self._cases()]

@@ -5,8 +5,9 @@ key, a ``recover_tree`` shape and a degree-2 extension, domain sets whose
 nodes hold entries that are not naturals, entries that are not key-label
 pairs, labels that are not level-2 or level-3 labels,
 pending nodes that are not nodes, level-1 nodes that are not tuples of
-naturals, domain sets holding elements that are not tuples, and a level-2
-tree built without validation that lacks an element's parent."""
+naturals, domain sets holding elements that are not tuples, level-2 trees
+built without validation that lack an element's parent or hold a label
+that is not a pair, and tuples of values that are not mappings."""
 
 import pytest
 from hypothesis import given
@@ -164,6 +165,32 @@ CASES += [
      Level2Tree((((), (EMPTY_TREE, ROOT_NODE)), (((0,), (0,)), (TWO, (0, 0, 0))))),
      "MISSING_ENTRY: ((0))"),
 ]
+# a level-2 tree built without validation with a label that is not a pair:
+# the respect walk raises what validate_level2 raises for the same entries
+# (checked below), TOWER_VIOLATION at the element, or ROOT_NOT_CANONICAL
+# naming a root label
+CHILD = (ONE, (0, 0))
+UNCHECKED_LABELS = [
+    ("None label", {**ROOT, ((0,),): None}, "TOWER_VIOLATION: ((0))"),
+    ("int label", {**ROOT, ((0,),): 5}, "TOWER_VIOLATION: ((0))"),
+    ("triple label", {**ROOT, ((0,),): (*CHILD, 1)}, "TOWER_VIOLATION: ((0))"),
+    ("None root label", {(): None, ((0,),): CHILD}, "ROOT_NOT_CANONICAL: None"),
+    ("int root label", {(): 5, ((0,),): CHILD}, "ROOT_NOT_CANONICAL: 5"),
+    ("triple root label", {(): (EMPTY_TREE, ROOT_NODE, 1), ((0,),): CHILD},
+     "ROOT_NOT_CANONICAL: ({} (0) 1)"),
+]
+
+
+def _walk(entries):
+    return respects_le2(LevelLe2Tree(EMPTY_TREE, Level2Tree(tuple(entries.items()))),
+                        {(2, ()): parse_uord("u1"), (2, ((0,),)): parse_uord("u1")})
+
+
+CASES += [(f"respect walk {name}", _walk, entries, expected)
+          for name, entries, expected in UNCHECKED_LABELS]
+# a tuple that is not a mapping holds no value, as an empty list does
+CASES += [(f"respect walk tuple {name}", lambda t: respects_le2(Q21, t), t, "MISSING_ENTRY: 2:()")
+          for name, t in (("list", []), ("None", None), ("string", "ab"), ("int", 5))]
 # entries that are not pairs: the input is named as given
 CASES += [
     ("level-2 entry of length 1", validate_level2, [((),)], "DOMAIN_NOT_TREE: [(())]"),
@@ -190,6 +217,14 @@ WRONG = st.one_of(st.text(max_size=2), st.floats(), st.booleans(), st.none(),
 ENTRIES = st.one_of(NATURALS, WRONG, st.tuples(NATURALS))  # a tuple entry: bad nesting
 NODES = st.one_of(st.lists(ENTRIES, max_size=3).map(tuple), WRONG)
 KEYS = st.one_of(st.lists(st.one_of(NODES, NATURALS), max_size=3).map(tuple), WRONG)
+
+
+@pytest.mark.parametrize("entries, expected", [c[1:] for c in UNCHECKED_LABELS],
+                         ids=[c[0] for c in UNCHECKED_LABELS])
+def test_the_respect_walk_raises_what_validation_raises(entries, expected):
+    with pytest.raises(KernelError) as e:
+        validate_level2(entries)
+    assert str(e.value) == expected
 
 
 def test_an_unhashable_node_is_not_addable():

@@ -28,8 +28,7 @@ MUTANTS = [
     ("rep_order_type off by one", level1.rep_order_type,
      "CtblOrd.natural(len(tree.nodes))", "CtblOrd.natural(len(tree.nodes) + 1)",
      2, "order_type"),
-    ("bk_key reverses siblings", bk._entry_key, "return (0, e)", "return (0, -e)",
-     2, "analysis"),
+    ("bk_key reverses siblings", bk.bk_key, "[(0, e) if", "[(0, -e) if", 2, "analysis"),
     ("child_labels drops -1 at a leaf", level2.child_labels, "if leaf:", "if False:",
      2, "uniqueness"),
     ("regular_nodes keeps (1)", level1.regular_nodes, " if a != (1,)", "", 2,
